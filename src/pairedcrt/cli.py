@@ -52,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _seed(text: str) -> int:
+    """A seed argument: an integer in [0, 2**64), the range of a Philox key."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**64), got {text!r}")
+    return value
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -190,7 +201,7 @@ def build_parser() -> _Parser:
     p_assign = sub.add_parser("assign", help="randomize treatment within pairs")
     p_assign.add_argument("--clusters", required=True, help="clusters CSV")
     p_assign.add_argument("--design", required=True, help="design CSV")
-    p_assign.add_argument("--seed", type=int, required=True)
+    p_assign.add_argument("--seed", type=_seed, required=True)
     p_assign.add_argument("--out", required=True, help="clusters CSV to write, with treatment")
     p_assign.set_defaults(func=cmd_assign)
 
@@ -214,7 +225,7 @@ def build_parser() -> _Parser:
     add_analysis_inputs(p_rand)
     p_rand.add_argument("--mode", choices=("exact", "stochastic"), default="exact")
     p_rand.add_argument("--draws", type=int, help="draw count for stochastic mode")
-    p_rand.add_argument("--seed", type=int, help="seed for stochastic mode")
+    p_rand.add_argument("--seed", type=_seed, help="seed for stochastic mode")
     p_rand.set_defaults(func=cmd_randtest)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo study of a DGP")
@@ -226,7 +237,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--match-mode", choices=MATCH_MODES, default="nn_xn")
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--null-delta", type=float, default=0.0)
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--seed", type=_seed, required=True)
     p_sim.add_argument("--rand-mode", choices=("exact", "stochastic"), default=None)
     p_sim.add_argument("--rand-draws", type=int, default=None)
     p_sim.add_argument("--oracle-draws", type=int, default=0)

@@ -137,18 +137,19 @@ def build_dataset(records: Iterable[ClusterRecord]) -> Dataset:
     for r in ordered:
         if r.n_total < 1:
             raise DataError(f"cluster {r.cluster_id!r}: n_total must be positive")
-        if r.n_sampled == 0:
+        n_sampled = r.n_sampled
+        if n_sampled == 0:
             raise EmptyCluster(f"cluster {r.cluster_id!r} has no sampled units")
-        if r.n_sampled > r.n_total:
+        if n_sampled > r.n_total:
             raise SampleExceedsSize(
-                f"cluster {r.cluster_id!r}: {r.n_sampled} sampled units exceed n_total={r.n_total}"
+                f"cluster {r.cluster_id!r}: {n_sampled} sampled units exceed n_total={r.n_total}"
             )
-        for y in r.sampled_outcomes:
-            if not math.isfinite(y):
-                raise NonFiniteOutcome(f"cluster {r.cluster_id!r}: outcome {y!r}")
-        for x in r.covariates:
-            if not math.isfinite(x):
-                raise DataError(f"cluster {r.cluster_id!r}: covariate {x!r} is not finite")
+        if not all(map(math.isfinite, r.sampled_outcomes)):
+            y = next(y for y in r.sampled_outcomes if not math.isfinite(y))
+            raise NonFiniteOutcome(f"cluster {r.cluster_id!r}: outcome {y!r}")
+        if not all(map(math.isfinite, r.covariates)):
+            x = next(x for x in r.covariates if not math.isfinite(x))
+            raise DataError(f"cluster {r.cluster_id!r}: covariate {x!r} is not finite")
         if r.treatment is not None:
             _check_treatment(r.treatment, r.cluster_id)
     return Dataset(clusters=tuple(ordered), covariate_dim=k)
@@ -198,7 +199,10 @@ def _covariate_columns(header: Sequence[str]) -> list[str]:
 
 
 def read_clusters(source) -> list[ClusterRecord]:
-    """Parse a clusters CSV into records (without sampled outcomes)."""
+    """Parse a clusters CSV into records (without sampled outcomes).
+
+    Every ``n_total`` must be positive and every covariate finite.
+    """
     header, rows = _read_rows(source)
     if "cluster_id" not in header or "n_total" not in header:
         raise DataError(f"clusters CSV header must contain cluster_id and n_total, got {header}")
@@ -219,10 +223,17 @@ def read_clusters(source) -> list[ClusterRecord]:
             n_total = int(row["n_total"])
         except (TypeError, ValueError) as exc:
             raise DataError(f"clusters CSV line {i}: bad n_total {row.get('n_total')!r}") from exc
+        if n_total < 1:
+            raise DataError(f"clusters CSV line {i}: cluster {cid!r}: n_total must be positive")
         try:
             covariates = tuple(float(row[c]) for c in xcols)
         except (TypeError, ValueError) as exc:
             raise RaggedCovariates(f"clusters CSV line {i}: bad covariate value") from exc
+        if not all(map(math.isfinite, covariates)):
+            x = next(x for x in covariates if not math.isfinite(x))
+            raise DataError(
+                f"clusters CSV line {i}: cluster {cid!r}: covariate {x!r} is not finite"
+            )
         treatment: int | None = None
         if has_treatment:
             raw = (row.get("treatment") or "").strip()

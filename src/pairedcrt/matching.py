@@ -8,7 +8,9 @@ with its nearest unmatched neighbor.
 
 ``order_pairs_for_variance`` rearranges the pairs so that consecutive pairs
 are close in feature space; the cross-pair products in the variance
-estimator assume this. ``imbalance_report`` computes the within-pair and
+estimator assume this. Both greedy walks compute one distance row per step,
+so for G pairs with k features they take O(G^2 * k) time and O(G * k)
+memory. ``imbalance_report`` computes the within-pair and
 cross-pair discrepancy sums that quantify how well a design approximates
 ideal matching; all of them should shrink toward zero as the sample grows.
 """
@@ -95,6 +97,65 @@ def _require_even(items: Sequence) -> int:
     return n
 
 
+def _require_finite(features: np.ndarray, items: Sequence) -> None:
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(
+            f"cluster {items[i].cluster_id!r}: matching features {features[i].tolist()} "
+            "are not all finite"
+        )
+
+
+class _Unvisited:
+    """The rows of a point set not yet taken, for nearest-point queries.
+
+    Rows keep the caller's tie-break order, so ``argmin``'s first-index rule
+    breaks distance ties by that order. ``take_nearest`` computes one
+    distance row, sqrt(sum((z_j - z)^2)) over the feature axis, per call:
+    memory is O(n*k). A taken row's first coordinate becomes +inf, and the
+    rows are compacted once half of them are taken.
+    """
+
+    def __init__(self, points: np.ndarray):
+        n, k = points.shape
+        # numpy sums fewer than 8 terms left to right in either memory layout,
+        # and reduces column-major rows far faster; from 8 features on it sums
+        # row-major rows pairwise, as the n x n x k distance tensors did.
+        self._layout = "F" if k < 8 else "C"
+        self._points = np.array(points, dtype=float, order=self._layout)
+        self._index = np.arange(n)  # tie-break position of each stored row
+        self._live = np.ones(n, dtype=bool)
+        self.count = n
+
+    def take(self, i: int) -> int:
+        """Take row ``i``."""
+        return self._take_at(int(self._index.searchsorted(i)))
+
+    def take_first(self) -> int:
+        """Take the untaken row that comes first in tie-break order."""
+        return self._take_at(int(self._live.argmax()))
+
+    def take_nearest(self, point: np.ndarray) -> int:
+        """Take the untaken row nearest to ``point``; ties go to the first."""
+        d = self._points - point
+        d *= d
+        dist = d.sum(axis=1)
+        np.sqrt(dist, out=dist)
+        return self._take_at(int(dist.argmin()))
+
+    def _take_at(self, pos: int) -> int:
+        i = int(self._index[pos])
+        self._live[pos] = False
+        self._points[pos, 0] = np.inf
+        self.count -= 1
+        if 0 < 2 * self.count < len(self._index):
+            self._points = np.asarray(self._points[self._live], order=self._layout)
+            self._index = self._index[self._live]
+            self._live = np.ones(self.count, dtype=bool)
+        return i
+
+
 def zscore(features: np.ndarray) -> np.ndarray:
     """Center each column and scale by its std; zero-variance columns are
     centered but not scaled."""
@@ -121,6 +182,7 @@ def pair_sorted_scalar(items: Sequence, key: Callable | int = 0) -> MatchedDesig
     ``key`` is either a covariate index or a callable mapping an item to a
     scalar. Ties are broken by cluster_id. In one dimension this pairing
     minimizes the total within-pair distance over all perfect matchings.
+    Raises ``DataError`` naming the cluster if a key value is NaN or infinite.
     """
     n = _require_even(items)
     if callable(key):
@@ -133,8 +195,9 @@ def pair_sorted_scalar(items: Sequence, key: Callable | int = 0) -> MatchedDesig
         if arr.ndim != 0 and arr.size != 1:
             raise NonScalarKey(f"cluster {item.cluster_id!r}: key value {v!r} is not a scalar")
         scalars.append(float(arr))
-    order = sorted(range(n), key=lambda i: (scalars[i], items[i].cluster_id))
     scores = np.array(scalars, dtype=float).reshape(-1, 1)
+    _require_finite(scores, items)
+    order = sorted(range(n), key=lambda i: (scalars[i], items[i].cluster_id))
     return MatchedDesign(
         permutation=tuple(order), pair_count=n // 2, matched_on_size=False, scores=scores
     )
@@ -149,7 +212,8 @@ def pair_greedy_nn(
 
     Repeatedly takes the unmatched cluster with the smallest cluster_id and
     pairs it with its nearest unmatched neighbor in Euclidean distance
-    (ties again broken by cluster_id).
+    (ties again broken by cluster_id). Raises ``DataError`` naming the
+    cluster if a feature is NaN or infinite.
     """
     n = _require_even(items)
     if features is not None:
@@ -161,28 +225,18 @@ def pair_greedy_nn(
             raw = np.hstack([raw, sizes])
     else:
         raw = feature_matrix(items, include_size)
+    _require_finite(raw, items)
     z = zscore(raw)
 
     # items arrive in cluster_id order downstream of load, but don't rely on it
-    id_order = sorted(range(n), key=lambda i: items[i].cluster_id)
-    rank = np.empty(n, dtype=int)
-    rank[id_order] = np.arange(n)
-
-    diffs = z[:, None, :] - z[None, :, :]
-    dist = np.sqrt((diffs * diffs).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-
-    available = np.ones(n, dtype=bool)
+    id_order = np.array(sorted(range(n), key=lambda i: items[i].cluster_id))
+    points = z[id_order]
+    unmatched = _Unvisited(points)
     perm: list[int] = []
-    for seed in id_order:
-        if not available[seed]:
-            continue
-        available[seed] = False
-        row = np.where(available, dist[seed], np.inf)
-        # among equal distances, prefer the smallest cluster_id
-        best = min(np.flatnonzero(row == row.min()), key=lambda i: items[i].cluster_id)
-        available[best] = False
-        perm.extend((seed, best))
+    while unmatched.count:
+        seed = unmatched.take_first()
+        best = unmatched.take_nearest(points[seed])
+        perm.extend((int(id_order[seed]), int(id_order[best])))
     return MatchedDesign(
         permutation=tuple(perm), pair_count=n // 2, matched_on_size=include_size, scores=z
     )
@@ -191,7 +245,9 @@ def pair_greedy_nn(
 def _design_scores(design: MatchedDesign, items: Sequence) -> np.ndarray:
     if design.scores is not None:
         return np.asarray(design.scores, dtype=float)
-    return zscore(feature_matrix(items, design.matched_on_size))
+    raw = feature_matrix(items, design.matched_on_size)
+    _require_finite(raw, items)
+    return zscore(raw)
 
 
 def order_pairs_for_variance(design: MatchedDesign, items: Sequence) -> MatchedDesign:
@@ -199,37 +255,31 @@ def order_pairs_for_variance(design: MatchedDesign, items: Sequence) -> MatchedD
 
     Pairs are visited along a greedy nearest-neighbor path through their
     feature midpoints, starting from the pair whose midpoint is
-    lexicographically smallest. With a scalar feature this reduces to
-    sorting pairs by their within-pair mean key. Member order within each
-    pair is preserved.
+    lexicographically smallest. Ties go to the pair with the smallest
+    member cluster_id. With a scalar feature this reduces to sorting pairs
+    by their within-pair mean key. Member order within each pair is
+    preserved.
     """
     scores = _design_scores(design, items)
     perm = np.asarray(design.permutation)
     g = design.pair_count
-    mid = 0.5 * (scores[perm[0::2]] + scores[perm[1::2]])  # (G, m)
+    tiebreak = [
+        min(items[perm[2 * j]].cluster_id, items[perm[2 * j + 1]].cluster_id) for j in range(g)
+    ]
+    pair_order = np.array(sorted(range(g), key=tiebreak.__getitem__))
+    first, second = perm[0::2][pair_order], perm[1::2][pair_order]
+    mid = 0.5 * (scores[first] + scores[second])  # (G, m), in tie-break order
 
-    def pair_tiebreak(j: int) -> str:
-        return min(items[perm[2 * j]].cluster_id, items[perm[2 * j + 1]].cluster_id)
-
-    start = min(range(g), key=lambda j: (tuple(mid[j]), pair_tiebreak(j)))
-    d = mid[:, None, :] - mid[None, :, :]
-    dist = np.sqrt((d * d).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-
-    visited = np.zeros(g, dtype=bool)
-    path = [start]
-    visited[start] = True
+    # lexsort is stable and its last key is the primary one
+    start = int(np.lexsort(mid.T[::-1])[0])
+    unvisited = _Unvisited(mid)
+    path = [unvisited.take(start)]
     for _ in range(g - 1):
-        row = np.where(visited, np.inf, dist[path[-1]])
-        best = min(np.flatnonzero(row == row.min()), key=pair_tiebreak)
-        visited[best] = True
-        path.append(best)
+        path.append(unvisited.take_nearest(mid[path[-1]]))
 
-    new_perm: list[int] = []
-    for j in path:
-        new_perm.extend((int(perm[2 * j]), int(perm[2 * j + 1])))
+    new_perm = np.column_stack((first[path], second[path])).ravel()
     return MatchedDesign(
-        permutation=tuple(new_perm),
+        permutation=tuple(new_perm.tolist()),
         pair_count=g,
         matched_on_size=design.matched_on_size,
         scores=design.scores,

@@ -24,7 +24,7 @@ every artifact (trials, assignments, reports) is reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -334,16 +334,12 @@ def generate_trial(
     counts = dgp.sampling.counts(n)
     gamma = rng_gamma.normal(0.0, dgp.outcomes.sigma_cluster, m)
     eps = rng_eps.normal(0.0, dgp.outcomes.sigma_unit, int(counts.sum()))
-    eps_chunks = np.split(eps, np.cumsum(counts)[:-1])
 
     bare = [
         ClusterRecord(
-            cluster_id=f"c{i + 1:06d}",
-            n_total=int(n[i]),
-            sampled_outcomes=(),
-            covariates=(float(x[i]),),
+            cluster_id=f"c{i + 1:06d}", n_total=size, sampled_outcomes=(), covariates=(v,)
         )
-        for i in range(m)
+        for i, (size, v) in enumerate(zip(n.tolist(), x.tolist()))
     ]
     design = match_records(bare, match_mode)
     assign_seed = int(streams[4].generate_state(1, np.uint64)[0])
@@ -351,13 +347,17 @@ def generate_trial(
 
     nf = n.astype(float)
     mu = np.where(treat == 1, dgp.outcomes.mu1(x, nf), dgp.outcomes.mu0(x, nf))
+    outcomes = (np.repeat(mu + gamma, counts) + eps).tolist()
+    ends = np.cumsum(counts).tolist()
     records = [
-        replace(
-            bare[i],
-            sampled_outcomes=tuple(float(v) for v in mu[i] + gamma[i] + eps_chunks[i]),
-            treatment=int(treat[i]),
+        ClusterRecord(
+            cluster_id=c.cluster_id,
+            n_total=c.n_total,
+            sampled_outcomes=tuple(outcomes[start:end]),
+            covariates=c.covariates,
+            treatment=t,
         )
-        for i in range(m)
+        for c, start, end, t in zip(bare, [0, *ends[:-1]], ends, treat.tolist())
     ]
     return build_dataset(records), design, dgp.true_delta
 

@@ -3,13 +3,19 @@
 The reference implementations here (matched-pairs inference for unit-sized
 clusters, brute-force optimal matching, closed-form limiting variances)
 deliberately avoid the package's own numerical paths, so agreement with
-them is evidence and not circularity.
+them is evidence and not circularity. The greedy matching references keep
+the full n x n x k distance tensor that the package's row-per-step walks
+replaced, and ``trial_records_reference`` builds a trial's records one
+float at a time, as ``generate_trial`` once did.
 """
 
 import numpy as np
 
+from dataclasses import replace
+
+from pairedcrt.assignment import assign_within_pairs
 from pairedcrt.core import ClusterRecord, build_dataset
-from pairedcrt.matching import MatchedDesign
+from pairedcrt.matching import MatchedDesign, feature_matrix, pair_sorted_scalar, zscore
 
 
 def make_dataset(sizes, ybars=None, treatments=None, xs=None, outcomes=None):
@@ -187,3 +193,114 @@ def closed_form_variance(dgp, match_on):
     else:
         cond = beta_sum**2 * var_x * ew2 + theta_sum**2 * ej
     return second - 0.5 * cond
+
+
+def greedy_nn_reference(items, include_size=False):
+    """Greedy nearest-neighbor pairing over a full distance tensor."""
+    n = len(items)
+    z = zscore(feature_matrix(items, include_size))
+    id_order = sorted(range(n), key=lambda i: items[i].cluster_id)
+    diffs = z[:, None, :] - z[None, :, :]
+    dist = np.sqrt((diffs * diffs).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+
+    available = np.ones(n, dtype=bool)
+    perm = []
+    for seed in id_order:
+        if not available[seed]:
+            continue
+        available[seed] = False
+        row = np.where(available, dist[seed], np.inf)
+        best = min(np.flatnonzero(row == row.min()), key=lambda i: items[i].cluster_id)
+        available[best] = False
+        perm.extend((seed, int(best)))
+    return MatchedDesign(
+        permutation=tuple(perm), pair_count=n // 2, matched_on_size=include_size, scores=z
+    )
+
+
+def order_pairs_reference(design, items):
+    """Nearest-neighbor path through pair midpoints over a full distance tensor."""
+    if design.scores is not None:
+        scores = np.asarray(design.scores, dtype=float)
+    else:
+        scores = zscore(feature_matrix(items, design.matched_on_size))
+    perm = np.asarray(design.permutation)
+    g = design.pair_count
+    mid = 0.5 * (scores[perm[0::2]] + scores[perm[1::2]])
+
+    def pair_tiebreak(j):
+        return min(items[perm[2 * j]].cluster_id, items[perm[2 * j + 1]].cluster_id)
+
+    start = min(range(g), key=lambda j: (tuple(mid[j]), pair_tiebreak(j)))
+    d = mid[:, None, :] - mid[None, :, :]
+    dist = np.sqrt((d * d).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+
+    visited = np.zeros(g, dtype=bool)
+    path = [start]
+    visited[start] = True
+    for _ in range(g - 1):
+        row = np.where(visited, np.inf, dist[path[-1]])
+        best = min(np.flatnonzero(row == row.min()), key=pair_tiebreak)
+        visited[best] = True
+        path.append(best)
+
+    new_perm = []
+    for j in path:
+        new_perm.extend((int(perm[2 * j]), int(perm[2 * j + 1])))
+    return MatchedDesign(
+        permutation=tuple(new_perm),
+        pair_count=g,
+        matched_on_size=design.matched_on_size,
+        scores=design.scores,
+    )
+
+
+def trial_records_reference(dgp, pair_count, match_mode, seed):
+    """A trial's cluster records and design, built record by record.
+
+    Draws the same Philox streams as ``generate_trial``, matches with the
+    tensor references above, and assembles each cluster's outcomes one
+    float at a time. Returns (records in cluster_id order, design).
+    """
+    m = 2 * pair_count
+    streams = np.random.SeedSequence(seed).spawn(5)
+    rng_x, rng_n, rng_gamma, rng_eps = (
+        np.random.Generator(np.random.Philox(s)) for s in streams[:4]
+    )
+    x = dgp.covariates.sample(rng_x, m)
+    n = dgp.sizes.sample(rng_n, m)
+    counts = dgp.sampling.counts(n)
+    gamma = rng_gamma.normal(0.0, dgp.outcomes.sigma_cluster, m)
+    eps = rng_eps.normal(0.0, dgp.outcomes.sigma_unit, int(counts.sum()))
+    eps_chunks = np.split(eps, np.cumsum(counts)[:-1])
+
+    bare = [
+        ClusterRecord(
+            cluster_id=f"c{i + 1:06d}",
+            n_total=int(n[i]),
+            sampled_outcomes=(),
+            covariates=(float(x[i]),),
+        )
+        for i in range(m)
+    ]
+    if match_mode == "sorted_x":
+        design = pair_sorted_scalar(bare, key=0)
+    else:
+        design = greedy_nn_reference(bare, include_size=match_mode == "nn_xn")
+    design = order_pairs_reference(design, bare)
+    assign_seed = int(streams[4].generate_state(1, np.uint64)[0])
+    treat = assign_within_pairs(design, assign_seed)
+
+    nf = n.astype(float)
+    mu = np.where(treat == 1, dgp.outcomes.mu1(x, nf), dgp.outcomes.mu0(x, nf))
+    records = [
+        replace(
+            bare[i],
+            sampled_outcomes=tuple(float(v) for v in mu[i] + gamma[i] + eps_chunks[i]),
+            treatment=int(treat[i]),
+        )
+        for i in range(m)
+    ]
+    return records, design

@@ -256,6 +256,65 @@ class TestUsageAndDataErrors:
         assert excinfo.value.code == 64
 
 
+def clusters_csv(tmp_path, bad_row):
+    """A 4-cluster CSV whose cluster c has the given n_total and x1, and a design."""
+    clusters = tmp_path / "clusters.csv"
+    n_total, x1 = bad_row
+    clusters.write_text(
+        f"cluster_id,n_total,x1\na,2,0.1\nb,3,0.4\nc,{n_total},{x1}\nd,2,0.9\n"
+    )
+    design = tmp_path / "design.csv"
+    design.write_text("pair_index,position,cluster_id\n0,0,a\n0,1,b\n1,0,c\n1,1,d\n")
+    return str(clusters), str(design)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "bad_row", [("2", "nan"), ("2", "inf"), ("2", "-inf"), ("0", "0.5"), ("-1", "0.5")]
+    )
+    @pytest.mark.parametrize("command", ["match", "assign"])
+    def test_bad_cluster_is_data_error(self, tmp_path, capsys, command, bad_row):
+        clusters, design = clusters_csv(tmp_path, bad_row)
+        out = str(tmp_path / "out.csv")
+        if command == "match":
+            argv = ["match", "--clusters", clusters, "--mode", "nn_xn", "--out", out]
+        else:
+            argv = ["assign", "--clusters", clusters, "--design", design, "--seed", "1",
+                    "--out", out]
+        code, stdout, err = run_cli(argv, capsys)
+        assert code == 2
+        assert stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert "'c'" in payload["message"]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["assign", "randtest", "simulate"])
+    def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, command, seed):
+        units, clusters, design = unit_fixture(tmp_path)
+        argv = {
+            "assign": ["assign", "--clusters", clusters, "--design", design,
+                       "--out", str(tmp_path / "o.csv")],
+            "randtest": ["randtest", "--units", units, "--clusters", clusters,
+                         "--design", design, "--mode", "stochastic", "--draws", "99"],
+            "simulate": ["simulate", "--preset", "null", "--pairs", "4", "--reps", "2"],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + [f"--seed={seed}"])
+        assert excinfo.value.code == 64
+        assert "--seed" in capsys.readouterr().err
+
+    def test_largest_seed_is_accepted(self, tmp_path, capsys):
+        _, clusters, design = unit_fixture(tmp_path)
+        code, out, _ = run_cli(
+            ["assign", "--clusters", clusters, "--design", design,
+             "--seed", str(2**64 - 1), "--out", str(tmp_path / "o.csv")],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == 2**64 - 1
+
+
 class TestSimulate:
     def test_preset_run(self, capsys):
         code, out, _ = run_cli(

@@ -170,6 +170,18 @@ class TestReaders:
         with pytest.raises(NonBinaryTreatment):
             read_clusters(src)
 
+    @pytest.mark.parametrize("n_total", ["0", "-3"])
+    def test_nonpositive_n_total_rejected(self, n_total):
+        src = io.StringIO(f"cluster_id,n_total,x1\na,2,0.1\nb,{n_total},0.2\n")
+        with pytest.raises(DataError, match="'b'.*n_total"):
+            read_clusters(src)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_covariate_rejected(self, value):
+        src = io.StringIO(f"cluster_id,n_total,x1,x2\na,2,0.1,0.3\nb,3,0.2,{value}\n")
+        with pytest.raises(DataError, match="'b'.*not finite"):
+            read_clusters(src)
+
     def test_covariates_parse_in_order(self):
         src = io.StringIO("cluster_id,n_total,x2,x1\na,2,0.2,0.1\n")
         recs = read_clusters(src)

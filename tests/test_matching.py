@@ -1,7 +1,19 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import all_pairings, design_cost, identity_design, min_matching_cost
+from helpers import (
+    all_pairings,
+    design_cost,
+    greedy_nn_reference,
+    identity_design,
+    min_matching_cost,
+    order_pairs_reference,
+)
 from pairedcrt.core import ClusterRecord
 from pairedcrt.errors import DataError, NonScalarKey, OddClusterCount
 from pairedcrt.matching import (
@@ -129,6 +141,89 @@ class TestPairGreedyNn:
         design = pair_greedy_nn(items, include_size=True)
         assert design.scores.shape == (4, 2)
         assert np.allclose(design.scores.mean(axis=0), 0.0, atol=1e-12)
+
+
+@st.composite
+def tied_items(draw):
+    """Clusters on a small integer grid: many tied distances and duplicated
+    points, with cluster ids in shuffled input order."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    n = 2 * draw(st.integers(2, 15))
+    grid = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    pool = draw(st.lists(grid, min_size=1, max_size=n))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    ids = [f"c{i:03d}" for i in draw(st.permutations(range(n)))]
+    return items_from([np.array(r, dtype=float) for r in rows], sizes=sizes, ids=ids)
+
+
+class TestAgainstTensorReference:
+    """The row-per-step walks give the permutations of the n x n x k tensor code."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(items=tied_items(), include_size=st.booleans())
+    def test_greedy_nn_and_pair_order(self, items, include_size):
+        design = pair_greedy_nn(items, include_size=include_size)
+        reference = greedy_nn_reference(items, include_size=include_size)
+        assert design.permutation == reference.permutation
+        assert (
+            order_pairs_for_variance(design, items).permutation
+            == order_pairs_reference(reference, items).permutation
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(items=tied_items(), include_size=st.booleans(), data=st.data())
+    def test_pair_order_of_any_design_without_scores(self, items, include_size, data):
+        # designs read from CSV carry no scores; any pairing may come in
+        perm = tuple(data.draw(st.permutations(range(len(items)))))
+        design = MatchedDesign(
+            permutation=perm, pair_count=len(items) // 2, matched_on_size=include_size
+        )
+        assert (
+            order_pairs_for_variance(design, items).permutation
+            == order_pairs_reference(design, items).permutation
+        )
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_greedy_nn_rejects(self, bad):
+        items = items_from([[0.0, 1.0], [1.0, 2.0], [2.0, bad], [3.0, 1.0]])
+        with pytest.raises(DataError, match="'c002'"):
+            pair_greedy_nn(items)
+
+    def test_greedy_nn_rejects_selected_feature(self):
+        items = items_from([0.0, 1.0, 2.0, 3.0])
+        def feature(item):
+            return [math.nan if item.cluster_id == "c003" else 0.0]
+
+        with pytest.raises(DataError, match="'c003'"):
+            pair_greedy_nn(items, features=feature)
+
+    def test_sorted_scalar_rejects(self):
+        items = items_from([0.0, math.nan, 2.0, 3.0])
+        with pytest.raises(DataError, match="'c001'"):
+            pair_sorted_scalar(items)
+
+    def test_pair_order_rejects_when_recomputing_scores(self):
+        items = items_from([0.0, 1.0, math.inf, 3.0])
+        with pytest.raises(DataError, match="'c002'"):
+            order_pairs_for_variance(identity_design(2), items)
+
+
+def test_memory_is_linear_in_cluster_count():
+    # 5000 pairs; the n x n x k distance tensors needed about 3 GiB here
+    rng = np.random.default_rng(5000)
+    n = 10_000
+    items = items_from(rng.uniform(0.0, 1.0, n), sizes=rng.choice([10, 50], n).tolist())
+    tracemalloc.start()
+    try:
+        design = pair_greedy_nn(items, include_size=True)
+        order_pairs_for_variance(design, items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 class TestOrderPairsForVariance:

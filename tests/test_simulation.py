@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import closed_form_variance
+from helpers import closed_form_variance, trial_records_reference
 from pairedcrt.core import summarize
 from pairedcrt.matching import imbalance_report
 from pairedcrt.simulation import (
@@ -13,6 +13,7 @@ from pairedcrt.simulation import (
     SamplingRule,
     SimConfig,
     SizeLaw,
+    MATCH_MODES,
     generate_trial,
     match_records,
     monte_carlo,
@@ -146,6 +147,16 @@ class TestGenerateTrial:
         _, on_xn, _ = generate_trial(dgp, pair_count=5, match_mode="nn_xn", seed=1)
         assert not on_x.matched_on_size
         assert on_xn.matched_on_size
+
+    @pytest.mark.parametrize("preset_name", ["size_heterogeneous", "stress"])
+    @pytest.mark.parametrize("mode", MATCH_MODES)
+    def test_equals_record_by_record_construction(self, preset_name, mode):
+        # stress samples a fraction of each cluster, so chunk boundaries vary
+        dgp = preset(preset_name)
+        ds, design, _ = generate_trial(dgp, pair_count=40, match_mode=mode, seed=17)
+        records, reference_design = trial_records_reference(dgp, 40, mode, seed=17)
+        assert ds.clusters == tuple(records)
+        assert design.permutation == reference_design.permutation
 
     def test_bad_match_mode(self):
         with pytest.raises(ValueError):

@@ -57,14 +57,28 @@ def _require_treatments(summaries: Sequence[ClusterSummary]) -> np.ndarray:
     return d
 
 
+def arm_means(n: np.ndarray, ybar: np.ndarray, d: np.ndarray):
+    """Size-weighted arm means and arm sizes for ``d`` of shape (2G,) or (B, 2G).
+
+    Returns (mu1, mu0, n1, n0) with the batch shape of ``d``. The arm sums
+    are matrix-vector products, so a batch of B treatment vectors costs
+    four (B, 2G) x (2G,) products.
+    """
+    d = np.asarray(d, dtype=float)
+    c = 1.0 - d
+    n1 = d @ n
+    n0 = c @ n
+    if np.any(n1 == 0) or np.any(n0 == 0):
+        raise EmptyArm("a treatment arm is empty")
+    weighted = n * ybar
+    return (d @ weighted) / n1, (c @ weighted) / n0, n1, n0
+
+
 def estimate_size_weighted(summaries: Sequence[ClusterSummary]) -> PointEstimate:
     """Size-weighted difference in means across arms."""
     d = _require_treatments(summaries)
     n, _, ybar, _ = summary_arrays(summaries)
-    n1 = float(n @ d)
-    n0 = float(n @ (1 - d))
-    mu1 = float((n * ybar) @ d / n1)
-    mu0 = float((n * ybar) @ (1 - d) / n0)
+    mu1, mu0, n1, n0 = (float(v) for v in arm_means(n, ybar, d))
     return PointEstimate(
         delta_hat=mu1 - mu0, mu1=mu1, mu0=mu0, n1=n1, n0=n0, estimand="size_weighted"
     )
@@ -74,14 +88,15 @@ def estimate_equal_weighted(summaries: Sequence[ClusterSummary]) -> PointEstimat
     """Unweighted difference of arm means of the cluster-level averages."""
     d = _require_treatments(summaries)
     n, _, ybar, _ = summary_arrays(summaries)
+    _, _, n1, n0 = arm_means(n, ybar, d)
     mu1 = float(ybar[d == 1].mean())
     mu0 = float(ybar[d == 0].mean())
     return PointEstimate(
         delta_hat=mu1 - mu0,
         mu1=mu1,
         mu0=mu0,
-        n1=float(n @ d),
-        n0=float(n @ (1 - d)),
+        n1=float(n1),
+        n0=float(n0),
         estimand="equal_weighted",
     )
 

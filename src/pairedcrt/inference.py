@@ -2,8 +2,8 @@
 
 The variance estimator works on adjusted outcomes: each cluster's mean is
 centered at its own arm's size-weighted mean and rescaled by N_g over the
-average cluster size, so the adjusted values are mean zero within each arm.
-Two ingredients combine into the estimate
+average cluster size nbar, so the adjusted values are mean zero within each
+arm. Two ingredients combine into the estimate
 
     v2 = tau2 - lambda2 / 2,
 
@@ -15,8 +15,17 @@ within-pair difference that matching already explains, provided consecutive
 pairs are close in feature space (see
 :func:`pairedcrt.matching.order_pairs_for_variance`).
 
-Functions here accept treatment vectors of shape (2G,) or batched
-(B, 2G); the batch path drives the randomization test.
+One kernel, :func:`pair_statistics`, computes (delta, tau2, lambda2) for
+``infer`` and for every swap pattern of the randomization test. It takes
+treatment vectors of shape (2G,) or (B, 2G) and works per pair: with
+``s = d[..., perm[0::2]]`` saying whether the first member of each pair is
+treated, pair j's signed difference is
+
+    (N_t (ybar_t - mu1) - N_c (ybar_c - mu0)) / nbar,
+
+t and c being its treated and control member, and the arm means come from
+:func:`pairedcrt.estimation.arm_means`. A batch holds a handful of (B, G)
+float arrays at a time; ``infer`` is the B = 1 call.
 """
 
 from __future__ import annotations
@@ -28,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import ClusterSummary, Dataset, summarize
-from .errors import EmptyArm, MissingTreatment, TooFewPairs
-from .estimation import PointEstimate, estimate_size_weighted, summary_arrays
+from .errors import DataError, MissingTreatment, TooFewPairs
+from .estimation import PointEstimate, arm_means, estimate_size_weighted, summary_arrays
 from .matching import MatchedDesign
 
 #: Floor applied to v2 when the estimate is non-positive (degenerate data).
@@ -94,86 +103,54 @@ class InferenceResult:
         }
 
 
-def arm_stats(n: np.ndarray, ybar: np.ndarray, d: np.ndarray):
-    """Size-weighted arm means and arm sizes; ``d`` may be batched (..., 2G).
-
-    Returns (mu1, mu0, n1, n0, delta) with the batch shape of ``d``.
-    """
-    n1 = (n * d).sum(axis=-1)
-    n0 = (n * (1.0 - d)).sum(axis=-1)
-    if np.any(n1 == 0) or np.any(n0 == 0):
-        raise EmptyArm("a treatment arm is empty")
-    mu1 = (n * ybar * d).sum(axis=-1) / n1
-    mu0 = (n * ybar * (1.0 - d)).sum(axis=-1) / n0
-    return mu1, mu0, n1, n0, mu1 - mu0
-
-
-def adjusted_values(n: np.ndarray, ybar: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Adjusted outcomes (N_g / nbar) * (ybar_g - own-arm weighted mean)."""
-    mu1, mu0, _, _, _ = arm_stats(n, ybar, d)
-    own = np.where(d == 1.0, mu1[..., None], mu0[..., None])
-    return (n / n.mean()) * (ybar - own)
-
-
-def pair_variance_components(
-    yhat: np.ndarray, d: np.ndarray, permutation: Sequence[int], pair_count: int
-):
-    """tau2, lambda2 and raw v2 for adjusted outcomes under a pair ordering.
-
-    ``yhat`` and ``d`` may be batched (..., 2G). For odd G the trailing pair
-    drops out of lambda2.
-    """
-    if pair_count < 2:
-        raise TooFewPairs("the cross-pair correction needs at least 2 pairs")
-    perm = np.asarray(permutation)
-    first = perm[0::2]
-    second = perm[1::2]
-    diffs = yhat[..., second] - yhat[..., first]
-    tau2 = (diffs**2).mean(axis=-1)
-    signed = (yhat[..., first] - yhat[..., second]) * (d[..., first] - d[..., second])
-    n_quads = pair_count // 2
-    lead = signed[..., 0 : 2 * n_quads : 2]
-    follow = signed[..., 1 : 2 * n_quads : 2]
-    lambda2 = (2.0 / pair_count) * (lead * follow).sum(axis=-1)
-    return tau2, lambda2, tau2 - 0.5 * lambda2
-
-
 def adjusted_outcomes(summaries: Sequence[ClusterSummary]) -> AdjustedOutcomes:
     n, _, ybar, d = summary_arrays(summaries)
     if d is None:
         raise MissingTreatment("adjusted outcomes require treatments")
-    mu1, mu0, _, _, _ = arm_stats(n, ybar, d)
+    mu1, mu0, _, _ = arm_means(n, ybar, d)
+    nbar = n.mean()
     return AdjustedOutcomes(
-        yhat=adjusted_values(n, ybar, d),
+        yhat=(n / nbar) * (ybar - np.where(d == 1.0, mu1, mu0)),
         arm_weighted_means=(float(mu1), float(mu0)),
-        nbar=float(n.mean()),
+        nbar=float(nbar),
     )
 
 
-def variance_estimate(
-    adjusted: AdjustedOutcomes, design: MatchedDesign, treatments: Sequence[int]
-) -> VarianceEstimate:
-    """v2 = tau2 - lambda2/2, floored at EPS_FLOOR when degenerate.
+def pair_statistics(
+    n: np.ndarray,
+    ybar: np.ndarray,
+    d: np.ndarray,
+    permutation: Sequence[int],
+    pair_count: int,
+):
+    """(delta, tau2, lambda2) for ``d`` of shape (2G,) or (B, 2G).
 
-    The design must already be in variance-ready pair order; tau2 does not
-    depend on the pair order but lambda2 does.
+    The results have the batch shape of ``d``, whose every row must treat
+    one member of each pair. ``permutation`` must be in
+    variance-ready pair order: tau2 does not depend on the pair order but
+    lambda2 does. For odd G the trailing pair drops out of lambda2.
     """
-    d = np.asarray(treatments, dtype=float)
-    tau2, lambda2, v2 = pair_variance_components(
-        adjusted.yhat, d, design.permutation, design.pair_count
-    )
-    clamped = bool(v2 <= EPS_FLOOR)
-    return VarianceEstimate(
-        tau2=float(tau2),
-        lambda2=float(lambda2),
-        v2=EPS_FLOOR if clamped else float(v2),
-        clamped=clamped,
-    )
-
-
-def shifted_ybar(ybar: np.ndarray, d: np.ndarray, delta0: float) -> np.ndarray:
-    """Remove a hypothesized effect from treated clusters' means."""
-    return ybar - d * delta0
+    perm = np.asarray(permutation)
+    if len(perm) != len(n):
+        raise DataError(f"the design covers {len(perm)} clusters but the data has {len(n)}")
+    if pair_count < 2:
+        raise TooFewPairs("the cross-pair correction needs at least 2 pairs")
+    mu1, mu0, _, _ = arm_means(n, ybar, d)
+    d = np.asarray(d)
+    s = np.take(d, perm[0::2], axis=-1) == 1  # the first member of the pair is treated
+    if np.any(s == (np.take(d, perm[1::2], axis=-1) == 1)):
+        raise DataError("every pair of the design needs one treated and one control cluster")
+    # positions, in pair order, of each pair's treated and control member
+    t = 2 * np.arange(pair_count) + ~s
+    c = t ^ 1
+    w, y = (n / n.mean())[perm], ybar[perm]
+    signed = w[t] * (y[t] - mu1[..., None]) - w[c] * (y[c] - mu0[..., None])
+    tau2 = (signed**2).mean(axis=-1)
+    half = pair_count // 2
+    lead = signed[..., 0 : 2 * half : 2]
+    follow = signed[..., 1 : 2 * half : 2]
+    lambda2 = (2.0 / pair_count) * (lead * follow).sum(axis=-1)
+    return mu1 - mu0, tau2, lambda2
 
 
 def infer(
@@ -193,13 +170,13 @@ def infer(
     summaries = summarize(dataset)
     est = estimate_size_weighted(summaries)
     n, _, ybar, d = summary_arrays(summaries)
-    yhat = adjusted_values(n, ybar, d)
-    mu1, mu0, _, _, _ = arm_stats(n, ybar, d)
-    adjusted = AdjustedOutcomes(
-        yhat=yhat, arm_weighted_means=(float(mu1), float(mu0)), nbar=float(n.mean())
-    )
-    var = variance_estimate(adjusted, design, d)
     g = design.pair_count
+    _, tau2, lambda2 = (float(v) for v in pair_statistics(n, ybar, d, design.permutation, g))
+    v2 = tau2 - 0.5 * lambda2
+    clamped = v2 <= EPS_FLOOR
+    var = VarianceEstimate(
+        tau2=tau2, lambda2=lambda2, v2=EPS_FLOOR if clamped else v2, clamped=clamped
+    )
     if var.clamped:
         return InferenceResult(
             estimate=est,

@@ -158,9 +158,21 @@ class _Unvisited:
 
 def zscore(features: np.ndarray) -> np.ndarray:
     """Center each column and scale by its std; zero-variance columns are
-    centered but not scaled."""
-    mu = features.mean(axis=0)
-    sd = features.std(axis=0)
+    centered but not scaled.
+
+    Raises ``DataError`` naming the column when its mean or std overflows,
+    which finite values near the float limit can make happen.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = features.mean(axis=0)
+        sd = features.std(axis=0)
+    bad = ~(np.isfinite(mu) & np.isfinite(sd))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise DataError(
+            f"matching feature column {j}: mean or standard deviation overflows; "
+            "rescale the feature"
+        )
     sd = np.where(sd > 0, sd, 1.0)
     return (features - mu) / sd
 
@@ -347,7 +359,8 @@ def read_design(source, items: Sequence, matched_on_size: bool = False) -> Match
 
     The CSV does not record which features the design was matched on, so
     ``matched_on_size`` must be supplied by the caller when it matters
-    (diagnostics and pair ordering).
+    (diagnostics and pair ordering). The design must pair every one of
+    ``items``; a design that covers only some of them raises ``DataError``.
     """
     index_of = {item.cluster_id: i for i, item in enumerate(items)}
     if isinstance(source, (str, Path)):
@@ -378,6 +391,10 @@ def read_design(source, items: Sequence, matched_on_size: bool = False) -> Match
     g = len(slots) // 2
     if len(slots) != 2 * g or set(slots) != {(j, p) for j in range(g) for p in (0, 1)}:
         raise DataError("design CSV does not describe complete pairs 0..G-1")
+    if 2 * g != len(items):
+        raise DataError(
+            f"design CSV pairs {2 * g} clusters but the data has {len(items)} clusters"
+        )
     perm = []
     for j in range(g):
         perm.extend((slots[(j, 0)], slots[(j, 1)]))

@@ -15,6 +15,15 @@ vector, and the p-value is the fraction of group elements whose statistic
 is at least the observed one. Exact mode enumerates the whole group (up to
 G = 20 pairs); stochastic mode samples group elements uniformly, with the
 identity always included so the p-value stays valid at any draw count.
+
+Both modes run one loop over chunks of swap patterns; only the source of
+the (B, G) swap bits differs (the binary digits of the pattern index, or
+a Philox stream, which yields the same bits however it is split). Each
+chunk goes through :func:`pairedcrt.inference.pair_statistics`, the kernel
+``infer`` uses. A chunk holds B = ``_CHUNK_CELLS // G`` patterns (at least
+one), so each of its (B, 2G) arrays takes at most 16 MiB and each (B, G)
+array 8 MiB, whatever G and the draw count; a whole chunk traces about
+70 MiB.
 """
 
 from __future__ import annotations
@@ -26,13 +35,7 @@ import numpy as np
 from .core import Dataset, summarize
 from .errors import BadB, MissingTreatment, TooManyPairsForExact
 from .estimation import summary_arrays
-from .inference import (
-    EPS_FLOOR,
-    adjusted_values,
-    arm_stats,
-    pair_variance_components,
-    shifted_ybar,
-)
+from .inference import EPS_FLOOR, pair_statistics
 from .matching import MatchedDesign
 
 #: Exact enumeration is capped at 2^20 group elements.
@@ -41,8 +44,8 @@ MAX_EXACT_PAIRS = 20
 #: Smallest allowed draw count in stochastic mode.
 MIN_DRAWS = 19
 
-#: Group elements evaluated per chunk, to bound memory during enumeration.
-_CHUNK = 1 << 16
+#: Swap bits (patterns x pairs) evaluated per chunk, to bound memory.
+_CHUNK_CELLS = 1 << 20
 
 #: |sqrt(G) delta_hat| below this counts as zero when the variance clamps.
 _ZERO_NUMERATOR_TOL = 1e-10
@@ -88,12 +91,9 @@ def statistic_batch(
     that is itself zero and +inf otherwise, so degenerate draws compare
     conservatively against a degenerate observed value.
     """
-    d = dmat.astype(float)
-    _, _, _, _, delta = arm_stats(n, ybar, d)
-    yhat = adjusted_values(n, ybar, d)
-    _, _, v2 = pair_variance_components(yhat, d, permutation, pair_count)
+    delta, tau2, lambda2 = pair_statistics(n, ybar, dmat, permutation, pair_count)
+    v2 = np.atleast_1d(tau2 - 0.5 * lambda2)
     num = np.sqrt(pair_count) * np.atleast_1d(delta)
-    v2 = np.atleast_1d(v2)
     clamped = v2 <= EPS_FLOOR
     t = np.empty(num.shape, dtype=float)
     ok = ~clamped
@@ -109,16 +109,11 @@ def swap_treatments(
 ) -> np.ndarray:
     """Apply swap patterns to a treatment vector.
 
-    ``bits`` has shape (B, G); bit j = 1 swaps the members of pair j.
-    Returns an integer matrix of shape (B, 2G).
+    ``bits`` has shape (B, G = ``pair_count``); bit j = 1 swaps the members
+    of pair j. Returns an integer matrix of shape (B, 2G).
     """
-    perm = np.asarray(permutation)
-    first = perm[0::2]
-    second = perm[1::2]
-    dmat = np.repeat(d[np.newaxis, :], bits.shape[0], axis=0)
-    dmat[:, first] = d[first] ^ bits
-    dmat[:, second] = d[second] ^ bits
-    return dmat
+    pair_of_cluster = np.argsort(permutation) // 2
+    return d ^ np.take(bits, pair_of_cluster, axis=1)
 
 
 def _count_at_least(t: np.ndarray, t_obs: float) -> int:
@@ -142,66 +137,55 @@ def randomization_test(
     """
     if not dataset.has_treatments:
         raise MissingTreatment("the randomization test requires treatments")
-    n, _, ybar, d_float = summary_arrays(summarize(dataset))
-    d = d_float.astype(np.int64)
     g = design.pair_count
-    ytilde = shifted_ybar(ybar, d_float, delta0)
-
-    identity = np.zeros((1, g), dtype=np.int64)
-    t_obs = float(
-        statistic_batch(n, ytilde, swap_treatments(d, identity, design.permutation, g), design.permutation, g)[0]
-    )
-
     if mode == "exact":
         if g > MAX_EXACT_PAIRS:
             raise TooManyPairsForExact(
                 f"exact enumeration supports at most {MAX_EXACT_PAIRS} pairs, got {g}"
             )
         total = 1 << g
-        count = 0
         shifts = np.arange(g, dtype=np.uint64)
-        for start in range(0, total, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-            bits = ((idx[:, np.newaxis] >> shifts) & np.uint64(1)).astype(np.int64)
-            dmat = swap_treatments(d, bits, design.permutation, g)
-            count += _count_at_least(statistic_batch(n, ytilde, dmat, design.permutation, g), t_obs)
-        p = count / total
-        return RandTestResult(
-            p_value=float(p),
-            reject=bool(p <= alpha),
-            alpha=alpha,
-            delta0=delta0,
-            t_observed=t_obs,
-            draws=total,
-            mode="exact",
-            seed=None,
-        )
 
-    if mode == "stochastic":
+        def swap_bits(start: int, m: int) -> np.ndarray:
+            idx = np.arange(start, start + m, dtype=np.uint64)
+            return ((idx[:, np.newaxis] >> shifts) & np.uint64(1)).astype(np.int64)
+
+        seed = None  # enumeration draws nothing
+        skipped = 0  # pattern 0, the identity, is enumerated with the rest
+    elif mode == "stochastic":
         if draws is None or draws < MIN_DRAWS:
             raise BadB(f"stochastic mode needs draws >= {MIN_DRAWS}, got {draws}")
         if seed is None:
             raise BadB("stochastic mode needs a seed")
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        count = 1  # the identity element always matches itself
-        remaining = draws - 1
-        done = 0
-        while done < remaining:
-            m = min(_CHUNK, remaining - done)
-            bits = rng.integers(0, 2, size=(m, g), dtype=np.int64)
-            dmat = swap_treatments(d, bits, design.permutation, g)
-            count += _count_at_least(statistic_batch(n, ytilde, dmat, design.permutation, g), t_obs)
-            done += m
-        p = count / draws
-        return RandTestResult(
-            p_value=float(p),
-            reject=bool(p <= alpha),
-            alpha=alpha,
-            delta0=delta0,
-            t_observed=t_obs,
-            draws=draws,
-            mode="stochastic",
-            seed=seed,
-        )
+        total = draws
 
-    raise ValueError(f"mode must be 'exact' or 'stochastic', got {mode!r}")
+        def swap_bits(start: int, m: int) -> np.ndarray:
+            return rng.integers(0, 2, size=(m, g), dtype=np.int64)
+
+        skipped = 1  # the identity element always matches itself
+    else:
+        raise ValueError(f"mode must be 'exact' or 'stochastic', got {mode!r}")
+
+    n, _, ybar, d_float = summary_arrays(summarize(dataset))
+    d = d_float.astype(np.int64)
+    ytilde = ybar - d_float * delta0
+
+    perm = design.permutation
+    t_obs = float(statistic_batch(n, ytilde, d[np.newaxis, :], perm, g)[0])
+    count = skipped
+    rows = max(1, _CHUNK_CELLS // g)
+    for chunk in range(skipped, total, rows):
+        dmat = swap_treatments(d, swap_bits(chunk, min(rows, total - chunk)), perm, g)
+        count += _count_at_least(statistic_batch(n, ytilde, dmat, perm, g), t_obs)
+    p = count / total
+    return RandTestResult(
+        p_value=float(p),
+        reject=bool(p <= alpha),
+        alpha=alpha,
+        delta0=delta0,
+        t_observed=t_obs,
+        draws=total,
+        mode=mode,
+        seed=seed,
+    )

@@ -5,8 +5,10 @@ clusters, brute-force optimal matching, closed-form limiting variances)
 deliberately avoid the package's own numerical paths, so agreement with
 them is evidence and not circularity. The greedy matching references keep
 the full n x n x k distance tensor that the package's row-per-step walks
-replaced, and ``trial_records_reference`` builds a trial's records one
-float at a time, as ``generate_trial`` once did.
+replaced, ``trial_records_reference`` builds a trial's records one float at
+a time, as ``generate_trial`` once did, and ``pair_statistics_reference``
+computes delta, tau2 and lambda2 through per-cluster adjusted outcomes, the
+path the per-pair kernel replaced.
 """
 
 import numpy as np
@@ -113,6 +115,32 @@ def unit_level_reference(pairs_y):
     if v2 > 0:
         out["z"] = (g**0.5) * (mt - mc) / (v2**0.5)
     return out
+
+
+def pair_statistics_reference(n, ybar, d, permutation, pair_count):
+    """(delta, tau2, lambda2) through a per-cluster adjusted outcome yhat.
+
+    ``d`` may be batched (..., 2G). Arm means are row sums; each cluster's
+    yhat is (N_g / nbar) * (ybar_g - own-arm mean), and the pair differences
+    and their treatment signs are read off yhat and ``d``.
+    """
+    d = np.asarray(d, dtype=float)
+    n1 = (n * d).sum(axis=-1)
+    n0 = (n * (1.0 - d)).sum(axis=-1)
+    mu1 = (n * ybar * d).sum(axis=-1) / n1
+    mu0 = (n * ybar * (1.0 - d)).sum(axis=-1) / n0
+    own = np.where(d == 1.0, mu1[..., None], mu0[..., None])
+    yhat = (n / n.mean()) * (ybar - own)
+    perm = np.asarray(permutation)
+    first = perm[0::2]
+    second = perm[1::2]
+    tau2 = ((yhat[..., second] - yhat[..., first]) ** 2).mean(axis=-1)
+    signed = (yhat[..., first] - yhat[..., second]) * (d[..., first] - d[..., second])
+    n_quads = pair_count // 2
+    lead = signed[..., 0 : 2 * n_quads : 2]
+    follow = signed[..., 1 : 2 * n_quads : 2]
+    lambda2 = (2.0 / pair_count) * (lead * follow).sum(axis=-1)
+    return mu1 - mu0, tau2, lambda2
 
 
 def unit_level_randomization_p(pairs_y, delta0=0.0):

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -304,6 +306,37 @@ class TestInputValidation:
         assert excinfo.value.code == 64
         assert "--seed" in capsys.readouterr().err
 
+    def test_overflowing_covariate_is_data_error(self, tmp_path, capsys):
+        clusters = tmp_path / "clusters.csv"
+        clusters.write_text(
+            "cluster_id,n_total,x1\na,2,1e308\nb,3,-1e308\nc,2,0\nd,2,1\ne,2,2\nf,2,3\n"
+        )
+        code, stdout, err = run_cli(
+            ["match", "--clusters", str(clusters), "--out", str(tmp_path / "d.csv")], capsys
+        )
+        assert code == 2
+        assert stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert "column 0" in payload["message"]
+
+    @pytest.mark.parametrize("command", ["analyze", "randtest"])
+    def test_design_over_part_of_the_data_is_data_error(self, tmp_path, capsys, command):
+        ds = make_dataset(
+            sizes=[1] * 8, ybars=[3.0, 1.0, 2.0, 0.0, 5.0, 1.0, 4.0, 2.0], treatments=[1, 0] * 4
+        )
+        units, clusters, design = write_analysis_fixture(tmp_path, ds, identity_design(4))
+        with open(design, "w", encoding="utf-8") as fh:
+            fh.write("pair_index,position,cluster_id\n0,0,c000\n0,1,c001\n1,0,c002\n1,1,c003\n")
+        code, stdout, err = run_cli(
+            [command, "--units", units, "--clusters", clusters, "--design", design], capsys
+        )
+        assert code == 2
+        assert stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert "4 clusters" in payload["message"] and "8 clusters" in payload["message"]
+
     def test_largest_seed_is_accepted(self, tmp_path, capsys):
         _, clusters, design = unit_fixture(tmp_path)
         code, out, _ = run_cli(
@@ -352,10 +385,14 @@ class TestSimulate:
 
 class TestEntryPoint:
     def test_module_help(self):
+        # run the package under test, installed or not
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "pairedcrt.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         for name in ("match", "assign", "analyze", "randtest", "simulate"):

@@ -3,18 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import identity_design, make_dataset, random_dataset, unit_level_reference
-from pairedcrt.core import build_dataset, summarize
-from pairedcrt.errors import MissingTreatment, TooFewPairs
-from pairedcrt.inference import (
-    EPS_FLOOR,
-    AdjustedOutcomes,
-    adjusted_outcomes,
-    infer,
-    pair_variance_components,
-    variance_estimate,
+from helpers import (
+    identity_design,
+    make_dataset,
+    pair_statistics_reference,
+    random_dataset,
+    unit_level_reference,
 )
+from pairedcrt.core import build_dataset, summarize
+from pairedcrt.errors import DataError, MissingTreatment, TooFewPairs
+from pairedcrt.estimation import summary_arrays
+from pairedcrt.inference import EPS_FLOOR, adjusted_outcomes, infer, pair_statistics
+from pairedcrt.randtest import _COMPARE_TOL, statistic_batch, swap_treatments
 
 
 class TestAdjustedOutcomes:
@@ -41,69 +44,145 @@ class TestAdjustedOutcomes:
             adjusted_outcomes(summarize(ds))
 
 
+def unit_dataset(ys, ts):
+    return make_dataset(sizes=[1] * len(ys), ybars=ys, treatments=ts)
+
+
+def kernel_inputs(ds):
+    n, _, ybar, d = summary_arrays(summarize(ds))
+    return n, ybar, d
+
+
 class TestVarianceEstimate:
-    def fixture(self, yhat):
-        return AdjustedOutcomes(
-            yhat=np.asarray(yhat, dtype=float), arm_weighted_means=(0.0, 0.0), nbar=1.0
-        )
+    """Hand values of the per-pair kernel on valid unit-sized datasets."""
 
     def test_hand_example(self):
-        var = variance_estimate(
-            self.fixture([1.0, -1.0, 2.0, -2.0]), identity_design(2), [1, 0, 1, 0]
-        )
-        assert var.tau2 == pytest.approx(10.0)
-        assert var.lambda2 == pytest.approx(8.0)
-        assert var.v2 == pytest.approx(6.0)
+        # treated (3, 1, 0, 0), control (0, 0, 1, 3): both arm means are 1,
+        # so the signed differences are (3, 1, -1, -3)
+        ds = unit_dataset([3.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 3.0], [1, 0] * 4)
+        delta, tau2, lambda2 = pair_statistics(*kernel_inputs(ds), tuple(range(8)), 4)
+        assert delta == 0.0
+        assert tau2 == pytest.approx(5.0)
+        assert lambda2 == pytest.approx(0.5 * (3.0 * 1.0 + (-1.0) * (-3.0)))
+        var = infer(ds, identity_design(4)).variance
+        assert var.v2 == pytest.approx(3.5)
         assert not var.clamped
 
     def test_signed_differences_follow_treatment(self):
-        # flipping who is treated in the first pair flips that signed term
-        var = variance_estimate(
-            self.fixture([1.0, -1.0, 2.0, -2.0]), identity_design(2), [0, 1, 1, 0]
-        )
-        assert var.tau2 == pytest.approx(10.0)
-        assert var.lambda2 == pytest.approx(-8.0)
-        assert var.v2 == pytest.approx(14.0)
+        # swapping the treatment in the first pair: treated (0, 1, 0, 0),
+        # control (3, 0, 1, 3), arm means 0.25 and 1.75, signed differences
+        # (-1.5, 2.5, 0.5, -1.5)
+        ys = [3.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 3.0]
+        ds = unit_dataset(ys, [0, 1] + [1, 0] * 3)
+        args = kernel_inputs(ds)
+        _, tau2, lambda2 = pair_statistics(*args, tuple(range(8)), 4)
+        assert tau2 == pytest.approx(2.75)
+        assert lambda2 == pytest.approx(0.5 * (-1.5 * 2.5 + 0.5 * -1.5))
+        # listing the first pair's members the other way round keeps the
+        # sign, which follows treatment and not member order
+        relisted = pair_statistics(*args, (1, 0, 2, 3, 4, 5, 6, 7), 4)
+        assert relisted[2] == pytest.approx(lambda2)
 
     def test_odd_pair_count_drops_trailing_pair(self):
-        # pairs: (1,-1), (2,-2), (5,-5); only the first two form a quad
-        var = variance_estimate(
-            self.fixture([1.0, -1.0, 2.0, -2.0, 5.0, -5.0]),
-            identity_design(3),
-            [1, 0, 1, 0, 1, 0],
-        )
-        assert var.tau2 == pytest.approx((4.0 + 16.0 + 100.0) / 3.0)
-        assert var.lambda2 == pytest.approx((2.0 / 3.0) * (2.0 * 4.0))
+        # treated (2, 0, 1), control (0, 1, 2): signed differences (2, -1, -1);
+        # only the first two pairs form a pair of pairs
+        ds = unit_dataset([2.0, 0.0, 0.0, 1.0, 1.0, 2.0], [1, 0] * 3)
+        _, tau2, lambda2 = pair_statistics(*kernel_inputs(ds), tuple(range(6)), 3)
+        assert tau2 == pytest.approx(2.0)
+        assert lambda2 == pytest.approx((2.0 / 3.0) * (2.0 * -1.0))
+        var = infer(ds, identity_design(3)).variance
         assert var.v2 == pytest.approx(var.tau2 - var.lambda2 / 2.0)
 
     def test_clamped_when_degenerate(self):
-        var = variance_estimate(
-            self.fixture([0.0, 0.0, 0.0, 0.0]), identity_design(2), [1, 0, 1, 0]
-        )
+        ds = unit_dataset([2.0, 2.0, 2.0, 2.0], [1, 0, 1, 0])
+        _, tau2, lambda2 = pair_statistics(*kernel_inputs(ds), (0, 1, 2, 3), 2)
+        assert tau2 == 0.0 and lambda2 == 0.0
+        var = infer(ds, identity_design(2)).variance
         assert var.clamped
         assert var.v2 == EPS_FLOOR
 
     def test_too_few_pairs(self):
         with pytest.raises(TooFewPairs):
-            pair_variance_components(
-                np.array([1.0, -1.0]), np.array([1.0, 0.0]), (0, 1), 1
+            pair_statistics(
+                np.array([1.0, 1.0]), np.array([1.0, -1.0]), np.array([1.0, 0.0]), (0, 1), 1
             )
 
     def test_batched_matches_single(self, rng):
-        yhat = rng.normal(0.0, 1.0, 8)
-        d = np.array([1.0, 0, 0, 1, 1, 0, 0, 1])
-        perm = tuple(rng.permutation(8))
-        t1, l1, v1 = pair_variance_components(yhat, d, perm, 4)
-        tb, lb, vb = pair_variance_components(
-            np.tile(yhat, (3, 1)), np.tile(d, (3, 1)), perm, 4
-        )
-        assert np.allclose(tb, t1)
-        assert np.allclose(lb, l1)
-        assert np.allclose(vb, v1)
+        ds = random_dataset(rng, pairs=4)
+        n, ybar, d = kernel_inputs(ds)
+        # random_dataset pairs clusters (2j, 2j + 1); list the pairs in random order
+        perm = tuple(int(i) for j in rng.permutation(4) for i in (2 * j, 2 * j + 1))
+        bits = rng.integers(0, 2, size=(3, 4))
+        dmat = swap_treatments(d.astype(np.int64), bits, perm, 4)
+        batch = pair_statistics(n, ybar, dmat, perm, 4)
+        for b in range(3):
+            single = pair_statistics(n, ybar, dmat[b].astype(float), perm, 4)
+            for x, y in zip(batch, single):
+                assert x[b] == pytest.approx(float(y), rel=1e-12, abs=1e-15)
 
 
-def unit_dataset(ys, ts):
-    return make_dataset(sizes=[1] * len(ys), ybars=ys, treatments=ts)
+@st.composite
+def kernel_cases(draw):
+    """Valid kernel inputs: pair order, sizes, outcomes and a batch of swaps."""
+    g = draw(st.integers(2, 13))
+
+    def per_cluster(values):
+        return draw(st.lists(values, min_size=2 * g, max_size=2 * g))
+
+    sizes = [1] * (2 * g) if draw(st.booleans()) else per_cluster(st.integers(1, 60))
+    # outcomes on a 1/8 grid keep the data well scaled
+    ys = per_cluster(st.integers(-800, 800))
+    perm = draw(st.permutations(range(2 * g)))
+    first_treated = draw(st.lists(st.booleans(), min_size=g, max_size=g))
+    pattern = st.lists(st.integers(0, 1), min_size=g, max_size=g)
+    bits = draw(st.lists(pattern, min_size=1, max_size=8))
+    delta0 = draw(st.floats(-10.0, 10.0))
+    d = np.zeros(2 * g, dtype=np.int64)
+    for j, treated_first in enumerate(first_treated):
+        d[perm[2 * j] if treated_first else perm[2 * j + 1]] = 1
+    dmat = swap_treatments(d, np.array(bits, dtype=np.int64), perm, g)
+    n = np.array(sizes, dtype=float)
+    return n, np.array(ys, dtype=float) / 8.0, dmat, tuple(perm), g, delta0
+
+
+class TestPairStatistics:
+    @settings(max_examples=300, deadline=None)
+    @given(case=kernel_cases())
+    def test_agrees_with_per_cluster_reference(self, case):
+        n, ybar, dmat, perm, g, delta0 = case
+        delta, tau2, lambda2 = pair_statistics(n, ybar, dmat, perm, g)
+        assert delta.shape == tau2.shape == lambda2.shape == (dmat.shape[0],)
+        ref_delta, ref_tau2, ref_lambda2 = pair_statistics_reference(n, ybar, dmat, perm, g)
+        scale = ref_tau2 + np.abs(ref_lambda2)
+        assert np.all(np.abs(tau2 - ref_tau2) <= 1e-12 * scale)
+        assert np.all(np.abs(lambda2 - ref_lambda2) <= 1e-12 * scale)
+        assert np.all(np.abs(delta - ref_delta) <= 1e-12 * np.abs(ybar).max())
+
+        # swapping every pair at once keeps the studentized statistic
+        t = statistic_batch(n, ybar, dmat, perm, g)
+        t_complement = statistic_batch(n, ybar, 1 - dmat, perm, g)
+        np.testing.assert_allclose(t, t_complement, rtol=0.0, atol=_COMPARE_TOL)
+
+        # removing a hypothesized effect from the treated clusters leaves v2
+        for d, t2, l2, sc in zip(dmat, tau2, lambda2, scale):
+            _, t2_shifted, l2_shifted = pair_statistics(n, ybar - d * delta0, d, perm, g)
+            v2_shift = (t2_shifted - 0.5 * l2_shifted) - (t2 - 0.5 * l2)
+            assert abs(v2_shift) <= 1e-12 * (sc + delta0**2)
+
+    def test_single_vector_gives_scalars(self, rng):
+        n, ybar, d = kernel_inputs(random_dataset(rng, pairs=3))
+        for value in pair_statistics(n, ybar, d, tuple(range(6)), 3):
+            assert np.ndim(value) == 0
+
+    def test_design_must_cover_the_data(self, rng):
+        n, ybar, d = kernel_inputs(random_dataset(rng, pairs=4))
+        with pytest.raises(DataError, match="covers 4 clusters but the data has 8"):
+            pair_statistics(n, ybar, d, (0, 1, 2, 3), 2)
+
+    def test_each_pair_needs_one_treated_member(self):
+        ds = unit_dataset([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 0])
+        with pytest.raises(DataError, match="one treated and one control"):
+            infer(ds, identity_design(2))
 
 
 class TestInfer:

@@ -65,6 +65,16 @@ class TestZscore:
         z = zscore(x)
         assert np.allclose(z[:, 1], 0.0)
 
+    def test_overflowing_column_rejected(self):
+        # finite values whose squares overflow: the std is inf, and every
+        # z-score would silently become 0
+        x = np.array([[0.0, 1e308], [1.0, -1e308], [2.0, 0.0], [3.0, 1.0]])
+        with pytest.raises(DataError, match="column 1"):
+            zscore(x)
+        items = items_from([1e308, -1e308, 0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match="column 0"):
+            pair_greedy_nn(items)
+
 
 class TestPairSortedScalar:
     def test_hand_example(self):
@@ -359,6 +369,13 @@ class TestDesignIO:
         path = tmp_path / "design.csv"
         path.write_text("pair_index,position,cluster_id\n0,0,c000\n0,1,c001\n2,0,c002\n2,1,c003\n")
         with pytest.raises(DataError):
+            read_design(path, items)
+
+    def test_design_over_part_of_the_data_rejected(self, tmp_path):
+        items = items_from([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+        path = tmp_path / "design.csv"
+        path.write_text("pair_index,position,cluster_id\n0,0,c000\n0,1,c001\n1,0,c002\n1,1,c003\n")
+        with pytest.raises(DataError, match="pairs 4 clusters but the data has 8"):
             read_design(path, items)
 
 

@@ -1,17 +1,21 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import identity_design, make_dataset, random_dataset
+from pairedcrt import randtest
 from pairedcrt.core import build_dataset, summarize
-from pairedcrt.errors import BadB, MissingTreatment, TooManyPairsForExact
+from pairedcrt.errors import BadB, DataError, MissingTreatment, TooManyPairsForExact
 from pairedcrt.estimation import summary_arrays
+from pairedcrt.inference import infer
 from pairedcrt.randtest import (
     randomization_test,
     statistic_batch,
     swap_treatments,
 )
+from pairedcrt.simulation import generate_trial, preset
 
 
 def unit_dataset(ys, ts):
@@ -168,6 +172,39 @@ class TestStochastic:
         ds = random_dataset(rng, pairs=3)
         with pytest.raises(ValueError):
             randomization_test(ds, identity_design(3), mode="bootstrap")
+
+
+class TestChunking:
+    def test_chunk_size_does_not_change_p_value(self, rng, monkeypatch):
+        ds = random_dataset(rng, pairs=6)
+        design = identity_design(6)
+        exact = randomization_test(ds, design, mode="exact", delta0=0.3)
+        sampled = randomization_test(ds, design, mode="stochastic", draws=501, seed=11)
+        # 7 cells hold one pattern of 6 pairs: every pattern is its own chunk
+        monkeypatch.setattr(randtest, "_CHUNK_CELLS", 7)
+        assert randomization_test(ds, design, mode="exact", delta0=0.3) == exact
+        assert randomization_test(ds, design, mode="stochastic", draws=501, seed=11) == sampled
+
+    def test_memory_is_bounded_by_chunk_cells(self):
+        ds, design, _ = generate_trial(preset("size_heterogeneous"), 1000, "nn_xn", 3)
+        tracemalloc.start()
+        try:
+            randomization_test(ds, design, mode="stochastic", draws=9999, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chunk of all 9999 patterns needed about 900 MiB
+        assert peak < 128 * 2**20
+
+
+class TestDesignCoverage:
+    def test_design_over_part_of_the_data_rejected(self, rng):
+        ds = random_dataset(rng, pairs=4)
+        with pytest.raises(DataError, match="covers 4 clusters but the data has 8"):
+            infer(ds, identity_design(2))
+        for mode in ("exact", "stochastic"):
+            with pytest.raises(DataError, match="covers 4 clusters but the data has 8"):
+                randomization_test(ds, identity_design(2), mode=mode, draws=99, seed=1)
 
 
 class TestResultPayload:

@@ -9,15 +9,11 @@ swaps, and a simulation harness with a Monte Carlo variance oracle.
 
 from .assignment import assign_within_pairs
 from .core import (
-    ClusterRecord,
-    ClusterSummary,
     Dataset,
-    UnitRow,
     build_dataset,
     load_dataset,
     read_clusters,
     read_units,
-    summarize,
     write_clusters,
     write_dataset,
 )
@@ -30,7 +26,6 @@ from .errors import (
     MissingTreatment,
     NonBinaryTreatment,
     NonFiniteOutcome,
-    NonScalarKey,
     OddClusterCount,
     PairedCrtError,
     RaggedCovariates,
@@ -44,7 +39,6 @@ from .estimation import (
     PointEstimate,
     estimate_equal_weighted,
     estimate_size_weighted,
-    wls_oracle,
 )
 from .inference import (
     AdjustedOutcomes,
@@ -75,7 +69,7 @@ from .simulation import (
     SimReport,
     SizeLaw,
     generate_trial,
-    match_records,
+    match_clusters,
     monte_carlo,
     oracle_kind,
     oracle_variance,
@@ -87,8 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjustedOutcomes",
     "BadB",
-    "ClusterRecord",
-    "ClusterSummary",
     "CovariateLaw",
     "DataError",
     "Dataset",
@@ -104,7 +96,6 @@ __all__ = [
     "MissingTreatment",
     "NonBinaryTreatment",
     "NonFiniteOutcome",
-    "NonScalarKey",
     "OddClusterCount",
     "PRESET_NAMES",
     "PairedCrtError",
@@ -119,7 +110,6 @@ __all__ = [
     "SizeLaw",
     "TooFewPairs",
     "TooManyPairsForExact",
-    "UnitRow",
     "UnknownCluster",
     "VarianceEstimate",
     "adjusted_outcomes",
@@ -131,7 +121,7 @@ __all__ = [
     "imbalance_report",
     "infer",
     "load_dataset",
-    "match_records",
+    "match_clusters",
     "monte_carlo",
     "oracle_kind",
     "oracle_variance",
@@ -143,8 +133,6 @@ __all__ = [
     "read_clusters",
     "read_design",
     "read_units",
-    "summarize",
-    "wls_oracle",
     "write_clusters",
     "write_dataset",
     "write_design",

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import replace
 
 from .assignment import assign_within_pairs
-from .core import load_dataset, read_clusters, summarize, write_clusters
-from .errors import PairedCrtError
+from .core import load_dataset, read_clusters, write_clusters
+from .errors import DataError, PairedCrtError
 from .estimation import estimate_equal_weighted
 from .inference import infer
 from .matching import imbalance_report, order_pairs_for_variance, read_design, write_design
@@ -32,7 +32,7 @@ from .simulation import (
     PRESET_NAMES,
     DgpSpec,
     SimConfig,
-    match_records,
+    match_clusters,
     monte_carlo,
     preset,
 )
@@ -63,6 +63,17 @@ def _seed(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    """A float argument that must be finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -73,10 +84,10 @@ def _check_alpha(args) -> None:
 
 
 def cmd_match(args) -> None:
-    records = read_clusters(args.clusters)
-    design = match_records(records, args.mode)
-    write_design(design, records, args.out)
-    report = imbalance_report(design, records)
+    clusters = read_clusters(args.clusters)
+    design = match_clusters(clusters, args.mode)
+    write_design(design, clusters, args.out)
+    report = imbalance_report(design, clusters)
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
@@ -91,11 +102,10 @@ def cmd_match(args) -> None:
 
 
 def cmd_assign(args) -> None:
-    records = read_clusters(args.clusters)
-    design = read_design(args.design, records)
+    clusters = read_clusters(args.clusters)
+    design = read_design(args.design, clusters)
     treatments = assign_within_pairs(design, args.seed)
-    updated = [replace(r, treatment=int(treatments[i])) for i, r in enumerate(records)]
-    write_clusters(updated, args.out)
+    write_clusters(clusters.with_treatments(treatments), args.out)
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
@@ -110,16 +120,16 @@ def cmd_assign(args) -> None:
 
 def _load_for_analysis(args):
     dataset = load_dataset(args.units, args.clusters)
-    design = read_design(args.design, dataset.clusters, matched_on_size=args.matched_on_size)
+    design = read_design(args.design, dataset, matched_on_size=args.matched_on_size)
     # reordering is idempotent, so match-produced designs pass through unchanged
-    return dataset, order_pairs_for_variance(design, dataset.clusters)
+    return dataset, order_pairs_for_variance(design, dataset)
 
 
 def cmd_analyze(args) -> None:
     _check_alpha(args)
     dataset, design = _load_for_analysis(args)
     result = infer(dataset, design, alpha=args.alpha, delta0=args.delta0)
-    equal = estimate_equal_weighted(summarize(dataset))
+    equal = estimate_equal_weighted(dataset)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
@@ -161,11 +171,21 @@ def cmd_simulate(args) -> None:
     _check_alpha(args)
     if args.rand_mode == "stochastic" and args.rand_draws is None:
         args.subparser.error("--rand-draws is required with --rand-mode stochastic")
+    if args.pairs < 2:
+        args.subparser.error("--pairs must be at least 2")
+    if args.reps < 1:
+        args.subparser.error("--reps must be at least 1")
+    if args.oracle_draws < 0:
+        args.subparser.error("--oracle-draws must be nonnegative")
     if args.preset is not None:
         dgp = preset(args.preset)
     else:
         with open(args.dgp_json, encoding="utf-8") as fh:
-            dgp = DgpSpec.from_json_dict(json.load(fh))
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+                raise DataError(f"--dgp-json {args.dgp_json}: {exc}") from None
+        dgp = DgpSpec.from_json_dict(payload)
     config = SimConfig(
         dgp=dgp,
         pair_count=args.pairs,
@@ -215,7 +235,7 @@ def build_parser() -> _Parser:
             help="the design was matched on cluster size as well as covariates",
         )
         p.add_argument("--alpha", type=float, default=0.05)
-        p.add_argument("--delta0", type=float, default=0.0, help="hypothesized effect")
+        p.add_argument("--delta0", type=_finite, default=0.0, help="hypothesized effect")
 
     p_analyze = sub.add_parser("analyze", help="estimate the effect and test it")
     add_analysis_inputs(p_analyze)
@@ -236,7 +256,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--reps", type=int, required=True)
     p_sim.add_argument("--match-mode", choices=MATCH_MODES, default="nn_xn")
     p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--null-delta", type=float, default=0.0)
+    p_sim.add_argument("--null-delta", type=_finite, default=0.0)
     p_sim.add_argument("--seed", type=_seed, required=True)
     p_sim.add_argument("--rand-mode", choices=("exact", "stochastic"), default=None)
     p_sim.add_argument("--rand-draws", type=int, default=None)
@@ -268,12 +288,6 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except OSError as exc:
         print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, KeyError) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
         return EXIT_DATA
     return EXIT_OK
 

@@ -1,10 +1,23 @@
-"""Domain types, CSV ingestion, and cluster-level aggregation.
+"""The columnar ``Dataset``, CSV ingestion and CSV output.
 
-A trial consists of 2G clusters. For each cluster we observe its total size
-``n_total``, a vector of baseline covariates, optionally a binary treatment,
-and the outcomes of the sampled subset of its units. Everything downstream
-(matching, estimation, inference) works off these records or the per-cluster
-summaries produced by :func:`summarize`.
+A trial consists of 2G clusters. A :class:`Dataset` holds one column per
+cluster-level quantity, every column in ``cluster_id`` order:
+
+* ``cluster_ids``: the ids, sorted by string comparison;
+* ``n_total``: each cluster's full size N_g (int);
+* ``X``: the (2G, k) baseline covariates (float);
+* ``treatment``: 0/1 per cluster (int), or ``None`` before assignment;
+* ``outcomes`` and ``offsets``: the sampled units' outcomes in CSR form,
+  cluster g's units being ``outcomes[offsets[g]:offsets[g + 1]]`` in input
+  order, or both ``None`` for a clusters-only table;
+* ``n_sampled`` (|S_g|) and ``ybar`` (the sampled mean, ``math.fsum`` of the
+  cluster's outcomes over their count), computed once by
+  :func:`build_dataset`, or ``None`` without outcomes.
+
+Matching, estimation, inference and the randomization test read these
+columns directly. :func:`build_dataset` is the one constructor: it sorts by
+``cluster_id`` and validates every column, so downstream code relies on id
+order (matching tie-breaks, design serialization) and on finite values.
 
 Input schemas (UTF-8, comma-delimited, ``.`` decimal point):
 
@@ -12,9 +25,8 @@ Input schemas (UTF-8, comma-delimited, ``.`` decimal point):
 * clusters CSV: header ``cluster_id,n_total,x1,...,xk[,treatment]``
   with ``treatment`` in {0, 1} when present.
 
-Clusters are ordered by string comparison of ``cluster_id`` after loading;
-all downstream determinism (matching tie-breaks, design serialization)
-relies on that order.
+Blank lines are skipped; any other row must have as many fields as the
+header. Errors name the CSV line, counting the header as line 1.
 """
 
 from __future__ import annotations
@@ -24,7 +36,9 @@ import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import (
     DataError,
@@ -40,147 +54,291 @@ from .errors import (
 
 _COVARIATE_COL = re.compile(r"^x(\d+)$")
 
-
-@dataclass(frozen=True)
-class UnitRow:
-    """One sampled unit's observed outcome."""
-
-    cluster_id: str
-    unit_id: str
-    outcome: float
-
-
-@dataclass(frozen=True)
-class ClusterRecord:
-    """One cluster's observed data.
-
-    ``sampled_outcomes`` holds the outcomes of the sampled units, in input
-    order; ``n_total`` is the full cluster size, which may exceed the number
-    sampled under two-stage sampling.
-    """
-
-    cluster_id: str
-    n_total: int
-    sampled_outcomes: tuple[float, ...]
-    covariates: tuple[float, ...]
-    treatment: int | None = None
-
-    @property
-    def n_sampled(self) -> int:
-        return len(self.sampled_outcomes)
-
-
-@dataclass(frozen=True)
-class ClusterSummary:
-    """Per-cluster aggregate: sampled mean outcome plus design variables."""
-
-    cluster_id: str
-    n_total: int
-    n_sampled: int
-    ybar: float
-    covariates: tuple[float, ...]
-    treatment: int | None = None
+# one record per units CSV row
+_UNIT_DTYPE = np.dtype([("cluster_id", object), ("unit_id", object), ("outcome", float)])
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """A validated collection of 2G clusters with a common covariate dimension."""
+    """A validated trial of 2G clusters as read-only columns in cluster_id order.
 
-    clusters: tuple[ClusterRecord, ...]
-    covariate_dim: int
+    Build it with :func:`build_dataset`. The arrays cannot be written to; ``==``
+    on two datasets compares arrays and raises, so compare columns instead.
+    """
+
+    cluster_ids: tuple[str, ...]
+    n_total: np.ndarray
+    X: np.ndarray
+    treatment: np.ndarray | None
+    outcomes: np.ndarray | None
+    offsets: np.ndarray | None
+    n_sampled: np.ndarray | None
+    ybar: np.ndarray | None
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return len(self.cluster_ids)
 
     @property
     def n_pairs(self) -> int:
-        return len(self.clusters) // 2
+        return len(self.cluster_ids) // 2
+
+    @property
+    def covariate_dim(self) -> int:
+        return self.X.shape[1]
 
     @property
     def has_treatments(self) -> bool:
-        return all(c.treatment is not None for c in self.clusters)
+        return self.treatment is not None
 
     def with_treatments(self, treatments: Sequence[int]) -> "Dataset":
         """Return a copy with the given per-cluster treatment labels."""
-        if len(treatments) != len(self.clusters):
-            raise NonBinaryTreatment(
-                f"expected {len(self.clusters)} treatments, got {len(treatments)}"
-            )
-        updated = tuple(
-            replace(c, treatment=_check_treatment(t, c.cluster_id))
-            for c, t in zip(self.clusters, treatments)
+        return replace(self, treatment=_treatment_column(treatments, self.cluster_ids))
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def _treatment_column(treatments, cluster_ids: Sequence[str]) -> np.ndarray:
+    if len(treatments) != len(cluster_ids):
+        raise NonBinaryTreatment(
+            f"expected {len(cluster_ids)} treatments, got {len(treatments)}"
         )
-        return Dataset(clusters=updated, covariate_dim=self.covariate_dim)
-
-
-def _check_treatment(value, cluster_id: str) -> int:
-    if value not in (0, 1):
-        raise NonBinaryTreatment(f"cluster {cluster_id!r}: treatment {value!r} not in {{0, 1}}")
-    return int(value)
-
-
-def build_dataset(records: Iterable[ClusterRecord]) -> Dataset:
-    """Validate cluster records and assemble a Dataset (sorted by cluster_id)."""
-    ordered = sorted(records, key=lambda r: r.cluster_id)
-    if len(ordered) < 4 or len(ordered) % 2 != 0:
-        raise OddClusterCount(
-            f"need an even cluster count >= 4, got {len(ordered)}"
-        )
-    dims = {len(r.covariates) for r in ordered}
-    if len(dims) != 1:
-        raise RaggedCovariates(f"covariate dimensions differ across clusters: {sorted(dims)}")
-    k = dims.pop()
-    n_with_treatment = sum(r.treatment is not None for r in ordered)
-    if n_with_treatment not in (0, len(ordered)):
+    t = np.asarray(treatments)
+    if t.dtype == object and any(v is None for v in t.tolist()):
         raise NonBinaryTreatment("treatment present for some clusters but not all")
-    for r in ordered:
-        if r.n_total < 1:
-            raise DataError(f"cluster {r.cluster_id!r}: n_total must be positive")
-        n_sampled = r.n_sampled
-        if n_sampled == 0:
-            raise EmptyCluster(f"cluster {r.cluster_id!r} has no sampled units")
-        if n_sampled > r.n_total:
+    bad = ~np.isin(t, (0, 1))
+    if bad.any():
+        i = int(bad.argmax())
+        raise NonBinaryTreatment(
+            f"cluster {cluster_ids[i]!r}: treatment {t.tolist()[i]!r} not in {{0, 1}}"
+        )
+    return _frozen(t.astype(np.int64))
+
+
+def build_dataset(
+    cluster_ids: Sequence[str],
+    n_total,
+    X,
+    treatment=None,
+    outcomes=None,
+    offsets=None,
+) -> Dataset:
+    """Validate cluster columns and assemble a Dataset sorted by cluster_id.
+
+    ``n_total`` holds one integer per cluster and ``X`` one row of k
+    covariates per cluster. ``treatment`` (0/1 per cluster) is optional.
+    ``outcomes`` and ``offsets`` give the sampled outcomes in CSR form, the
+    units of the i-th cluster being ``outcomes[offsets[i]:offsets[i + 1]]``;
+    leave both out for a clusters-only table. Raises a ``DataError`` subclass
+    naming the cluster for any invalid value.
+    """
+    ids = tuple(cluster_ids)
+    m = len(ids)
+    if m < 4 or m % 2 != 0:
+        raise OddClusterCount(f"need an even cluster count >= 4, got {m}")
+    repeat = _first_repeat(ids)
+    if repeat is not None:
+        raise DataError(f"duplicate cluster_id {ids[repeat]!r}")
+    try:
+        x = np.array(X, dtype=float)
+    except ValueError as exc:
+        raise RaggedCovariates(f"covariates do not form one row per cluster: {exc}") from None
+    if x.ndim != 2 or x.shape[0] != m:
+        raise RaggedCovariates(f"covariates must have shape (clusters, k), got {x.shape}")
+    n = np.array(n_total)
+    if n.shape != (m,) or not np.issubdtype(n.dtype, np.integer):
+        raise DataError(f"n_total must hold one integer per cluster, got {n.dtype} {n.shape}")
+    t = None if treatment is None else _treatment_column(treatment, ids)
+    if (outcomes is None) != (offsets is None):
+        raise DataError("outcomes and offsets come together")
+
+    order = np.array(sorted(range(m), key=ids.__getitem__), dtype=np.intp)
+    permuted = bool((order != np.arange(m)).any())
+    if permuted:
+        ids = tuple(ids[i] for i in order)
+        x, n = x[order], n[order]
+        t = None if t is None else _frozen(t[order])
+
+    bad = n < 1
+    if bad.any():
+        raise DataError(f"cluster {ids[int(bad.argmax())]!r}: n_total must be positive")
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        value = next(v for v in x[i].tolist() if not math.isfinite(v))
+        raise DataError(f"cluster {ids[i]!r}: covariate {value!r} is not finite")
+
+    y = starts = counts = ybar = None
+    if outcomes is not None:
+        y, starts = _csr_columns(outcomes, offsets, m)
+        if permuted:
+            y, starts = _gather_clusters(y, starts, order)
+        counts = np.diff(starts)
+        empty = counts == 0
+        if empty.any():
+            raise EmptyCluster(f"cluster {ids[int(empty.argmax())]!r} has no sampled units")
+        over = counts > n
+        if over.any():
+            i = int(over.argmax())
             raise SampleExceedsSize(
-                f"cluster {r.cluster_id!r}: {n_sampled} sampled units exceed n_total={r.n_total}"
+                f"cluster {ids[i]!r}: {counts[i]} sampled units exceed n_total={n[i]}"
             )
-        if not all(map(math.isfinite, r.sampled_outcomes)):
-            y = next(y for y in r.sampled_outcomes if not math.isfinite(y))
-            raise NonFiniteOutcome(f"cluster {r.cluster_id!r}: outcome {y!r}")
-        if not all(map(math.isfinite, r.covariates)):
-            x = next(x for x in r.covariates if not math.isfinite(x))
-            raise DataError(f"cluster {r.cluster_id!r}: covariate {x!r} is not finite")
-        if r.treatment is not None:
-            _check_treatment(r.treatment, r.cluster_id)
-    return Dataset(clusters=tuple(ordered), covariate_dim=k)
+        bad = ~np.isfinite(y)
+        if bad.any():
+            k = int(bad.argmax())
+            i = int(np.searchsorted(starts, k, side="right")) - 1
+            raise NonFiniteOutcome(f"cluster {ids[i]!r}: outcome {float(y[k])!r}")
+        ybar = _cluster_sums(y, starts, ids) / counts
+
+    return Dataset(
+        cluster_ids=ids,
+        n_total=_frozen(n.astype(np.int64)),
+        X=_frozen(x),
+        treatment=t,
+        outcomes=None if y is None else _frozen(y),
+        offsets=None if starts is None else _frozen(starts),
+        n_sampled=None if counts is None else _frozen(counts),
+        ybar=None if ybar is None else _frozen(ybar),
+    )
 
 
-def _read_rows(source) -> tuple[list[str], list[dict[str, str]]]:
+def _csr_columns(outcomes, offsets, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``outcomes`` as a flat float array and ``offsets`` as int64, checking
+    that the offsets rise from 0 to the outcome count in m + 1 entries."""
+    y = np.array(outcomes, dtype=float)
+    starts = np.array(offsets)
+    if (
+        y.ndim != 1
+        or starts.shape != (m + 1,)
+        or not np.issubdtype(starts.dtype, np.integer)
+        or starts[0] != 0
+        or starts[-1] != len(y)
+        or (np.diff(starts) < 0).any()
+    ):
+        raise DataError(f"offsets must rise from 0 to the outcome count in {m + 1} entries")
+    return y, starts.astype(np.int64)
+
+
+def _cluster_sums(y: np.ndarray, offsets: np.ndarray, ids: Sequence[str]) -> np.ndarray:
+    """math.fsum of each cluster's outcomes: the exactly rounded sum, whatever
+    the unit order. Raises ``DataError`` naming a cluster whose sum overflows."""
+    values, bounds = y.tolist(), list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    try:
+        return np.array([math.fsum(values[a:b]) for a, b in bounds])
+    except OverflowError:
+        for cid, (a, b) in zip(ids, bounds):
+            try:
+                math.fsum(values[a:b])
+            except OverflowError:
+                raise DataError(f"cluster {cid!r}: the sum of its outcomes overflows") from None
+        raise
+
+
+def _first_repeat(values: Sequence) -> int | None:
+    """Index of the first value equal to an earlier one, or None."""
+    if len(set(values)) == len(values):
+        return None
+    seen = set()
+    for i, value in enumerate(values):
+        if value in seen:
+            return i
+        seen.add(value)
+    return None
+
+
+def _gather_clusters(y: np.ndarray, offsets: np.ndarray, order: np.ndarray):
+    """The CSR outcomes with clusters taken in ``order``; returns (y, offsets)."""
+    counts = np.diff(offsets)[order]
+    new = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(counts, out=new[1:])
+    index = np.repeat(offsets[:-1][order] - new[:-1], counts) + np.arange(new[-1])
+    return y[index], new
+
+
+def _read_csv(source, kind: str) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a CSV (path or open text stream).
+
+    Blank rows are skipped. Raises ``DataError`` for a file that is not
+    UTF-8, a malformed CSV, a repeated column name or a row whose field
+    count differs from the header's.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            return list(header), list(reader)
-    reader = csv.DictReader(source)
-    return list(reader.fieldnames or []), list(reader)
+        try:
+            with open(source, newline="", encoding="utf-8") as fh:
+                return _read_csv(fh, kind)
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{kind} {str(source)!r} is not UTF-8: {exc.reason} at byte {exc.start}"
+            ) from None
+    reader = csv.reader(source)
+    try:
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise DataError(f"{kind} line {reader.line_num}: {exc}") from None
+    if len(set(header)) != len(header):
+        raise DataError(f"{kind} header repeats a column: {header}")
+    width = len(header)
+    if set(map(len, rows)) - {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise DataError(
+            f"{kind} line {i + 2}: {len(rows[i])} fields where the header has {width}"
+        )
+    return header, rows
 
 
-def read_units(source) -> list[UnitRow]:
-    """Parse a units CSV (path or open text stream) into unit rows."""
-    header, rows = _read_rows(source)
+def _columns(header: list[str], rows: list[list[str]]) -> dict[str, tuple[str, ...]]:
+    if not rows:
+        return {name: () for name in header}
+    return dict(zip(header, zip(*rows)))
+
+
+def _parse_column(
+    texts: Sequence[str], parse: Callable, dtype, error: Callable[[int, str], Exception]
+) -> np.ndarray:
+    """One CSV column through ``parse``; ``error(line, text)`` is raised for
+    the first field that does not parse or does not fit ``dtype``."""
+    try:
+        return np.fromiter(map(parse, texts), dtype=dtype, count=len(texts))
+    except (ValueError, OverflowError, KeyError):
+        for line, text in enumerate(texts, start=2):
+            try:
+                np.array(parse(text), dtype=dtype)
+            except (ValueError, OverflowError, KeyError):
+                raise error(line, text) from None
+        raise
+
+
+def read_units(source) -> np.ndarray:
+    """Parse a units CSV (path or open text stream).
+
+    Returns a structured array with one element per unit row, in file order,
+    and the fields ``cluster_id`` and ``unit_id`` (str) and ``outcome``
+    (float), so its ``len`` is the number of unit rows.
+    """
+    header, rows = _read_csv(source, "units CSV")
     required = {"cluster_id", "unit_id", "outcome"}
     if not required.issubset(header):
         raise DataError(f"units CSV header must contain {sorted(required)}, got {header}")
-    out = []
-    for i, row in enumerate(rows, start=2):
-        try:
-            outcome = float(row["outcome"])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"units CSV line {i}: bad outcome {row.get('outcome')!r}") from exc
-        if not math.isfinite(outcome):
-            raise NonFiniteOutcome(f"units CSV line {i}: outcome {outcome!r}")
-        out.append(UnitRow(cluster_id=row["cluster_id"], unit_id=row["unit_id"], outcome=outcome))
-    return out
+    cols = _columns(header, rows)
+    outcome = _parse_column(
+        cols["outcome"],
+        float,
+        float,
+        lambda line, text: DataError(f"units CSV line {line}: bad outcome {text!r}"),
+    )
+    bad = ~np.isfinite(outcome)
+    if bad.any():
+        i = int(bad.argmax())
+        raise NonFiniteOutcome(f"units CSV line {i + 2}: outcome {float(outcome[i])!r}")
+    units = np.empty(len(rows), dtype=_UNIT_DTYPE)
+    units["cluster_id"] = cols["cluster_id"]
+    units["unit_id"] = cols["unit_id"]
+    units["outcome"] = outcome
+    return units
 
 
 def _covariate_columns(header: Sequence[str]) -> list[str]:
@@ -198,103 +356,96 @@ def _covariate_columns(header: Sequence[str]) -> list[str]:
     return [col for _, col in found]
 
 
-def read_clusters(source) -> list[ClusterRecord]:
-    """Parse a clusters CSV into records (without sampled outcomes).
+def read_clusters(source) -> Dataset:
+    """Parse a clusters CSV into a clusters-only Dataset (no outcomes).
 
-    Every ``n_total`` must be positive and every covariate finite.
+    Every ``cluster_id`` must be unique, every ``n_total`` a positive
+    integer, every covariate finite and every ``treatment``, when the column
+    is present, 0 or 1. These are checked here, before the cluster count, so
+    an error names the CSV line.
     """
-    header, rows = _read_rows(source)
+    header, rows = _read_csv(source, "clusters CSV")
     if "cluster_id" not in header or "n_total" not in header:
         raise DataError(f"clusters CSV header must contain cluster_id and n_total, got {header}")
     xcols = _covariate_columns(header)
-    has_treatment = "treatment" in header
     known = {"cluster_id", "n_total", "treatment", *xcols}
     extra = [c for c in header if c not in known]
     if extra:
         raise DataError(f"unrecognized clusters CSV columns: {extra}")
-    records = []
-    seen: set[str] = set()
-    for i, row in enumerate(rows, start=2):
-        cid = row["cluster_id"]
-        if cid in seen:
-            raise DataError(f"clusters CSV line {i}: duplicate cluster_id {cid!r}")
-        seen.add(cid)
-        try:
-            n_total = int(row["n_total"])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"clusters CSV line {i}: bad n_total {row.get('n_total')!r}") from exc
-        if n_total < 1:
-            raise DataError(f"clusters CSV line {i}: cluster {cid!r}: n_total must be positive")
-        try:
-            covariates = tuple(float(row[c]) for c in xcols)
-        except (TypeError, ValueError) as exc:
-            raise RaggedCovariates(f"clusters CSV line {i}: bad covariate value") from exc
-        if not all(map(math.isfinite, covariates)):
-            x = next(x for x in covariates if not math.isfinite(x))
-            raise DataError(
-                f"clusters CSV line {i}: cluster {cid!r}: covariate {x!r} is not finite"
-            )
-        treatment: int | None = None
-        if has_treatment:
-            raw = (row.get("treatment") or "").strip()
-            if raw not in {"0", "1"}:
-                raise NonBinaryTreatment(
-                    f"clusters CSV line {i}: treatment {raw!r} not in {{0, 1}}"
-                )
-            treatment = int(raw)
-        records.append(
-            ClusterRecord(
-                cluster_id=cid,
-                n_total=n_total,
-                sampled_outcomes=(),
-                covariates=covariates,
-                treatment=treatment,
-            )
+    cols = _columns(header, rows)
+    ids = cols["cluster_id"]
+    i = _first_repeat(ids)
+    if i is not None:
+        raise DataError(f"clusters CSV line {i + 2}: duplicate cluster_id {ids[i]!r}")
+    n_total = _parse_column(
+        cols["n_total"],
+        int,
+        np.int64,
+        lambda line, text: DataError(f"clusters CSV line {line}: bad n_total {text!r}"),
+    )
+    bad = n_total < 1
+    if bad.any():
+        i = int(bad.argmax())
+        raise DataError(f"clusters CSV line {i + 2}: cluster {ids[i]!r}: n_total must be positive")
+    x = np.empty((len(ids), len(xcols)))
+    for j, col in enumerate(xcols):
+        x[:, j] = _parse_column(
+            cols[col],
+            float,
+            float,
+            lambda line, text: RaggedCovariates(
+                f"clusters CSV line {line}: bad covariate value {text!r}"
+            ),
         )
-    return records
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        value = next(v for v in x[i].tolist() if not math.isfinite(v))
+        raise DataError(
+            f"clusters CSV line {i + 2}: cluster {ids[i]!r}: covariate {value!r} is not finite"
+        )
+    treatment = None
+    if "treatment" in header:
+        treatment = _parse_column(
+            cols["treatment"],
+            lambda text: {"0": 0, "1": 1}[text.strip()],
+            np.int64,
+            lambda line, text: NonBinaryTreatment(
+                f"clusters CSV line {line}: treatment {text.strip()!r} not in {{0, 1}}"
+            ),
+        )
+    return build_dataset(ids, n_total, x, treatment)
 
 
 def load_dataset(units_source, clusters_source) -> Dataset:
     """Load and validate a dataset from a units CSV and a clusters CSV.
 
     Sources may be file paths or open text streams. Every unit row must
-    reference a cluster present in the clusters table; sampled outcomes are
-    kept in input order.
+    reference a cluster present in the clusters table, and no (cluster_id,
+    unit_id) may repeat; sampled outcomes are kept in input order.
     """
     units = read_units(units_source)
     clusters = read_clusters(clusters_source)
-    by_id = {c.cluster_id: c for c in clusters}
-    outcomes: dict[str, list[float]] = {cid: [] for cid in by_id}
-    seen_units: set[tuple[str, str]] = set()
-    for u in units:
-        if u.cluster_id not in by_id:
-            raise UnknownCluster(f"unit {u.unit_id!r} references unknown cluster {u.cluster_id!r}")
-        key = (u.cluster_id, u.unit_id)
-        if key in seen_units:
-            raise DuplicateUnit(f"duplicate unit {key!r}")
-        seen_units.add(key)
-        outcomes[u.cluster_id].append(u.outcome)
-    records = [
-        replace(by_id[cid], sampled_outcomes=tuple(vals)) for cid, vals in outcomes.items()
-    ]
-    return build_dataset(records)
-
-
-def summarize(dataset: Dataset) -> list[ClusterSummary]:
-    """One summary per cluster, order preserved; ybar is the sampled mean."""
-    out = []
-    for c in dataset.clusters:
-        out.append(
-            ClusterSummary(
-                cluster_id=c.cluster_id,
-                n_total=c.n_total,
-                n_sampled=c.n_sampled,
-                ybar=math.fsum(c.sampled_outcomes) / c.n_sampled,
-                covariates=c.covariates,
-                treatment=c.treatment,
-            )
-        )
-    return out
+    index_of = {cid: i for i, cid in enumerate(clusters.cluster_ids)}
+    cluster_col = units["cluster_id"].tolist()
+    try:
+        codes = np.fromiter(map(index_of.__getitem__, cluster_col), np.intp, len(units))
+    except KeyError as exc:
+        i = cluster_col.index(exc.args[0])
+        raise UnknownCluster(
+            f"units CSV line {i + 2}: unit {units['unit_id'][i]!r} references unknown "
+            f"cluster {cluster_col[i]!r}"
+        ) from None
+    keys = list(zip(cluster_col, units["unit_id"].tolist()))
+    i = _first_repeat(keys)
+    if i is not None:
+        raise DuplicateUnit(f"units CSV line {i + 2}: duplicate unit {keys[i]!r}")
+    offsets = np.zeros(clusters.n_clusters + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes, minlength=clusters.n_clusters), out=offsets[1:])
+    outcomes = units["outcome"][np.argsort(codes, kind="stable")]
+    return build_dataset(
+        clusters.cluster_ids, clusters.n_total, clusters.X, clusters.treatment, outcomes, offsets
+    )
 
 
 def write_dataset(dataset: Dataset, units_path, clusters_path) -> None:
@@ -303,28 +454,34 @@ def write_dataset(dataset: Dataset, units_path, clusters_path) -> None:
     Unit ids are synthesized as u1, u2, ... within each cluster. Floats are
     written with ``repr`` so reloading reproduces them bit for bit.
     """
+    if dataset.outcomes is None:
+        raise DataError("write_dataset needs sampled outcomes; use write_clusters")
+    counts = dataset.n_sampled
+    cluster_of_unit = np.repeat(np.array(dataset.cluster_ids, dtype=object), counts)
+    unit_number = np.arange(1, len(dataset.outcomes) + 1) - np.repeat(dataset.offsets[:-1], counts)
     with open(units_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["cluster_id", "unit_id", "outcome"])
-        for c in dataset.clusters:
-            for i, y in enumerate(c.sampled_outcomes, start=1):
-                w.writerow([c.cluster_id, f"u{i}", repr(y)])
-    write_clusters(dataset.clusters, clusters_path)
+        w.writerows(
+            zip(
+                cluster_of_unit.tolist(),
+                map("u{}".format, unit_number.tolist()),
+                map(repr, dataset.outcomes.tolist()),
+            )
+        )
+    write_clusters(dataset, clusters_path)
 
 
-def write_clusters(records: Sequence[ClusterRecord], clusters_path) -> None:
-    """Write cluster records to the clusters CSV schema."""
-    records = list(records)
-    k = len(records[0].covariates) if records else 0
-    has_treatment = any(r.treatment is not None for r in records)
+def write_clusters(dataset: Dataset, clusters_path) -> None:
+    """Write a dataset's cluster columns to the clusters CSV schema."""
+    k = dataset.covariate_dim
+    header = ["cluster_id", "n_total"] + [f"x{i}" for i in range(1, k + 1)]
+    columns = [dataset.cluster_ids, dataset.n_total.tolist()]
+    columns += [map(repr, col) for col in dataset.X.T.tolist()]
+    if dataset.treatment is not None:
+        header.append("treatment")
+        columns.append(dataset.treatment.tolist())
     with open(clusters_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        header = ["cluster_id", "n_total"] + [f"x{i}" for i in range(1, k + 1)]
-        if has_treatment:
-            header.append("treatment")
         w.writerow(header)
-        for r in records:
-            row = [r.cluster_id, r.n_total] + [repr(x) for x in r.covariates]
-            if has_treatment:
-                row.append("" if r.treatment is None else r.treatment)
-            w.writerow(row)
+        w.writerows(zip(*columns))

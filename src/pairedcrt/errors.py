@@ -47,10 +47,6 @@ class MissingTreatment(DataError):
     """An operation requiring treatment assignments got a dataset without them."""
 
 
-class NonScalarKey(PairedCrtError):
-    """The sort key selected for scalar matching is not one-dimensional."""
-
-
 class EmptyArm(PairedCrtError):
     """All clusters fall in a single treatment arm."""
 

@@ -5,19 +5,18 @@ N_g, so it targets the effect averaged over individuals. With full sampling
 of equally sized clusters it collapses to the plain difference in means.
 The size-weighted estimator equals the coefficient on treatment in a
 weighted least squares regression of unit outcomes on a constant and
-treatment with weight N_g/|S_g| per squared residual; ``wls_oracle`` solves
-that regression directly from the unit rows as an independent cross-check.
+treatment with weight N_g/|S_g| per squared residual; the tests check this
+against a direct solve of that regression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import ClusterSummary, Dataset
-from .errors import EmptyArm, MissingTreatment, SingularDesign
+from .core import Dataset
+from .errors import DataError, EmptyArm, MissingTreatment
 
 
 @dataclass(frozen=True)
@@ -36,25 +35,18 @@ class PointEstimate:
     estimand: str  # "size_weighted" | "equal_weighted"
 
 
-def summary_arrays(summaries: Sequence[ClusterSummary]):
-    """Extract (N, n_sampled, ybar, D) arrays; D is None if treatments absent."""
-    n = np.array([s.n_total for s in summaries], dtype=float)
-    m = np.array([s.n_sampled for s in summaries], dtype=float)
-    ybar = np.array([s.ybar for s in summaries], dtype=float)
-    if all(s.treatment is not None for s in summaries):
-        d = np.array([s.treatment for s in summaries], dtype=float)
-    else:
-        d = None
-    return n, m, ybar, d
+def kernel_inputs(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, ybar, D) as float arrays, the inputs of :func:`arm_means` and of
+    the per-pair kernel.
 
-
-def _require_treatments(summaries: Sequence[ClusterSummary]) -> np.ndarray:
-    n, _, ybar, d = summary_arrays(summaries)
-    if d is None:
+    Raises ``MissingTreatment`` for a dataset without treatments and
+    ``DataError`` for one without sampled outcomes.
+    """
+    if dataset.treatment is None:
         raise MissingTreatment("estimation requires a treatment for every cluster")
-    if d.sum() == 0 or d.sum() == len(d):
-        raise EmptyArm("all clusters are in one arm")
-    return d
+    if dataset.ybar is None:
+        raise DataError("estimation requires sampled outcomes")
+    return dataset.n_total.astype(float), dataset.ybar, dataset.treatment.astype(float)
 
 
 def arm_means(n: np.ndarray, ybar: np.ndarray, d: np.ndarray):
@@ -74,20 +66,17 @@ def arm_means(n: np.ndarray, ybar: np.ndarray, d: np.ndarray):
     return (d @ weighted) / n1, (c @ weighted) / n0, n1, n0
 
 
-def estimate_size_weighted(summaries: Sequence[ClusterSummary]) -> PointEstimate:
+def estimate_size_weighted(dataset: Dataset) -> PointEstimate:
     """Size-weighted difference in means across arms."""
-    d = _require_treatments(summaries)
-    n, _, ybar, _ = summary_arrays(summaries)
-    mu1, mu0, n1, n0 = (float(v) for v in arm_means(n, ybar, d))
+    mu1, mu0, n1, n0 = (float(v) for v in arm_means(*kernel_inputs(dataset)))
     return PointEstimate(
         delta_hat=mu1 - mu0, mu1=mu1, mu0=mu0, n1=n1, n0=n0, estimand="size_weighted"
     )
 
 
-def estimate_equal_weighted(summaries: Sequence[ClusterSummary]) -> PointEstimate:
+def estimate_equal_weighted(dataset: Dataset) -> PointEstimate:
     """Unweighted difference of arm means of the cluster-level averages."""
-    d = _require_treatments(summaries)
-    n, _, ybar, _ = summary_arrays(summaries)
+    n, ybar, d = kernel_inputs(dataset)
     _, _, n1, n0 = arm_means(n, ybar, d)
     mu1 = float(ybar[d == 1].mean())
     mu0 = float(ybar[d == 0].mean())
@@ -99,35 +88,3 @@ def estimate_equal_weighted(summaries: Sequence[ClusterSummary]) -> PointEstimat
         n0=float(n0),
         estimand="equal_weighted",
     )
-
-
-def wls_oracle(dataset: Dataset) -> float:
-    """Treatment coefficient from the unit-level weighted least squares fit.
-
-    Builds one row per sampled unit with weight N_g/|S_g| and regresses the
-    outcome on an intercept and the treatment indicator. Kept independent of
-    the summary-based estimator on purpose.
-    """
-    rows_y: list[float] = []
-    rows_d: list[float] = []
-    rows_w: list[float] = []
-    n_treated_clusters = 0
-    for c in dataset.clusters:
-        if c.treatment is None:
-            raise MissingTreatment("wls_oracle requires treatments")
-        n_treated_clusters += c.treatment
-        w = c.n_total / c.n_sampled
-        for y in c.sampled_outcomes:
-            rows_y.append(y)
-            rows_d.append(float(c.treatment))
-            rows_w.append(w)
-    if n_treated_clusters in (0, len(dataset.clusters)):
-        raise EmptyArm("all clusters are in one arm")
-    y = np.array(rows_y)
-    d = np.array(rows_d)
-    sw = np.sqrt(np.array(rows_w))
-    design = np.column_stack([sw, sw * d])
-    coef, _, rank, _ = np.linalg.lstsq(design, sw * y, rcond=None)
-    if rank < 2:
-        raise SingularDesign("weighted design matrix is rank deficient")
-    return float(coef[1])

@@ -36,9 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClusterSummary, Dataset, summarize
-from .errors import DataError, MissingTreatment, TooFewPairs
-from .estimation import PointEstimate, arm_means, estimate_size_weighted, summary_arrays
+from .core import Dataset
+from .errors import DataError, TooFewPairs
+from .estimation import PointEstimate, arm_means, estimate_size_weighted, kernel_inputs
 from .matching import MatchedDesign
 
 #: Floor applied to v2 when the estimate is non-positive (degenerate data).
@@ -103,10 +103,8 @@ class InferenceResult:
         }
 
 
-def adjusted_outcomes(summaries: Sequence[ClusterSummary]) -> AdjustedOutcomes:
-    n, _, ybar, d = summary_arrays(summaries)
-    if d is None:
-        raise MissingTreatment("adjusted outcomes require treatments")
+def adjusted_outcomes(dataset: Dataset) -> AdjustedOutcomes:
+    n, ybar, d = kernel_inputs(dataset)
     mu1, mu0, _, _ = arm_means(n, ybar, d)
     nbar = n.mean()
     return AdjustedOutcomes(
@@ -165,11 +163,8 @@ def infer(
     effect from the treated arm cancels exactly in the arm-centered
     adjusted outcomes, so the variance estimate is invariant to it.
     """
-    if not dataset.has_treatments:
-        raise MissingTreatment("inference requires treatments")
-    summaries = summarize(dataset)
-    est = estimate_size_weighted(summaries)
-    n, _, ybar, d = summary_arrays(summaries)
+    est = estimate_size_weighted(dataset)
+    n, ybar, d = kernel_inputs(dataset)
     g = design.pair_count
     _, tau2, lambda2 = (float(v) for v in pair_statistics(n, ybar, d, design.permutation, g))
     v2 = tau2 - 0.5 * lambda2

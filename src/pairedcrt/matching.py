@@ -1,7 +1,9 @@
 """Pairing clusters on baseline covariates, and match-quality diagnostics.
 
-Two matchers are provided. ``pair_sorted_scalar`` sorts clusters by a scalar
-key and pairs adjacent ones, which is optimal in one dimension.
+Every function here takes a :class:`~pairedcrt.core.Dataset`, whose rows are
+in cluster_id order with finite covariates, so row order is the tie-break
+order. Two matchers are provided. ``pair_sorted_scalar`` sorts clusters by
+one covariate and pairs adjacent ones, which is optimal in one dimension.
 ``pair_greedy_nn`` z-scores the feature vectors (covariates, plus cluster
 size when requested) and repeatedly pairs the lowest-id unmatched cluster
 with its nearest unmatched neighbor.
@@ -19,16 +21,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DataError, NonScalarKey, OddClusterCount
-
-# A "cluster-like" item needs .cluster_id, .n_total, .covariates; both
-# ClusterRecord and ClusterSummary qualify.
-FeatureSelector = Callable[[object], Sequence[float]]
+from .core import Dataset, _columns, _parse_column, _read_csv
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -88,23 +85,6 @@ class ImbalanceReport:
             "popo_discrepancies": {f"({k},{l})": v for (k, l), v in self.popo_discrepancies.items()},
             "fourth_moment_sums": {str(r): v for r, v in self.fourth_moment_sums.items()},
         }
-
-
-def _require_even(items: Sequence) -> int:
-    n = len(items)
-    if n < 4 or n % 2 != 0:
-        raise OddClusterCount(f"matching needs an even cluster count >= 4, got {n}")
-    return n
-
-
-def _require_finite(features: np.ndarray, items: Sequence) -> None:
-    bad = ~np.isfinite(features).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DataError(
-            f"cluster {items[i].cluster_id!r}: matching features {features[i].tolist()} "
-            "are not all finite"
-        )
 
 
 class _Unvisited:
@@ -177,92 +157,57 @@ def zscore(features: np.ndarray) -> np.ndarray:
     return (features - mu) / sd
 
 
-def feature_matrix(items: Sequence, include_size: bool) -> np.ndarray:
+def _features(dataset: Dataset, include_size: bool) -> np.ndarray:
     """Raw (not z-scored) feature matrix: covariates, plus n_total if asked."""
-    x = np.array([item.covariates for item in items], dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(len(items), -1)
-    if include_size:
-        n = np.array([item.n_total for item in items], dtype=float).reshape(-1, 1)
-        x = np.hstack([x, n])
-    return x
+    features = np.column_stack((dataset.X, dataset.n_total)) if include_size else dataset.X
+    if features.shape[1] == 0:
+        raise DataError("matching needs a feature, and the clusters have no covariates")
+    return features
 
 
-def pair_sorted_scalar(items: Sequence, key: Callable | int = 0) -> MatchedDesign:
-    """Sort clusters by a scalar key and pair adjacent ones.
+def pair_sorted_scalar(dataset: Dataset, key: int = 0) -> MatchedDesign:
+    """Sort clusters by covariate ``key`` and pair adjacent ones.
 
-    ``key`` is either a covariate index or a callable mapping an item to a
-    scalar. Ties are broken by cluster_id. In one dimension this pairing
-    minimizes the total within-pair distance over all perfect matchings.
-    Raises ``DataError`` naming the cluster if a key value is NaN or infinite.
+    Ties are broken by cluster_id. In one dimension this pairing minimizes
+    the total within-pair distance over all perfect matchings.
     """
-    n = _require_even(items)
-    if callable(key):
-        values = [key(item) for item in items]
-    else:
-        values = [item.covariates[key] for item in items]
-    scalars = []
-    for item, v in zip(items, values):
-        arr = np.asarray(v, dtype=float)
-        if arr.ndim != 0 and arr.size != 1:
-            raise NonScalarKey(f"cluster {item.cluster_id!r}: key value {v!r} is not a scalar")
-        scalars.append(float(arr))
-    scores = np.array(scalars, dtype=float).reshape(-1, 1)
-    _require_finite(scores, items)
-    order = sorted(range(n), key=lambda i: (scalars[i], items[i].cluster_id))
+    if not 0 <= key < dataset.covariate_dim:
+        raise DataError(
+            f"sorted matching on covariate x{key + 1}, but the clusters have "
+            f"{dataset.covariate_dim} covariates"
+        )
+    values = dataset.X[:, key]
+    order = np.argsort(values, kind="stable")  # rows are in cluster_id order
     return MatchedDesign(
-        permutation=tuple(order), pair_count=n // 2, matched_on_size=False, scores=scores
+        permutation=tuple(order.tolist()),
+        pair_count=dataset.n_pairs,
+        matched_on_size=False,
+        scores=values.reshape(-1, 1),
     )
 
 
-def pair_greedy_nn(
-    items: Sequence,
-    features: FeatureSelector | None = None,
-    include_size: bool = False,
-) -> MatchedDesign:
+def pair_greedy_nn(dataset: Dataset, include_size: bool = False) -> MatchedDesign:
     """Greedy nearest-neighbor pairing on z-scored features.
 
     Repeatedly takes the unmatched cluster with the smallest cluster_id and
     pairs it with its nearest unmatched neighbor in Euclidean distance
-    (ties again broken by cluster_id). Raises ``DataError`` naming the
-    cluster if a feature is NaN or infinite.
+    (ties again broken by cluster_id).
     """
-    n = _require_even(items)
-    if features is not None:
-        raw = np.array([features(item) for item in items], dtype=float)
-        if raw.ndim == 1:
-            raw = raw.reshape(n, -1)
-        if include_size:
-            sizes = np.array([item.n_total for item in items], dtype=float).reshape(-1, 1)
-            raw = np.hstack([raw, sizes])
-    else:
-        raw = feature_matrix(items, include_size)
-    _require_finite(raw, items)
-    z = zscore(raw)
-
-    # items arrive in cluster_id order downstream of load, but don't rely on it
-    id_order = np.array(sorted(range(n), key=lambda i: items[i].cluster_id))
-    points = z[id_order]
-    unmatched = _Unvisited(points)
+    z = zscore(_features(dataset, include_size))
+    unmatched = _Unvisited(z)
     perm: list[int] = []
     while unmatched.count:
         seed = unmatched.take_first()
-        best = unmatched.take_nearest(points[seed])
-        perm.extend((int(id_order[seed]), int(id_order[best])))
+        perm.extend((seed, unmatched.take_nearest(z[seed])))
     return MatchedDesign(
-        permutation=tuple(perm), pair_count=n // 2, matched_on_size=include_size, scores=z
+        permutation=tuple(perm),
+        pair_count=dataset.n_pairs,
+        matched_on_size=include_size,
+        scores=z,
     )
 
 
-def _design_scores(design: MatchedDesign, items: Sequence) -> np.ndarray:
-    if design.scores is not None:
-        return np.asarray(design.scores, dtype=float)
-    raw = feature_matrix(items, design.matched_on_size)
-    _require_finite(raw, items)
-    return zscore(raw)
-
-
-def order_pairs_for_variance(design: MatchedDesign, items: Sequence) -> MatchedDesign:
+def order_pairs_for_variance(design: MatchedDesign, dataset: Dataset) -> MatchedDesign:
     """Reorder pairs so consecutive pairs are close in feature space.
 
     Pairs are visited along a greedy nearest-neighbor path through their
@@ -270,15 +215,17 @@ def order_pairs_for_variance(design: MatchedDesign, items: Sequence) -> MatchedD
     lexicographically smallest. Ties go to the pair with the smallest
     member cluster_id. With a scalar feature this reduces to sorting pairs
     by their within-pair mean key. Member order within each pair is
-    preserved.
+    preserved. A design without scores (one read from CSV) is scored on the
+    z-scored features it was matched on.
     """
-    scores = _design_scores(design, items)
+    if design.scores is not None:
+        scores = np.asarray(design.scores, dtype=float)
+    else:
+        scores = zscore(_features(dataset, design.matched_on_size))
     perm = np.asarray(design.permutation)
     g = design.pair_count
-    tiebreak = [
-        min(items[perm[2 * j]].cluster_id, items[perm[2 * j + 1]].cluster_id) for j in range(g)
-    ]
-    pair_order = np.array(sorted(range(g), key=tiebreak.__getitem__))
+    # rows are in cluster_id order, so a pair's smallest id is its smallest row
+    pair_order = np.argsort(np.minimum(perm[0::2], perm[1::2]))
     first, second = perm[0::2][pair_order], perm[1::2][pair_order]
     mid = 0.5 * (scores[first] + scores[second])  # (G, m), in tie-break order
 
@@ -298,12 +245,12 @@ def order_pairs_for_variance(design: MatchedDesign, items: Sequence) -> MatchedD
     )
 
 
-def imbalance_report(design: MatchedDesign, items: Sequence) -> ImbalanceReport:
+def imbalance_report(design: MatchedDesign, dataset: Dataset) -> ImbalanceReport:
     """Compute all within-pair and cross-pair discrepancy sums for a design."""
     perm = np.asarray(design.permutation)
     g = design.pair_count
-    w = feature_matrix(items, design.matched_on_size)
-    sizes = np.array([item.n_total for item in items], dtype=float)
+    w = _features(dataset, design.matched_on_size)
+    sizes = dataset.n_total.astype(float)
 
     first = perm[0::2]
     second = perm[1::2]
@@ -325,11 +272,11 @@ def imbalance_report(design: MatchedDesign, items: Sequence) -> ImbalanceReport:
     # member selectors follow the variance estimator's index pattern:
     # k picks from the first pair of a quad, l from the second.
     popo: dict[tuple[int, int], float] = {}
-    n_quads = g // 2
+    quad_end = 4 * (g // 2)
     for k in (2, 3):
         for l in (0, 1):
-            a = perm[[4 * j + (3 - k) for j in range(n_quads)]]
-            b = perm[[4 * j + (3 - l) for j in range(n_quads)]]
+            a = perm[3 - k : quad_end : 4]
+            b = perm[3 - l : quad_end : 4]
             sq = np.linalg.norm(w[a] - w[b], axis=1) ** 2
             if design.matched_on_size:
                 sq = sizes[a] ** 2 * sq
@@ -344,58 +291,67 @@ def imbalance_report(design: MatchedDesign, items: Sequence) -> ImbalanceReport:
     )
 
 
-def write_design(design: MatchedDesign, items: Sequence, path) -> None:
+def write_design(design: MatchedDesign, dataset: Dataset, path) -> None:
     """Serialize a design as CSV rows ``pair_index,position,cluster_id``."""
+    ids = dataset.cluster_ids
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["pair_index", "position", "cluster_id"])
-        for j, (a, b) in enumerate(design.pairs()):
-            w.writerow([j, 0, items[a].cluster_id])
-            w.writerow([j, 1, items[b].cluster_id])
+        w.writerows(
+            (slot // 2, slot % 2, ids[i]) for slot, i in enumerate(design.permutation)
+        )
 
 
-def read_design(source, items: Sequence, matched_on_size: bool = False) -> MatchedDesign:
-    """Load a design CSV and resolve cluster_ids against ``items``.
+def read_design(source, dataset: Dataset, matched_on_size: bool = False) -> MatchedDesign:
+    """Load a design CSV and resolve its cluster_ids against ``dataset``.
 
     The CSV does not record which features the design was matched on, so
     ``matched_on_size`` must be supplied by the caller when it matters
-    (diagnostics and pair ordering). The design must pair every one of
-    ``items``; a design that covers only some of them raises ``DataError``.
+    (diagnostics and pair ordering). The design must pair every cluster of
+    ``dataset``; a design that covers only some of them raises ``DataError``,
+    as does any malformed row, naming its line.
     """
-    index_of = {item.cluster_id: i for i, item in enumerate(items)}
-    if isinstance(source, (str, Path)):
-        fh = open(source, newline="", encoding="utf-8")
-        close = True
-    else:
-        fh, close = source, False
-    try:
-        reader = csv.DictReader(fh)
-        required = {"pair_index", "position", "cluster_id"}
-        if not required.issubset(reader.fieldnames or []):
-            raise DataError(f"design CSV header must contain {sorted(required)}")
-        slots: dict[tuple[int, int], int] = {}
-        for row in reader:
-            j = int(row["pair_index"])
-            pos = int(row["position"])
-            cid = row["cluster_id"]
-            if pos not in (0, 1):
-                raise DataError(f"design CSV: position {pos} not in {{0, 1}}")
-            if cid not in index_of:
-                raise DataError(f"design CSV references unknown cluster {cid!r}")
-            if (j, pos) in slots:
-                raise DataError(f"design CSV: duplicate slot pair={j} position={pos}")
-            slots[(j, pos)] = index_of[cid]
-    finally:
-        if close:
-            fh.close()
-    g = len(slots) // 2
-    if len(slots) != 2 * g or set(slots) != {(j, p) for j in range(g) for p in (0, 1)}:
-        raise DataError("design CSV does not describe complete pairs 0..G-1")
-    if 2 * g != len(items):
-        raise DataError(
-            f"design CSV pairs {2 * g} clusters but the data has {len(items)} clusters"
+    header, rows = _read_csv(source, "design CSV")
+    required = {"pair_index", "position", "cluster_id"}
+    if not required.issubset(header):
+        raise DataError(f"design CSV header must contain {sorted(required)}")
+    cols = _columns(header, rows)
+
+    def ints(name: str) -> np.ndarray:
+        return _parse_column(
+            cols[name],
+            int,
+            np.int64,
+            lambda line, text: DataError(f"design CSV line {line}: bad {name} {text!r}"),
         )
-    perm = []
-    for j in range(g):
-        perm.extend((slots[(j, 0)], slots[(j, 1)]))
-    return MatchedDesign(permutation=tuple(perm), pair_count=g, matched_on_size=matched_on_size)
+
+    pair, pos = ints("pair_index"), ints("position")
+    index_of = {cid: i for i, cid in enumerate(dataset.cluster_ids)}
+    cids = cols["cluster_id"]
+    cluster = np.fromiter((index_of.get(cid, -1) for cid in cids), np.intp, len(cids))
+    bad = ((pos != 0) & (pos != 1)) | (cluster < 0)
+    if bad.any():
+        i = int(bad.argmax())
+        if pos[i] not in (0, 1):
+            raise DataError(f"design CSV line {i + 2}: position {pos[i]} not in {{0, 1}}")
+        raise DataError(f"design CSV line {i + 2}: unknown cluster {cids[i]!r}")
+    g = len(rows) // 2
+    if len(rows) % 2 or ((pair < 0) | (pair >= g)).any():
+        raise DataError("design CSV does not describe complete pairs 0..G-1")
+    slot = 2 * pair + pos  # 2G values in 0..2G-1: complete unless one repeats
+    repeated = np.ones(len(slot), dtype=bool)
+    repeated[np.unique(slot, return_index=True)[1]] = False
+    if repeated.any():
+        i = int(repeated.argmax())
+        raise DataError(
+            f"design CSV line {i + 2}: duplicate slot pair={pair[i]} position={pos[i]}"
+        )
+    if 2 * g != dataset.n_clusters:
+        raise DataError(
+            f"design CSV pairs {2 * g} clusters but the data has {dataset.n_clusters} clusters"
+        )
+    perm = np.empty(len(slot), dtype=np.intp)
+    perm[slot] = cluster
+    return MatchedDesign(
+        permutation=tuple(perm.tolist()), pair_count=g, matched_on_size=matched_on_size
+    )

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, summarize
-from .errors import BadB, MissingTreatment, TooManyPairsForExact
-from .estimation import summary_arrays
+from .core import Dataset
+from .errors import BadB, TooManyPairsForExact
+from .estimation import kernel_inputs
 from .inference import EPS_FLOOR, pair_statistics
 from .matching import MatchedDesign
 
@@ -135,8 +135,7 @@ def randomization_test(
     mode evaluates the identity plus ``draws - 1`` uniform swap patterns drawn
     from a Philox stream keyed by ``seed``; ``draws`` must be at least 19.
     """
-    if not dataset.has_treatments:
-        raise MissingTreatment("the randomization test requires treatments")
+    n, ybar, d_float = kernel_inputs(dataset)
     g = design.pair_count
     if mode == "exact":
         if g > MAX_EXACT_PAIRS:
@@ -167,8 +166,7 @@ def randomization_test(
     else:
         raise ValueError(f"mode must be 'exact' or 'stochastic', got {mode!r}")
 
-    n, _, ybar, d_float = summary_arrays(summarize(dataset))
-    d = d_float.astype(np.int64)
+    d = dataset.treatment
     ytilde = ybar - d_float * delta0
 
     perm = design.permutation

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import assign_within_pairs
-from .core import ClusterRecord, Dataset, build_dataset
+from .core import Dataset, build_dataset
+from .errors import DataError
 from .inference import infer
 from .matching import (
     MatchedDesign,
@@ -222,19 +223,38 @@ class DgpSpec:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DgpSpec":
-        return cls(
-            covariates=CovariateLaw(
-                kind=payload["covariates"]["kind"],
-                params=tuple(payload["covariates"]["params"]),
-            ),
-            sizes=SizeLaw(
-                kind=payload["sizes"]["kind"], params=tuple(payload["sizes"]["params"])
-            ),
-            sampling=SamplingRule(
-                kind=payload["sampling"]["kind"], q=payload["sampling"].get("q", 1.0)
-            ),
-            outcomes=LinearOutcomeModel(**payload["outcomes"]),
-        )
+        """Inverse of :meth:`to_json_dict`.
+
+        Raises ``DataError`` for a payload of any other shape: a missing or
+        unknown key, a parameter that is not a finite number, or parameters
+        that a law rejects.
+        """
+        try:
+            cov, sizes, sampling = payload["covariates"], payload["sizes"], payload["sampling"]
+            return cls(
+                covariates=CovariateLaw(kind=cov["kind"], params=_numbers(cov["params"])),
+                sizes=SizeLaw(kind=sizes["kind"], params=_numbers(sizes["params"])),
+                sampling=SamplingRule(kind=sampling["kind"], q=_number(sampling.get("q", 1.0))),
+                outcomes=LinearOutcomeModel(
+                    **{key: _number(value) for key, value in payload["outcomes"].items()}
+                ),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise DataError(f"DGP JSON: {type(exc).__name__}: {exc}") from None
+
+
+def _number(value):
+    """``value``, when it is a finite JSON number (int or float, not bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return value
+
+
+def _numbers(values) -> tuple:
+    """A JSON list of finite numbers, as a tuple."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list of numbers, got {values!r}")
+    return tuple(map(_number, values))
 
 
 PRESET_NAMES = ("null", "constant_effect", "size_heterogeneous", "stress")
@@ -296,17 +316,17 @@ def preset(name: str) -> DgpSpec:
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
-def match_records(records, match_mode: str) -> MatchedDesign:
+def match_clusters(dataset: Dataset, match_mode: str) -> MatchedDesign:
     """Pair clusters per the requested mode and order pairs for variance."""
     if match_mode == "sorted_x":
-        design = pair_sorted_scalar(records, key=0)
+        design = pair_sorted_scalar(dataset, key=0)
     elif match_mode == "nn_x":
-        design = pair_greedy_nn(records, include_size=False)
+        design = pair_greedy_nn(dataset, include_size=False)
     elif match_mode == "nn_xn":
-        design = pair_greedy_nn(records, include_size=True)
+        design = pair_greedy_nn(dataset, include_size=True)
     else:
         raise ValueError(f"unknown match mode {match_mode!r}; choose from {MATCH_MODES}")
-    return order_pairs_for_variance(design, records)
+    return order_pairs_for_variance(design, dataset)
 
 
 def oracle_kind(match_mode: str) -> str:
@@ -335,31 +355,24 @@ def generate_trial(
     gamma = rng_gamma.normal(0.0, dgp.outcomes.sigma_cluster, m)
     eps = rng_eps.normal(0.0, dgp.outcomes.sigma_unit, int(counts.sum()))
 
-    bare = [
-        ClusterRecord(
-            cluster_id=f"c{i + 1:06d}", n_total=size, sampled_outcomes=(), covariates=(v,)
-        )
-        for i, (size, v) in enumerate(zip(n.tolist(), x.tolist()))
-    ]
-    design = match_records(bare, match_mode)
+    clusters = build_dataset([f"c{i + 1:06d}" for i in range(m)], n, x.reshape(m, 1))
+    design = match_clusters(clusters, match_mode)
     assign_seed = int(streams[4].generate_state(1, np.uint64)[0])
     treat = assign_within_pairs(design, assign_seed)
 
     nf = n.astype(float)
     mu = np.where(treat == 1, dgp.outcomes.mu1(x, nf), dgp.outcomes.mu0(x, nf))
-    outcomes = (np.repeat(mu + gamma, counts) + eps).tolist()
-    ends = np.cumsum(counts).tolist()
-    records = [
-        ClusterRecord(
-            cluster_id=c.cluster_id,
-            n_total=c.n_total,
-            sampled_outcomes=tuple(outcomes[start:end]),
-            covariates=c.covariates,
-            treatment=t,
-        )
-        for c, start, end, t in zip(bare, [0, *ends[:-1]], ends, treat.tolist())
-    ]
-    return build_dataset(records), design, dgp.true_delta
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    dataset = build_dataset(
+        clusters.cluster_ids,
+        clusters.n_total,
+        clusters.X,
+        treat,
+        np.repeat(mu + gamma, counts) + eps,
+        offsets,
+    )
+    return dataset, design, dgp.true_delta
 
 
 def oracle_variance(

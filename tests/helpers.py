@@ -1,44 +1,97 @@
 """Shared test utilities: dataset builders and independent reference code.
 
 The reference implementations here (matched-pairs inference for unit-sized
-clusters, brute-force optimal matching, closed-form limiting variances)
-deliberately avoid the package's own numerical paths, so agreement with
-them is evidence and not circularity. The greedy matching references keep
-the full n x n x k distance tensor that the package's row-per-step walks
-replaced, ``trial_records_reference`` builds a trial's records one float at
-a time, as ``generate_trial`` once did, and ``pair_statistics_reference``
-computes delta, tau2 and lambda2 through per-cluster adjusted outcomes, the
-path the per-pair kernel replaced.
+clusters, brute-force optimal matching, closed-form limiting variances, the
+unit-level weighted least squares fit) deliberately avoid the package's own
+numerical paths, so agreement with them is evidence and not circularity.
+The greedy matching references keep the full n x n x k distance tensor that
+the package's row-per-step walks replaced, ``trial_columns_reference``
+builds a trial cluster by cluster, one float at a time, and
+``pair_statistics_reference`` computes delta, tau2 and lambda2 through
+per-cluster adjusted outcomes, the path the per-pair kernel replaced.
 """
+
+import math
 
 import numpy as np
 
-from dataclasses import replace
-
 from pairedcrt.assignment import assign_within_pairs
-from pairedcrt.core import ClusterRecord, build_dataset
-from pairedcrt.matching import MatchedDesign, feature_matrix, pair_sorted_scalar, zscore
+from pairedcrt.core import build_dataset
+from pairedcrt.errors import EmptyArm, MissingTreatment, SingularDesign
+from pairedcrt.matching import MatchedDesign, pair_sorted_scalar, zscore
+
+#: The columns of a Dataset, for comparing two of them.
+COLUMNS = ("n_total", "X", "treatment", "outcomes", "offsets", "n_sampled", "ybar")
+
+
+def csr(outcomes_per_cluster):
+    """(flat outcomes, offsets) of per-cluster outcome lists."""
+    counts = [len(o) for o in outcomes_per_cluster]
+    flat = [float(v) for o in outcomes_per_cluster for v in o]
+    return np.array(flat, dtype=float), np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
 
 def make_dataset(sizes, ybars=None, treatments=None, xs=None, outcomes=None):
     """Build a dataset with one sampled unit per cluster unless outcomes given."""
     m = len(sizes)
-    records = []
-    for i in range(m):
-        if outcomes is not None:
-            outs = tuple(float(v) for v in outcomes[i])
-        else:
-            outs = (float(ybars[i]),)
-        records.append(
-            ClusterRecord(
-                cluster_id=f"c{i:03d}",
-                n_total=int(sizes[i]),
-                sampled_outcomes=outs,
-                covariates=(float(xs[i]),) if xs is not None else (float(i),),
-                treatment=None if treatments is None else int(treatments[i]),
-            )
-        )
-    return build_dataset(records)
+    if outcomes is None:
+        outcomes = [(y,) for y in ybars]
+    flat, offsets = csr(outcomes)
+    x = np.asarray(xs if xs is not None else np.arange(m), dtype=float).reshape(m, 1)
+    return build_dataset(
+        [f"c{i:03d}" for i in range(m)],
+        np.asarray(sizes, dtype=np.int64),
+        x,
+        treatments,
+        flat,
+        offsets,
+    )
+
+
+def with_outcomes(ds, transform):
+    """The dataset with ``transform(y, cluster)`` applied to each unit outcome."""
+    cluster = np.repeat(np.arange(ds.n_clusters), ds.n_sampled)
+    return build_dataset(
+        ds.cluster_ids,
+        ds.n_total,
+        ds.X,
+        ds.treatment,
+        transform(ds.outcomes, cluster),
+        ds.offsets,
+    )
+
+
+def assert_same_columns(a, b):
+    """Every column of two datasets identical, bit for bit."""
+    assert a.cluster_ids == b.cluster_ids
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+
+
+def wls_oracle(dataset):
+    """Treatment coefficient from the unit-level weighted least squares fit.
+
+    Builds one row per sampled unit with weight N_g/|S_g| and regresses the
+    outcome on an intercept and the treatment indicator. Kept independent of
+    the cluster-mean estimator on purpose.
+    """
+    if dataset.treatment is None:
+        raise MissingTreatment("wls_oracle requires treatments")
+    n_treated_clusters = int(dataset.treatment.sum())
+    if n_treated_clusters in (0, dataset.n_clusters):
+        raise EmptyArm("all clusters are in one arm")
+    y = dataset.outcomes
+    d = np.repeat(dataset.treatment, dataset.n_sampled).astype(float)
+    sw = np.sqrt(np.repeat(dataset.n_total / dataset.n_sampled, dataset.n_sampled))
+    design = np.column_stack([sw, sw * d])
+    coef, _, rank, _ = np.linalg.lstsq(design, sw * y, rcond=None)
+    if rank < 2:
+        raise SingularDesign("weighted design matrix is rank deficient")
+    return float(coef[1])
 
 
 def identity_design(pair_count, matched_on_size=False):
@@ -223,11 +276,23 @@ def closed_form_variance(dgp, match_on):
     return second - 0.5 * cond
 
 
-def greedy_nn_reference(items, include_size=False):
+def feature_reference(dataset, include_size):
+    """Raw matching features, gathered cluster by cluster."""
+    rows = []
+    for i in range(dataset.n_clusters):
+        row = [float(v) for v in dataset.X[i]]
+        if include_size:
+            row.append(float(dataset.n_total[i]))
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(dataset.n_clusters, -1)
+
+
+def greedy_nn_reference(dataset, include_size=False):
     """Greedy nearest-neighbor pairing over a full distance tensor."""
-    n = len(items)
-    z = zscore(feature_matrix(items, include_size))
-    id_order = sorted(range(n), key=lambda i: items[i].cluster_id)
+    ids = dataset.cluster_ids
+    n = len(ids)
+    z = zscore(feature_reference(dataset, include_size))
+    id_order = sorted(range(n), key=lambda i: ids[i])
     diffs = z[:, None, :] - z[None, :, :]
     dist = np.sqrt((diffs * diffs).sum(axis=2))
     np.fill_diagonal(dist, np.inf)
@@ -239,7 +304,7 @@ def greedy_nn_reference(items, include_size=False):
             continue
         available[seed] = False
         row = np.where(available, dist[seed], np.inf)
-        best = min(np.flatnonzero(row == row.min()), key=lambda i: items[i].cluster_id)
+        best = min(np.flatnonzero(row == row.min()), key=lambda i: ids[i])
         available[best] = False
         perm.extend((seed, int(best)))
     return MatchedDesign(
@@ -247,18 +312,19 @@ def greedy_nn_reference(items, include_size=False):
     )
 
 
-def order_pairs_reference(design, items):
+def order_pairs_reference(design, dataset):
     """Nearest-neighbor path through pair midpoints over a full distance tensor."""
+    ids = dataset.cluster_ids
     if design.scores is not None:
         scores = np.asarray(design.scores, dtype=float)
     else:
-        scores = zscore(feature_matrix(items, design.matched_on_size))
+        scores = zscore(feature_reference(dataset, design.matched_on_size))
     perm = np.asarray(design.permutation)
     g = design.pair_count
     mid = 0.5 * (scores[perm[0::2]] + scores[perm[1::2]])
 
     def pair_tiebreak(j):
-        return min(items[perm[2 * j]].cluster_id, items[perm[2 * j + 1]].cluster_id)
+        return min(ids[perm[2 * j]], ids[perm[2 * j + 1]])
 
     start = min(range(g), key=lambda j: (tuple(mid[j]), pair_tiebreak(j)))
     d = mid[:, None, :] - mid[None, :, :]
@@ -285,12 +351,13 @@ def order_pairs_reference(design, items):
     )
 
 
-def trial_records_reference(dgp, pair_count, match_mode, seed):
-    """A trial's cluster records and design, built record by record.
+def trial_columns_reference(dgp, pair_count, match_mode, seed):
+    """A trial's columns and design, built cluster by cluster.
 
     Draws the same Philox streams as ``generate_trial``, matches with the
     tensor references above, and assembles each cluster's outcomes one
-    float at a time. Returns (records in cluster_id order, design).
+    float at a time and its mean with ``math.fsum``. Returns (a dict of
+    the Dataset's columns, in cluster_id order, and the design).
     """
     m = 2 * pair_count
     streams = np.random.SeedSequence(seed).spawn(5)
@@ -304,15 +371,8 @@ def trial_records_reference(dgp, pair_count, match_mode, seed):
     eps = rng_eps.normal(0.0, dgp.outcomes.sigma_unit, int(counts.sum()))
     eps_chunks = np.split(eps, np.cumsum(counts)[:-1])
 
-    bare = [
-        ClusterRecord(
-            cluster_id=f"c{i + 1:06d}",
-            n_total=int(n[i]),
-            sampled_outcomes=(),
-            covariates=(float(x[i]),),
-        )
-        for i in range(m)
-    ]
+    ids = [f"c{i + 1:06d}" for i in range(m)]
+    bare = build_dataset(ids, [int(v) for v in n], [[float(v)] for v in x])
     if match_mode == "sorted_x":
         design = pair_sorted_scalar(bare, key=0)
     else:
@@ -323,12 +383,20 @@ def trial_records_reference(dgp, pair_count, match_mode, seed):
 
     nf = n.astype(float)
     mu = np.where(treat == 1, dgp.outcomes.mu1(x, nf), dgp.outcomes.mu0(x, nf))
-    records = [
-        replace(
-            bare[i],
-            sampled_outcomes=tuple(float(v) for v in mu[i] + gamma[i] + eps_chunks[i]),
-            treatment=int(treat[i]),
-        )
-        for i in range(m)
-    ]
-    return records, design
+    outcomes, offsets, means = [], [0], []
+    for i in range(m):
+        unit_outcomes = [float(v) for v in mu[i] + gamma[i] + eps_chunks[i]]
+        outcomes.extend(unit_outcomes)
+        offsets.append(len(outcomes))
+        means.append(math.fsum(unit_outcomes) / len(unit_outcomes))
+    columns = {
+        "cluster_ids": tuple(ids),
+        "n_total": np.array([int(v) for v in n], dtype=np.int64),
+        "X": np.array([[float(v)] for v in x]),
+        "treatment": np.array([int(t) for t in treat], dtype=np.int64),
+        "outcomes": np.array(outcomes),
+        "offsets": np.array(offsets, dtype=np.int64),
+        "n_sampled": np.diff(np.array(offsets, dtype=np.int64)),
+        "ybar": np.array(means),
+    }
+    return columns, design

@@ -24,8 +24,8 @@ from helpers import (
     unit_level_randomization_p,
     unit_level_reference,
 )
-from pairedcrt.core import ClusterRecord, summarize
-from pairedcrt.estimation import estimate_size_weighted, summary_arrays, wls_oracle
+from helpers import wls_oracle
+from pairedcrt import build_dataset, estimate_size_weighted
 from pairedcrt.inference import adjusted_outcomes, infer
 from pairedcrt.matching import pair_sorted_scalar
 from pairedcrt.randtest import randomization_test, statistic_batch, swap_treatments
@@ -57,7 +57,7 @@ def test_size_weighted_estimator_matches_wls():
     for _ in range(100):
         pairs = int(rng.integers(2, 51))
         ds = random_dataset(rng, pairs=pairs)
-        est = estimate_size_weighted(summarize(ds))
+        est = estimate_size_weighted(ds)
         worst = max(worst, abs(est.delta_hat - wls_oracle(ds)))
     assert worst < 1e-10
     _finish("wls-equivalence", f"max |delta_hat - wls| = {worst:.2e}", t0, 5)
@@ -69,8 +69,8 @@ def test_adjusted_outcomes_sum_to_zero_within_arms():
     worst = 0.0
     for _ in range(100):
         ds = random_dataset(rng, pairs=int(rng.integers(2, 21)))
-        adj = adjusted_outcomes(summarize(ds))
-        d = np.array([c.treatment for c in ds.clusters])
+        adj = adjusted_outcomes(ds)
+        d = ds.treatment
         worst = max(
             worst,
             abs(float(adj.yhat[d == 1].sum())),
@@ -185,7 +185,7 @@ def test_matching_on_size_lowers_asymptotic_variance():
 def test_randomization_distribution_is_asymptotically_half_normal():
     t0 = time.perf_counter()
     ds, design, _ = generate_trial(preset("null"), 1000, "nn_xn", 777)
-    n, _, ybar, d = summary_arrays(summarize(ds))
+    n, ybar, d = ds.n_total.astype(float), ds.ybar, ds.treatment.astype(float)
     g = design.pair_count
     rng = np.random.Generator(np.random.Philox(np.uint64(555)))
     bits = rng.integers(0, 2, size=(2000, g), dtype=np.int64)
@@ -249,15 +249,15 @@ def test_sorted_matching_is_optimal_in_one_dimension():
     for _ in range(200):
         m = int(rng.choice([4, 6, 8]))
         values = rng.normal(0.0, 1.0, m)
-        items = [
-            ClusterRecord(
-                cluster_id=f"c{i:02d}",
-                n_total=1,
-                sampled_outcomes=(),
-                covariates=(float(values[i]),),
-            )
-            for i in range(m)
-        ]
+        items = build_dataset(  # a clusters-only table: no treatment, no outcomes
+            cluster_ids=[f"c{i:02d}" for i in range(m)],
+            n_total=np.ones(m, dtype=np.int64),
+            X=values.reshape(m, 1),
+            treatment=None,
+            outcomes=None,
+            offsets=None,
+        )
+        # ids c00..c07 sort in index order, so design indices address values
         design = pair_sorted_scalar(items, key=0)
         cost = design_cost(design, values)
         best = min_matching_cost(list(values))
@@ -283,9 +283,9 @@ def test_unit_clusters_reduce_to_scalar_matched_pairs():
         rt = randomization_test(ds, design, mode="exact")
         pairs_y = []
         for a, b in design.pairs():
-            ca, cb = ds.clusters[a], ds.clusters[b]
-            treated, control = (ca, cb) if ca.treatment == 1 else (cb, ca)
-            pairs_y.append((treated.sampled_outcomes[0], control.sampled_outcomes[0]))
+            treated, control = (a, b) if ds.treatment[a] == 1 else (b, a)
+            y_treated, y_control = ds.outcomes[ds.offsets[[treated, control]]].tolist()
+            pairs_y.append((y_treated, y_control))
         ref = unit_level_reference(pairs_y)
         ref_p = unit_level_randomization_p(pairs_y)
         worst = max(

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -25,7 +24,7 @@ def write_analysis_fixture(tmp_path, ds, design):
     clusters = tmp_path / "clusters.csv"
     design_path = tmp_path / "design.csv"
     write_dataset(ds, units, clusters)
-    write_design(design, ds.clusters, design_path)
+    write_design(design, ds, design_path)
     return str(units), str(clusters), str(design_path)
 
 
@@ -40,7 +39,7 @@ class TestPipeline:
     def test_match_assign_analyze_randtest(self, tmp_path, capsys):
         full, _, _ = generate_trial(preset("size_heterogeneous"), pair_count=6, seed=3)
         bare = build_dataset(
-            [dataclasses.replace(c, treatment=None) for c in full.clusters]
+            full.cluster_ids, full.n_total, full.X, None, full.outcomes, full.offsets
         )
         units = tmp_path / "units.csv"
         clusters = tmp_path / "clusters.csv"
@@ -337,6 +336,23 @@ class TestInputValidation:
         assert payload["error"] == "DataError"
         assert "4 clusters" in payload["message"] and "8 clusters" in payload["message"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+    @pytest.mark.parametrize("command", ["analyze", "randtest", "simulate"])
+    def test_nonfinite_effect_is_usage_error(self, tmp_path, capsys, command, value):
+        units, clusters, design = unit_fixture(tmp_path)
+        argv = {
+            "analyze": ["analyze", "--units", units, "--clusters", clusters, "--design", design,
+                        f"--delta0={value}"],
+            "randtest": ["randtest", "--units", units, "--clusters", clusters, "--design", design,
+                         f"--delta0={value}"],
+            "simulate": ["simulate", "--preset", "null", "--pairs", "4", "--reps", "2",
+                         "--seed", "1", f"--null-delta={value}"],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 64
+        assert "finite number" in capsys.readouterr().err
+
     def test_largest_seed_is_accepted(self, tmp_path, capsys):
         _, clusters, design = unit_fixture(tmp_path)
         code, out, _ = run_cli(
@@ -346,6 +362,105 @@ class TestInputValidation:
         )
         assert code == 0
         assert json.loads(out)["seed"] == 2**64 - 1
+
+
+class TestBoundaryErrors:
+    """Malformed input of every kind exits 2 with a typed JSON error."""
+
+    def run_analyze(self, tmp_path, capsys, spoil):
+        units, clusters, design = unit_fixture(tmp_path)
+        spoil(units=units, clusters=clusters, design=design)
+        return run_cli(
+            ["analyze", "--units", units, "--clusters", clusters, "--design", design], capsys
+        )
+
+    @staticmethod
+    def append(path, data: bytes):
+        with open(path, "ab") as fh:
+            fh.write(data)
+
+    @pytest.mark.parametrize(
+        "kind,row",
+        [
+            ("units", b"c000,u2,2,5\n"),  # a decimal comma adds a field
+            ("clusters", b"c004,2,0,1,1\n"),
+            ("design", b"2,0,c004,extra\n"),
+        ],
+    )
+    def test_row_with_another_field_count(self, tmp_path, capsys, kind, row):
+        code, stdout, err = self.run_analyze(
+            tmp_path, capsys, lambda **paths: self.append(paths[kind], row)
+        )
+        assert (code, stdout) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert f"{kind} CSV line" in payload["message"]
+        assert "fields where the header has" in payload["message"]
+
+    def test_design_with_bad_pair_index(self, tmp_path, capsys):
+        def spoil(design, **_):
+            with open(design, "w", encoding="utf-8") as fh:
+                fh.write("pair_index,position,cluster_id\n0,0,c000\n0,1,c001\nx,0,c002\n1,1,c003\n")
+
+        code, _, err = self.run_analyze(tmp_path, capsys, spoil)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload == {"error": "DataError", "message": "design CSV line 4: bad pair_index 'x'"}
+
+    @pytest.mark.parametrize("kind", ["units", "clusters", "design"])
+    def test_file_that_is_not_utf8(self, tmp_path, capsys, kind):
+        code, _, err = self.run_analyze(
+            tmp_path, capsys, lambda **paths: self.append(paths[kind], b"\xff\xfe\n")
+        )
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert "is not UTF-8" in payload["message"]
+
+    def test_sorted_matching_without_covariates(self, tmp_path, capsys):
+        clusters = tmp_path / "clusters.csv"
+        clusters.write_text("cluster_id,n_total\na,2\nb,3\nc,2\nd,2\n")
+        code, _, err = run_cli(
+            ["match", "--clusters", str(clusters), "--mode", "sorted_x",
+             "--out", str(tmp_path / "d.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "DataError"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("{", "Expecting property name"),
+            ('{"outcomes": 1', "delimiter"),
+            (json.dumps({**preset("null").to_json_dict(), "outcomes": {"alpha0": 1.0, "alpha1": 1.0, "gamma": 2.0}}),
+             "unexpected keyword argument 'gamma'"),
+            (json.dumps({**preset("null").to_json_dict(), "covariates": {"kind": "uniform", "params": [0.0]}}),
+             "exactly two parameters"),
+            (json.dumps([1, 2]), "TypeError"),
+        ],
+    )  # fmt: skip
+    def test_bad_dgp_json(self, tmp_path, capsys, text, message):
+        path = tmp_path / "dgp.json"
+        path.write_text(text)
+        code, stdout, err = run_cli(
+            ["simulate", "--dgp-json", str(path), "--pairs", "4", "--reps", "2", "--seed", "1"],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert message in payload["message"]
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--pairs", "1"), ("--reps", "0"), ("--oracle-draws", "-1")]
+    )
+    def test_simulate_size_out_of_range_is_usage_error(self, capsys, flag, value):
+        argv = ["simulate", "--preset", "null", "--pairs", "4", "--reps", "2", "--seed", "1"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + [flag, value])
+        assert excinfo.value.code == 64
+        assert flag in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -1,17 +1,24 @@
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_dataset, random_dataset
+from helpers import (
+    assert_same_columns,
+    csr,
+    identity_design,
+    make_dataset,
+    random_dataset,
+)
 from pairedcrt.core import (
-    ClusterRecord,
     build_dataset,
     load_dataset,
     read_clusters,
     read_units,
-    summarize,
     write_clusters,
     write_dataset,
 )
@@ -26,66 +33,96 @@ from pairedcrt.errors import (
     SampleExceedsSize,
     UnknownCluster,
 )
+from pairedcrt.inference import infer
 
 
-def record(cid, n=2, outs=(1.0,), xs=(0.0,), t=None):
-    return ClusterRecord(
-        cluster_id=cid, n_total=n, sampled_outcomes=outs, covariates=xs, treatment=t
-    )
+def table(ids="abcd", n=2, outs=None, xs=None, t=None):
+    """Build a dataset of one unit per cluster; keyword values override cluster 0."""
+    m = len(ids)
+    n_total = [n] + [2] * (m - 1)
+    outcomes = [(1.0,)] * m if outs is None else [outs] + [(1.0,)] * (m - 1)
+    covariates = [(0.0,)] * m if xs is None else [xs] + [(0.0,)] * (m - 1)
+    flat, offsets = csr(outcomes)
+    return build_dataset(list(ids), n_total, covariates, t, flat, offsets)
 
 
 class TestBuildDataset:
     def test_sorts_by_cluster_id(self):
-        ds = build_dataset([record("b"), record("d"), record("a"), record("c")])
-        assert [c.cluster_id for c in ds.clusters] == ["a", "b", "c", "d"]
+        # each cluster's outcomes travel with it
+        flat, offsets = csr([(2.0,), (4.0, 4.5), (1.0,), (3.0,)])
+        ds = build_dataset(
+            ["b", "d", "a", "c"], [2, 4, 1, 3], [[2.0], [4.0], [1.0], [3.0]], [0, 1, 1, 0],
+            flat, offsets,
+        )  # fmt: skip
+        assert ds.cluster_ids == ("a", "b", "c", "d")
+        assert ds.n_total.tolist() == [1, 2, 3, 4]
+        assert ds.X.tolist() == [[1.0], [2.0], [3.0], [4.0]]
+        assert ds.treatment.tolist() == [1, 0, 0, 1]
+        assert ds.outcomes.tolist() == [1.0, 2.0, 3.0, 4.0, 4.5]
+        assert ds.offsets.tolist() == [0, 1, 2, 3, 5]
+        assert ds.ybar.tolist() == [1.0, 2.0, 3.0, 4.25]
         assert ds.covariate_dim == 1
         assert ds.n_pairs == 2
 
+    def test_columns_are_read_only(self):
+        ds = table()
+        for column in (ds.n_total, ds.X, ds.outcomes, ds.offsets, ds.n_sampled, ds.ybar):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
     def test_rejects_odd_or_tiny_counts(self):
         with pytest.raises(OddClusterCount):
-            build_dataset([record("a"), record("b")])
+            table(ids="ab")
         with pytest.raises(OddClusterCount):
-            build_dataset([record(f"c{i}") for i in range(5)])
+            table(ids="abcde")
 
     def test_rejects_ragged_covariates(self):
-        recs = [record("a"), record("b"), record("c"), record("d", xs=(0.0, 1.0))]
         with pytest.raises(RaggedCovariates):
-            build_dataset(recs)
+            build_dataset("abcd", [2] * 4, [[0.0], [0.0], [0.0], [0.0, 1.0]])
+        with pytest.raises(RaggedCovariates):
+            build_dataset("abcd", [2] * 4, [0.0, 0.0, 0.0, 0.0])
 
     def test_rejects_partial_treatments(self):
-        recs = [record("a", t=1), record("b", t=0), record("c"), record("d")]
         with pytest.raises(NonBinaryTreatment):
-            build_dataset(recs)
+            table(t=[1, 0, None, None])
 
     def test_rejects_empty_cluster(self):
-        recs = [record("a", outs=()), record("b"), record("c"), record("d")]
-        with pytest.raises(EmptyCluster):
-            build_dataset(recs)
+        with pytest.raises(EmptyCluster, match="'a'"):
+            table(outs=())
 
     def test_rejects_oversampled_cluster(self):
-        recs = [record("a", n=1, outs=(1.0, 2.0)), record("b"), record("c"), record("d")]
-        with pytest.raises(SampleExceedsSize):
-            build_dataset(recs)
+        with pytest.raises(SampleExceedsSize, match="'a'"):
+            table(n=1, outs=(1.0, 2.0))
 
     def test_rejects_nonfinite_values(self):
-        recs = [record("a", outs=(math.nan,)), record("b"), record("c"), record("d")]
-        with pytest.raises(NonFiniteOutcome):
-            build_dataset(recs)
-        recs = [record("a", xs=(math.inf,)), record("b"), record("c"), record("d")]
-        with pytest.raises(DataError):
-            build_dataset(recs)
+        with pytest.raises(NonFiniteOutcome, match="'a'"):
+            table(outs=(1.0, math.nan))
+        with pytest.raises(DataError, match="'a'.*not finite"):
+            table(xs=(math.inf,))
 
     def test_rejects_nonbinary_treatment(self):
-        recs = [record("a", t=2), record("b", t=0), record("c", t=1), record("d", t=0)]
-        with pytest.raises(NonBinaryTreatment):
-            build_dataset(recs)
+        with pytest.raises(NonBinaryTreatment, match="'a'"):
+            table(t=[2, 0, 1, 0])
+
+    def test_rejects_bad_columns(self):
+        with pytest.raises(DataError, match="n_total"):
+            table(n=0)
+        with pytest.raises(DataError, match="n_total"):
+            build_dataset("abcd", [2.0] * 4, [[0.0]] * 4)
+        with pytest.raises(DataError, match="duplicate cluster_id 'a'"):
+            build_dataset("abca", [2] * 4, [[0.0]] * 4)
+        with pytest.raises(DataError, match="offsets"):
+            build_dataset("abcd", [2] * 4, [[0.0]] * 4, outcomes=[1.0] * 4, offsets=[0, 1, 2, 3])
+        with pytest.raises(DataError, match="together"):
+            build_dataset("abcd", [2] * 4, [[0.0]] * 4, outcomes=[1.0] * 4)
 
     def test_with_treatments(self):
-        ds = build_dataset([record(c) for c in "abcd"])
+        ds = table()
         assert not ds.has_treatments
         ds2 = ds.with_treatments([1, 0, 0, 1])
         assert ds2.has_treatments
-        assert [c.treatment for c in ds2.clusters] == [1, 0, 0, 1]
+        assert ds2.treatment.tolist() == [1, 0, 0, 1]
+        assert ds2.outcomes is ds.outcomes
         with pytest.raises(NonBinaryTreatment):
             ds.with_treatments([1, 0])
         with pytest.raises(NonBinaryTreatment):
@@ -93,17 +130,58 @@ class TestBuildDataset:
 
 
 class TestSummarize:
+    """The per-cluster summaries build_dataset computes: |S_g| and ybar."""
+
     def test_means_and_order(self):
         ds = make_dataset(
             sizes=[3, 2, 4, 2],
             outcomes=[(1.0, 2.0, 3.0), (0.5,), (4.0, 0.0), (2.0, 2.0)],
             treatments=[1, 0, 0, 1],
         )
-        s = summarize(ds)
-        assert [x.cluster_id for x in s] == [c.cluster_id for c in ds.clusters]
-        assert [x.ybar for x in s] == pytest.approx([2.0, 0.5, 2.0, 2.0])
-        assert [x.n_sampled for x in s] == [3, 1, 2, 2]
-        assert [x.treatment for x in s] == [1, 0, 0, 1]
+        assert ds.cluster_ids == ("c000", "c001", "c002", "c003")
+        assert ds.ybar.tolist() == pytest.approx([2.0, 0.5, 2.0, 2.0])
+        assert ds.n_sampled.tolist() == [3, 1, 2, 2]
+        assert ds.treatment.tolist() == [1, 0, 0, 1]
+
+    def test_overflowing_sum_rejected(self):
+        with pytest.raises(DataError, match="'c000'.*overflows"):
+            make_dataset(sizes=[2, 1, 1, 1], outcomes=[(1e308, 1e308), (0.0,), (0.0,), (0.0,)])
+
+    def test_mean_is_the_exactly_rounded_sum(self):
+        # a left-to-right sum gives 0.0 here; math.fsum gives the exact 1.0
+        ds = make_dataset(sizes=[3, 1, 1, 1], outcomes=[(1e16, 1.0, -1e16), (0.0,), (0.0,), (0.0,)])
+        assert ds.ybar[0] == 1.0 / 3.0
+
+
+# cluster ids that need CSV quoting: separators, quotes, line breaks, spaces
+ids_text = st.text(alphabet='ab,"\n ', min_size=1, max_size=4)
+
+
+@st.composite
+def datasets(draw, bound=1e300):
+    """Valid datasets with awkward ids, floats up to ``bound`` in magnitude
+    and one treated cluster in each pair of rows (2j, 2j + 1)."""
+    finite = st.floats(-bound, bound)
+    g = draw(st.integers(2, 5))
+    ids = sorted(draw(st.lists(ids_text, min_size=2 * g, max_size=2 * g, unique=True)))
+    counts = draw(st.lists(st.integers(1, 4), min_size=2 * g, max_size=2 * g))
+    n_total = [c + draw(st.integers(0, 3)) for c in counts]
+    outcomes = [draw(st.lists(finite, min_size=c, max_size=c)) for c in counts]
+    k = draw(st.integers(0, 2))
+    x = [draw(st.lists(finite, min_size=k, max_size=k)) for _ in range(2 * g)]
+    treatment = [0] * (2 * g)
+    for j in range(g):
+        treatment[2 * j + draw(st.integers(0, 1))] = 1
+    flat, offsets = csr(outcomes)
+    return build_dataset(ids, n_total, np.array(x).reshape(2 * g, k), treatment, flat, offsets)
+
+
+def rewrite_rows(path, order):
+    """Rewrite a CSV with its data rows in ``order`` (header kept first)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + [rows[i] for i in order])
 
 
 class TestCsvRoundTrip:
@@ -111,23 +189,58 @@ class TestCsvRoundTrip:
         ds = random_dataset(rng, pairs=4)
         units, clusters = tmp_path / "units.csv", tmp_path / "clusters.csv"
         write_dataset(ds, units, clusters)
-        back = load_dataset(units, clusters)
-        assert back.covariate_dim == ds.covariate_dim
-        for a, b in zip(ds.clusters, back.clusters):
-            assert a.cluster_id == b.cluster_id
-            assert a.n_total == b.n_total
-            assert a.treatment == b.treatment
-            assert a.sampled_outcomes == b.sampled_outcomes
-            assert a.covariates == b.covariates
+        assert_same_columns(load_dataset(units, clusters), ds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ds=datasets(), with_treatments=st.booleans())
+    def test_any_dataset_round_trips(self, tmp_path_factory, ds, with_treatments):
+        if not with_treatments:
+            ds = build_dataset(ds.cluster_ids, ds.n_total, ds.X, None, ds.outcomes, ds.offsets)
+        path = tmp_path_factory.mktemp("csv")
+        units, clusters = path / "units.csv", path / "clusters.csv"
+        write_dataset(ds, units, clusters)
+        assert len(read_units(units)) == len(ds.outcomes)
+        assert_same_columns(load_dataset(units, clusters), ds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ds=datasets(bound=1e6), data=st.data())
+    def test_row_order_changes_nothing(self, tmp_path_factory, ds, data):
+        path = tmp_path_factory.mktemp("csv")
+        units, clusters = path / "units.csv", path / "clusters.csv"
+        write_dataset(ds, units, clusters)
+        # clusters in any order; units interleaved across clusters at random,
+        # each cluster's own units keeping their order
+        rewrite_rows(clusters, data.draw(st.permutations(range(ds.n_clusters))))
+        cluster_of_slot = data.draw(
+            st.permutations(np.repeat(np.arange(ds.n_clusters), ds.n_sampled).tolist())
+        )
+        taken = ds.offsets[:-1].copy()
+        order = []
+        for c in cluster_of_slot:
+            order.append(int(taken[c]))
+            taken[c] += 1
+        rewrite_rows(units, order)
+        shuffled = load_dataset(units, clusters)
+        assert_same_columns(shuffled, ds)
+        design = identity_design(ds.n_pairs)
+        assert infer(shuffled, design) == infer(ds, design)
 
     def test_clusters_round_trip_without_treatment(self, rng, tmp_path):
         ds = random_dataset(rng, pairs=3, with_treatments=False)
         path = tmp_path / "clusters.csv"
-        write_clusters(ds.clusters, path)
+        write_clusters(ds, path)
         back = read_clusters(path)
-        assert [r.cluster_id for r in back] == [c.cluster_id for c in ds.clusters]
-        assert all(r.treatment is None for r in back)
-        assert [r.covariates for r in back] == [c.covariates for c in ds.clusters]
+        assert back.cluster_ids == ds.cluster_ids
+        assert back.treatment is None and back.outcomes is None and back.ybar is None
+        assert back.X.tobytes() == ds.X.tobytes()
+
+
+def units_csv(body):
+    return io.StringIO("cluster_id,unit_id,outcome\n" + body)
+
+
+def four_clusters(extra=""):
+    return io.StringIO("cluster_id,n_total,x1\na,2,0\nb,1,0\nc,1,0\nd,1,0\n" + extra)
 
 
 class TestReaders:
@@ -137,14 +250,43 @@ class TestReaders:
             read_units(src)
 
     def test_units_bad_outcome(self):
-        src = io.StringIO("cluster_id,unit_id,outcome\na,u1,oops\n")
-        with pytest.raises(DataError):
-            read_units(src)
+        with pytest.raises(DataError, match="line 3: bad outcome 'oops'"):
+            read_units(units_csv("a,u1,1.0\na,u2,oops\n"))
 
     def test_units_nonfinite_outcome(self):
-        src = io.StringIO("cluster_id,unit_id,outcome\na,u1,inf\n")
-        with pytest.raises(NonFiniteOutcome):
-            read_units(src)
+        with pytest.raises(NonFiniteOutcome, match="line 2"):
+            read_units(units_csv("a,u1,inf\n"))
+
+    def test_units_are_one_record_per_row(self):
+        units = read_units(units_csv("a,u1,1.5\n\nb,u1,-2\na,u2,0.25\n"))
+        assert len(units) == 3
+        assert units["cluster_id"].tolist() == ["a", "b", "a"]
+        assert units["unit_id"].tolist() == ["u1", "u1", "u2"]
+        assert units["outcome"].tolist() == [1.5, -2.0, 0.25]
+
+    @pytest.mark.parametrize(
+        "read,text",
+        [
+            # a decimal comma splits the outcome into two fields
+            (read_units, "cluster_id,unit_id,outcome\na,u1,1.0\na,u2,2,5\n"),
+            (read_units, "cluster_id,unit_id,outcome\na,u1,1.0\na,u2\n"),
+            (read_clusters, "cluster_id,n_total,x1,treatment\na,2,0.5,1\na,2,0,1,1\n"),
+            (read_clusters, "cluster_id,n_total,x1\na,2,0.5\nb,2\n"),
+        ],
+    )
+    def test_field_count_must_match_header(self, read, text):
+        with pytest.raises(DataError, match="line 3: .* fields where the header has"):
+            read(io.StringIO(text))
+
+    def test_repeated_column_rejected(self):
+        with pytest.raises(DataError, match="repeats a column"):
+            read_clusters(io.StringIO("cluster_id,n_total,x1,x1\na,2,0.1,0.2\n"))
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "units.csv"
+        path.write_bytes("cluster_id,unit_id,outcome\nKöln,u1,1.0\n".encode("latin-1"))
+        with pytest.raises(DataError, match="units.csv' is not UTF-8"):
+            read_units(path)
 
     def test_clusters_header_required(self):
         with pytest.raises(DataError):
@@ -162,18 +304,24 @@ class TestReaders:
 
     def test_duplicate_cluster_rejected(self):
         src = io.StringIO("cluster_id,n_total,x1\na,2,0.1\na,3,0.2\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="line 3: duplicate cluster_id 'a'"):
             read_clusters(src)
 
     def test_treatment_values_validated(self):
         src = io.StringIO("cluster_id,n_total,x1,treatment\na,2,0.1,9\n")
-        with pytest.raises(NonBinaryTreatment):
+        with pytest.raises(NonBinaryTreatment, match="line 2"):
             read_clusters(src)
 
     @pytest.mark.parametrize("n_total", ["0", "-3"])
     def test_nonpositive_n_total_rejected(self, n_total):
         src = io.StringIO(f"cluster_id,n_total,x1\na,2,0.1\nb,{n_total},0.2\n")
         with pytest.raises(DataError, match="'b'.*n_total"):
+            read_clusters(src)
+
+    @pytest.mark.parametrize("n_total", ["2.5", "x", str(2**64)])
+    def test_bad_n_total_rejected(self, n_total):
+        src = io.StringIO(f"cluster_id,n_total,x1\na,2,0.1\nb,{n_total},0.2\n")
+        with pytest.raises(DataError, match="line 3: bad n_total"):
             read_clusters(src)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -183,37 +331,22 @@ class TestReaders:
             read_clusters(src)
 
     def test_covariates_parse_in_order(self):
-        src = io.StringIO("cluster_id,n_total,x2,x1\na,2,0.2,0.1\n")
-        recs = read_clusters(src)
-        assert recs[0].covariates == (0.1, 0.2)
+        src = io.StringIO("cluster_id,n_total,x2,x1\nd,2,0.4,0.3\nc,2,0.2,0.1\na,2,0,0\nb,2,0,0\n")
+        ds = read_clusters(src)
+        assert ds.cluster_ids == ("a", "b", "c", "d")
+        assert ds.X.tolist() == [[0.0, 0.0], [0.0, 0.0], [0.1, 0.2], [0.3, 0.4]]
 
     def test_load_rejects_unknown_cluster_reference(self):
-        units = io.StringIO("cluster_id,unit_id,outcome\nghost,u1,1.0\n")
-        clusters = io.StringIO(
-            "cluster_id,n_total,x1\na,1,0\nb,1,0\nc,1,0\nd,1,0\n"
-        )
-        with pytest.raises(UnknownCluster):
-            load_dataset(units, clusters)
+        with pytest.raises(UnknownCluster, match="line 3: unit 'u1' references unknown"):
+            load_dataset(units_csv("a,u1,1.0\nghost,u1,1.0\n"), four_clusters())
 
     def test_load_rejects_duplicate_unit(self):
-        units = io.StringIO(
-            "cluster_id,unit_id,outcome\n"
-            + "".join(f"{c},u1,1.0\n" for c in "abcd")
-            + "a,u1,2.0\n"
-        )
-        clusters = io.StringIO(
-            "cluster_id,n_total,x1\na,2,0\nb,1,0\nc,1,0\nd,1,0\n"
-        )
-        with pytest.raises(DuplicateUnit):
-            load_dataset(units, clusters)
+        units = units_csv("".join(f"{c},u1,1.0\n" for c in "abcd") + "a,u1,2.0\n")
+        with pytest.raises(DuplicateUnit, match="line 6"):
+            load_dataset(units, four_clusters())
 
     def test_load_keeps_unit_order(self):
-        units = io.StringIO(
-            "cluster_id,unit_id,outcome\na,u1,3.0\na,u2,1.0\n"
-            + "".join(f"{c},u1,0.0\n" for c in "bcd")
-        )
-        clusters = io.StringIO(
-            "cluster_id,n_total,x1\na,2,0\nb,1,0\nc,1,0\nd,1,0\n"
-        )
-        ds = load_dataset(units, clusters)
-        assert ds.clusters[0].sampled_outcomes == (3.0, 1.0)
+        units = units_csv("b,u1,0.0\na,u1,3.0\nc,u1,0.0\na,u2,1.0\nd,u1,0.0\n")
+        ds = load_dataset(units, four_clusters())
+        assert ds.outcomes.tolist() == [3.0, 1.0, 0.0, 0.0, 0.0]
+        assert ds.offsets.tolist() == [0, 2, 3, 4, 5]

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import make_dataset, random_dataset
-from pairedcrt.core import summarize
-from pairedcrt.errors import EmptyArm, MissingTreatment
-from pairedcrt.estimation import (
-    estimate_equal_weighted,
-    estimate_size_weighted,
-    wls_oracle,
-)
+from helpers import make_dataset, random_dataset, with_outcomes, wls_oracle
+from pairedcrt.core import build_dataset
+from pairedcrt.errors import DataError, EmptyArm, MissingTreatment
+from pairedcrt.estimation import estimate_equal_weighted, estimate_size_weighted
 
 
 def hand_dataset():
@@ -23,7 +19,7 @@ def hand_dataset():
 
 class TestSizeWeighted:
     def test_hand_example(self):
-        est = estimate_size_weighted(summarize(hand_dataset()))
+        est = estimate_size_weighted(hand_dataset())
         assert est.mu1 == pytest.approx(2.0)
         assert est.mu0 == pytest.approx(10.0 / 3.0)
         assert est.delta_hat == pytest.approx(2.0 - 10.0 / 3.0)
@@ -38,31 +34,36 @@ class TestSizeWeighted:
             treatments=[1, 0, 1, 0],
             outcomes=[(5.0,), (1.0,), (0.0,), (3.0,)],
         )
-        est = estimate_size_weighted(summarize(ds))
+        est = estimate_size_weighted(ds)
         assert est.mu1 == pytest.approx((100 * 5.0 + 1 * 0.0) / 101)
         assert est.mu0 == pytest.approx((1 * 1.0 + 100 * 3.0) / 101)
 
     def test_requires_treatments(self):
         ds = make_dataset(sizes=[1, 1, 1, 1], ybars=[1.0, 2.0, 3.0, 4.0])
         with pytest.raises(MissingTreatment):
-            estimate_size_weighted(summarize(ds))
+            estimate_size_weighted(ds)
+
+    def test_requires_outcomes(self):
+        clusters_only = build_dataset("abcd", [1, 1, 1, 1], [[0.0]] * 4, [1, 0, 1, 0])
+        with pytest.raises(DataError, match="sampled outcomes"):
+            estimate_size_weighted(clusters_only)
 
     def test_empty_arm_rejected(self):
         ds = make_dataset(
             sizes=[1, 1, 1, 1], ybars=[1.0, 2.0, 3.0, 4.0], treatments=[1, 1, 1, 1]
         )
         with pytest.raises(EmptyArm):
-            estimate_size_weighted(summarize(ds))
+            estimate_size_weighted(ds)
 
 
 class TestEqualWeighted:
     def test_hand_example(self):
-        est = estimate_equal_weighted(summarize(hand_dataset()))
+        est = estimate_equal_weighted(hand_dataset())
         assert est.delta_hat == pytest.approx((1.0 + 3.0) / 2 - (2.0 + 4.0) / 2)
         assert est.estimand == "equal_weighted"
 
     def test_differs_from_size_weighted_when_sizes_vary(self):
-        s = summarize(hand_dataset())
+        s = hand_dataset()
         assert estimate_equal_weighted(s).delta_hat != pytest.approx(
             estimate_size_weighted(s).delta_hat
         )
@@ -71,43 +72,25 @@ class TestEqualWeighted:
 class TestInvariances:
     def test_shift_and_scale(self, rng):
         ds = random_dataset(rng, pairs=4)
-        base = estimate_size_weighted(summarize(ds)).delta_hat
-        shifted = make_like(ds, lambda y: y + 5.0)
-        scaled = make_like(ds, lambda y: 3.0 * y)
-        assert estimate_size_weighted(summarize(shifted)).delta_hat == pytest.approx(
-            base, abs=1e-12
-        )
-        assert estimate_size_weighted(summarize(scaled)).delta_hat == pytest.approx(
-            3.0 * base, abs=1e-12
-        )
+        base = estimate_size_weighted(ds).delta_hat
+        shifted = with_outcomes(ds, lambda y, _: y + 5.0)
+        scaled = with_outcomes(ds, lambda y, _: 3.0 * y)
+        assert estimate_size_weighted(shifted).delta_hat == pytest.approx(base, abs=1e-12)
+        assert estimate_size_weighted(scaled).delta_hat == pytest.approx(3.0 * base, abs=1e-12)
 
     def test_label_swap_negates(self, rng):
         ds = random_dataset(rng, pairs=4)
-        flipped = ds.with_treatments([1 - c.treatment for c in ds.clusters])
-        assert estimate_size_weighted(summarize(flipped)).delta_hat == pytest.approx(
-            -estimate_size_weighted(summarize(ds)).delta_hat
+        flipped = ds.with_treatments(1 - ds.treatment)
+        assert estimate_size_weighted(flipped).delta_hat == pytest.approx(
+            -estimate_size_weighted(ds).delta_hat
         )
-
-
-def make_like(ds, transform):
-    import dataclasses
-
-    records = [
-        dataclasses.replace(
-            c, sampled_outcomes=tuple(transform(y) for y in c.sampled_outcomes)
-        )
-        for c in ds.clusters
-    ]
-    from pairedcrt.core import build_dataset
-
-    return build_dataset(records)
 
 
 class TestWlsEquivalence:
     def test_matches_size_weighted_on_random_data(self, rng):
         for _ in range(20):
             ds = random_dataset(rng, pairs=int(rng.integers(2, 7)))
-            sw = estimate_size_weighted(summarize(ds)).delta_hat
+            sw = estimate_size_weighted(ds).delta_hat
             assert abs(wls_oracle(ds) - sw) < 1e-10
 
     def test_one_arm_raises(self):

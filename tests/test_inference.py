@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -12,10 +11,10 @@ from helpers import (
     pair_statistics_reference,
     random_dataset,
     unit_level_reference,
+    with_outcomes,
 )
-from pairedcrt.core import build_dataset, summarize
 from pairedcrt.errors import DataError, MissingTreatment, TooFewPairs
-from pairedcrt.estimation import summary_arrays
+from pairedcrt.estimation import kernel_inputs
 from pairedcrt.inference import EPS_FLOOR, adjusted_outcomes, infer, pair_statistics
 from pairedcrt.randtest import _COMPARE_TOL, statistic_batch, swap_treatments
 
@@ -25,7 +24,7 @@ class TestAdjustedOutcomes:
         ds = make_dataset(
             sizes=[2, 4, 2, 4], ybars=[1.0, 2.0, 3.0, 4.0], treatments=[1, 0, 1, 0]
         )
-        adj = adjusted_outcomes(summarize(ds))
+        adj = adjusted_outcomes(ds)
         assert adj.nbar == pytest.approx(3.0)
         assert adj.arm_weighted_means == pytest.approx((2.0, 3.0))
         assert adj.yhat == pytest.approx([-2.0 / 3.0, -4.0 / 3.0, 2.0 / 3.0, 4.0 / 3.0])
@@ -33,24 +32,19 @@ class TestAdjustedOutcomes:
     def test_sums_to_zero_within_arms(self, rng):
         for _ in range(10):
             ds = random_dataset(rng, pairs=int(rng.integers(2, 8)))
-            adj = adjusted_outcomes(summarize(ds))
-            d = np.array([c.treatment for c in ds.clusters])
+            adj = adjusted_outcomes(ds)
+            d = ds.treatment
             assert abs(adj.yhat[d == 1].sum()) < 1e-10
             assert abs(adj.yhat[d == 0].sum()) < 1e-10
 
     def test_requires_treatments(self):
         ds = make_dataset(sizes=[1, 1, 1, 1], ybars=[1.0, 2.0, 3.0, 4.0])
         with pytest.raises(MissingTreatment):
-            adjusted_outcomes(summarize(ds))
+            adjusted_outcomes(ds)
 
 
 def unit_dataset(ys, ts):
     return make_dataset(sizes=[1] * len(ys), ybars=ys, treatments=ts)
-
-
-def kernel_inputs(ds):
-    n, _, ybar, d = summary_arrays(summarize(ds))
-    return n, ybar, d
 
 
 class TestVarianceEstimate:
@@ -229,17 +223,8 @@ class TestInfer:
         ds = random_dataset(rng, pairs=4)
         base = infer(ds, identity_design(4))
 
-        def transform(f):
-            records = [
-                dataclasses.replace(
-                    c, sampled_outcomes=tuple(f(y) for y in c.sampled_outcomes)
-                )
-                for c in ds.clusters
-            ]
-            return build_dataset(records)
-
-        shifted = infer(transform(lambda y: y + 7.0), identity_design(4))
-        scaled = infer(transform(lambda y: 2.0 * y), identity_design(4))
+        shifted = infer(with_outcomes(ds, lambda y, _: y + 7.0), identity_design(4))
+        scaled = infer(with_outcomes(ds, lambda y, _: 2.0 * y), identity_design(4))
         assert shifted.z == pytest.approx(base.z)
         assert shifted.estimate.delta_hat == pytest.approx(base.estimate.delta_hat)
         assert scaled.z == pytest.approx(base.z)
@@ -248,7 +233,7 @@ class TestInfer:
 
     def test_treatment_relabel_negates_z(self, rng):
         ds = random_dataset(rng, pairs=4)
-        flipped = ds.with_treatments([1 - c.treatment for c in ds.clusters])
+        flipped = ds.with_treatments(1 - ds.treatment)
         a = infer(ds, identity_design(4))
         b = infer(flipped, identity_design(4))
         assert b.z == pytest.approx(-a.z)
@@ -258,16 +243,7 @@ class TestInfer:
     def test_shifted_null_matches_shifted_data(self, rng):
         ds = random_dataset(rng, pairs=5)
         effect = 1.75
-        records = [
-            dataclasses.replace(
-                c,
-                sampled_outcomes=tuple(
-                    y + effect * c.treatment for y in c.sampled_outcomes
-                ),
-            )
-            for c in ds.clusters
-        ]
-        boosted = build_dataset(records)
+        boosted = with_outcomes(ds, lambda y, cluster: y + effect * ds.treatment[cluster])
         base = infer(ds, identity_design(5), delta0=0.0)
         tested = infer(boosted, identity_design(5), delta0=effect)
         assert tested.z == pytest.approx(base.z)

@@ -14,8 +14,8 @@ from helpers import (
     min_matching_cost,
     order_pairs_reference,
 )
-from pairedcrt.core import ClusterRecord
-from pairedcrt.errors import DataError, NonScalarKey, OddClusterCount
+from pairedcrt.core import build_dataset
+from pairedcrt.errors import DataError, OddClusterCount
 from pairedcrt.matching import (
     MatchedDesign,
     imbalance_report,
@@ -29,18 +29,12 @@ from pairedcrt.matching import (
 
 
 def items_from(xs, sizes=None, ids=None):
+    """A clusters-only dataset; rows are sorted by id, so give ids in order
+    wherever a test indexes rows by input position."""
     m = len(xs)
     sizes = sizes or [1] * m
     ids = ids or [f"c{i:03d}" for i in range(m)]
-    return [
-        ClusterRecord(
-            cluster_id=ids[i],
-            n_total=int(sizes[i]),
-            sampled_outcomes=(),
-            covariates=tuple(np.atleast_1d(xs[i]).astype(float)),
-        )
-        for i in range(m)
-    ]
+    return build_dataset(ids, sizes, np.array(xs, dtype=float).reshape(m, -1))
 
 
 class TestMatchedDesign:
@@ -85,26 +79,26 @@ class TestPairSortedScalar:
         assert design.pairs() == [(1, 3), (2, 0)]
         assert not design.matched_on_size
 
-    def test_callable_key_matches_index_key(self):
-        items = items_from([4.0, 1.0, 3.0, 2.0])
-        a = pair_sorted_scalar(items, key=0)
-        b = pair_sorted_scalar(items, key=lambda it: it.covariates[0])
-        assert a.permutation == b.permutation
-
     def test_ties_break_by_cluster_id(self):
         items = items_from([1.0, 1.0, 1.0, 1.0], ids=["d", "c", "b", "a"])
         design = pair_sorted_scalar(items)
-        ids = [items[i].cluster_id for i in design.permutation]
+        ids = [items.cluster_ids[i] for i in design.permutation]
         assert ids == ["a", "b", "c", "d"]
-
-    def test_rejects_nonscalar_key(self):
-        items = items_from([[1.0, 2.0]] * 4)
-        with pytest.raises(NonScalarKey):
-            pair_sorted_scalar(items, key=lambda it: it.covariates)
 
     def test_rejects_odd_count(self):
         with pytest.raises(OddClusterCount):
             pair_sorted_scalar(items_from([1.0, 2.0, 3.0]))
+
+    def test_rejects_missing_covariate(self):
+        with pytest.raises(DataError, match="covariate x2"):
+            pair_sorted_scalar(items_from([1.0, 2.0, 3.0, 4.0]), key=1)
+        no_covariates = build_dataset("abcd", [1, 2, 3, 4], np.empty((4, 0)))
+        with pytest.raises(DataError, match="covariate x1"):
+            pair_sorted_scalar(no_covariates)
+        with pytest.raises(DataError, match="no covariates"):
+            pair_greedy_nn(no_covariates)
+        # cluster size alone is a feature
+        assert pair_greedy_nn(no_covariates, include_size=True).pair_count == 2
 
     def test_optimal_in_one_dimension(self, rng):
         for _ in range(30):
@@ -185,9 +179,9 @@ class TestAgainstTensorReference:
     @given(items=tied_items(), include_size=st.booleans(), data=st.data())
     def test_pair_order_of_any_design_without_scores(self, items, include_size, data):
         # designs read from CSV carry no scores; any pairing may come in
-        perm = tuple(data.draw(st.permutations(range(len(items)))))
+        perm = tuple(data.draw(st.permutations(range(items.n_clusters))))
         design = MatchedDesign(
-            permutation=perm, pair_count=len(items) // 2, matched_on_size=include_size
+            permutation=perm, pair_count=items.n_pairs, matched_on_size=include_size
         )
         assert (
             order_pairs_for_variance(design, items).permutation
@@ -196,29 +190,20 @@ class TestAgainstTensorReference:
 
 
 class TestNonFiniteFeatures:
+    """A Dataset never holds a non-finite covariate, so none reaches a matcher."""
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_greedy_nn_rejects(self, bad):
-        items = items_from([[0.0, 1.0], [1.0, 2.0], [2.0, bad], [3.0, 1.0]])
         with pytest.raises(DataError, match="'c002'"):
-            pair_greedy_nn(items)
-
-    def test_greedy_nn_rejects_selected_feature(self):
-        items = items_from([0.0, 1.0, 2.0, 3.0])
-        def feature(item):
-            return [math.nan if item.cluster_id == "c003" else 0.0]
-
-        with pytest.raises(DataError, match="'c003'"):
-            pair_greedy_nn(items, features=feature)
+            pair_greedy_nn(items_from([[0.0, 1.0], [1.0, 2.0], [2.0, bad], [3.0, 1.0]]))
 
     def test_sorted_scalar_rejects(self):
-        items = items_from([0.0, math.nan, 2.0, 3.0])
         with pytest.raises(DataError, match="'c001'"):
-            pair_sorted_scalar(items)
+            pair_sorted_scalar(items_from([0.0, math.nan, 2.0, 3.0]))
 
     def test_pair_order_rejects_when_recomputing_scores(self):
-        items = items_from([0.0, 1.0, math.inf, 3.0])
         with pytest.raises(DataError, match="'c002'"):
-            order_pairs_for_variance(identity_design(2), items)
+            order_pairs_for_variance(identity_design(2), items_from([0.0, 1.0, math.inf, 3.0]))
 
 
 def test_memory_is_linear_in_cluster_count():
@@ -362,6 +347,24 @@ class TestDesignIO:
             "pair_index,position,cluster_id\n0,0,c000\n0,1,ghost\n1,0,c002\n1,1,c003\n"
         )
         with pytest.raises(DataError):
+            read_design(path, items)
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("x,1,c001", "line 3: bad pair_index 'x'"),
+            ("0,1", "line 3: 2 fields where the header has 3"),
+            ("0,1,c001,c004", "line 3: 4 fields where the header has 3"),
+            ("0,2,c001", "line 3: position 2 not in"),
+            ("0,0,c001", "line 3: duplicate slot pair=0 position=0"),
+            ("-1,1,c001", "complete pairs"),
+        ],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, row, message):
+        items = items_from([1.0, 2.0, 3.0, 4.0])
+        path = tmp_path / "design.csv"
+        path.write_text(f"pair_index,position,cluster_id\n0,0,c000\n{row}\n1,0,c002\n1,1,c003\n")
+        with pytest.raises(DataError, match=message):
             read_design(path, items)
 
     def test_incomplete_pairs_rejected(self, tmp_path):

@@ -1,14 +1,12 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import identity_design, make_dataset, random_dataset
+from helpers import identity_design, make_dataset, random_dataset, with_outcomes
 from pairedcrt import randtest
-from pairedcrt.core import build_dataset, summarize
 from pairedcrt.errors import BadB, DataError, MissingTreatment, TooManyPairsForExact
-from pairedcrt.estimation import summary_arrays
+from pairedcrt.estimation import kernel_inputs
 from pairedcrt.inference import infer
 from pairedcrt.randtest import (
     randomization_test,
@@ -24,13 +22,13 @@ def unit_dataset(ys, ts):
 
 def all_statistics(ds, design):
     """The statistic at every one of the 2^G swap patterns, pattern 0 first."""
-    n, _, ybar, d_float = summary_arrays(summarize(ds))
+    n, ybar, _ = kernel_inputs(ds)
     g = design.pair_count
     idx = np.arange(1 << g, dtype=np.uint64)
     bits = ((idx[:, None] >> np.arange(g, dtype=np.uint64)) & np.uint64(1)).astype(
         np.int64
     )
-    dmat = swap_treatments(d_float.astype(np.int64), bits, design.permutation, g)
+    dmat = swap_treatments(ds.treatment, bits, design.permutation, g)
     return statistic_batch(n, ybar, dmat, design.permutation, g)
 
 
@@ -82,26 +80,16 @@ class TestExact:
         ds = random_dataset(rng, pairs=3)
         ts = all_statistics(ds, identity_design(3))
         # relabel treatments by swapping pairs 0 and 2, keep outcomes fixed
-        d = np.array([c.treatment for c in ds.clusters])
         bits = np.array([[1, 0, 1]])
-        d2 = swap_treatments(d.astype(np.int64), bits, identity_design(3).permutation, 3)[0]
-        ds2 = ds.with_treatments(list(d2))
+        d2 = swap_treatments(ds.treatment, bits, identity_design(3).permutation, 3)[0]
+        ds2 = ds.with_treatments(d2)
         ts2 = all_statistics(ds2, identity_design(3))
         assert np.sort(ts) == pytest.approx(np.sort(ts2))
 
     def test_shifted_null_matches_shifted_data(self, rng):
         ds = random_dataset(rng, pairs=3)
         effect = 2.5
-        records = [
-            dataclasses.replace(
-                c,
-                sampled_outcomes=tuple(
-                    y + effect * c.treatment for y in c.sampled_outcomes
-                ),
-            )
-            for c in ds.clusters
-        ]
-        boosted = build_dataset(records)
+        boosted = with_outcomes(ds, lambda y, cluster: y + effect * ds.treatment[cluster])
         base = randomization_test(ds, identity_design(3), mode="exact", delta0=0.0)
         tested = randomization_test(boosted, identity_design(3), mode="exact", delta0=effect)
         assert tested.p_value == base.p_value

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import closed_form_variance, trial_records_reference
-from pairedcrt.core import summarize
+from helpers import COLUMNS, assert_same_columns, closed_form_variance, trial_columns_reference
+from pairedcrt.errors import DataError
 from pairedcrt.matching import imbalance_report
 from pairedcrt.simulation import (
     CovariateLaw,
@@ -15,7 +15,7 @@ from pairedcrt.simulation import (
     SizeLaw,
     MATCH_MODES,
     generate_trial,
-    match_records,
+    match_clusters,
     monte_carlo,
     oracle_variance,
     preset,
@@ -104,6 +104,27 @@ class TestDgpSpec:
         clone = DgpSpec.from_json_dict(json.loads(json.dumps(dgp.to_json_dict())))
         assert clone == dgp
 
+    @pytest.mark.parametrize(
+        "spoil,message",
+        [
+            (lambda p: p["outcomes"].update(gamma=1.0), "unexpected keyword argument 'gamma'"),
+            (lambda p: p["outcomes"].update(alpha1=True), "finite number"),
+            (lambda p: p["covariates"].update(params=[0.0, 1.0, 2.0]), "exactly two"),
+            (lambda p: p["covariates"].update(params=["0", "1"]), "finite number"),
+            (lambda p: p["sizes"].update(params=[10, float("inf"), 0.1]), "finite number"),
+            (lambda p: p["sizes"].update(kind="poisson"), "unknown size law"),
+            (lambda p: p["sampling"].update(q=None), "finite number"),
+            (lambda p: p.pop("sampling"), "KeyError: 'sampling'"),
+            (lambda p: p.update(sampling=[]), "TypeError"),
+            (lambda p: p.update(outcomes=[1.0]), "AttributeError"),
+        ],
+    )
+    def test_malformed_json_is_a_data_error(self, spoil, message):
+        payload = preset("stress").to_json_dict()
+        spoil(payload)
+        with pytest.raises(DataError, match=message):
+            DgpSpec.from_json_dict(payload)
+
     def test_presets_construct(self):
         for name in PRESET_NAMES:
             dgp = preset(name)
@@ -117,14 +138,14 @@ class TestGenerateTrial:
         dgp = preset("constant_effect")
         a, da, _ = generate_trial(dgp, pair_count=5, match_mode="nn_xn", seed=42)
         b, db, _ = generate_trial(dgp, pair_count=5, match_mode="nn_xn", seed=42)
-        assert a == b
+        assert_same_columns(a, b)
         assert da.permutation == db.permutation
 
     def test_seed_changes_data(self):
         dgp = preset("constant_effect")
         a, _, _ = generate_trial(dgp, pair_count=5, seed=42)
         b, _, _ = generate_trial(dgp, pair_count=5, seed=43)
-        assert a != b
+        assert not np.array_equal(a.outcomes, b.outcomes)
 
     def test_structure(self):
         dgp = preset("stress")
@@ -132,14 +153,11 @@ class TestGenerateTrial:
         assert ds.n_clusters == 12
         assert design.pair_count == 6
         assert true_delta == pytest.approx(dgp.true_delta)
-        ids = [c.cluster_id for c in ds.clusters]
-        assert ids == sorted(ids)
+        assert list(ds.cluster_ids) == sorted(ds.cluster_ids)
         for a, b in design.pairs():
-            assert ds.clusters[a].treatment + ds.clusters[b].treatment == 1
-        rule = dgp.sampling
-        for c in ds.clusters:
-            assert c.n_sampled == rule.counts(np.array([c.n_total]))[0]
-            assert c.n_sampled <= c.n_total
+            assert ds.treatment[a] + ds.treatment[b] == 1
+        assert np.array_equal(ds.n_sampled, dgp.sampling.counts(ds.n_total))
+        assert np.all(ds.n_sampled <= ds.n_total)
 
     def test_match_mode_controls_size_matching(self):
         dgp = preset("size_heterogeneous")
@@ -154,15 +172,19 @@ class TestGenerateTrial:
         # stress samples a fraction of each cluster, so chunk boundaries vary
         dgp = preset(preset_name)
         ds, design, _ = generate_trial(dgp, pair_count=40, match_mode=mode, seed=17)
-        records, reference_design = trial_records_reference(dgp, 40, mode, seed=17)
-        assert ds.clusters == tuple(records)
+        columns, reference_design = trial_columns_reference(dgp, 40, mode, seed=17)
+        assert ds.cluster_ids == columns["cluster_ids"]
+        for name in COLUMNS:
+            got, want = getattr(ds, name), columns[name]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert design.permutation == reference_design.permutation
 
     def test_bad_match_mode(self):
         with pytest.raises(ValueError):
             generate_trial(preset("null"), pair_count=4, match_mode="optimal", seed=0)
+        clusters, _, _ = generate_trial(preset("null"), pair_count=4, seed=0)
         with pytest.raises(ValueError):
-            match_records([], "optimal")
+            match_clusters(clusters, "optimal")
 
 
 class TestOracleVariance:
@@ -308,7 +330,7 @@ class TestMatchingQuality:
             vals = []
             for seed in range(10):
                 ds, design, _ = generate_trial(dgp, pair_count=pairs, seed=seed)
-                rep = imbalance_report(design, summarize(ds))
+                rep = imbalance_report(design, ds)
                 vals.append(rep.pair_discrepancies[(1, 0)])
             gaps[pairs] = float(np.mean(vals))
         assert gaps[250] < gaps[25]

@@ -30,7 +30,6 @@ from .errors import (
     PairedCrtError,
     RaggedCovariates,
     SampleExceedsSize,
-    SingularDesign,
     TooFewPairs,
     TooManyPairsForExact,
     UnknownCluster,
@@ -40,17 +39,13 @@ from .estimation import (
     estimate_equal_weighted,
     estimate_size_weighted,
 )
-from .inference import (
-    AdjustedOutcomes,
-    InferenceResult,
-    VarianceEstimate,
-    adjusted_outcomes,
-    infer,
-)
+from .inference import InferenceResult, VarianceEstimate, infer
 from .matching import (
+    MATCH_MODES,
     ImbalanceReport,
     MatchedDesign,
     imbalance_report,
+    match_clusters,
     order_pairs_for_variance,
     pair_greedy_nn,
     pair_sorted_scalar,
@@ -59,7 +54,6 @@ from .matching import (
 )
 from .randtest import RandTestResult, randomization_test
 from .simulation import (
-    MATCH_MODES,
     PRESET_NAMES,
     CovariateLaw,
     DgpSpec,
@@ -69,7 +63,6 @@ from .simulation import (
     SimReport,
     SizeLaw,
     generate_trial,
-    match_clusters,
     monte_carlo,
     oracle_kind,
     oracle_variance,
@@ -79,7 +72,6 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjustedOutcomes",
     "BadB",
     "CovariateLaw",
     "DataError",
@@ -106,13 +98,11 @@ __all__ = [
     "SamplingRule",
     "SimConfig",
     "SimReport",
-    "SingularDesign",
     "SizeLaw",
     "TooFewPairs",
     "TooManyPairsForExact",
     "UnknownCluster",
     "VarianceEstimate",
-    "adjusted_outcomes",
     "assign_within_pairs",
     "build_dataset",
     "estimate_equal_weighted",

@@ -25,17 +25,16 @@ from .core import load_dataset, read_clusters, write_clusters
 from .errors import DataError, PairedCrtError
 from .estimation import estimate_equal_weighted
 from .inference import infer
-from .matching import imbalance_report, order_pairs_for_variance, read_design, write_design
-from .randtest import randomization_test
-from .simulation import (
+from .matching import (
     MATCH_MODES,
-    PRESET_NAMES,
-    DgpSpec,
-    SimConfig,
+    imbalance_report,
     match_clusters,
-    monte_carlo,
-    preset,
+    order_pairs_for_variance,
+    read_design,
+    write_design,
 )
+from .randtest import randomization_test
+from .simulation import PRESET_NAMES, DgpSpec, SimConfig, monte_carlo, preset
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -232,7 +231,8 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--matched-on-size",
             action="store_true",
-            help="the design was matched on cluster size as well as covariates",
+            help="the design was matched on cluster size as well as covariates; "
+            "needed only for a design CSV without a mode column",
         )
         p.add_argument("--alpha", type=float, default=0.05)
         p.add_argument("--delta0", type=_finite, default=0.0, help="hypothesized effect")

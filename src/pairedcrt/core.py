@@ -26,7 +26,9 @@ Input schemas (UTF-8, comma-delimited, ``.`` decimal point):
   with ``treatment`` in {0, 1} when present.
 
 Blank lines are skipped; any other row must have as many fields as the
-header. Errors name the CSV line, counting the header as line 1.
+header. Errors name the physical line on which the offending row starts,
+counting the header as line 1, blank lines and the line breaks inside quoted
+fields.
 """
 
 from __future__ import annotations
@@ -54,8 +56,10 @@ from .errors import (
 
 _COVARIATE_COL = re.compile(r"^x(\d+)$")
 
-# one record per units CSV row
-_UNIT_DTYPE = np.dtype([("cluster_id", object), ("unit_id", object), ("outcome", float)])
+# one record per units CSV row, with the physical line it starts on
+_UNIT_DTYPE = np.dtype(
+    [("cluster_id", object), ("unit_id", object), ("outcome", float), ("line", np.int64)]
+)
 
 
 @dataclass(frozen=True)
@@ -86,10 +90,6 @@ class Dataset:
     @property
     def covariate_dim(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def has_treatments(self) -> bool:
-        return self.treatment is not None
 
     def with_treatments(self, treatments: Sequence[int]) -> "Dataset":
         """Return a copy with the given per-cluster treatment labels."""
@@ -258,8 +258,9 @@ def _gather_clusters(y: np.ndarray, offsets: np.ndarray, order: np.ndarray):
     return y[index], new
 
 
-def _read_csv(source, kind: str) -> tuple[list[str], list[list[str]]]:
-    """Header and data rows of a CSV (path or open text stream).
+def _read_csv(source, kind: str) -> tuple[list[str], list[list[str]], list[int]]:
+    """Header, data rows and the physical line each data row starts on, of a
+    CSV (path or open text stream).
 
     Blank rows are skipped. Raises ``DataError`` for a file that is not
     UTF-8, a malformed CSV, a repeated column name or a row whose field
@@ -274,9 +275,15 @@ def _read_csv(source, kind: str) -> tuple[list[str], list[list[str]]]:
                 f"{kind} {str(source)!r} is not UTF-8: {exc.reason} at byte {exc.start}"
             ) from None
     reader = csv.reader(source)
+    rows, lines = [], []
     try:
         header = next(reader, [])
-        rows = [row for row in reader if row]
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(start)
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise DataError(f"{kind} line {reader.line_num}: {exc}") from None
     if len(set(header)) != len(header):
@@ -285,9 +292,9 @@ def _read_csv(source, kind: str) -> tuple[list[str], list[list[str]]]:
     if set(map(len, rows)) - {width}:
         i = next(i for i, row in enumerate(rows) if len(row) != width)
         raise DataError(
-            f"{kind} line {i + 2}: {len(rows[i])} fields where the header has {width}"
+            f"{kind} line {lines[i]}: {len(rows[i])} fields where the header has {width}"
         )
-    return header, rows
+    return header, rows, lines
 
 
 def _columns(header: list[str], rows: list[list[str]]) -> dict[str, tuple[str, ...]]:
@@ -299,16 +306,16 @@ def _columns(header: list[str], rows: list[list[str]]) -> dict[str, tuple[str, .
 def _parse_column(
     texts: Sequence[str], parse: Callable, dtype, error: Callable[[int, str], Exception]
 ) -> np.ndarray:
-    """One CSV column through ``parse``; ``error(line, text)`` is raised for
-    the first field that does not parse or does not fit ``dtype``."""
+    """One CSV column through ``parse``; ``error(i, text)`` is raised for the
+    first field, the i-th, that does not parse or does not fit ``dtype``."""
     try:
         return np.fromiter(map(parse, texts), dtype=dtype, count=len(texts))
     except (ValueError, OverflowError, KeyError):
-        for line, text in enumerate(texts, start=2):
+        for i, text in enumerate(texts):
             try:
                 np.array(parse(text), dtype=dtype)
             except (ValueError, OverflowError, KeyError):
-                raise error(line, text) from None
+                raise error(i, text) from None
         raise
 
 
@@ -316,10 +323,11 @@ def read_units(source) -> np.ndarray:
     """Parse a units CSV (path or open text stream).
 
     Returns a structured array with one element per unit row, in file order,
-    and the fields ``cluster_id`` and ``unit_id`` (str) and ``outcome``
-    (float), so its ``len`` is the number of unit rows.
+    and the fields ``cluster_id`` and ``unit_id`` (str), ``outcome`` (float)
+    and ``line`` (the physical line the row starts on), so its ``len`` is the
+    number of unit rows.
     """
-    header, rows = _read_csv(source, "units CSV")
+    header, rows, lines = _read_csv(source, "units CSV")
     required = {"cluster_id", "unit_id", "outcome"}
     if not required.issubset(header):
         raise DataError(f"units CSV header must contain {sorted(required)}, got {header}")
@@ -328,16 +336,17 @@ def read_units(source) -> np.ndarray:
         cols["outcome"],
         float,
         float,
-        lambda line, text: DataError(f"units CSV line {line}: bad outcome {text!r}"),
+        lambda i, text: DataError(f"units CSV line {lines[i]}: bad outcome {text!r}"),
     )
     bad = ~np.isfinite(outcome)
     if bad.any():
         i = int(bad.argmax())
-        raise NonFiniteOutcome(f"units CSV line {i + 2}: outcome {float(outcome[i])!r}")
+        raise NonFiniteOutcome(f"units CSV line {lines[i]}: outcome {float(outcome[i])!r}")
     units = np.empty(len(rows), dtype=_UNIT_DTYPE)
     units["cluster_id"] = cols["cluster_id"]
     units["unit_id"] = cols["unit_id"]
     units["outcome"] = outcome
+    units["line"] = lines
     return units
 
 
@@ -364,7 +373,7 @@ def read_clusters(source) -> Dataset:
     is present, 0 or 1. These are checked here, before the cluster count, so
     an error names the CSV line.
     """
-    header, rows = _read_csv(source, "clusters CSV")
+    header, rows, lines = _read_csv(source, "clusters CSV")
     if "cluster_id" not in header or "n_total" not in header:
         raise DataError(f"clusters CSV header must contain cluster_id and n_total, got {header}")
     xcols = _covariate_columns(header)
@@ -376,25 +385,27 @@ def read_clusters(source) -> Dataset:
     ids = cols["cluster_id"]
     i = _first_repeat(ids)
     if i is not None:
-        raise DataError(f"clusters CSV line {i + 2}: duplicate cluster_id {ids[i]!r}")
+        raise DataError(f"clusters CSV line {lines[i]}: duplicate cluster_id {ids[i]!r}")
     n_total = _parse_column(
         cols["n_total"],
         int,
         np.int64,
-        lambda line, text: DataError(f"clusters CSV line {line}: bad n_total {text!r}"),
+        lambda i, text: DataError(f"clusters CSV line {lines[i]}: bad n_total {text!r}"),
     )
     bad = n_total < 1
     if bad.any():
         i = int(bad.argmax())
-        raise DataError(f"clusters CSV line {i + 2}: cluster {ids[i]!r}: n_total must be positive")
+        raise DataError(
+            f"clusters CSV line {lines[i]}: cluster {ids[i]!r}: n_total must be positive"
+        )
     x = np.empty((len(ids), len(xcols)))
     for j, col in enumerate(xcols):
         x[:, j] = _parse_column(
             cols[col],
             float,
             float,
-            lambda line, text: RaggedCovariates(
-                f"clusters CSV line {line}: bad covariate value {text!r}"
+            lambda i, text: RaggedCovariates(
+                f"clusters CSV line {lines[i]}: bad covariate value {text!r}"
             ),
         )
     bad = ~np.isfinite(x).all(axis=1)
@@ -402,7 +413,7 @@ def read_clusters(source) -> Dataset:
         i = int(bad.argmax())
         value = next(v for v in x[i].tolist() if not math.isfinite(v))
         raise DataError(
-            f"clusters CSV line {i + 2}: cluster {ids[i]!r}: covariate {value!r} is not finite"
+            f"clusters CSV line {lines[i]}: cluster {ids[i]!r}: covariate {value!r} is not finite"
         )
     treatment = None
     if "treatment" in header:
@@ -410,8 +421,8 @@ def read_clusters(source) -> Dataset:
             cols["treatment"],
             lambda text: {"0": 0, "1": 1}[text.strip()],
             np.int64,
-            lambda line, text: NonBinaryTreatment(
-                f"clusters CSV line {line}: treatment {text.strip()!r} not in {{0, 1}}"
+            lambda i, text: NonBinaryTreatment(
+                f"clusters CSV line {lines[i]}: treatment {text.strip()!r} not in {{0, 1}}"
             ),
         )
     return build_dataset(ids, n_total, x, treatment)
@@ -433,13 +444,13 @@ def load_dataset(units_source, clusters_source) -> Dataset:
     except KeyError as exc:
         i = cluster_col.index(exc.args[0])
         raise UnknownCluster(
-            f"units CSV line {i + 2}: unit {units['unit_id'][i]!r} references unknown "
+            f"units CSV line {units['line'][i]}: unit {units['unit_id'][i]!r} references unknown "
             f"cluster {cluster_col[i]!r}"
         ) from None
     keys = list(zip(cluster_col, units["unit_id"].tolist()))
     i = _first_repeat(keys)
     if i is not None:
-        raise DuplicateUnit(f"units CSV line {i + 2}: duplicate unit {keys[i]!r}")
+        raise DuplicateUnit(f"units CSV line {units['line'][i]}: duplicate unit {keys[i]!r}")
     offsets = np.zeros(clusters.n_clusters + 1, dtype=np.int64)
     np.cumsum(np.bincount(codes, minlength=clusters.n_clusters), out=offsets[1:])
     outcomes = units["outcome"][np.argsort(codes, kind="stable")]

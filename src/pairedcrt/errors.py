@@ -51,10 +51,6 @@ class EmptyArm(PairedCrtError):
     """All clusters fall in a single treatment arm."""
 
 
-class SingularDesign(PairedCrtError):
-    """The weighted least squares normal equations are singular."""
-
-
 class TooFewPairs(PairedCrtError):
     """Fewer than 2 pairs: the cross-pair variance correction is undefined."""
 

@@ -48,15 +48,6 @@ _NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
-class AdjustedOutcomes:
-    """Size-rescaled, arm-centered cluster means; sums to zero within each arm."""
-
-    yhat: np.ndarray
-    arm_weighted_means: tuple[float, float]  # (treated, control)
-    nbar: float
-
-
-@dataclass(frozen=True)
 class VarianceEstimate:
     tau2: float
     lambda2: float
@@ -101,17 +92,6 @@ class InferenceResult:
             "delta0": self.delta0,
             "degenerate": self.degenerate,
         }
-
-
-def adjusted_outcomes(dataset: Dataset) -> AdjustedOutcomes:
-    n, ybar, d = kernel_inputs(dataset)
-    mu1, mu0, _, _ = arm_means(n, ybar, d)
-    nbar = n.mean()
-    return AdjustedOutcomes(
-        yhat=(n / nbar) * (ybar - np.where(d == 1.0, mu1, mu0)),
-        arm_weighted_means=(float(mu1), float(mu0)),
-        nbar=float(nbar),
-    )
 
 
 def pair_statistics(

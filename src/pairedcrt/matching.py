@@ -2,30 +2,40 @@
 
 Every function here takes a :class:`~pairedcrt.core.Dataset`, whose rows are
 in cluster_id order with finite covariates, so row order is the tie-break
-order. Two matchers are provided. ``pair_sorted_scalar`` sorts clusters by
-one covariate and pairs adjacent ones, which is optimal in one dimension.
-``pair_greedy_nn`` z-scores the feature vectors (covariates, plus cluster
-size when requested) and repeatedly pairs the lowest-id unmatched cluster
-with its nearest unmatched neighbor.
+order. The match mode (one of ``MATCH_MODES``) decides the features of a
+design: ``sorted_x`` matches on the first covariate x1, ``nn_x`` on every
+covariate and ``nn_xn`` on the covariates plus cluster size. The same
+features serve matching, pair ordering and the diagnostics, and a design
+carries its mode, in memory and in its CSV.
+
+``pair_sorted_scalar`` sorts clusters by x1 and pairs adjacent ones, which
+is optimal in one dimension. ``pair_greedy_nn`` z-scores the features and
+repeatedly pairs the lowest-id unmatched cluster with its nearest unmatched
+neighbor. ``match_clusters`` runs the mode's matcher and orders the pairs.
 
 ``order_pairs_for_variance`` rearranges the pairs so that consecutive pairs
-are close in feature space; the cross-pair products in the variance
-estimator assume this. Both greedy walks compute one distance row per step,
-so for G pairs with k features they take O(G^2 * k) time and O(G * k)
-memory. ``imbalance_report`` computes the within-pair and
-cross-pair discrepancy sums that quantify how well a design approximates
-ideal matching; all of them should shrink toward zero as the sample grows.
+are close in the mode's z-scored features; the cross-pair products in the
+variance estimator assume this. With one feature the ordering is, unless
+rounding ties decide it, a sort of the pair midpoints. Otherwise it, like
+greedy pairing, is a walk that
+computes one distance row per step, so for G pairs with k features it takes
+O(G^2 * k) time and O(G * k) memory. ``imbalance_report`` computes the
+within-pair and cross-pair discrepancy sums that quantify how well a design
+approximates ideal matching; all of them should shrink toward zero as the
+sample grows.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Dataset, _columns, _parse_column, _read_csv
 from .errors import DataError
+
+MATCH_MODES = ("sorted_x", "nn_x", "nn_xn")
 
 
 @dataclass(frozen=True)
@@ -33,22 +43,25 @@ class MatchedDesign:
     """G pairs of cluster indices, encoded as a permutation of 0..2G-1.
 
     Pair j consists of the clusters at positions (2j, 2j+1) of
-    ``permutation``. ``matched_on_size`` records whether cluster size was a
-    matching feature, which controls which discrepancy family the
-    diagnostics report. ``scores`` holds the per-cluster feature matrix the
-    design was built from (used to order pairs); it is dropped when a design
-    is serialized and recomputed on reload.
+    ``permutation``. ``mode``, one of ``MATCH_MODES``, names the features
+    the pairs were matched on, which pair ordering and the diagnostics use.
     """
 
     permutation: tuple[int, ...]
     pair_count: int
-    matched_on_size: bool
-    scores: np.ndarray | None = field(default=None, compare=False, repr=False)
+    mode: str
 
     def __post_init__(self):
         n = 2 * self.pair_count
         if len(self.permutation) != n or sorted(self.permutation) != list(range(n)):
             raise DataError("permutation is not a bijection on 0..2G-1")
+        if self.mode not in MATCH_MODES:
+            raise DataError(f"unknown match mode {self.mode!r}; choose from {MATCH_MODES}")
+
+    @property
+    def matched_on_size(self) -> bool:
+        """Whether cluster size was a matching feature (mode ``nn_xn``)."""
+        return self.mode == "nn_xn"
 
     def pairs(self) -> list[tuple[int, int]]:
         p = self.permutation
@@ -60,9 +73,9 @@ class ImbalanceReport:
     """Match-quality discrepancy sums for a design.
 
     ``pair_discrepancies`` maps (r, ell) to the mean over pairs of
-    N_second^ell * |feature difference|^r, with the feature vector being the
-    covariates alone (ell fixed at 0) or covariates plus size, per
-    ``matched_on_size``. The size weight attaches to the second-listed pair
+    N_second^ell * |feature difference|^r over the design mode's raw
+    features, ell running over 0..2 when size is one of them (mode
+    ``nn_xn``) and fixed at 0 otherwise. The size weight attaches to the second-listed pair
     member; ``pair_discrepancies_symmetrized`` averages both orientations.
     ``popo_discrepancies`` maps (k, l) member selectors to the analogous
     squared-distance sums between consecutive pairs. ``fourth_moment_sums``
@@ -157,99 +170,109 @@ def zscore(features: np.ndarray) -> np.ndarray:
     return (features - mu) / sd
 
 
-def _features(dataset: Dataset, include_size: bool) -> np.ndarray:
-    """Raw (not z-scored) feature matrix: covariates, plus n_total if asked."""
-    features = np.column_stack((dataset.X, dataset.n_total)) if include_size else dataset.X
-    if features.shape[1] == 0:
-        raise DataError("matching needs a feature, and the clusters have no covariates")
-    return features
+def _features(dataset: Dataset, mode: str) -> np.ndarray:
+    """The raw (not z-scored) features of a match mode: x1 for ``sorted_x``,
+    the covariates for ``nn_x``, and the covariates plus n_total for ``nn_xn``."""
+    if mode == "nn_xn":
+        return np.column_stack((dataset.X, dataset.n_total))
+    if dataset.covariate_dim == 0:
+        raise DataError(f"{mode} matching needs covariate x1, and the clusters have no covariates")
+    return dataset.X[:, :1] if mode == "sorted_x" else dataset.X
 
 
-def pair_sorted_scalar(dataset: Dataset, key: int = 0) -> MatchedDesign:
-    """Sort clusters by covariate ``key`` and pair adjacent ones.
+def pair_sorted_scalar(dataset: Dataset) -> MatchedDesign:
+    """Sort clusters by covariate x1 and pair adjacent ones (mode ``sorted_x``).
 
     Ties are broken by cluster_id. In one dimension this pairing minimizes
     the total within-pair distance over all perfect matchings.
     """
-    if not 0 <= key < dataset.covariate_dim:
-        raise DataError(
-            f"sorted matching on covariate x{key + 1}, but the clusters have "
-            f"{dataset.covariate_dim} covariates"
-        )
-    values = dataset.X[:, key]
-    order = np.argsort(values, kind="stable")  # rows are in cluster_id order
-    return MatchedDesign(
-        permutation=tuple(order.tolist()),
-        pair_count=dataset.n_pairs,
-        matched_on_size=False,
-        scores=values.reshape(-1, 1),
-    )
+    order = np.argsort(_features(dataset, "sorted_x")[:, 0], kind="stable")
+    return MatchedDesign(tuple(order.tolist()), dataset.n_pairs, "sorted_x")
 
 
 def pair_greedy_nn(dataset: Dataset, include_size: bool = False) -> MatchedDesign:
-    """Greedy nearest-neighbor pairing on z-scored features.
+    """Greedy nearest-neighbor pairing on z-scored features (mode ``nn_xn``
+    with ``include_size``, ``nn_x`` without).
 
     Repeatedly takes the unmatched cluster with the smallest cluster_id and
     pairs it with its nearest unmatched neighbor in Euclidean distance
     (ties again broken by cluster_id).
     """
-    z = zscore(_features(dataset, include_size))
+    mode = "nn_xn" if include_size else "nn_x"
+    z = zscore(_features(dataset, mode))
     unmatched = _Unvisited(z)
     perm: list[int] = []
     while unmatched.count:
         seed = unmatched.take_first()
         perm.extend((seed, unmatched.take_nearest(z[seed])))
-    return MatchedDesign(
-        permutation=tuple(perm),
-        pair_count=dataset.n_pairs,
-        matched_on_size=include_size,
-        scores=z,
-    )
+    return MatchedDesign(tuple(perm), dataset.n_pairs, mode)
+
+
+def match_clusters(dataset: Dataset, match_mode: str) -> MatchedDesign:
+    """Pair clusters in the given match mode and order the pairs for variance."""
+    if match_mode not in MATCH_MODES:
+        raise ValueError(f"unknown match mode {match_mode!r}; choose from {MATCH_MODES}")
+    if match_mode == "sorted_x":
+        design = pair_sorted_scalar(dataset)
+    else:
+        design = pair_greedy_nn(dataset, include_size=match_mode == "nn_xn")
+    return order_pairs_for_variance(design, dataset)
 
 
 def order_pairs_for_variance(design: MatchedDesign, dataset: Dataset) -> MatchedDesign:
-    """Reorder pairs so consecutive pairs are close in feature space.
+    """Reorder pairs so consecutive pairs are close in the design mode's
+    z-scored features.
 
     Pairs are visited along a greedy nearest-neighbor path through their
     feature midpoints, starting from the pair whose midpoint is
     lexicographically smallest. Ties go to the pair with the smallest
-    member cluster_id. With a scalar feature this reduces to sorting pairs
-    by their within-pair mean key. Member order within each pair is
-    preserved. A design without scores (one read from CSV) is scored on the
-    z-scored features it was matched on.
+    member cluster_id. Member order within each pair is preserved.
     """
-    if design.scores is not None:
-        scores = np.asarray(design.scores, dtype=float)
-    else:
-        scores = zscore(_features(dataset, design.matched_on_size))
+    z = zscore(_features(dataset, design.mode))
     perm = np.asarray(design.permutation)
-    g = design.pair_count
     # rows are in cluster_id order, so a pair's smallest id is its smallest row
     pair_order = np.argsort(np.minimum(perm[0::2], perm[1::2]))
     first, second = perm[0::2][pair_order], perm[1::2][pair_order]
-    mid = 0.5 * (scores[first] + scores[second])  # (G, m), in tie-break order
+    mid = 0.5 * (z[first] + z[second])  # (G, k), in tie-break order
 
-    # lexsort is stable and its last key is the primary one
-    start = int(np.lexsort(mid.T[::-1])[0])
-    unvisited = _Unvisited(mid)
-    path = [unvisited.take(start)]
-    for _ in range(g - 1):
-        path.append(unvisited.take_nearest(mid[path[-1]]))
+    path = _sorted_path(mid[:, 0]) if mid.shape[1] == 1 else None
+    if path is None:
+        # lexsort is stable and its last key is the primary one
+        unvisited = _Unvisited(mid)
+        path = [unvisited.take(int(np.lexsort(mid.T[::-1])[0]))]
+        for _ in range(design.pair_count - 1):
+            path.append(unvisited.take_nearest(mid[path[-1]]))
 
     new_perm = np.column_stack((first[path], second[path])).ravel()
-    return MatchedDesign(
-        permutation=tuple(new_perm.tolist()),
-        pair_count=g,
-        matched_on_size=design.matched_on_size,
-        scores=design.scores,
-    )
+    return MatchedDesign(tuple(new_perm.tolist()), design.pair_count, design.mode)
+
+
+def _sorted_path(mid: np.ndarray) -> np.ndarray | None:
+    """The nearest-neighbor path through one-column midpoints, given in
+    tie-break order, as their stable sort; None where rounding decides it.
+
+    From the smallest midpoint on, every unvisited midpoint lies at or above
+    the current one, so the nearest is the next in sorted order, and equal
+    midpoints come in tie-break order. The path differs only where a larger
+    midpoint is, in the rounded distance sqrt(d * d), as near as the next
+    one; then the walk must run.
+    """
+    order = np.argsort(mid, kind="stable")
+    v = mid[order]
+    g = len(v)
+    starts = np.append(np.flatnonzero(v[1:] != v[:-1]) + 1, g)  # of each later value
+    after = starts[np.searchsorted(starts, np.arange(1, g), side="right")]  # next value's start
+    step, skip = v[1:] - v[:-1], v[np.minimum(after, g - 1)] - v[:-1]
+    if np.any((after < g) & (np.sqrt(skip * skip) == np.sqrt(step * step))):
+        return None
+    return order
 
 
 def imbalance_report(design: MatchedDesign, dataset: Dataset) -> ImbalanceReport:
     """Compute all within-pair and cross-pair discrepancy sums for a design."""
     perm = np.asarray(design.permutation)
     g = design.pair_count
-    w = _features(dataset, design.matched_on_size)
+    w = _features(dataset, design.mode)
     sizes = dataset.n_total.astype(float)
 
     first = perm[0::2]
@@ -292,37 +315,50 @@ def imbalance_report(design: MatchedDesign, dataset: Dataset) -> ImbalanceReport
 
 
 def write_design(design: MatchedDesign, dataset: Dataset, path) -> None:
-    """Serialize a design as CSV rows ``pair_index,position,cluster_id``."""
+    """Serialize a design as CSV rows ``pair_index,position,cluster_id,mode``."""
     ids = dataset.cluster_ids
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["pair_index", "position", "cluster_id"])
-        w.writerows(
-            (slot // 2, slot % 2, ids[i]) for slot, i in enumerate(design.permutation)
-        )
+        w.writerow(["pair_index", "position", "cluster_id", "mode"])
+        slots = enumerate(design.permutation)
+        w.writerows((slot // 2, slot % 2, ids[i], design.mode) for slot, i in slots)
 
 
 def read_design(source, dataset: Dataset, matched_on_size: bool = False) -> MatchedDesign:
     """Load a design CSV and resolve its cluster_ids against ``dataset``.
 
-    The CSV does not record which features the design was matched on, so
-    ``matched_on_size`` must be supplied by the caller when it matters
-    (diagnostics and pair ordering). The design must pair every cluster of
-    ``dataset``; a design that covers only some of them raises ``DataError``,
-    as does any malformed row, naming its line.
+    The match mode comes from the ``mode`` column, which must hold one of
+    ``MATCH_MODES``, the same on every row; ``matched_on_size`` then only
+    asserts that it is ``nn_xn``. A file without the column (one not
+    written by ``write_design``) is read as ``nn_xn`` with
+    ``matched_on_size`` and as ``nn_x`` without. The design must pair every
+    cluster of ``dataset``; a design that covers only some of them raises
+    ``DataError``, as does any malformed row, naming its line.
     """
-    header, rows = _read_csv(source, "design CSV")
+    header, rows, lines = _read_csv(source, "design CSV")
     required = {"pair_index", "position", "cluster_id"}
     if not required.issubset(header):
         raise DataError(f"design CSV header must contain {sorted(required)}")
     cols = _columns(header, rows)
+    mode = "nn_xn" if matched_on_size else "nn_x"
+    if "mode" in cols and rows:
+        mode = cols["mode"][0]
+        for line, text in zip(lines, cols["mode"]):
+            if text not in MATCH_MODES:
+                raise DataError(f"design CSV line {line}: unknown mode {text!r}")
+            if text != mode:
+                raise DataError(
+                    f"design CSV line {line}: mode {text!r} where earlier rows have {mode!r}"
+                )
+        if matched_on_size and mode != "nn_xn":
+            raise DataError(f"the design CSV was matched in mode {mode!r}, not on size (nn_xn)")
 
     def ints(name: str) -> np.ndarray:
         return _parse_column(
             cols[name],
             int,
             np.int64,
-            lambda line, text: DataError(f"design CSV line {line}: bad {name} {text!r}"),
+            lambda i, text: DataError(f"design CSV line {lines[i]}: bad {name} {text!r}"),
         )
 
     pair, pos = ints("pair_index"), ints("position")
@@ -333,8 +369,8 @@ def read_design(source, dataset: Dataset, matched_on_size: bool = False) -> Matc
     if bad.any():
         i = int(bad.argmax())
         if pos[i] not in (0, 1):
-            raise DataError(f"design CSV line {i + 2}: position {pos[i]} not in {{0, 1}}")
-        raise DataError(f"design CSV line {i + 2}: unknown cluster {cids[i]!r}")
+            raise DataError(f"design CSV line {lines[i]}: position {pos[i]} not in {{0, 1}}")
+        raise DataError(f"design CSV line {lines[i]}: unknown cluster {cids[i]!r}")
     g = len(rows) // 2
     if len(rows) % 2 or ((pair < 0) | (pair >= g)).any():
         raise DataError("design CSV does not describe complete pairs 0..G-1")
@@ -344,7 +380,7 @@ def read_design(source, dataset: Dataset, matched_on_size: bool = False) -> Matc
     if repeated.any():
         i = int(repeated.argmax())
         raise DataError(
-            f"design CSV line {i + 2}: duplicate slot pair={pair[i]} position={pos[i]}"
+            f"design CSV line {lines[i]}: duplicate slot pair={pair[i]} position={pos[i]}"
         )
     if 2 * g != dataset.n_clusters:
         raise DataError(
@@ -352,6 +388,4 @@ def read_design(source, dataset: Dataset, matched_on_size: bool = False) -> Matc
         )
     perm = np.empty(len(slot), dtype=np.intp)
     perm[slot] = cluster
-    return MatchedDesign(
-        permutation=tuple(perm.tolist()), pair_count=g, matched_on_size=matched_on_size
-    )
+    return MatchedDesign(tuple(perm.tolist()), g, mode)

@@ -32,15 +32,9 @@ from .assignment import assign_within_pairs
 from .core import Dataset, build_dataset
 from .errors import DataError
 from .inference import infer
-from .matching import (
-    MatchedDesign,
-    order_pairs_for_variance,
-    pair_greedy_nn,
-    pair_sorted_scalar,
-)
+# MATCH_MODES and match_clusters live in matching and are re-exported here
+from .matching import MATCH_MODES, MatchedDesign, match_clusters
 from .randtest import randomization_test
-
-MATCH_MODES = ("sorted_x", "nn_x", "nn_xn")
 
 
 @dataclass(frozen=True)
@@ -79,10 +73,13 @@ class CovariateLaw:
 class SizeLaw:
     """Marginal law of the integer cluster size, with finite support.
 
-    ``fixed`` takes (n,), ``uniform_int`` takes (low, high) inclusive, and
-    ``two_point`` takes (small, large, prob_large). Finite support makes
-    every size moment exactly computable by enumeration.
+    ``fixed`` takes (n,), ``uniform_int`` takes (low, high) inclusive, with
+    at most ``MAX_SUPPORT`` values, and ``two_point`` takes (small, large,
+    prob_large). Finite support makes every size moment exactly computable
+    by enumeration.
     """
+
+    MAX_SUPPORT = 10**6
 
     kind: str
     params: tuple[float, ...]
@@ -96,6 +93,8 @@ class SizeLaw:
             low, high = self.params
             if not 1 <= int(low) <= int(high):
                 raise ValueError("uniform_int needs 1 <= low <= high")
+            if int(high) - int(low) >= self.MAX_SUPPORT:
+                raise ValueError(f"uniform_int spans more than {self.MAX_SUPPORT} sizes")
         elif self.kind == "two_point":
             small, large, p = self.params
             if not 1 <= int(small) < int(large):
@@ -314,19 +313,6 @@ def preset(name: str) -> DgpSpec:
             ),
         )
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-
-
-def match_clusters(dataset: Dataset, match_mode: str) -> MatchedDesign:
-    """Pair clusters per the requested mode and order pairs for variance."""
-    if match_mode == "sorted_x":
-        design = pair_sorted_scalar(dataset, key=0)
-    elif match_mode == "nn_x":
-        design = pair_greedy_nn(dataset, include_size=False)
-    elif match_mode == "nn_xn":
-        design = pair_greedy_nn(dataset, include_size=True)
-    else:
-        raise ValueError(f"unknown match mode {match_mode!r}; choose from {MATCH_MODES}")
-    return order_pairs_for_variance(design, dataset)
 
 
 def oracle_kind(match_mode: str) -> str:

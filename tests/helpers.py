@@ -4,21 +4,25 @@ The reference implementations here (matched-pairs inference for unit-sized
 clusters, brute-force optimal matching, closed-form limiting variances, the
 unit-level weighted least squares fit) deliberately avoid the package's own
 numerical paths, so agreement with them is evidence and not circularity.
-The greedy matching references keep the full n x n x k distance tensor that
-the package's row-per-step walks replaced, ``trial_columns_reference``
+The matching references sort or keep the full n x n x k distance tensor
+that the package's row-per-step walks and one-column sort replaced,
+``trial_columns_reference``
 builds a trial cluster by cluster, one float at a time, and
 ``pair_statistics_reference`` computes delta, tau2 and lambda2 through
 per-cluster adjusted outcomes, the path the per-pair kernel replaced.
+``adjusted_outcomes`` is that path's first step.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from pairedcrt.assignment import assign_within_pairs
 from pairedcrt.core import build_dataset
-from pairedcrt.errors import EmptyArm, MissingTreatment, SingularDesign
-from pairedcrt.matching import MatchedDesign, pair_sorted_scalar, zscore
+from pairedcrt.errors import EmptyArm, MissingTreatment
+from pairedcrt.estimation import arm_means, kernel_inputs
+from pairedcrt.matching import MatchedDesign, zscore
 
 #: The columns of a Dataset, for comparing two of them.
 COLUMNS = ("n_total", "X", "treatment", "outcomes", "offsets", "n_sampled", "ybar")
@@ -72,6 +76,30 @@ def assert_same_columns(a, b):
             assert x.tobytes() == y.tobytes(), name
 
 
+class RankDeficient(Exception):
+    """The weighted least squares design matrix of ``wls_oracle`` is singular."""
+
+
+@dataclass(frozen=True)
+class AdjustedOutcomes:
+    """Size-rescaled, arm-centered cluster means; sums to zero within each arm."""
+
+    yhat: np.ndarray
+    arm_weighted_means: tuple[float, float]  # (treated, control)
+    nbar: float
+
+
+def adjusted_outcomes(dataset):
+    n, ybar, d = kernel_inputs(dataset)
+    mu1, mu0, _, _ = arm_means(n, ybar, d)
+    nbar = n.mean()
+    return AdjustedOutcomes(
+        yhat=(n / nbar) * (ybar - np.where(d == 1.0, mu1, mu0)),
+        arm_weighted_means=(float(mu1), float(mu0)),
+        nbar=float(nbar),
+    )
+
+
 def wls_oracle(dataset):
     """Treatment coefficient from the unit-level weighted least squares fit.
 
@@ -90,16 +118,12 @@ def wls_oracle(dataset):
     design = np.column_stack([sw, sw * d])
     coef, _, rank, _ = np.linalg.lstsq(design, sw * y, rcond=None)
     if rank < 2:
-        raise SingularDesign("weighted design matrix is rank deficient")
+        raise RankDeficient("weighted design matrix is rank deficient")
     return float(coef[1])
 
 
-def identity_design(pair_count, matched_on_size=False):
-    return MatchedDesign(
-        permutation=tuple(range(2 * pair_count)),
-        pair_count=pair_count,
-        matched_on_size=matched_on_size,
-    )
+def identity_design(pair_count, mode="nn_x"):
+    return MatchedDesign(tuple(range(2 * pair_count)), pair_count, mode)
 
 
 def random_dataset(rng, pairs=3, max_size=8, with_treatments=True):
@@ -276,22 +300,29 @@ def closed_form_variance(dgp, match_on):
     return second - 0.5 * cond
 
 
-def feature_reference(dataset, include_size):
-    """Raw matching features, gathered cluster by cluster."""
+def feature_reference(dataset, mode):
+    """Raw matching features of a match mode, gathered cluster by cluster."""
     rows = []
     for i in range(dataset.n_clusters):
         row = [float(v) for v in dataset.X[i]]
-        if include_size:
+        if mode == "sorted_x":
+            row = row[:1]
+        if mode == "nn_xn":
             row.append(float(dataset.n_total[i]))
         rows.append(row)
     return np.array(rows, dtype=float).reshape(dataset.n_clusters, -1)
 
 
-def greedy_nn_reference(dataset, include_size=False):
-    """Greedy nearest-neighbor pairing over a full distance tensor."""
+def matching_reference(dataset, mode):
+    """The pairs of a match mode: sorted by (x1, cluster_id) for sorted_x,
+    else greedy nearest-neighbor pairing over a full distance tensor."""
     ids = dataset.cluster_ids
     n = len(ids)
-    z = zscore(feature_reference(dataset, include_size))
+    if mode == "sorted_x":
+        x1 = feature_reference(dataset, mode)[:, 0]
+        perm = sorted(range(n), key=lambda i: (x1[i], ids[i]))
+        return MatchedDesign(tuple(perm), n // 2, mode)
+    z = zscore(feature_reference(dataset, mode))
     id_order = sorted(range(n), key=lambda i: ids[i])
     diffs = z[:, None, :] - z[None, :, :]
     dist = np.sqrt((diffs * diffs).sum(axis=2))
@@ -307,18 +338,14 @@ def greedy_nn_reference(dataset, include_size=False):
         best = min(np.flatnonzero(row == row.min()), key=lambda i: ids[i])
         available[best] = False
         perm.extend((seed, int(best)))
-    return MatchedDesign(
-        permutation=tuple(perm), pair_count=n // 2, matched_on_size=include_size, scores=z
-    )
+    return MatchedDesign(tuple(perm), n // 2, mode)
 
 
 def order_pairs_reference(design, dataset):
-    """Nearest-neighbor path through pair midpoints over a full distance tensor."""
+    """Nearest-neighbor path through pair midpoints, in the design mode's
+    z-scored features, over a full distance tensor."""
     ids = dataset.cluster_ids
-    if design.scores is not None:
-        scores = np.asarray(design.scores, dtype=float)
-    else:
-        scores = zscore(feature_reference(dataset, design.matched_on_size))
+    scores = zscore(feature_reference(dataset, design.mode))
     perm = np.asarray(design.permutation)
     g = design.pair_count
     mid = 0.5 * (scores[perm[0::2]] + scores[perm[1::2]])
@@ -343,12 +370,7 @@ def order_pairs_reference(design, dataset):
     new_perm = []
     for j in path:
         new_perm.extend((int(perm[2 * j]), int(perm[2 * j + 1])))
-    return MatchedDesign(
-        permutation=tuple(new_perm),
-        pair_count=g,
-        matched_on_size=design.matched_on_size,
-        scores=design.scores,
-    )
+    return MatchedDesign(tuple(new_perm), g, design.mode)
 
 
 def trial_columns_reference(dgp, pair_count, match_mode, seed):
@@ -373,11 +395,7 @@ def trial_columns_reference(dgp, pair_count, match_mode, seed):
 
     ids = [f"c{i + 1:06d}" for i in range(m)]
     bare = build_dataset(ids, [int(v) for v in n], [[float(v)] for v in x])
-    if match_mode == "sorted_x":
-        design = pair_sorted_scalar(bare, key=0)
-    else:
-        design = greedy_nn_reference(bare, include_size=match_mode == "nn_xn")
-    design = order_pairs_reference(design, bare)
+    design = order_pairs_reference(matching_reference(bare, match_mode), bare)
     assign_seed = int(streams[4].generate_state(1, np.uint64)[0])
     treat = assign_within_pairs(design, assign_seed)
 

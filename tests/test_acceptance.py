@@ -26,7 +26,8 @@ from helpers import (
 )
 from helpers import wls_oracle
 from pairedcrt import build_dataset, estimate_size_weighted
-from pairedcrt.inference import adjusted_outcomes, infer
+from helpers import adjusted_outcomes
+from pairedcrt.inference import infer
 from pairedcrt.matching import pair_sorted_scalar
 from pairedcrt.randtest import randomization_test, statistic_batch, swap_treatments
 from pairedcrt.simulation import (
@@ -258,7 +259,7 @@ def test_sorted_matching_is_optimal_in_one_dimension():
             offsets=None,
         )
         # ids c00..c07 sort in index order, so design indices address values
-        design = pair_sorted_scalar(items, key=0)
+        design = pair_sorted_scalar(items)
         cost = design_cost(design, values)
         best = min_matching_cost(list(values))
         assert cost <= best + 1e-12

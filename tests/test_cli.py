@@ -4,13 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import identity_design, make_dataset
 from pairedcrt import cli
+from pairedcrt.assignment import assign_within_pairs
 from pairedcrt.core import build_dataset, write_dataset
-from pairedcrt.matching import write_design
-from pairedcrt.simulation import generate_trial, preset
+from pairedcrt.inference import infer
+from pairedcrt.matching import MatchedDesign, match_clusters, order_pairs_for_variance, write_design
+from pairedcrt.simulation import SizeLaw, generate_trial, preset
 
 
 def run_cli(argv, capsys):
@@ -149,6 +152,87 @@ class TestAnalyze:
                 ]
             )
         assert excinfo.value.code == 64
+
+
+def analyze_v2(tmp_path, capsys, design_path, *flags, command="analyze"):
+    code, out, err = run_cli(
+        [command, "--units", str(tmp_path / "units.csv"), "--clusters",
+         str(tmp_path / "clusters.csv"), "--design", str(design_path), *flags],
+        capsys,
+    )  # fmt: skip
+    return code, (json.loads(out).get("v2") if code == 0 else json.loads(err))
+
+
+class TestDesignMode:
+    """The design CSV records its match mode, so analysis orders the pairs on
+    the features they were matched on, as ``infer`` does in memory."""
+
+    @pytest.mark.parametrize("flags", [(), ("--matched-on-size",)])
+    def test_nn_xn_design_with_or_without_flag(self, tmp_path, capsys, flags):
+        ds, design, _ = generate_trial(preset("size_heterogeneous"), 200, "nn_xn", seed=3)
+        _, _, design_path = write_analysis_fixture(tmp_path, ds, design)
+        want = infer(ds, design).variance.v2
+        assert want == pytest.approx(2.8168, abs=1e-4)
+        assert analyze_v2(tmp_path, capsys, design_path, *flags) == (0, want)
+
+    def test_sorted_x_design_on_two_covariates(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 1.0, (400, 2))
+        n = rng.choice([10, 50], 400)
+        ids = [f"c{i:04d}" for i in range(400)]
+        design = match_clusters(build_dataset(ids, n, x), "sorted_x")
+        t = assign_within_pairs(design, 11)
+        y = 1.0 + 2.0 * x[:, 0] + 3.0 * x[:, 1] + 0.5 * t + rng.normal(0.0, 1.0, 400)
+        ds = build_dataset(ids, n, x, t, y, np.arange(401))
+        _, _, design_path = write_analysis_fixture(tmp_path, ds, design)
+        assert analyze_v2(tmp_path, capsys, design_path) == (0, infer(ds, design).variance.v2)
+
+    @pytest.mark.parametrize("command", ["analyze", "randtest"])
+    @pytest.mark.parametrize("mode", ["sorted_x", "nn_x"])
+    def test_flag_conflicting_with_mode_is_data_error(self, tmp_path, capsys, command, mode):
+        ds, design, _ = generate_trial(preset("null"), 6, mode, seed=1)
+        _, _, design_path = write_analysis_fixture(tmp_path, ds, design)
+        code, err = analyze_v2(
+            tmp_path, capsys, design_path, "--matched-on-size", command=command
+        )
+        assert code == 2
+        assert err == {
+            "error": "DataError",
+            "message": f"the design CSV was matched in mode '{mode}', not on size (nn_xn)",
+        }
+
+    def test_design_without_mode_column_reads_as_before(self, tmp_path, capsys):
+        ds, design, _ = generate_trial(preset("size_heterogeneous"), 200, "nn_xn", seed=3)
+        _, _, design_path = write_analysis_fixture(tmp_path, ds, design)
+        rows = Path(design_path).read_text().splitlines()
+        Path(design_path).write_text("".join(r.rsplit(",", 1)[0] + "\n" for r in rows))
+        on_x = order_pairs_for_variance(
+            MatchedDesign(design.permutation, design.pair_count, "nn_x"), ds
+        )
+        assert analyze_v2(tmp_path, capsys, design_path) == (0, infer(ds, on_x).variance.v2)
+        assert analyze_v2(tmp_path, capsys, design_path, "--matched-on-size") == (
+            0,
+            infer(ds, design).variance.v2,
+        )
+
+    @pytest.mark.parametrize(
+        "spoil,message",
+        [
+            (lambda rows: rows[:5] + ["2,0,c004,optimal"] + rows[6:],
+             "design CSV line 6: unknown mode 'optimal'"),
+            (lambda rows: rows[:3] + ["1,0,c002,nn_xn"] + rows[4:],
+             "design CSV line 4: mode 'nn_xn' where earlier rows have 'nn_x'"),
+        ],
+    )  # fmt: skip
+    def test_bad_or_mixed_mode_is_data_error(self, tmp_path, capsys, spoil, message):
+        ds = make_dataset(sizes=[1] * 8, ybars=[3.0, 1.0, 2.0, 0.0, 5.0, 1.0, 4.0, 2.0],
+                          treatments=[1, 0] * 4)  # fmt: skip
+        _, _, design_path = write_analysis_fixture(tmp_path, ds, identity_design(4))
+        rows = Path(design_path).read_text().splitlines()
+        Path(design_path).write_text("\n".join(spoil(rows)) + "\n")
+        code, err = analyze_v2(tmp_path, capsys, design_path)
+        assert code == 2
+        assert err == {"error": "DataError", "message": message}
 
 
 class TestRandtest:
@@ -384,7 +468,7 @@ class TestBoundaryErrors:
         [
             ("units", b"c000,u2,2,5\n"),  # a decimal comma adds a field
             ("clusters", b"c004,2,0,1,1\n"),
-            ("design", b"2,0,c004,extra\n"),
+            ("design", b"2,0,c004,nn_x,extra\n"),
         ],
     )
     def test_row_with_another_field_count(self, tmp_path, capsys, kind, row):
@@ -451,6 +535,23 @@ class TestBoundaryErrors:
         payload = json.loads(err)
         assert payload["error"] == "DataError"
         assert message in payload["message"]
+
+    def test_unbounded_size_law_is_data_error(self, tmp_path, capsys, monkeypatch):
+        def enumerate_support(self):
+            raise AssertionError("support enumerated")
+
+        monkeypatch.setattr(SizeLaw, "support", enumerate_support)
+        path = tmp_path / "dgp.json"
+        sizes = {"kind": "uniform_int", "params": [1, 10**12]}
+        path.write_text(json.dumps({**preset("null").to_json_dict(), "sizes": sizes}))
+        code, stdout, err = run_cli(
+            ["simulate", "--dgp-json", str(path), "--pairs", "4", "--reps", "2", "--seed", "1"],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert "more than 1000000 sizes" in payload["message"]
 
     @pytest.mark.parametrize(
         "flag,value", [("--pairs", "1"), ("--reps", "0"), ("--oracle-draws", "-1")]

@@ -118,9 +118,9 @@ class TestBuildDataset:
 
     def test_with_treatments(self):
         ds = table()
-        assert not ds.has_treatments
+        assert ds.treatment is None
         ds2 = ds.with_treatments([1, 0, 0, 1])
-        assert ds2.has_treatments
+        assert ds2.treatment is not None
         assert ds2.treatment.tolist() == [1, 0, 0, 1]
         assert ds2.outcomes is ds.outcomes
         with pytest.raises(NonBinaryTreatment):
@@ -350,3 +350,49 @@ class TestReaders:
         ds = load_dataset(units, four_clusters())
         assert ds.outcomes.tolist() == [3.0, 1.0, 0.0, 0.0, 0.0]
         assert ds.offsets.tolist() == [0, 2, 3, 4, 5]
+
+
+# Two blank lines and a quoted field holding a line break (lines 2 to 5)
+# come before the row on physical line 6.
+_BEFORE_LINE_6 = '\n\n"a\nz",u1,1.0\n'
+
+
+class TestPhysicalLineNumbers:
+    """Errors name the physical line a bad row starts on."""
+
+    @pytest.mark.parametrize(
+        "row,error,message",
+        [
+            ("b,u1,oops", DataError, "units CSV line 6: bad outcome 'oops'"),
+            ("b,u1,inf", NonFiniteOutcome, "units CSV line 6: outcome inf"),
+            ("b,u1,1,5", DataError, "units CSV line 6: 4 fields"),
+            ("ghost,u1,1.0", UnknownCluster, "units CSV line 6: unit 'u1' references unknown"),
+            ('"a\nz",u1,2.0', DuplicateUnit, "units CSV line 6: duplicate unit"),
+        ],
+    )
+    def test_units(self, row, error, message):
+        units = units_csv(_BEFORE_LINE_6 + row + "\nb,u1,0.5\nc,u1,0.5\nd,u1,0.5\n")
+        clusters = io.StringIO("cluster_id,n_total,x1\n\"a\nz\",2,0\nb,1,0\nc,1,0\nd,1,0\n")
+        with pytest.raises(error, match=message):
+            load_dataset(units, clusters)
+
+    @pytest.mark.parametrize(
+        "row,error,message",
+        [
+            ("b,x,0.2,0", DataError, "line 6: bad n_total 'x'"),
+            ("b,0,0.2,0", DataError, "line 6: cluster 'b': n_total must be positive"),
+            ("b,2,oops,0", RaggedCovariates, "line 6: bad covariate value 'oops'"),
+            ("b,2,inf,0", DataError, "line 6: cluster 'b': covariate inf is not finite"),
+            ("b,2,0.2,7", NonBinaryTreatment, "line 6: treatment '7' not in"),
+            ('"a\nz",2,0.2,0', DataError, "line 6: duplicate cluster_id"),
+            ("b,2,0.2", DataError, "line 6: 3 fields where the header has 4"),
+        ],
+    )
+    def test_clusters(self, row, error, message):
+        text = 'cluster_id,n_total,x1,treatment\n\n\n"a\nz",2,0.1,1\n' + row + "\n"
+        with pytest.raises(error, match=f"clusters CSV {message}"):
+            read_clusters(io.StringIO(text + "c,2,0.3,1\nd,2,0.4,0\n"))
+
+    def test_units_record_their_lines(self):
+        units = read_units(units_csv(_BEFORE_LINE_6 + "b,u1,0.5\n\nc,u1,0.5\n"))
+        assert units["line"].tolist() == [4, 6, 8]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    adjusted_outcomes,
     identity_design,
     make_dataset,
     pair_statistics_reference,
@@ -15,7 +16,7 @@ from helpers import (
 )
 from pairedcrt.errors import DataError, MissingTreatment, TooFewPairs
 from pairedcrt.estimation import kernel_inputs
-from pairedcrt.inference import EPS_FLOOR, adjusted_outcomes, infer, pair_statistics
+from pairedcrt.inference import EPS_FLOOR, infer, pair_statistics
 from pairedcrt.randtest import _COMPARE_TOL, statistic_batch, swap_treatments
 
 
@@ -212,7 +213,7 @@ class TestInfer:
         from pairedcrt.matching import MatchedDesign
 
         swapped = MatchedDesign(
-            permutation=(1, 0, 3, 2, 5, 4, 7, 6), pair_count=4, matched_on_size=False
+            permutation=(1, 0, 3, 2, 5, 4, 7, 6), pair_count=4, mode="nn_x"
         )
         other = infer(ds, swapped)
         assert other.variance.tau2 == pytest.approx(base.variance.tau2)

@@ -9,16 +9,18 @@ from hypothesis import strategies as st
 from helpers import (
     all_pairings,
     design_cost,
-    greedy_nn_reference,
     identity_design,
+    matching_reference,
     min_matching_cost,
     order_pairs_reference,
 )
 from pairedcrt.core import build_dataset
 from pairedcrt.errors import DataError, OddClusterCount
 from pairedcrt.matching import (
+    MATCH_MODES,
     MatchedDesign,
     imbalance_report,
+    match_clusters,
     order_pairs_for_variance,
     pair_greedy_nn,
     pair_sorted_scalar,
@@ -40,10 +42,10 @@ def items_from(xs, sizes=None, ids=None):
 class TestMatchedDesign:
     def test_rejects_non_bijection(self):
         with pytest.raises(DataError):
-            MatchedDesign(permutation=(0, 1, 1, 2), pair_count=2, matched_on_size=False)
+            MatchedDesign(permutation=(0, 1, 1, 2), pair_count=2, mode="nn_x")
 
     def test_pairs(self):
-        d = MatchedDesign(permutation=(2, 0, 3, 1), pair_count=2, matched_on_size=False)
+        d = MatchedDesign(permutation=(2, 0, 3, 1), pair_count=2, mode="nn_x")
         assert d.pairs() == [(2, 0), (3, 1)]
 
 
@@ -90,8 +92,6 @@ class TestPairSortedScalar:
             pair_sorted_scalar(items_from([1.0, 2.0, 3.0]))
 
     def test_rejects_missing_covariate(self):
-        with pytest.raises(DataError, match="covariate x2"):
-            pair_sorted_scalar(items_from([1.0, 2.0, 3.0, 4.0]), key=1)
         no_covariates = build_dataset("abcd", [1, 2, 3, 4], np.empty((4, 0)))
         with pytest.raises(DataError, match="covariate x1"):
             pair_sorted_scalar(no_covariates)
@@ -140,11 +140,11 @@ class TestPairGreedyNn:
             ]
             assert design_cost(design, xs) <= min_matching_cost(list(xs)) + 1e-12
 
-    def test_stores_zscored_features(self):
+    def test_records_its_mode(self):
         items = items_from([1.0, 2.0, 3.0, 4.0], sizes=[1, 2, 3, 4])
-        design = pair_greedy_nn(items, include_size=True)
-        assert design.scores.shape == (4, 2)
-        assert np.allclose(design.scores.mean(axis=0), 0.0, atol=1e-12)
+        assert pair_greedy_nn(items, include_size=True).mode == "nn_xn"
+        assert pair_greedy_nn(items).mode == "nn_x"
+        assert pair_sorted_scalar(items).mode == "sorted_x"
 
 
 @st.composite
@@ -162,27 +162,30 @@ def tied_items(draw):
 
 
 class TestAgainstTensorReference:
-    """The row-per-step walks give the permutations of the n x n x k tensor code."""
+    """The row-per-step walks and the one-column sort give the permutations of
+    the sort and n x n x k tensor code, in every match mode."""
 
     @settings(max_examples=300, deadline=None)
-    @given(items=tied_items(), include_size=st.booleans())
-    def test_greedy_nn_and_pair_order(self, items, include_size):
-        design = pair_greedy_nn(items, include_size=include_size)
-        reference = greedy_nn_reference(items, include_size=include_size)
+    @given(items=tied_items(), mode=st.sampled_from(MATCH_MODES))
+    def test_greedy_nn_and_pair_order(self, items, mode):
+        if mode == "sorted_x":
+            design = pair_sorted_scalar(items)
+        else:
+            design = pair_greedy_nn(items, include_size=mode == "nn_xn")
+        reference = matching_reference(items, mode)
         assert design.permutation == reference.permutation
         assert (
             order_pairs_for_variance(design, items).permutation
             == order_pairs_reference(reference, items).permutation
         )
+        assert match_clusters(items, mode) == order_pairs_for_variance(design, items)
 
     @settings(max_examples=200, deadline=None)
-    @given(items=tied_items(), include_size=st.booleans(), data=st.data())
-    def test_pair_order_of_any_design_without_scores(self, items, include_size, data):
-        # designs read from CSV carry no scores; any pairing may come in
+    @given(items=tied_items(), mode=st.sampled_from(MATCH_MODES), data=st.data())
+    def test_pair_order_of_any_design_without_scores(self, items, mode, data):
+        # any pairing may come in from a CSV; the mode alone names the features
         perm = tuple(data.draw(st.permutations(range(items.n_clusters))))
-        design = MatchedDesign(
-            permutation=perm, pair_count=items.n_pairs, matched_on_size=include_size
-        )
+        design = MatchedDesign(permutation=perm, pair_count=items.n_pairs, mode=mode)
         assert (
             order_pairs_for_variance(design, items).permutation
             == order_pairs_reference(design, items).permutation
@@ -225,7 +228,7 @@ class TestOrderPairsForVariance:
     def test_sorts_pairs_by_scalar_midpoint(self):
         items = items_from([4.0, 6.0, 0.0, 2.0, 2.0, 4.0])
         design = MatchedDesign(
-            permutation=(0, 1, 2, 3, 4, 5), pair_count=3, matched_on_size=False
+            permutation=(0, 1, 2, 3, 4, 5), pair_count=3, mode="nn_x"
         )
         ordered = order_pairs_for_variance(design, items)
         # midpoints are 5, 1, 3 so the pair visit order is (2,3), (4,5), (0,1)
@@ -234,7 +237,7 @@ class TestOrderPairsForVariance:
     def test_member_order_preserved(self):
         items = items_from([4.0, 6.0, 0.0, 2.0, 2.0, 4.0])
         design = MatchedDesign(
-            permutation=(1, 0, 3, 2, 5, 4), pair_count=3, matched_on_size=False
+            permutation=(1, 0, 3, 2, 5, 4), pair_count=3, mode="nn_x"
         )
         ordered = order_pairs_for_variance(design, items)
         assert ordered.permutation == (3, 2, 5, 4, 1, 0)
@@ -256,11 +259,34 @@ class TestOrderPairsForVariance:
             assert mids == sorted(mids)
 
 
+    def test_rounding_ties_follow_the_walk(self):
+        # the pairs (1,0) and (3,4) both have raw midpoint 1, but their z-scored
+        # midpoints differ in the last bit and round to one distance from the
+        # first pair, so the walk, and the ordering, takes (1,0) first
+        items = items_from([1.0, 1.0, -1.0, 2.0, 0.0, 2.0])
+        design = MatchedDesign(permutation=(1, 0, 3, 4, 2, 5), pair_count=3, mode="nn_x")
+        ordered = order_pairs_for_variance(design, items)
+        assert ordered.permutation == (2, 5, 1, 0, 3, 4)
+        assert ordered == order_pairs_reference(design, items)
+        z = zscore(items.X)[:, 0]
+        assert 0.5 * (z[1] + z[0]) > 0.5 * (z[3] + z[4])  # not the midpoints' sort order
+
+    def test_sorted_x_orders_on_x1_alone(self, rng):
+        xs = rng.normal(0.0, 1.0, (40, 2))
+        items = items_from(list(xs))
+        design = match_clusters(items, "sorted_x")
+        x1_only = items_from(list(xs[:, 0]))
+        assert design == match_clusters(x1_only, "sorted_x")
+        assert design == order_pairs_for_variance(
+            MatchedDesign(permutation=design.permutation, pair_count=20, mode="sorted_x"), items
+        )
+
+
 class TestImbalanceReport:
     def fixture(self):
         items = items_from([1.0, 2.0, 5.0, 3.0], sizes=[2, 2, 4, 4], ids=list("abcd"))
         design = MatchedDesign(
-            permutation=(0, 1, 2, 3), pair_count=2, matched_on_size=True
+            permutation=(0, 1, 2, 3), pair_count=2, mode="nn_xn"
         )
         return items, design
 
@@ -291,10 +317,10 @@ class TestImbalanceReport:
         sizes = rng.integers(1, 9, 8)
         items = items_from(xs, sizes=list(sizes))
         design = MatchedDesign(
-            permutation=tuple(range(8)), pair_count=4, matched_on_size=True
+            permutation=tuple(range(8)), pair_count=4, mode="nn_xn"
         )
         swapped = MatchedDesign(
-            permutation=(1, 0, 3, 2, 5, 4, 7, 6), pair_count=4, matched_on_size=True
+            permutation=(1, 0, 3, 2, 5, 4, 7, 6), pair_count=4, mode="nn_xn"
         )
         a = imbalance_report(design, items)
         b = imbalance_report(swapped, items)
@@ -312,6 +338,15 @@ class TestImbalanceReport:
         design = identity_design(2)
         rep = imbalance_report(design, items)
         assert set(rep.pair_discrepancies) == {(1, 0), (2, 0)}
+
+    def test_features_follow_the_mode(self):
+        xs = [[1.0, 9.0], [2.0, 0.0], [5.0, 4.0], [3.0, 1.0]]
+        items = items_from(xs, sizes=[2, 2, 4, 4])
+        x1_only = items_from([x for x, _ in xs], sizes=[2, 2, 4, 4])
+        for mode, other in (("sorted_x", x1_only), ("nn_x", items)):
+            design = MatchedDesign(permutation=(0, 1, 2, 3), pair_count=2, mode=mode)
+            got = imbalance_report(design, items).to_json_dict()
+            assert got == imbalance_report(identity_design(2), other).to_json_dict()
 
     def test_json_keys_are_strings(self):
         items, design = self.fixture()
@@ -339,6 +374,46 @@ class TestDesignIO:
         write_design(design, items, path)
         back = read_design(path, items, matched_on_size=True)
         assert back.matched_on_size
+
+    @pytest.mark.parametrize("mode", MATCH_MODES)
+    def test_round_trip_keeps_the_mode(self, rng, tmp_path, mode):
+        items = items_from(rng.normal(0.0, 1.0, (10, 2)), sizes=[3, 1, 4, 1, 5, 9, 2, 6, 5, 3])
+        design = match_clusters(items, mode)
+        path = tmp_path / "design.csv"
+        write_design(design, items, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "pair_index,position,cluster_id,mode"
+        assert all(line.endswith(f",{mode}") for line in lines[1:])
+        assert read_design(path, items) == design
+        if mode == "nn_xn":
+            assert read_design(path, items, matched_on_size=True) == design
+        else:
+            with pytest.raises(DataError, match=f"matched in mode '{mode}', not on size"):
+                read_design(path, items, matched_on_size=True)
+
+    def test_file_without_mode_column(self, tmp_path):
+        items = items_from([1.0, 2.0, 3.0, 4.0])
+        path = tmp_path / "design.csv"
+        path.write_text("pair_index,position,cluster_id\n0,0,c000\n0,1,c001\n1,0,c002\n1,1,c003\n")
+        assert read_design(path, items).mode == "nn_x"
+        assert read_design(path, items, matched_on_size=True).mode == "nn_xn"
+
+    @pytest.mark.parametrize(
+        "modes,message",
+        [
+            (("nn_x", "nn_x", "optimal", "nn_x"), "line 6: unknown mode 'optimal'"),
+            (("nn_x", "nn_x", "nn_x", "nn_xn"), "line 7: mode 'nn_xn' where earlier rows"),
+            (("sorted_x", "", "sorted_x", "sorted_x"), "line 4: unknown mode ''"),
+        ],
+    )
+    def test_bad_or_mixed_mode_names_its_line(self, tmp_path, modes, message):
+        items = items_from([1.0, 2.0, 3.0, 4.0], ids=["c0", "c\n1", "c2", "c3"])
+        path = tmp_path / "design.csv"
+        rows = ["0,0,c0", '0,1,"c\n1"', "1,0,c2", "1,1,c3"]
+        body = "\n".join(f"{row},{mode}" for row, mode in zip(rows, modes))
+        path.write_text(f"pair_index,position,cluster_id,mode\n\n{body}\n")  # row 1 on line 3
+        with pytest.raises(DataError, match=message):
+            read_design(path, items)
 
     def test_unknown_cluster_rejected(self, tmp_path):
         items = items_from([1.0, 2.0, 3.0, 4.0])

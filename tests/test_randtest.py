@@ -70,7 +70,7 @@ class TestExact:
         ds = random_dataset(rng, pairs=3)
         base = randomization_test(ds, identity_design(3), mode="exact")
         swapped = MatchedDesign(
-            permutation=(1, 0, 3, 2, 5, 4), pair_count=3, matched_on_size=False
+            permutation=(1, 0, 3, 2, 5, 4), pair_count=3, mode="nn_x"
         )
         other = randomization_test(ds, swapped, mode="exact")
         assert other.p_value == base.p_value

@@ -54,6 +54,20 @@ class TestLaws:
         with pytest.raises(ValueError):
             SizeLaw(kind="two_point", params=(10.0, 50.0, 1.5))
 
+    def test_uniform_int_support_is_bounded(self, monkeypatch):
+        def enumerate_support(self):
+            raise AssertionError("support enumerated")
+
+        monkeypatch.setattr(SizeLaw, "support", enumerate_support)
+        SizeLaw(kind="uniform_int", params=(1, 10**6))
+        SizeLaw(kind="uniform_int", params=(5, 10**6 + 4))
+        for high in (10**6 + 1, 10**12):
+            with pytest.raises(ValueError, match="more than 1000000 sizes"):
+                SizeLaw(kind="uniform_int", params=(1, high))
+        payload = {**preset("null").to_json_dict(), "sizes": {"kind": "uniform_int", "params": [1, 10**12]}}
+        with pytest.raises(DataError, match="more than 1000000 sizes"):
+            DgpSpec.from_json_dict(payload)
+
     def test_covariate_laws(self):
         assert CovariateLaw(kind="uniform", params=(0.0, 1.0)).mean() == pytest.approx(0.5)
         assert CovariateLaw(kind="normal", params=(2.0, 1.5)).mean() == 2.0

@@ -15,17 +15,19 @@ within-pair difference that matching already explains, provided consecutive
 pairs are close in feature space (see
 :func:`pairedcrt.matching.order_pairs_for_variance`).
 
-One kernel, :func:`pair_statistics`, computes (delta, tau2, lambda2) for
-``infer`` and for every swap pattern of the randomization test. It takes
-treatment vectors of shape (2G,) or (B, 2G) and works per pair: with
-``s = d[..., perm[0::2]]`` saying whether the first member of each pair is
-treated, pair j's signed difference is
+The per-pair kernel :func:`pair_statistics` computes (delta, tau2,
+lambda2) for ``infer``. It takes treatment vectors of shape (2G,) or
+(B, 2G) and works per pair: with ``s = d[..., perm[0::2]]`` saying whether
+the first member of each pair is treated, pair j's signed difference is
 
     (N_t (ybar_t - mu1) - N_c (ybar_c - mu0)) / nbar,
 
 t and c being its treated and control member, and the arm means come from
-:func:`pairedcrt.estimation.arm_means`. A batch holds a handful of (B, G)
-float arrays at a time; ``infer`` is the B = 1 call.
+:func:`pairedcrt.estimation.arm_means`. The randomization test evaluates
+the same three statistics for whole batches of swap patterns from
+pair-level sums instead (:class:`pairedcrt.randtest.SignSums`); a property
+test holds the two kernels to each other and to a per-cluster reference.
+:func:`first_member_treated` is the design check both share.
 """
 
 from __future__ import annotations
@@ -94,6 +96,28 @@ class InferenceResult:
         }
 
 
+def first_member_treated(
+    n: np.ndarray, d: np.ndarray, permutation: Sequence[int], pair_count: int
+) -> np.ndarray:
+    """Whether each pair's first member is treated, shape (..., G) for ``d``
+    of shape (..., 2G).
+
+    Raises ``DataError`` when the design does not cover the data or a pair
+    does not have exactly one treated member, and ``TooFewPairs`` below two
+    pairs.
+    """
+    perm = np.asarray(permutation)
+    if len(perm) != len(n):
+        raise DataError(f"the design covers {len(perm)} clusters but the data has {len(n)}")
+    if pair_count < 2:
+        raise TooFewPairs("the cross-pair correction needs at least 2 pairs")
+    d = np.asarray(d)
+    first = np.take(d, perm[0::2], axis=-1) == 1
+    if np.any(first == (np.take(d, perm[1::2], axis=-1) == 1)):
+        raise DataError("every pair of the design needs one treated and one control cluster")
+    return first
+
+
 def pair_statistics(
     n: np.ndarray,
     ybar: np.ndarray,
@@ -109,15 +133,8 @@ def pair_statistics(
     lambda2 does. For odd G the trailing pair drops out of lambda2.
     """
     perm = np.asarray(permutation)
-    if len(perm) != len(n):
-        raise DataError(f"the design covers {len(perm)} clusters but the data has {len(n)}")
-    if pair_count < 2:
-        raise TooFewPairs("the cross-pair correction needs at least 2 pairs")
+    s = first_member_treated(n, d, perm, pair_count)
     mu1, mu0, _, _ = arm_means(n, ybar, d)
-    d = np.asarray(d)
-    s = np.take(d, perm[0::2], axis=-1) == 1  # the first member of the pair is treated
-    if np.any(s == (np.take(d, perm[1::2], axis=-1) == 1)):
-        raise DataError("every pair of the design needs one treated and one control cluster")
     # positions, in pair order, of each pair's treated and control member
     t = 2 * np.arange(pair_count) + ~s
     c = t ^ 1

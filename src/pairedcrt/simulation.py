@@ -320,6 +320,10 @@ def oracle_kind(match_mode: str) -> str:
     return "x_and_n" if match_mode == "nn_xn" else "x_only"
 
 
+#: Most sampled units one trial may hold; each costs a few float columns.
+MAX_SAMPLED_UNITS = 10**7
+
+
 def generate_trial(
     dgp: DgpSpec, pair_count: int, match_mode: str = "nn_xn", seed: int = 0
 ) -> tuple[Dataset, MatchedDesign, float]:
@@ -328,7 +332,9 @@ def generate_trial(
     Cluster covariates, sizes, noise and the assignment each use their own
     Philox stream spawned from ``seed``. Cluster and unit noise are drawn
     before assignment, so a rerun with a different assignment seed would
-    reuse the same potential outcomes.
+    reuse the same potential outcomes. Raises ``DataError`` when the drawn
+    sizes would sample more than ``MAX_SAMPLED_UNITS`` units, before any
+    outcome is drawn.
     """
     m = 2 * pair_count
     streams = np.random.SeedSequence(seed).spawn(5)
@@ -338,8 +344,13 @@ def generate_trial(
     x = dgp.covariates.sample(rng_x, m)
     n = dgp.sizes.sample(rng_n, m)
     counts = dgp.sampling.counts(n)
+    sampled = counts.sum(dtype=float)  # a float sum cannot wrap around
+    if sampled > MAX_SAMPLED_UNITS:
+        raise DataError(
+            f"the trial samples {sampled:.0f} units, more than {MAX_SAMPLED_UNITS}"
+        )
     gamma = rng_gamma.normal(0.0, dgp.outcomes.sigma_cluster, m)
-    eps = rng_eps.normal(0.0, dgp.outcomes.sigma_unit, int(counts.sum()))
+    eps = rng_eps.normal(0.0, dgp.outcomes.sigma_unit, int(sampled))
 
     clusters = build_dataset([f"c{i + 1:06d}" for i in range(m)], n, x.reshape(m, 1))
     design = match_clusters(clusters, match_mode)

@@ -9,8 +9,10 @@ that the package's row-per-step walks and one-column sort replaced,
 ``trial_columns_reference``
 builds a trial cluster by cluster, one float at a time, and
 ``pair_statistics_reference`` computes delta, tau2 and lambda2 through
-per-cluster adjusted outcomes, the path the per-pair kernel replaced.
-``adjusted_outcomes`` is that path's first step.
+per-cluster adjusted outcomes, the path the per-pair kernel replaced, and
+``randomization_reference`` enumerates every swap pattern through it.
+``adjusted_outcomes`` is that path's first step, and ``swap_treatments``
+turns swap bits into treatment vectors.
 """
 
 import math
@@ -194,6 +196,16 @@ def unit_level_reference(pairs_y):
     return out
 
 
+def swap_treatments(d, bits, permutation, pair_count):
+    """Apply swap patterns to a treatment vector.
+
+    ``bits`` has shape (B, G = ``pair_count``); bit j = 1 swaps the members
+    of pair j. Returns an integer matrix of shape (B, 2G).
+    """
+    pair_of_cluster = np.argsort(permutation) // 2
+    return d ^ np.take(bits, pair_of_cluster, axis=1)
+
+
 def pair_statistics_reference(n, ybar, d, permutation, pair_count):
     """(delta, tau2, lambda2) through a per-cluster adjusted outcome yhat.
 
@@ -218,6 +230,29 @@ def pair_statistics_reference(n, ybar, d, permutation, pair_count):
     follow = signed[..., 1 : 2 * n_quads : 2]
     lambda2 = (2.0 / pair_count) * (lead * follow).sum(axis=-1)
     return mu1 - mu0, tau2, lambda2
+
+
+def randomization_reference(n, ybar, d, permutation, pair_count, delta0=0.0):
+    """Exact p-value, observed statistic and every pattern's statistic.
+
+    Enumerates all 2^G swap patterns of the treatment vector ``d`` (pattern
+    k swaps pair j when bit j of k is set, so pattern 0 is the identity),
+    evaluates each through :func:`pair_statistics_reference` on the outcomes
+    shifted by ``delta0`` on the observed treated clusters, and studentizes
+    with the package's clamp rule.
+    """
+    g = pair_count
+    d = np.asarray(d, dtype=np.int64)
+    bits = (np.arange(1 << g)[:, None] >> np.arange(g)) & 1
+    dmat = swap_treatments(d, bits, permutation, g)
+    delta, tau2, lambda2 = pair_statistics_reference(n, ybar - d * delta0, dmat, permutation, g)
+    v2 = tau2 - 0.5 * lambda2
+    num = np.abs(math.sqrt(g) * delta)
+    t = np.where(num <= 1e-10, 0.0, np.inf)
+    ok = v2 > 1e-12
+    t[ok] = num[ok] / np.sqrt(v2[ok])
+    p = np.count_nonzero(t >= t[0] - 1e-12) / (1 << g)
+    return p, float(t[0]), t
 
 
 def unit_level_randomization_p(pairs_y, delta0=0.0):

@@ -281,6 +281,20 @@ class TestRandtest:
         assert payload["mode"] == "stochastic"
         assert payload["draws"] == 99
         assert payload["seed"] == 5
+        p = payload["p_value"]
+        assert payload["mc_standard_error"] == pytest.approx((p * (1 - p) / 99) ** 0.5)
+        assert payload["schema_version"] == 1
+
+    def test_exact_has_no_monte_carlo_error(self, tmp_path, capsys):
+        units, clusters, design = unit_fixture(tmp_path)
+        code, out, _ = run_cli(
+            ["randtest", "--units", units, "--clusters", clusters, "--design", design],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["mode"] == "exact"
+        assert payload["mc_standard_error"] is None
 
 
 class TestUsageAndDataErrors:
@@ -552,6 +566,20 @@ class TestBoundaryErrors:
         payload = json.loads(err)
         assert payload["error"] == "DataError"
         assert "more than 1000000 sizes" in payload["message"]
+
+    def test_huge_trial_is_data_error(self, tmp_path, capsys):
+        # 8 clusters of 10^12 units each, all sampled: refused before any draw
+        path = tmp_path / "dgp.json"
+        sizes = {"kind": "fixed", "params": [10**12]}
+        path.write_text(json.dumps({**preset("null").to_json_dict(), "sizes": sizes}))
+        code, stdout, err = run_cli(
+            ["simulate", "--dgp-json", str(path), "--pairs", "4", "--reps", "2", "--seed", "1"],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert "samples 8000000000000 units" in payload["message"]
 
     @pytest.mark.parametrize(
         "flag,value", [("--pairs", "1"), ("--reps", "0"), ("--oracle-draws", "-1")]

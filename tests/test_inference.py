@@ -11,13 +11,14 @@ from helpers import (
     make_dataset,
     pair_statistics_reference,
     random_dataset,
+    swap_treatments,
     unit_level_reference,
     with_outcomes,
 )
 from pairedcrt.errors import DataError, MissingTreatment, TooFewPairs
 from pairedcrt.estimation import kernel_inputs
 from pairedcrt.inference import EPS_FLOOR, infer, pair_statistics
-from pairedcrt.randtest import _COMPARE_TOL, statistic_batch, swap_treatments
+from pairedcrt.randtest import _COMPARE_TOL, statistic_batch
 
 
 class TestAdjustedOutcomes:

@@ -2,18 +2,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import identity_design, make_dataset, random_dataset, with_outcomes
+from helpers import (
+    identity_design,
+    make_dataset,
+    pair_statistics_reference,
+    random_dataset,
+    randomization_reference,
+    swap_treatments,
+    with_outcomes,
+)
 from pairedcrt import randtest
 from pairedcrt.errors import BadB, DataError, MissingTreatment, TooManyPairsForExact
 from pairedcrt.estimation import kernel_inputs
-from pairedcrt.inference import infer
-from pairedcrt.randtest import (
-    randomization_test,
-    statistic_batch,
-    swap_treatments,
-)
-from pairedcrt.simulation import generate_trial, preset
+from pairedcrt.inference import infer, pair_statistics
+from pairedcrt.randtest import SignSums, randomization_test, statistic_batch
+from pairedcrt.simulation import MATCH_MODES, PRESET_NAMES, generate_trial, preset
 
 
 def unit_dataset(ys, ts):
@@ -117,7 +123,7 @@ class TestExact:
             assert np.mean(pvals <= alpha) <= alpha + 1e-12
 
     def test_too_many_pairs_for_exact(self, rng):
-        g = 21
+        g = randtest.MAX_EXACT_PAIRS + 1
         ys = list(rng.normal(0.0, 1.0, 2 * g))
         ds = unit_dataset(ys, [1, 0] * g)
         with pytest.raises(TooManyPairsForExact):
@@ -127,6 +133,154 @@ class TestExact:
         ds = make_dataset(sizes=[1, 1, 1, 1], ybars=[1.0, 2.0, 3.0, 4.0])
         with pytest.raises(MissingTreatment):
             randomization_test(ds, identity_design(2), mode="exact")
+
+
+@st.composite
+def sign_cases(draw):
+    """Kernel inputs on exact grids: outcomes, an observed assignment, swap
+    bits relative to it, and a constant offset added to every outcome."""
+    g = draw(st.integers(2, 13))
+
+    def per_cluster(values):
+        return np.array(draw(st.lists(values, min_size=2 * g, max_size=2 * g)), dtype=float)
+
+    sizes = np.ones(2 * g) if draw(st.booleans()) else per_cluster(st.integers(1, 60))
+    grid = draw(st.sampled_from(["binary", "quarters", "eighths"]))
+    if grid == "binary":  # tie-heavy: many patterns share a statistic
+        ys = per_cluster(st.integers(0, 1))
+    elif grid == "quarters":
+        ys = per_cluster(st.integers(0, 4)) / 4.0
+    else:
+        ys = per_cluster(st.integers(-800, 800)) / 8.0
+    perm = tuple(draw(st.permutations(range(2 * g))))
+    first = np.array(draw(st.lists(st.booleans(), min_size=g, max_size=g)))
+    d = np.zeros(2 * g, dtype=np.int64)
+    d[np.where(first, np.asarray(perm[0::2]), np.asarray(perm[1::2]))] = 1
+    pattern = st.lists(st.integers(0, 1), min_size=g, max_size=g)
+    bits = np.array(draw(st.lists(pattern, min_size=1, max_size=8)), dtype=np.int64)
+    # a hypothesized effect on the 1/8 grid keeps the shifted outcomes exact
+    ys = ys - d * (draw(st.integers(-80, 80)) / 8.0)
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    return sizes, ys, offset, d, first, bits, perm, g
+
+
+class TestSignSums:
+    @settings(max_examples=300, deadline=None)
+    @given(case=sign_cases())
+    def test_agrees_with_per_cluster_reference(self, case):
+        n, ybar, offset, d, first, bits, perm, g = case
+        # the statistic ignores a constant offset, so the reference runs without it
+        got = SignSums.build(n, ybar + offset, perm, g, first).statistics(1.0 - 2.0 * bits)
+        dmat = swap_treatments(d, bits, perm, g)
+        ref = pair_statistics_reference(n, ybar, dmat, perm, g)
+        # The kernel sums expanded squares, so it rounds in proportion to the
+        # largest term, not to tau2: where the reference gives exactly 0
+        # (outcomes constant within arms) the kernel gives about 1e-16.
+        w, centred = n / n.mean(), ybar - np.dot(n, ybar) / n.sum()
+        term = (w.max() * (2.0 * np.abs(centred).max() + np.abs(ref[0]))) ** 2
+        scale = 1e-12 * (ref[1] + np.abs(ref[2])) + 1e-14 * term
+        tolerances = (1e-12 * (np.abs(ybar).max() + 1.0), scale, scale)
+        # held to the reference and to infer's per-pair kernel alike
+        for want in (ref, pair_statistics(n, ybar, dmat, perm, g)):
+            for value, expected, tol in zip(got, want, tolerances):
+                assert np.all(np.abs(value - expected) <= tol)
+
+    def test_signs_are_relative_to_the_observed_assignment(self, rng):
+        ds = random_dataset(rng, pairs=5)
+        n, ybar, d = kernel_inputs(ds)
+        perm = identity_design(5).permutation
+        first = d[0::2] == 1
+        bits = rng.integers(0, 2, size=(6, 5))
+        relative = SignSums.build(n, ybar, perm, 5, first).studentized(1.0 - 2.0 * bits)
+        dmat = swap_treatments(ds.treatment, bits, perm, 5)
+        np.testing.assert_allclose(relative, statistic_batch(n, ybar, dmat, perm, 5), rtol=1e-13)
+
+    def test_statistic_batch_rejects_a_row_without_one_treated_per_pair(self, rng):
+        n, ybar, d = kernel_inputs(random_dataset(rng, pairs=3))
+        dmat = np.array([d, [1.0, 1.0, 0.0, 1.0, 1.0, 0.0]])
+        with pytest.raises(DataError, match="one treated and one control"):
+            statistic_batch(n, ybar, dmat, tuple(range(6)), 3)
+
+
+def tie_heavy_dataset(rng, g, kind):
+    """Binary unit outcomes, quarter-grid means with sizes {10, 50}, or
+    eighth-grid means offset by 1e6; returns (dataset, the same outcomes
+    without the offset)."""
+    treatments = np.zeros(2 * g, dtype=int)
+    treatments[2 * np.arange(g) + rng.integers(0, 2, g)] = 1
+    if kind == "binary":
+        sizes, ys, offset = np.ones(2 * g, dtype=int), rng.integers(0, 2, 2 * g) * 1.0, 0.0
+    elif kind == "quarters":
+        sizes, ys, offset = rng.choice([10, 50], 2 * g), rng.integers(0, 5, 2 * g) / 4.0, 0.0
+    else:
+        sizes, ys, offset = rng.integers(1, 30, 2 * g), rng.integers(-8, 9, 2 * g) / 8.0, 1e6
+    ds = make_dataset(sizes=list(sizes), ybars=list(ys + offset), treatments=list(treatments))
+    return ds, ys
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("preset_name", PRESET_NAMES)
+    def test_exact_p_equals_enumeration_through_reference(self, preset_name):
+        for g in (2, 3, 4, 7, 10, 12):
+            for mode in MATCH_MODES:
+                ds, design, effect = generate_trial(preset(preset_name), g, mode, seed=g)
+                n, ybar, d = kernel_inputs(ds)
+                for delta0 in (0.0, effect):
+                    res = randomization_test(ds, design, mode="exact", delta0=delta0)
+                    p, t_obs, _ = randomization_reference(n, ybar, d, design.permutation, g, delta0)
+                    assert res.p_value == p
+                    # v2 far below the squared effect (T = 201 at G = 2 on
+                    # stress) costs the expanded sums digits: 1.7e-12 there
+                    assert res.t_observed == pytest.approx(t_obs, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["binary", "quarters", "offset"])
+    def test_tie_heavy_exact_p_equals_enumeration(self, kind):
+        rng = np.random.default_rng(4242)
+        for _ in range(20):
+            g = int(rng.integers(2, 13))
+            ds, ys = tie_heavy_dataset(rng, g, kind)
+            n, _, d = kernel_inputs(ds)
+            design = identity_design(g)
+            for delta0 in (0.0, 0.25):
+                res = randomization_test(ds, design, mode="exact", delta0=delta0)
+                p, t_obs, _ = randomization_reference(n, ys, d, design.permutation, g, delta0)
+                assert res.p_value == p
+                assert res.t_observed == pytest.approx(t_obs, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "sizes,ys,treatments,delta0,t_obs",
+        [
+            # constant outcomes: every variance clamps with a zero numerator
+            ([1] * 6, [2.0] * 6, [1, 0, 0, 1, 1, 0], 0.0, 0.0),
+            # the same shifted by an effect: the observed numerator is not zero
+            ([1] * 6, [2.0] * 6, [1, 0, 0, 1, 1, 0], 3.0, np.inf),
+            # constant within arms: only the identity and its complement clamp
+            ([3, 7, 2, 9, 4, 4, 6, 1], [1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0],
+             [1, 0, 0, 1, 1, 0, 0, 1], 0.0, np.inf),
+            ([3, 7, 2, 9, 4, 4, 6, 1], [1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0],
+             [1, 0, 0, 1, 1, 0, 0, 1], 1.0, 0.0),
+            # the same at scale 1e6: rounding in the expanded sums still clamps
+            ([3, 7, 2, 9, 4, 4, 6, 1], [3e5, -7e5, -7e5, 3e5, 3e5, -7e5, -7e5, 3e5],
+             [1, 0, 0, 1, 1, 0, 0, 1], 0.0, np.inf),
+            # equal outcomes within each pair: delta is zero for every pattern
+            ([1] * 8, [0.5, 0.5, -2.0, -2.0, 3.25, 3.25, 1.0, 1.0],
+             [0, 1, 1, 0, 0, 1, 1, 0], 0.0, 0.0),
+        ],
+    )
+    def test_clamped_and_zero_numerator_cases(self, sizes, ys, treatments, delta0, t_obs):
+        ds = make_dataset(sizes=sizes, ybars=ys, treatments=treatments)
+        n, ybar, d = kernel_inputs(ds)
+        g = len(sizes) // 2
+        design = identity_design(g)
+        res = randomization_test(ds, design, mode="exact", delta0=delta0)
+        p, ref_t_obs, ref_t = randomization_reference(n, ybar, d, design.permutation, g, delta0)
+        assert res.t_observed == ref_t_obs == t_obs
+        assert res.p_value == p
+        bits = (np.arange(1 << g)[:, None] >> np.arange(g)) & 1
+        dmat = swap_treatments(ds.treatment, bits, design.permutation, g)
+        t = statistic_batch(n, ybar - d * delta0, dmat, design.permutation, g)
+        assert np.array_equal(t == 0.0, ref_t == 0.0)
+        assert np.array_equal(np.isinf(t), np.isinf(ref_t))
 
 
 class TestStochastic:
@@ -143,6 +297,16 @@ class TestStochastic:
         a = randomization_test(ds, identity_design(4), mode="stochastic", draws=199, seed=5)
         b = randomization_test(ds, identity_design(4), mode="stochastic", draws=199, seed=5)
         assert a.p_value == b.p_value
+
+    def test_reports_monte_carlo_standard_error(self, rng):
+        ds = random_dataset(rng, pairs=6)
+        res = randomization_test(ds, identity_design(6), mode="stochastic", draws=399, seed=2)
+        assert res.mc_standard_error == pytest.approx(
+            np.sqrt(res.p_value * (1.0 - res.p_value) / 399), rel=1e-15
+        )
+        assert res.to_json_dict()["mc_standard_error"] == res.mc_standard_error
+        exact = randomization_test(ds, identity_design(6), mode="exact")
+        assert exact.mc_standard_error is None
 
     def test_identity_always_counted(self, rng):
         ds = random_dataset(rng, pairs=4)
@@ -184,6 +348,17 @@ class TestChunking:
         # one chunk of all 9999 patterns needed about 900 MiB
         assert peak < 128 * 2**20
 
+    def test_no_pattern_by_cluster_matrix(self):
+        ds, design, _ = generate_trial(preset("size_heterogeneous"), 1000, "nn_xn", 3)
+        tracemalloc.start()
+        try:
+            randomization_test(ds, design, mode="stochastic", draws=1999, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a chunk's (B, 2G) treatment matrices traced about 65 MiB
+        assert peak < 32 * 2**20
+
 
 class TestDesignCoverage:
     def test_design_over_part_of_the_data_rejected(self, rng):
@@ -203,6 +378,7 @@ class TestResultPayload:
         assert payload["mode"] == "exact"
         assert payload["draws"] == 8
         assert payload["alpha"] == 0.2
+        assert payload["mc_standard_error"] is None
         assert isinstance(payload["p_value"], float)
 
     def test_degenerate_t_serializes_as_null(self):

@@ -193,6 +193,24 @@ class TestGenerateTrial:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert design.permutation == reference_design.permutation
 
+    @pytest.mark.parametrize(
+        "sizes,sampling,units",
+        [
+            (SizeLaw("fixed", (10**12,)), SamplingRule("full"), "8000000000000"),
+            # 10^18 per cluster would wrap an int64 sum of the counts
+            (SizeLaw("fixed", (10**18,)), SamplingRule("fraction", 0.5), "4000000000000000000"),
+        ],
+    )
+    def test_too_many_sampled_units_rejected(self, sizes, sampling, units):
+        dgp = DgpSpec(
+            covariates=CovariateLaw("uniform", (0.0, 1.0)),
+            sizes=sizes,
+            sampling=sampling,
+            outcomes=LinearOutcomeModel(alpha0=0.0, alpha1=0.0),
+        )
+        with pytest.raises(DataError, match=f"samples {units} units"):
+            generate_trial(dgp, pair_count=4, seed=0)
+
     def test_bad_match_mode(self):
         with pytest.raises(ValueError):
             generate_trial(preset("null"), pair_count=4, match_mode="optimal", seed=0)

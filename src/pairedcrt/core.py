@@ -29,11 +29,20 @@ Blank lines are skipped; any other row must have as many fields as the
 header. Errors name the physical line on which the offending row starts,
 counting the header as line 1, blank lines and the line breaks inside quoted
 fields.
+
+A CSV is read whole, and one leading UTF-8 byte order mark is dropped. A
+text with no double quote, no NUL, no carriage return outside a CRLF line
+break and no line longer than ``csv.field_size_limit()`` (the package's own
+files, which ``csv.writer`` ends with CRLF, and most exports) is split once
+into columns. Any other text, such as one with quoted fields, goes through
+``csv.reader``. The input alone decides, and both paths give the same
+columns, line numbers and errors.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from dataclasses import dataclass, replace
@@ -55,6 +64,8 @@ from .errors import (
 )
 
 _COVARIATE_COL = re.compile(r"^x(\d+)$")
+
+_BOM = "\ufeff"
 
 # one record per units CSV row, with the physical line it starts on
 _UNIT_DTYPE = np.dtype(
@@ -258,49 +269,100 @@ def _gather_clusters(y: np.ndarray, offsets: np.ndarray, order: np.ndarray):
     return y[index], new
 
 
-def _read_csv(source, kind: str) -> tuple[list[str], list[list[str]], list[int]]:
-    """Header, data rows and the physical line each data row starts on, of a
+def _read_csv(source, kind: str) -> tuple[list[str], dict[str, list[str]], np.ndarray]:
+    """Header, columns and the physical line each data row starts on, of a
     CSV (path or open text stream).
 
-    Blank rows are skipped. Raises ``DataError`` for a file that is not
-    UTF-8, a malformed CSV, a repeated column name or a row whose field
-    count differs from the header's.
+    One leading byte order mark is dropped and blank rows are skipped.
+    Raises ``DataError`` for a file that is not UTF-8, a malformed CSV, a
+    repeated column name or a row whose field count differs from the
+    header's.
     """
+    lines = None
     if isinstance(source, (str, Path)):
         try:
             with open(source, newline="", encoding="utf-8") as fh:
-                return _read_csv(fh, kind)
+                text = fh.read().removeprefix(_BOM)
         except UnicodeDecodeError as exc:
             raise DataError(
                 f"{kind} {str(source)!r} is not UTF-8: {exc.reason} at byte {exc.start}"
             ) from None
-    reader = csv.reader(source)
-    rows, lines = [], []
+    else:
+        # keep the stream's own line breaks for csv.reader
+        lines = source.readlines()
+        if lines:
+            lines[0] = lines[0].removeprefix(_BOM)
+        text = "".join(lines)
+    table = _split_csv(text, kind)
+    if table is None:
+        # a StringIO with newline="" breaks lines as a file opened with it does
+        table = _reader_csv(io.StringIO(text, newline="") if lines is None else lines, kind)
+    return table
+
+
+def _split_csv(text: str, kind: str):
+    """``_read_csv``'s table from one split of ``text``, or None for a text
+    holding a quote, a NUL, a carriage return outside CRLF or a line longer
+    than ``csv.field_size_limit()``, which only ``csv.reader`` reads right."""
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    head, _, body = text.partition("\n")
+    if body and not body.endswith("\n"):
+        body += "\n"
+    # in UTF-8 the bytes of "\n" and "," stand for nothing else
+    raw = np.frombuffer(body.encode("utf-8"), np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts  # bytes, at least the characters
+    limit = csv.field_size_limit()
+    if len(head) > limit or (len(ends) and lengths.max() > limit):
+        return None
+    header = head.split(",") if head else []
+    kept = lengths > 0
+    row_lines = np.flatnonzero(kept) + 2
+    commas = np.flatnonzero(raw == ord(","))
+    widths = np.searchsorted(commas, ends[kept]) - np.searchsorted(commas, starts[kept]) + 1
+    _check_shape(kind, header, widths, row_lines)
+    if len(row_lines) < len(ends):
+        body = "\n".join(filter(None, body.split("\n")))
+    fields = body.rstrip("\n").replace("\n", ",").split(",") if len(row_lines) else []
+    width = len(header)
+    return header, {name: fields[j::width] for j, name in enumerate(header)}, row_lines
+
+
+def _reader_csv(lines, kind: str):
+    """``_read_csv``'s table from ``csv.reader`` over an iterable of lines."""
+    reader = csv.reader(lines)
+    rows, starts = [], []
     try:
         header = next(reader, [])
         start = reader.line_num + 1
         for row in reader:
             if row:
                 rows.append(row)
-                lines.append(start)
+                starts.append(start)
             start = reader.line_num + 1
     except csv.Error as exc:
         raise DataError(f"{kind} line {reader.line_num}: {exc}") from None
+    row_lines = np.array(starts, dtype=np.int64)
+    _check_shape(kind, header, np.fromiter(map(len, rows), np.int64, len(rows)), row_lines)
+    columns = zip(*rows) if rows else [()] * len(header)
+    return header, {name: list(col) for name, col in zip(header, columns)}, row_lines
+
+
+def _check_shape(kind: str, header: list[str], widths: np.ndarray, lines: np.ndarray) -> None:
+    """Reject a repeated column name, then the first row whose field count
+    ``widths`` differs from the header's."""
     if len(set(header)) != len(header):
         raise DataError(f"{kind} header repeats a column: {header}")
-    width = len(header)
-    if set(map(len, rows)) - {width}:
-        i = next(i for i, row in enumerate(rows) if len(row) != width)
+    bad = widths != len(header)
+    if bad.any():
+        i = int(bad.argmax())
         raise DataError(
-            f"{kind} line {lines[i]}: {len(rows[i])} fields where the header has {width}"
+            f"{kind} line {lines[i]}: {widths[i]} fields where the header has {len(header)}"
         )
-    return header, rows, lines
-
-
-def _columns(header: list[str], rows: list[list[str]]) -> dict[str, tuple[str, ...]]:
-    if not rows:
-        return {name: () for name in header}
-    return dict(zip(header, zip(*rows)))
 
 
 def _parse_column(
@@ -319,19 +381,13 @@ def _parse_column(
         raise
 
 
-def read_units(source) -> np.ndarray:
-    """Parse a units CSV (path or open text stream).
-
-    Returns a structured array with one element per unit row, in file order,
-    and the fields ``cluster_id`` and ``unit_id`` (str), ``outcome`` (float)
-    and ``line`` (the physical line the row starts on), so its ``len`` is the
-    number of unit rows.
-    """
-    header, rows, lines = _read_csv(source, "units CSV")
+def _unit_columns(source):
+    """A units CSV's ``cluster_id`` and ``unit_id`` columns, its outcomes as
+    floats and the physical line each row starts on."""
+    header, cols, lines = _read_csv(source, "units CSV")
     required = {"cluster_id", "unit_id", "outcome"}
     if not required.issubset(header):
         raise DataError(f"units CSV header must contain {sorted(required)}, got {header}")
-    cols = _columns(header, rows)
     outcome = _parse_column(
         cols["outcome"],
         float,
@@ -342,9 +398,21 @@ def read_units(source) -> np.ndarray:
     if bad.any():
         i = int(bad.argmax())
         raise NonFiniteOutcome(f"units CSV line {lines[i]}: outcome {float(outcome[i])!r}")
-    units = np.empty(len(rows), dtype=_UNIT_DTYPE)
-    units["cluster_id"] = cols["cluster_id"]
-    units["unit_id"] = cols["unit_id"]
+    return cols["cluster_id"], cols["unit_id"], outcome, lines
+
+
+def read_units(source) -> np.ndarray:
+    """Parse a units CSV (path or open text stream).
+
+    Returns a structured array with one element per unit row, in file order,
+    and the fields ``cluster_id`` and ``unit_id`` (str), ``outcome`` (float)
+    and ``line`` (the physical line the row starts on), so its ``len`` is the
+    number of unit rows.
+    """
+    cluster_col, unit_col, outcome, lines = _unit_columns(source)
+    units = np.empty(len(outcome), dtype=_UNIT_DTYPE)
+    units["cluster_id"] = cluster_col
+    units["unit_id"] = unit_col
     units["outcome"] = outcome
     units["line"] = lines
     return units
@@ -373,7 +441,7 @@ def read_clusters(source) -> Dataset:
     is present, 0 or 1. These are checked here, before the cluster count, so
     an error names the CSV line.
     """
-    header, rows, lines = _read_csv(source, "clusters CSV")
+    header, cols, lines = _read_csv(source, "clusters CSV")
     if "cluster_id" not in header or "n_total" not in header:
         raise DataError(f"clusters CSV header must contain cluster_id and n_total, got {header}")
     xcols = _covariate_columns(header)
@@ -381,7 +449,6 @@ def read_clusters(source) -> Dataset:
     extra = [c for c in header if c not in known]
     if extra:
         raise DataError(f"unrecognized clusters CSV columns: {extra}")
-    cols = _columns(header, rows)
     ids = cols["cluster_id"]
     i = _first_repeat(ids)
     if i is not None:
@@ -435,25 +502,24 @@ def load_dataset(units_source, clusters_source) -> Dataset:
     reference a cluster present in the clusters table, and no (cluster_id,
     unit_id) may repeat; sampled outcomes are kept in input order.
     """
-    units = read_units(units_source)
+    cluster_col, unit_col, outcome, lines = _unit_columns(units_source)
     clusters = read_clusters(clusters_source)
     index_of = {cid: i for i, cid in enumerate(clusters.cluster_ids)}
-    cluster_col = units["cluster_id"].tolist()
     try:
-        codes = np.fromiter(map(index_of.__getitem__, cluster_col), np.intp, len(units))
+        codes = np.fromiter(map(index_of.__getitem__, cluster_col), np.intp, len(cluster_col))
     except KeyError as exc:
         i = cluster_col.index(exc.args[0])
         raise UnknownCluster(
-            f"units CSV line {units['line'][i]}: unit {units['unit_id'][i]!r} references unknown "
+            f"units CSV line {lines[i]}: unit {unit_col[i]!r} references unknown "
             f"cluster {cluster_col[i]!r}"
         ) from None
-    keys = list(zip(cluster_col, units["unit_id"].tolist()))
+    keys = list(zip(cluster_col, unit_col))
     i = _first_repeat(keys)
     if i is not None:
-        raise DuplicateUnit(f"units CSV line {units['line'][i]}: duplicate unit {keys[i]!r}")
+        raise DuplicateUnit(f"units CSV line {lines[i]}: duplicate unit {keys[i]!r}")
     offsets = np.zeros(clusters.n_clusters + 1, dtype=np.int64)
     np.cumsum(np.bincount(codes, minlength=clusters.n_clusters), out=offsets[1:])
-    outcomes = units["outcome"][np.argsort(codes, kind="stable")]
+    outcomes = outcome[np.argsort(codes, kind="stable")]
     return build_dataset(
         clusters.cluster_ids, clusters.n_total, clusters.X, clusters.treatment, outcomes, offsets
     )

@@ -43,8 +43,14 @@ from .errors import DataError, TooFewPairs
 from .estimation import PointEstimate, arm_means, estimate_size_weighted, kernel_inputs
 from .matching import MatchedDesign
 
-#: Floor applied to v2 when the estimate is non-positive (degenerate data).
-EPS_FLOOR = 1e-12
+#: v2 at or below this fraction of ``outcome_scale(n, ybar) ** 2`` is
+#: rounding, not variance, and clamps (degenerate data).
+V2_ROUNDING = 1e-13
+
+#: ``pair_statistics`` rounds in proportion to the largest |ybar|, not to
+#: the centred outcomes, so the scale is at least this fraction of it: the
+#: arm means of constant outcomes can round away from the constant.
+_CENTRING_ROUNDING = 1e-8
 
 _NORMAL = NormalDist()
 
@@ -94,6 +100,20 @@ class InferenceResult:
             "delta0": self.delta0,
             "degenerate": self.degenerate,
         }
+
+
+def outcome_scale(n: np.ndarray, ybar: np.ndarray) -> float:
+    """The scale to which v2 and delta round: the largest weight N_g / nbar
+    times the largest |ybar_g| centred on the size-weighted mean, and at
+    least ``_CENTRING_ROUNDING`` of the largest |ybar_g|.
+
+    ``infer`` and the randomization test clamp v2 at or below
+    ``V2_ROUNDING`` times its square, so whether v2 clamps does not depend
+    on the unit of the outcomes.
+    """
+    w = n / n.mean()
+    centred = float(np.abs(ybar - np.dot(n, ybar) / n.sum()).max())
+    return float(w.max()) * max(centred, _CENTRING_ROUNDING * float(np.abs(ybar).max()))
 
 
 def first_member_treated(
@@ -165,9 +185,10 @@ def infer(
     g = design.pair_count
     _, tau2, lambda2 = (float(v) for v in pair_statistics(n, ybar, d, design.permutation, g))
     v2 = tau2 - 0.5 * lambda2
-    clamped = v2 <= EPS_FLOOR
+    floor = V2_ROUNDING * outcome_scale(n, ybar) ** 2
+    clamped = v2 <= floor
     var = VarianceEstimate(
-        tau2=tau2, lambda2=lambda2, v2=EPS_FLOOR if clamped else v2, clamped=clamped
+        tau2=tau2, lambda2=lambda2, v2=floor if clamped else v2, clamped=clamped
     )
     if var.clamped:
         return InferenceResult(

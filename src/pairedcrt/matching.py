@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _columns, _parse_column, _read_csv
+from .core import Dataset, _parse_column, _read_csv
 from .errors import DataError
 
 MATCH_MODES = ("sorted_x", "nn_x", "nn_xn")
@@ -335,13 +335,12 @@ def read_design(source, dataset: Dataset, matched_on_size: bool = False) -> Matc
     cluster of ``dataset``; a design that covers only some of them raises
     ``DataError``, as does any malformed row, naming its line.
     """
-    header, rows, lines = _read_csv(source, "design CSV")
+    header, cols, lines = _read_csv(source, "design CSV")
     required = {"pair_index", "position", "cluster_id"}
     if not required.issubset(header):
         raise DataError(f"design CSV header must contain {sorted(required)}")
-    cols = _columns(header, rows)
     mode = "nn_xn" if matched_on_size else "nn_x"
-    if "mode" in cols and rows:
+    if "mode" in cols and len(lines):
         mode = cols["mode"][0]
         for line, text in zip(lines, cols["mode"]):
             if text not in MATCH_MODES:
@@ -371,8 +370,8 @@ def read_design(source, dataset: Dataset, matched_on_size: bool = False) -> Matc
         if pos[i] not in (0, 1):
             raise DataError(f"design CSV line {lines[i]}: position {pos[i]} not in {{0, 1}}")
         raise DataError(f"design CSV line {lines[i]}: unknown cluster {cids[i]!r}")
-    g = len(rows) // 2
-    if len(rows) % 2 or ((pair < 0) | (pair >= g)).any():
+    g = len(lines) // 2
+    if len(lines) % 2 or ((pair < 0) | (pair >= g)).any():
         raise DataError("design CSV does not describe complete pairs 0..G-1")
     slot = 2 * pair + pos  # 2G values in 0..2G-1: complete unless one repeats
     repeated = np.ones(len(slot), dtype=bool)

@@ -60,7 +60,7 @@ import numpy as np
 from .core import Dataset
 from .errors import BadB, TooManyPairsForExact
 from .estimation import kernel_inputs
-from .inference import EPS_FLOOR, first_member_treated
+from .inference import V2_ROUNDING, first_member_treated, outcome_scale
 from .matching import MatchedDesign
 
 #: Exact enumeration is capped at 2^24 group elements.
@@ -72,15 +72,12 @@ MIN_DRAWS = 19
 #: Swap bits (patterns x pairs) evaluated per chunk, to bound memory.
 _CHUNK_CELLS = 1 << 20
 
-#: |sqrt(G) delta_hat| below this counts as zero when the variance clamps.
+#: |sqrt(G) delta_hat| at or below this fraction of the outcome scale
+#: counts as zero when the variance clamps.
 _ZERO_NUMERATOR_TOL = 1e-10
 
 #: Slack when comparing statistics against the observed one.
 _COMPARE_TOL = 1e-12
-
-#: v2 below this fraction of (largest weight x largest centred outcome)^2
-#: is rounding in the expanded sums, and clamps like v2 <= EPS_FLOOR.
-_V2_ROUNDING = 1e-13
 
 
 @dataclass(frozen=True)
@@ -118,8 +115,9 @@ class SignSums:
     docstring, already multiplied by the observed signs, so the kernel takes
     signs relative to the observed assignment; the scalars are the sums that
     do not depend on the signs. The sums round in proportion to their
-    largest term, not to v2, so ``v2_floor`` clamps a v2 that is rounding
-    at any outcome scale, as the per-pair kernel's exact zero does.
+    largest term, not to v2; ``scale`` (:func:`~pairedcrt.inference.outcome_scale`)
+    sets the clamp and zero-numerator thresholds that ``infer`` shares, so a
+    v2 that is rounding clamps at any outcome scale.
     """
 
     pair_count: int
@@ -132,7 +130,7 @@ class SignSums:
     dd: float  # sum of D^2
     mm: float  # sum of M^2
     mm_cross: float  # sum over pairs of pairs of M_l M_f
-    v2_floor: float
+    scale: float
 
     @classmethod
     def build(
@@ -175,7 +173,7 @@ class SignSums:
             dd=float(np.dot(d, d)),
             mm=float(np.dot(m, m)),
             mm_cross=float(np.dot(m[lead], m[follow])),
-            v2_floor=max(EPS_FLOOR, _V2_ROUNDING * float(w.max() * np.abs(y).max()) ** 2),
+            scale=outcome_scale(n, ybar),
         )
 
     def statistics(self, signs: np.ndarray):
@@ -211,17 +209,17 @@ class SignSums:
         """The statistic T for each row of a (B, G) sign matrix.
 
         When the variance estimate clamps, T is 0 for a numerator that is
-        itself zero and +inf otherwise, so degenerate draws compare
-        conservatively against a degenerate observed value.
+        itself zero at the outcome scale and +inf otherwise, so degenerate
+        draws compare conservatively against a degenerate observed value.
         """
         delta, tau2, lambda2 = self.statistics(signs)
         v2 = tau2 - 0.5 * lambda2
         num = np.sqrt(self.pair_count) * delta
-        clamped = v2 <= self.v2_floor
+        clamped = v2 <= V2_ROUNDING * self.scale**2
         t = np.empty(num.shape, dtype=float)
         ok = ~clamped
         t[ok] = np.abs(num[ok]) / np.sqrt(v2[ok])
-        zero = clamped & (np.abs(num) <= _ZERO_NUMERATOR_TOL)
+        zero = clamped & (np.abs(num) <= _ZERO_NUMERATOR_TOL * self.scale)
         t[zero] = 0.0
         t[clamped & ~zero] = np.inf
         return t

@@ -245,14 +245,27 @@ def randomization_reference(n, ybar, d, permutation, pair_count, delta0=0.0):
     d = np.asarray(d, dtype=np.int64)
     bits = (np.arange(1 << g)[:, None] >> np.arange(g)) & 1
     dmat = swap_treatments(d, bits, permutation, g)
-    delta, tau2, lambda2 = pair_statistics_reference(n, ybar - d * delta0, dmat, permutation, g)
+    shifted = ybar - d * delta0
+    delta, tau2, lambda2 = pair_statistics_reference(n, shifted, dmat, permutation, g)
     v2 = tau2 - 0.5 * lambda2
     num = np.abs(math.sqrt(g) * delta)
-    t = np.where(num <= 1e-10, 0.0, np.inf)
-    ok = v2 > 1e-12
+    scale = clamp_scale_reference(n, shifted)
+    t = np.where(num <= 1e-10 * scale, 0.0, np.inf)
+    ok = v2 > 1e-13 * scale**2
     t[ok] = num[ok] / np.sqrt(v2[ok])
     p = np.count_nonzero(t >= t[0] - 1e-12) / (1 << g)
     return p, float(t[0]), t
+
+
+def clamp_scale_reference(n, ybar):
+    """The outcome scale of the package's clamp rule: largest N_g / nbar
+    times largest |ybar_g - size-weighted mean|, at least 1e-8 of the
+    largest |ybar_g|. v2 clamps at or below 1e-13 of its square, and a
+    clamped statistic is 0 when |sqrt(G) delta| is at most 1e-10 of it."""
+    n = np.asarray(n, dtype=float)
+    y = np.asarray(ybar, dtype=float)
+    centred = np.abs(y - (n * y).sum() / n.sum()).max()
+    return (n / n.mean()).max() * max(centred, 1e-8 * np.abs(y).max())
 
 
 def unit_level_randomization_p(pairs_y, delta0=0.0):
@@ -267,13 +280,14 @@ def unit_level_randomization_p(pairs_y, delta0=0.0):
     """
     g = len(pairs_y)
     shifted = [(a - delta0, b) for a, b in pairs_y]
+    scale = clamp_scale_reference(np.ones(2 * g), np.ravel(shifted))
 
     def statistic(pairs):
         ref = unit_level_reference(pairs)
         num = abs(g**0.5 * ref["delta"])
-        if ref["v2"] > 1e-12:
+        if ref["v2"] > 1e-13 * scale**2:
             return num / ref["v2"] ** 0.5
-        return 0.0 if num <= 1e-10 else float("inf")
+        return 0.0 if num <= 1e-10 * scale else float("inf")
 
     t_obs = statistic(shifted)
     count = 0

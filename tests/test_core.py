@@ -15,6 +15,9 @@ from helpers import (
     random_dataset,
 )
 from pairedcrt.core import (
+    _read_csv,
+    _reader_csv,
+    _split_csv,
     build_dataset,
     load_dataset,
     read_clusters,
@@ -34,6 +37,7 @@ from pairedcrt.errors import (
     UnknownCluster,
 )
 from pairedcrt.inference import infer
+from pairedcrt.matching import read_design, write_design
 
 
 def table(ids="abcd", n=2, outs=None, xs=None, t=None):
@@ -288,6 +292,32 @@ class TestReaders:
         with pytest.raises(DataError, match="units.csv' is not UTF-8"):
             read_units(path)
 
+    def test_non_utf8_byte_named_by_its_file_offset(self, tmp_path):
+        head = "cluster_id,unit_id,outcome\n" + "a,u1,1.0\n" * 2000
+        path = tmp_path / "units.csv"
+        path.write_bytes(head.encode() + "Köln,u1,1.0\n".encode("latin-1"))
+        # reading line by line named the offset within the last 8 KiB chunk read
+        with pytest.raises(DataError, match=f"at byte {len(head) + 1}$"):
+            read_units(path)
+
+    @pytest.mark.parametrize("as_path", [True, False])
+    def test_units_byte_order_mark_dropped(self, tmp_path, as_path):
+        text = "\ufeffcluster_id,unit_id,outcome\r\na,u1,1.5\r\nb,u1,2\r\n"
+        path = tmp_path / "units.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        units = read_units(path if as_path else io.StringIO(text, newline=""))
+        assert units["cluster_id"].tolist() == ["a", "b"]
+        assert units["outcome"].tolist() == [1.5, 2.0]
+
+    @pytest.mark.parametrize("as_path", [True, False])
+    def test_clusters_byte_order_mark_dropped(self, tmp_path, as_path):
+        text = "\ufeffcluster_id,n_total,x1\na,2,0\nb,1,0\nc,1,0\nd,1,0\n"
+        path = tmp_path / "clusters.csv"
+        path.write_text(text, encoding="utf-8")
+        ds = read_clusters(path if as_path else io.StringIO(text))
+        assert ds.cluster_ids == ("a", "b", "c", "d")
+        assert ds.n_total.tolist() == [2, 1, 1, 1]
+
     def test_clusters_header_required(self):
         with pytest.raises(DataError):
             read_clusters(io.StringIO("cluster_id,x1\na,0.5\n"))
@@ -396,3 +426,91 @@ class TestPhysicalLineNumbers:
     def test_units_record_their_lines(self):
         units = read_units(units_csv(_BEFORE_LINE_6 + "b,u1,0.5\n\nc,u1,0.5\n"))
         assert units["line"].tolist() == [4, 6, 8]
+
+
+# Fragments for texts that exercise both CSV paths: quotes, CRLF, bare CR,
+# NUL, blank lines, empty and repeated names, ragged rows, non-ASCII text.
+_CSV_TOKENS = ["a", "b", "x1", "1.5", "é", " ", ",", ",", ",", "\n", "\n", "\r\n", "\r", '"', "\0"]
+
+
+@st.composite
+def csv_texts(draw):
+    """Texts from random fragments, or near-regular tables with defects."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(_CSV_TOKENS), max_size=40)))
+    field = st.sampled_from(["a", "b", "c", "", "1", "-2.5e3", "é", " x ", "ab"])
+    width = draw(st.integers(0, 4))
+    lines = [",".join(draw(st.lists(field, min_size=width, max_size=width)))]
+    for _ in range(draw(st.integers(0, 6))):
+        k = width + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        lines.append(",".join(draw(st.lists(field, min_size=max(k, 0), max_size=max(k, 0)))))
+    ends = st.sampled_from(["\n", "\r\n", "\r\n", "\n\n", "\r\n\r\n", "\r", '"\n', "\0\n"])
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return draw(st.sampled_from(["", "\n", "\r\n"])) + text
+
+
+def _table_or_error(read):
+    try:
+        table = read()
+    except DataError as exc:
+        return type(exc), str(exc)
+    if table is None:
+        return None
+    header, columns, lines = table
+    return header, columns, lines.tolist()
+
+
+class TestCsvPaths:
+    """The one-split path and the csv.reader path read every text alike."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=csv_texts(), limit=st.sampled_from([6, csv.field_size_limit()]))
+    def test_both_paths_agree(self, tmp_path_factory, text, limit):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        old = csv.field_size_limit(limit)
+        try:
+            want = _table_or_error(lambda: _reader_csv(io.StringIO(text, newline=""), "t CSV"))
+            split = _table_or_error(lambda: _split_csv(text, "t CSV"))
+            from_path = _table_or_error(lambda: _read_csv(path, "t CSV"))
+            from_stream = _table_or_error(lambda: _read_csv(io.StringIO(text, newline=""), "t CSV"))
+        finally:
+            csv.field_size_limit(old)
+        assert from_path == want
+        assert from_stream == want
+        plain = text.replace("\r\n", "\n")
+        if '"' in plain or "\r" in plain or "\0" in plain:
+            assert split is None
+        elif max(map(len, plain.encode().split(b"\n"))) <= limit:
+            assert split == want
+
+    def test_own_and_benchmark_files_take_the_split_path(self, rng, tmp_path, monkeypatch):
+        ds = random_dataset(rng, pairs=5)
+        units, clusters, design = (tmp_path / f"{name}.csv" for name in ("u", "c", "d"))
+        write_dataset(ds, units, clusters)
+        write_design(identity_design(5), ds, design)
+        plain_units, plain_clusters = tmp_path / "pu.csv", tmp_path / "pc.csv"
+        # shaped like the benchmark's: csv.writer's CRLF and repr floats
+        y = rng.normal(0.0, 1.0, 20).tolist()
+        plain_units.write_bytes(
+            b"cluster_id,unit_id,outcome\r\n"
+            + "".join(f"c{i % 4:05d},u{i},{y[i]!r}\r\n" for i in range(20)).encode()
+        )
+        plain_clusters.write_bytes(
+            b"cluster_id,n_total,x1,treatment\r\n"
+            + "".join(f"c{i:05d},{5 + i},{0.1 * i!r},{i % 2}\r\n" for i in range(4)).encode()
+        )
+        assert b"\r\n" in units.read_bytes()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader was called")
+
+        monkeypatch.setattr(csv, "reader", refuse)
+        assert_same_columns(load_dataset(units, clusters), ds)
+        assert read_clusters(clusters).cluster_ids == ds.cluster_ids
+        assert read_design(design, ds) == identity_design(5)
+        assert load_dataset(plain_units, plain_clusters).n_sampled.tolist() == [5, 5, 5, 5]
+        write_clusters(ds, clusters)
+        assert read_clusters(clusters).X.tobytes() == ds.X.tobytes()

@@ -17,7 +17,7 @@ from helpers import (
 )
 from pairedcrt.errors import DataError, MissingTreatment, TooFewPairs
 from pairedcrt.estimation import kernel_inputs
-from pairedcrt.inference import EPS_FLOOR, infer, pair_statistics
+from pairedcrt.inference import V2_ROUNDING, infer, outcome_scale, pair_statistics
 from pairedcrt.randtest import _COMPARE_TOL, statistic_batch
 
 
@@ -95,7 +95,8 @@ class TestVarianceEstimate:
         assert tau2 == 0.0 and lambda2 == 0.0
         var = infer(ds, identity_design(2)).variance
         assert var.clamped
-        assert var.v2 == EPS_FLOOR
+        n, ybar, _ = kernel_inputs(ds)
+        assert var.v2 == V2_ROUNDING * outcome_scale(n, ybar) ** 2
 
     def test_too_few_pairs(self):
         with pytest.raises(TooFewPairs):

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 
@@ -390,6 +391,16 @@ class TestDesignIO:
         else:
             with pytest.raises(DataError, match=f"matched in mode '{mode}', not on size"):
                 read_design(path, items, matched_on_size=True)
+
+    @pytest.mark.parametrize("as_path", [True, False])
+    def test_byte_order_mark_dropped(self, rng, tmp_path, as_path):
+        items = items_from(rng.normal(0.0, 1.0, 6))
+        design = pair_greedy_nn(items)
+        path = tmp_path / "design.csv"
+        write_design(design, items, path)
+        text = "\ufeff" + path.read_text(encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
+        assert read_design(path if as_path else io.StringIO(text), items) == design
 
     def test_file_without_mode_column(self, tmp_path):
         items = items_from([1.0, 2.0, 3.0, 4.0])

@@ -388,3 +388,34 @@ class TestResultPayload:
         # nonzero numerator, so the statistic goes to infinity
         assert np.isinf(res.t_observed)
         assert res.to_json_dict()["t_observed"] is None
+
+
+class TestOutcomeScale:
+    """The clamp rule scales with the outcomes, so their unit changes nothing."""
+
+    @pytest.mark.parametrize("scale", [1e-7, 1e-5, 1.0, 1e6])
+    def test_z_and_exact_p_agree_at_every_scale(self, scale):
+        ds, design, _ = generate_trial(preset("size_heterogeneous"), 12, "nn_xn", 3)
+        scaled = with_outcomes(ds, lambda y, _: y * scale)
+        res, unit_res = infer(scaled, design), infer(ds, design)
+        rt, unit_rt = (randomization_test(d, design, mode="exact") for d in (scaled, ds))
+        # the absolute floors clamped at 1e-7: degenerate, p = 1 and T = inf
+        assert not res.degenerate
+        assert res.z == pytest.approx(unit_res.z, rel=1e-9)
+        assert unit_res.z == pytest.approx(3.864, abs=1e-3)
+        assert rt.p_value == unit_rt.p_value
+        assert rt.t_observed == pytest.approx(unit_rt.t_observed, rel=1e-9)
+
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, 1e6 + 0.1, 2e-9])
+    def test_constant_outcomes_clamp(self, value):
+        # the arm means of a constant that is not a binary fraction round
+        # away from it, so v2 is rounding of the uncentred outcomes
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            g = int(rng.integers(2, 11))
+            ds = make_dataset(
+                sizes=rng.integers(1, 50, 2 * g), ybars=[value] * (2 * g), treatments=[1, 0] * g
+            )
+            assert infer(ds, identity_design(g)).degenerate
+            rt = randomization_test(ds, identity_design(g), mode="exact")
+            assert (rt.p_value, rt.t_observed) == (1.0, 0.0)

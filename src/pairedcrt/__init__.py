@@ -5,7 +5,13 @@ features, randomizing treatment within pairs, estimating size-weighted and
 equal-weighted average effects, a pair-aware variance estimator with
 normal-approximation inference, a randomization test over within-pair
 swaps, and a simulation harness with a Monte Carlo variance oracle.
+
+Warnings, such as a design CSV read without its match mode, go to the
+``pairedcrt`` logger, which is silent until the application configures
+logging.
 """
+
+import logging
 
 from .assignment import assign_within_pairs
 from .core import (
@@ -127,3 +133,5 @@ __all__ = [
     "write_dataset",
     "write_design",
 ]
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -17,9 +17,15 @@ neighbor. ``match_clusters`` runs the mode's matcher and orders the pairs.
 are close in the mode's z-scored features; the cross-pair products in the
 variance estimator assume this. With one feature the ordering is, unless
 rounding ties decide it, a sort of the pair midpoints. Otherwise it, like
-greedy pairing, is a walk that
-computes one distance row per step, so for G pairs with k features it takes
-O(G^2 * k) time and O(G * k) memory. ``imbalance_report`` computes the
+greedy pairing, is a nearest-neighbor walk. Each step of both walks scans
+outward from the query along the first feature and stops once the
+first-feature gap alone exceeds the best distance found, which is exact
+(``_AxisScan``). Where the first feature does not prune (few distinct
+values, or much of the spread in other features) or there are 8 or more
+features, one distance row per step answers instead (``_Unvisited``). On
+features close to one-dimensional a step examines a few rows; the worst
+case is one distance row per step, O(G^2 * k) time for G pairs with k
+features. Memory is O(G * k) throughout. ``imbalance_report`` computes the
 within-pair and cross-pair discrepancy sums that quantify how well a design
 approximates ideal matching; all of them should shrink toward zero as the
 sample grows.
@@ -27,7 +33,10 @@ sample grows.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +45,11 @@ from .core import Dataset, _parse_column, _read_csv
 from .errors import DataError
 
 MATCH_MODES = ("sorted_x", "nn_x", "nn_xn")
+
+# rows one axis scan examines before a masked distance row answers it, and
+# rows examined per query answered before the scan hands over to _Unvisited
+_SCAN_CAP = 32
+_SCAN_BUDGET = 8
 
 
 @dataclass(frozen=True)
@@ -108,6 +122,14 @@ class _Unvisited:
     distance row, sqrt(sum((z_j - z)^2)) over the feature axis, per call:
     memory is O(n*k). A taken row's first coordinate becomes +inf, and the
     rows are compacted once half of them are taken.
+
+    The walks query ``_AxisScan``, whose scan along the first feature stops
+    exactly, at the first row whose first-feature gap alone exceeds the best
+    distance. This class answers in its place in three cases: from 8
+    features on; where more than ``_SCAN_CAP`` rows lie as near to row 0 in
+    the first feature as its nearest row does in all; and, for the rest of
+    a walk, once a scan has examined more than ``_SCAN_BUDGET`` rows per
+    query.
     """
 
     def __init__(self, points: np.ndarray):
@@ -147,6 +169,156 @@ class _Unvisited:
             self._index = self._index[self._live]
             self._live = np.ones(self.count, dtype=bool)
         return i
+
+
+class _AxisScan:
+    """``_Unvisited``'s interface, answered by a scan along the first feature
+    (Friedman, Baskett & Shustek, IEEE Trans. Computers, 1975).
+
+    Rows sit in a sort on the first feature; the untaken ones form a doubly
+    linked list over that order. ``take_nearest`` steps outward from the
+    query on both sides, nearest first-feature gap first, and computes each
+    row's distance as numpy does: d = z_j - q, d * d summed left to right,
+    then the square root. A side stops once sqrt(d0 * d0) of its next row
+    exceeds the best distance so far. That is exact: d0 is monotone along
+    the sort, and a rounded sum of non-negative terms is never below one of
+    its terms, so every row further out is strictly farther. The comparison
+    is strict, so an equally near row with a lower index further out is
+    still seen, and ties go to the lower index.
+
+    The scan's work is bounded by what it observes. Where more than
+    ``_SCAN_CAP`` rows lie within the first-feature gap between row 0 and
+    its nearest row, the first feature does not prune, and ``_Unvisited``
+    answers from the start; so it does from 8 features on, where numpy sums
+    pairwise, not left to right. A query that examines ``_SCAN_CAP`` rows is
+    answered by one masked distance row. Once the rows examined exceed
+    ``_SCAN_BUDGET`` per query answered (after one cap of slack), the
+    untaken rows go to ``_Unvisited`` for the rest of the walk.
+    """
+
+    def __init__(self, points: np.ndarray):
+        n, k = points.shape
+        self._points = points
+        self._taken: list[int] = []  # in the order taken
+        if k >= 8 or self._first_row_slab() > _SCAN_CAP:
+            self._hand_over()
+            return
+        order = np.argsort(points[:, 0])  # ties need no order: the scan compares rows
+        # positions 1..n in sorted order, between always-untaken ends 0 and n + 1
+        ends = np.zeros((k, 1))
+        ends[0] = math.inf
+        self._x, *self._rest = np.hstack((-ends, points[order].T, ends)).tolist()
+        self._row = [n, *order.tolist(), n]
+        pos = np.empty(n, dtype=np.intp)
+        pos[order] = np.arange(1, n + 1)
+        self._pos = pos.tolist()
+        self._next = [*range(1, n + 2), n + 1]
+        self._prev = [0, *range(n + 1)]
+        self._untaken = [True] * (n + 2)
+        self._first = 0  # no row before this one is untaken
+        self._credit = _SCAN_CAP  # rows left to examine beyond the budget
+
+    def take(self, i: int) -> int:
+        """Take row ``i``."""
+        return self._unlink(self._pos[i])
+
+    def take_first(self) -> int:
+        """Take the untaken row that comes first in tie-break order."""
+        i, pos, untaken = self._first, self._pos, self._untaken
+        while not untaken[pos[i]]:
+            i += 1
+        self._first = i
+        return self._unlink(pos[i])
+
+    def take_nearest(self, point: np.ndarray) -> int:
+        """Take the untaken row nearest to ``point``; ties go to the first."""
+        q0, *q = point.tolist()
+        x, rest, row, nxt, prv, untaken = (
+            self._x, self._rest, self._row, self._next, self._prev, self._untaken
+        )
+        # the first untaken position at or above q0, over the stale links of
+        # taken ones; the start is then linked to it directly
+        start = r = bisect.bisect_left(x, q0)
+        examined = 0
+        while not untaken[r]:
+            r = nxt[r]
+            examined += 1
+        if r != start:
+            nxt[start] = r
+        l = prv[r]
+        dl, dr = x[l] - q0, x[r] - q0
+        sl, sr = dl * dl, dr * dr
+        gl, gr = math.sqrt(sl), math.sqrt(sr)
+        best, best_pos = math.inf, 0
+        while True:
+            if gl <= gr:
+                if gl > best:
+                    break
+                p, s = l, sl
+                l = prv[l]
+                dl = x[l] - q0
+                sl = dl * dl
+                gl = math.sqrt(sl)
+            else:
+                if gr > best:
+                    break
+                p, s = r, sr
+                r = nxt[r]
+                dr = x[r] - q0
+                sr = dr * dr
+                gr = math.sqrt(sr)
+            for column, b in zip(rest, q):
+                d = column[p] - b
+                s += d * d
+            dist = math.sqrt(s)
+            if dist < best or (dist == best and row[p] < row[best_pos]):
+                best, best_pos = dist, p
+            examined += 1
+            if examined >= _SCAN_CAP:
+                best_pos = self._pos[self._masked_nearest(point)]
+                break
+        i = self._unlink(best_pos)
+        self._credit += _SCAN_BUDGET - examined
+        if self._credit < 0:
+            self._hand_over()
+        return i
+
+    def _unlink(self, p: int) -> int:
+        nxt, prv = self._next, self._prev
+        a, b = prv[p], nxt[p]
+        nxt[a], prv[b] = b, a
+        self._untaken[p] = False
+        i = self._row[p]
+        self._taken.append(i)
+        return i
+
+    def _distances(self, point: np.ndarray) -> np.ndarray:
+        d = self._points - point
+        d *= d
+        dist = d.sum(axis=1)
+        return np.sqrt(dist, out=dist)
+
+    def _masked_nearest(self, point: np.ndarray) -> int:
+        dist = self._distances(point)
+        dist[self._taken] = np.inf
+        return int(dist.argmin())
+
+    def _first_row_slab(self) -> int:
+        """How many rows a scan from row 0 to its nearest other row would
+        examine: those no farther from it in the first feature."""
+        dist = self._distances(self._points[0])
+        dist[0] = np.inf
+        x = self._points[:, 0]
+        return int(np.count_nonzero(np.abs(x - x[0]) <= dist.min()))
+
+    def _hand_over(self) -> None:
+        rows = _Unvisited(self._points)
+        for i in self._taken:
+            rows.take(i)
+        # from here on _Unvisited answers every call; the scan's lists go
+        vars(self).clear()
+        self.take, self.take_first = rows.take, rows.take_first
+        self.take_nearest = rows.take_nearest
 
 
 def zscore(features: np.ndarray) -> np.ndarray:
@@ -200,9 +372,9 @@ def pair_greedy_nn(dataset: Dataset, include_size: bool = False) -> MatchedDesig
     """
     mode = "nn_xn" if include_size else "nn_x"
     z = zscore(_features(dataset, mode))
-    unmatched = _Unvisited(z)
+    unmatched = _AxisScan(z)
     perm: list[int] = []
-    while unmatched.count:
+    for _ in range(dataset.n_pairs):
         seed = unmatched.take_first()
         perm.extend((seed, unmatched.take_nearest(z[seed])))
     return MatchedDesign(tuple(perm), dataset.n_pairs, mode)
@@ -238,7 +410,7 @@ def order_pairs_for_variance(design: MatchedDesign, dataset: Dataset) -> Matched
     path = _sorted_path(mid[:, 0]) if mid.shape[1] == 1 else None
     if path is None:
         # lexsort is stable and its last key is the primary one
-        unvisited = _Unvisited(mid)
+        unvisited = _AxisScan(mid)
         path = [unvisited.take(int(np.lexsort(mid.T[::-1])[0]))]
         for _ in range(design.pair_count - 1):
             path.append(unvisited.take_nearest(mid[path[-1]]))
@@ -331,7 +503,8 @@ def read_design(source, dataset: Dataset, matched_on_size: bool = False) -> Matc
     ``MATCH_MODES``, the same on every row; ``matched_on_size`` then only
     asserts that it is ``nn_xn``. A file without the column (one not
     written by ``write_design``) is read as ``nn_xn`` with
-    ``matched_on_size`` and as ``nn_x`` without. The design must pair every
+    ``matched_on_size`` and as ``nn_x`` without, and a WARNING on the
+    ``pairedcrt`` logger names the mode assumed. The design must pair every
     cluster of ``dataset``; a design that covers only some of them raises
     ``DataError``, as does any malformed row, naming its line.
     """
@@ -387,4 +560,8 @@ def read_design(source, dataset: Dataset, matched_on_size: bool = False) -> Matc
         )
     perm = np.empty(len(slot), dtype=np.intp)
     perm[slot] = cluster
+    if "mode" not in cols:
+        logging.getLogger("pairedcrt").warning(
+            "design CSV has no mode column; assuming match mode %r", mode
+        )
     return MatchedDesign(tuple(perm.tolist()), g, mode)

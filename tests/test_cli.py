@@ -16,6 +16,14 @@ from pairedcrt.matching import MatchedDesign, match_clusters, order_pairs_for_va
 from pairedcrt.simulation import SizeLaw, generate_trial, preset
 
 
+def package_env():
+    """The environment of a subprocess that imports the package under test,
+    installed or not."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -213,6 +221,31 @@ class TestDesignMode:
         assert analyze_v2(tmp_path, capsys, design_path, "--matched-on-size") == (
             0,
             infer(ds, design).variance.v2,
+        )
+
+    def test_design_without_mode_column_warns_only_where_logging_is_set_up(self, tmp_path):
+        ds = make_dataset(sizes=[1] * 8, ybars=[3.0, 1.0, 2.0, 0.0, 5.0, 1.0, 4.0, 2.0],
+                          treatments=[1, 0] * 4)  # fmt: skip
+        units, clusters, design_path = write_analysis_fixture(tmp_path, ds, identity_design(4))
+        rows = Path(design_path).read_text().splitlines()
+        Path(design_path).write_text("".join(r.rsplit(",", 1)[0] + "\n" for r in rows))
+        argv = ["analyze", "--units", units, "--clusters", clusters, "--design", design_path]
+
+        def run(setup):
+            code = (
+                f"import logging, sys; {setup}; "
+                "from pairedcrt import cli; sys.exit(cli.main(sys.argv[1:]))"
+            )
+            return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                  text=True, env=package_env())  # fmt: skip
+
+        silent = run("pass")
+        assert (silent.returncode, silent.stderr) == (0, "")
+        logged = run("logging.basicConfig()")
+        assert logged.returncode == 0
+        assert logged.stdout == silent.stdout
+        assert logged.stderr == (
+            "WARNING:pairedcrt:design CSV has no mode column; assuming match mode 'nn_x'\n"
         )
 
     @pytest.mark.parametrize(
@@ -629,14 +662,11 @@ class TestSimulate:
 
 class TestEntryPoint:
     def test_module_help(self):
-        # run the package under test, installed or not
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "pairedcrt.cli", "--help"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=package_env(),
         )
         assert proc.returncode == 0
         for name in ("match", "assign", "analyze", "randtest", "simulate"):

@@ -1,4 +1,5 @@
 import io
+import logging
 import math
 import tracemalloc
 
@@ -20,6 +21,8 @@ from pairedcrt.errors import DataError, OddClusterCount
 from pairedcrt.matching import (
     MATCH_MODES,
     MatchedDesign,
+    _AxisScan,
+    _Unvisited,
     imbalance_report,
     match_clusters,
     order_pairs_for_variance,
@@ -162,9 +165,36 @@ def tied_items(draw):
     return items_from([np.array(r, dtype=float) for r in rows], sizes=sizes, ids=ids)
 
 
+@st.composite
+def wide_items(draw):
+    """Up to 300 clusters in 1 to 9 features, continuous, rounded to one
+    decimal or on an integer grid, with the first feature as drawn,
+    constant or on three values: enough rows for the axis scan to reach its
+    cap and hand over to the distance rows."""
+    values = draw(st.sampled_from(["normal", "rounded", "grid"]))
+    first = draw(st.sampled_from(["as drawn", "constant", "three values"]))
+    # n and k from the seed: hypothesis would favour the smallest
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = int(rng.integers(1, 10))
+    n = 2 * int(rng.integers(2, 151))
+    if values == "grid":
+        x = rng.integers(-2, 3, (n, k)).astype(float)
+    else:
+        x = rng.normal(0.0, 1.0, (n, k))
+        if values == "rounded":
+            x = np.round(x, 1)
+    if first == "constant":
+        x[:, 0] = 1.5
+    elif first == "three values":
+        x[:, 0] = rng.integers(0, 3, n)
+    sizes = rng.choice([1, 2, 3, 10, 50], n).tolist()
+    ids = [f"c{i:03d}" for i in rng.permutation(n)]
+    return items_from(x, sizes=sizes, ids=ids)
+
+
 class TestAgainstTensorReference:
-    """The row-per-step walks and the one-column sort give the permutations of
-    the sort and n x n x k tensor code, in every match mode."""
+    """The axis scan, the row-per-step walks and the one-column sort give the
+    permutations of the sort and n x n x k tensor code, in every match mode."""
 
     @settings(max_examples=300, deadline=None)
     @given(items=tied_items(), mode=st.sampled_from(MATCH_MODES))
@@ -187,6 +217,66 @@ class TestAgainstTensorReference:
         # any pairing may come in from a CSV; the mode alone names the features
         perm = tuple(data.draw(st.permutations(range(items.n_clusters))))
         design = MatchedDesign(permutation=perm, pair_count=items.n_pairs, mode=mode)
+        assert (
+            order_pairs_for_variance(design, items).permutation
+            == order_pairs_reference(design, items).permutation
+        )
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(items=wide_items(), mode=st.sampled_from(MATCH_MODES), data=st.data())
+    def test_wide_inputs_with_any_design(self, items, mode, data):
+        if mode == "sorted_x":
+            design = pair_sorted_scalar(items)
+        else:
+            design = pair_greedy_nn(items, include_size=mode == "nn_xn")
+        reference = matching_reference(items, mode)
+        assert design.permutation == reference.permutation
+        assert (
+            order_pairs_for_variance(design, items).permutation
+            == order_pairs_reference(reference, items).permutation
+        )
+        perm = tuple(data.draw(st.permutations(range(items.n_clusters))))
+        drawn = MatchedDesign(permutation=perm, pair_count=items.n_pairs, mode=mode)
+        assert (
+            order_pairs_for_variance(drawn, items).permutation
+            == order_pairs_reference(drawn, items).permutation
+        )
+
+    def test_scan_sums_as_the_distance_rows(self):
+        # first features 0.0, 0.1, ... and the others on a grid of tenths:
+        # distances equal in exact arithmetic differ in rounding, so which
+        # row is nearest turns on summing d * d left to right, as numpy does
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n, k = 2 * int(rng.integers(5, 60)), int(rng.integers(2, 8))
+            points = rng.integers(0, 4, (n, k)) / 10
+            points[:, 0] = rng.permutation(n) / 10
+            scan, rows = _AxisScan(points), _Unvisited(points)
+            for _ in range(n // 2):
+                seed_row = scan.take_first()
+                assert seed_row == rows.take_first()
+                assert scan.take_nearest(points[seed_row]) == rows.take_nearest(points[seed_row])
+
+    def test_scan_hands_over_mid_walk(self):
+        # 200 clusters on a line cost the scan a row or two per query; the 200
+        # after them share x1, so each of their queries examines the scan's
+        # cap of rows, and the untaken rows go to the distance rows
+        rng = np.random.default_rng(11)
+        line = np.column_stack((np.arange(200.0), np.zeros(200)))
+        block = np.column_stack((np.full(200, 300.0), rng.normal(0.0, 1.0, 200)))
+        items = items_from(np.vstack((line, block)))
+        z = zscore(items.X)
+        scan, rows = _AxisScan(z), _Unvisited(z)
+        handed_over = []
+        for _ in range(items.n_pairs):
+            seed = scan.take_first()
+            assert seed == rows.take_first()
+            assert scan.take_nearest(z[seed]) == rows.take_nearest(z[seed])
+            handed_over.append(isinstance(scan.take_nearest.__self__, _Unvisited))
+        assert 100 < handed_over.index(True) < 150
+        design = pair_greedy_nn(items)
+        assert design.permutation == matching_reference(items, "nn_x").permutation
         assert (
             order_pairs_for_variance(design, items).permutation
             == order_pairs_reference(design, items).permutation
@@ -402,12 +492,19 @@ class TestDesignIO:
         path.write_text(text, encoding="utf-8")
         assert read_design(path if as_path else io.StringIO(text), items) == design
 
-    def test_file_without_mode_column(self, tmp_path):
+    def test_file_without_mode_column(self, tmp_path, caplog):
         items = items_from([1.0, 2.0, 3.0, 4.0])
         path = tmp_path / "design.csv"
         path.write_text("pair_index,position,cluster_id\n0,0,c000\n0,1,c001\n1,0,c002\n1,1,c003\n")
-        assert read_design(path, items).mode == "nn_x"
-        assert read_design(path, items, matched_on_size=True).mode == "nn_xn"
+        with caplog.at_level(logging.WARNING, logger="pairedcrt"):
+            assert read_design(path, items).mode == "nn_x"
+            assert read_design(path, items, matched_on_size=True).mode == "nn_xn"
+            write_design(pair_greedy_nn(items), items, tmp_path / "with_mode.csv")
+            read_design(tmp_path / "with_mode.csv", items)  # says which mode: no warning
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("pairedcrt", "WARNING", f"design CSV has no mode column; assuming match mode {mode!r}")
+            for mode in ("nn_x", "nn_xn")
+        ]
 
     @pytest.mark.parametrize(
         "modes,message",

@@ -133,6 +133,7 @@ def cmd_analyze(args) -> None:
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
         "pairs": design.pair_count,
+        "match_mode": design.mode,
         **result.to_json_dict(),
         "delta_hat_equal": equal.delta_hat,
     }
@@ -161,6 +162,7 @@ def cmd_randtest(args) -> None:
             "schema_version": SCHEMA_VERSION,
             "command": "randtest",
             "pairs": design.pair_count,
+            "match_mode": design.mode,
             **result.to_json_dict(),
         }
     )

@@ -14,6 +14,13 @@ cluster-level quantity, every column in ``cluster_id`` order:
   cluster's outcomes over their count), computed once by
   :func:`build_dataset`, or ``None`` without outcomes.
 
+The cluster sums are ``math.fsum``'s bit for bit, the exactly rounded sum
+(ties to even), but come from one array pass: prefix sums of all outcomes,
+the exact error of each prefix step (TwoSum) and a per-cluster proof that
+the rounded result is the nearest float to the exact sum. Only a cluster the
+proof does not cover (a zero sum, a tie the error terms do not pin down,
+extreme dynamic range or an absolute sum near overflow) calls ``math.fsum``.
+
 Matching, estimation, inference and the randomization test read these
 columns directly. :func:`build_dataset` is the one constructor: it sorts by
 ``cluster_id`` and validates every column, so downstream code relies on id
@@ -44,6 +51,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -166,9 +174,10 @@ def build_dataset(
     if (outcomes is None) != (offsets is None):
         raise DataError("outcomes and offsets come together")
 
-    order = np.array(sorted(range(m), key=ids.__getitem__), dtype=np.intp)
-    permuted = bool((order != np.arange(m)).any())
+    # ids already in order, as a simulated trial's are, need no sort
+    permuted = not all(map(operator.lt, ids, ids[1:]))
     if permuted:
+        order = np.array(sorted(range(m), key=ids.__getitem__), dtype=np.intp)
         ids = tuple(ids[i] for i in order)
         x, n = x[order], n[order]
         t = None if t is None else _frozen(t[order])
@@ -235,17 +244,95 @@ def _csr_columns(outcomes, offsets, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _cluster_sums(y: np.ndarray, offsets: np.ndarray, ids: Sequence[str]) -> np.ndarray:
     """math.fsum of each cluster's outcomes: the exactly rounded sum, whatever
-    the unit order. Raises ``DataError`` naming a cluster whose sum overflows."""
-    values, bounds = y.tolist(), list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-    try:
-        return np.array([math.fsum(values[a:b]) for a, b in bounds])
-    except OverflowError:
-        for cid, (a, b) in zip(ids, bounds):
-            try:
-                math.fsum(values[a:b])
-            except OverflowError:
-                raise DataError(f"cluster {cid!r}: the sum of its outcomes overflows") from None
-        raise
+    the unit order, bit for bit. Raises ``DataError`` naming the first
+    cluster, in id order, whose ``math.fsum`` overflows.
+
+    :func:`_certified_sums` rounds every cluster's sum in one array pass and
+    proves, cluster by cluster, that the result is the float nearest the
+    exact sum, which is what ``math.fsum`` returns. Only the clusters it
+    cannot prove (a zero sum, a tie its error terms do not settle, a huge
+    dynamic range or an absolute sum that may overflow inside ``math.fsum``)
+    are summed by ``math.fsum``, in id order, so overflow is reported as
+    before.
+    """
+    sums, proven = _certified_sums(y, offsets)
+    for g in np.flatnonzero(~proven).tolist():
+        try:
+            sums[g] = math.fsum(y[offsets[g] : offsets[g + 1]].tolist())
+        except OverflowError:
+            raise DataError(f"cluster {ids[g]!r}: the sum of its outcomes overflows") from None
+    return sums
+
+
+# a cluster whose absolute sum reaches this may overflow inside math.fsum,
+# which then raises; below it, fsum's partial sums stay far from overflow
+_FSUM_SAFE = 2.0**1000
+
+
+def _certified_sums(y: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cluster's sum of the CSR outcomes ``y`` (no empty cluster) in one
+    array pass, and a mask of the clusters where it is proven to be the
+    correctly rounded (ties to even) nonzero sum, which ``math.fsum`` returns.
+
+    With Q = [0, add.accumulate(y)], TwoSum (Knuth; Ogita, Rump & Oishi 2005)
+    gives the exact error err_i = Q_i + y_i - Q_{i+1} of every step, so
+    cluster [a, b) sums exactly to (Q_b - Q_a) + (err_a + ... + err_{b-1}).
+    TwoSum splits Q_b - Q_a into h + e0, and h + lo into r + t, where lo is
+    e0 plus the ``np.add.reduceat`` sum of the cluster's errors. The exact
+    sum is h + lo + (the rounding error of lo), and r = fl(h + lo) is proven
+    where that rounding error is zero, or where it and t together stay
+    below half the gap from r to its nearer neighbouring float.
+    """
+    a, b = offsets[:-1], offsets[1:]
+    counts = np.diff(offsets)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.empty(len(y) + 1)
+        q[0] = 0.0
+        # accumulate is documented as the left-to-right loop from 0, so
+        # Q_{i+1} = fl(Q_i + y_i), the sum TwoSum needs
+        np.add.accumulate(y, out=q[1:])
+        _, err = _two_sum(q[:-1], y, q[1:])
+        h, e0 = _two_sum(q[b], -q[a])
+        lo = e0 + np.add.reduceat(err, a)
+        r, t = _two_sum(h, lo)
+        size = np.abs(e0) + np.add.reduceat(np.abs(err, out=err), a)
+        absy = np.abs(y)
+        # Every y_i, Q_i, err_i and e0 is a multiple of g, the spacing of
+        # floats at the smallest nonzero |y_i|. A sum of such terms whose
+        # absolute values total below 2^53 g has exact partial sums, in any
+        # order: there lo is exact and r is the rounded sum, even at a tie.
+        g = math.ulp(float(absy.min(initial=np.inf, where=absy > 0)))
+        exact = size < 2.0**53 * g
+        # Otherwise lo sums c + 1 terms for a cluster of c units, so its
+        # rounding error is at most gamma_c * size, gamma_c = cu / (1 - cu)
+        # with u = 2^-53 (Higham, Accuracy and Stability, 2002, eq. 4.4).
+        # The factor 2 covers the rounding of the bound itself: a nonzero
+        # error is at least 2^-1074, so an underflowing bound loses nothing.
+        cu = counts * 2.0**-53
+        bound = 2.0 * (cu / (1.0 - cu)) * size
+        half_gap = 0.5 * np.minimum(np.nextafter(r, np.inf) - r, r - np.nextafter(r, -np.inf))
+        proven = (
+            (exact | (np.abs(t) + bound < half_gap))
+            & (r != 0.0)  # fsum decides the sign of a zero sum
+            & np.isfinite(r)  # hence also h, lo and the cluster's prefix sums
+            & (np.add.reduceat(absy, a) < _FSUM_SAFE)
+        )
+    return r, proven
+
+
+def _two_sum(
+    x: np.ndarray, y: np.ndarray, s: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(s, e) with s = fl(x + y), computed unless given, and x + y = s + e
+    exactly, where nothing overflows (Knuth, TAOCP vol. 2)."""
+    if s is None:
+        s = x + y
+    z = s - x
+    e = s - z
+    np.subtract(x, e, out=e)
+    np.subtract(y, z, out=z)
+    e += z
+    return s, e
 
 
 def _first_repeat(values: Sequence) -> int | None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -324,6 +325,13 @@ def oracle_kind(match_mode: str) -> str:
 MAX_SAMPLED_UNITS = 10**7
 
 
+@lru_cache(maxsize=1)
+def _cluster_ids(count: int) -> tuple[str, ...]:
+    """The ids c000001, c000002, ... of a trial's clusters, in id order; the
+    last count's tuple is kept for the next trial of a study."""
+    return tuple(f"c{i + 1:06d}" for i in range(count))
+
+
 def generate_trial(
     dgp: DgpSpec, pair_count: int, match_mode: str = "nn_xn", seed: int = 0
 ) -> tuple[Dataset, MatchedDesign, float]:
@@ -352,7 +360,7 @@ def generate_trial(
     gamma = rng_gamma.normal(0.0, dgp.outcomes.sigma_cluster, m)
     eps = rng_eps.normal(0.0, dgp.outcomes.sigma_unit, int(sampled))
 
-    clusters = build_dataset([f"c{i + 1:06d}" for i in range(m)], n, x.reshape(m, 1))
+    clusters = build_dataset(_cluster_ids(m), n, x.reshape(m, 1))
     design = match_clusters(clusters, match_mode)
     assign_seed = int(streams[4].generate_state(1, np.uint64)[0])
     treat = assign_within_pairs(design, assign_seed)

@@ -223,6 +223,23 @@ class TestDesignMode:
             infer(ds, design).variance.v2,
         )
 
+    @pytest.mark.parametrize("command", ["analyze", "randtest"])
+    @pytest.mark.parametrize("mode", ["sorted_x", "nn_x", "nn_xn"])
+    def test_result_echoes_the_match_mode(self, tmp_path, capsys, command, mode):
+        ds, design, _ = generate_trial(preset("null"), 6, mode, seed=2)
+        units, clusters, design_path = write_analysis_fixture(tmp_path, ds, design)
+        argv = [command, "--units", units, "--clusters", clusters, "--design", design_path]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["schema_version"], payload["match_mode"]) == (1, mode)
+        # a design CSV without the mode column echoes the mode assumed
+        rows = Path(design_path).read_text().splitlines()
+        Path(design_path).write_text("".join(r.rsplit(",", 1)[0] + "\n" for r in rows))
+        for flags, assumed in (((), "nn_x"), (("--matched-on-size",), "nn_xn")):
+            code, out, _ = run_cli(argv + list(flags), capsys)
+            assert (code, json.loads(out)["match_mode"]) == (0, assumed)
+
     def test_design_without_mode_column_warns_only_where_logging_is_set_up(self, tmp_path):
         ds = make_dataset(sizes=[1] * 8, ybars=[3.0, 1.0, 2.0, 0.0, 5.0, 1.0, 4.0, 2.0],
                           treatments=[1, 0] * 4)  # fmt: skip

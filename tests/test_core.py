@@ -15,6 +15,8 @@ from helpers import (
     random_dataset,
 )
 from pairedcrt.core import (
+    _certified_sums,
+    _cluster_sums,
     _read_csv,
     _reader_csv,
     _split_csv,
@@ -38,6 +40,7 @@ from pairedcrt.errors import (
 )
 from pairedcrt.inference import infer
 from pairedcrt.matching import read_design, write_design
+from pairedcrt.simulation import generate_trial, preset
 
 
 def table(ids="abcd", n=2, outs=None, xs=None, t=None):
@@ -155,6 +158,117 @@ class TestSummarize:
         # a left-to-right sum gives 0.0 here; math.fsum gives the exact 1.0
         ds = make_dataset(sizes=[3, 1, 1, 1], outcomes=[(1e16, 1.0, -1e16), (0.0,), (0.0,), (0.0,)])
         assert ds.ybar[0] == 1.0 / 3.0
+
+    def test_overflow_behind_a_finite_prefix_sum_rejected(self):
+        # the global prefix sums stay finite (-1e308, 0, 1e308, 0) and give
+        # 1e308 exactly, but math.fsum overflows on the second cluster, the
+        # first of two that overflow
+        with pytest.raises(DataError, match="^cluster 'c001': the sum of its outcomes overflows$"):
+            make_dataset(
+                sizes=[1, 3, 1, 2],
+                outcomes=[(-1e308,), (1e308, 1e308, -1e308), (0.0,), (1.5e308, 1.5e308)],
+            )
+
+    def test_negative_zero_cluster_keeps_the_fsum_mean(self):
+        # a plain sum of [-0.0] is -0.0; math.fsum decides the sign of a zero
+        # sum (0.0 on CPython), and ybar keeps its value bit for bit
+        ds = make_dataset(sizes=[1, 2, 1, 1], outcomes=[(-0.0,), (-0.0, -0.0), (1.0,), (-1.0,)])
+        assert_same_bits(ds.ybar, np.array([math.fsum([-0.0]), math.fsum([-0.0, -0.0]), 1.0, -1.0]))
+
+    def test_trial_sums_are_certified_without_fsum(self):
+        ds, _, _ = generate_trial(preset("size_heterogeneous"), 500, seed=4)
+        sums, proven = _certified_sums(ds.outcomes, ds.offsets)
+        assert proven.mean() >= 0.9
+        assert_same_bits(sums[proven], fsum_sums(ds.outcomes, ds.offsets)[proven])
+
+    def test_exact_tie_is_certified(self):
+        # 1 + 2^-53 lies halfway between 1 and its successor; the error terms
+        # are exact, so the array pass rounds the tie to even as fsum does
+        y, offsets = csr([(1.0, 2.0**-53), (1.0, 3 * 2.0**-53), (0.25,), (0.5,)])
+        sums, proven = _certified_sums(y, offsets)
+        assert proven.all()
+        assert_same_bits(sums, fsum_sums(y, offsets))
+        assert sums[:2].tolist() == [1.0, 1.0 + 2.0**-51]
+
+
+def fsum_sums(y, offsets):
+    """math.fsum of each cluster of the CSR outcomes."""
+    bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
+    return np.array([math.fsum(y[a:b].tolist()) for a, b in bounds])
+
+
+def assert_same_bits(got, want):
+    """Equal floats, -0.0 and 0.0 told apart."""
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+# outcomes that stress an exactly rounded sum: cancellation, ties on a
+# quarter grid, one-decimal values, magnitudes from 1e-300 to 1e300,
+# subnormals, signed zeros and values whose sum overflows
+hard_outcomes = st.one_of(
+    st.sampled_from([1e16, 1.0, -1e16, -1.0, 0.0, -0.0, 0.1, 1.5e308, -1.5e308]),
+    st.integers(-64, 64).map(lambda k: k / 4),
+    st.integers(-100, 100).map(lambda k: k / 10),
+    st.builds(lambda f, e: f * 10.0**e, st.floats(-9.0, 9.0), st.integers(-300, 299)),
+    st.integers(-(2**53), 2**53).map(lambda k: k * 5e-324),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def csr_outcomes(draw):
+    """CSR outcomes of 1 to 12 clusters of 1 to 8 units, at times behind a
+    large cluster of the opposite sign that every later prefix sum carries."""
+    cluster = st.lists(hard_outcomes, min_size=1, max_size=8)
+    clusters = draw(st.lists(cluster, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        lead = draw(st.floats(1e3, 1e17))
+        sign = -1.0 if sum(clusters[0]) >= 0 else 1.0
+        clusters.insert(0, [sign * lead] * draw(st.integers(1, 4)))
+    return csr(clusters)
+
+
+class TestClusterSums:
+    """``_cluster_sums`` is math.fsum of each cluster, bit for bit."""
+
+    @staticmethod
+    def check(y, offsets):
+        ids = [f"c{g}" for g in range(len(offsets) - 1)]
+        want, overflow = [], None
+        for g, (a, b) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
+            try:
+                want.append(math.fsum(y[a:b].tolist()))
+            except OverflowError:
+                overflow = f"cluster {ids[g]!r}: the sum of its outcomes overflows"
+                break
+        if overflow is not None:
+            with pytest.raises(DataError) as info:
+                _cluster_sums(y, offsets, ids)
+            assert str(info.value) == overflow
+        else:
+            assert_same_bits(_cluster_sums(y, offsets, ids), np.array(want))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=csr_outcomes())
+    def test_equals_fsum(self, data):
+        self.check(*data)
+
+    def test_cluster_behind_a_large_prefix_sum(self):
+        # every step after -1e16 rounds to a multiple of 2, so the sum rests
+        # on the error terms, whose own sum is rounded
+        self.check(*csr([[-1e16], [0.5, 1.0, 0.1, 0.9, 0.3, 0.4], [0.3], [0.2, 0.6]]))
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["normal", "quarter", "wide"]))
+    def test_large_cluster_between_single_units(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        big = {
+            "normal": lambda: rng.normal(3.0, 2.0, 10**5),
+            "quarter": lambda: rng.integers(-400, 400, 10**5) / 4,
+            "wide": lambda: rng.normal(size=10**5) * 10.0 ** rng.integers(-300, 300, 10**5),
+        }[kind]()
+        singles = rng.normal(size=4).tolist()
+        self.check(*csr([singles[:2], big, singles[2:3], singles[3:]]))
 
 
 # cluster ids that need CSV quoting: separators, quotes, line breaks, spaces

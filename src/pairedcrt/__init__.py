@@ -19,7 +19,6 @@ from .core import (
     build_dataset,
     load_dataset,
     read_clusters,
-    read_units,
     write_clusters,
     write_dataset,
 )
@@ -40,11 +39,7 @@ from .errors import (
     TooManyPairsForExact,
     UnknownCluster,
 )
-from .estimation import (
-    PointEstimate,
-    estimate_equal_weighted,
-    estimate_size_weighted,
-)
+from .estimation import PointEstimate, estimate_size_weighted
 from .inference import InferenceResult, VarianceEstimate, infer
 from .matching import (
     MATCH_MODES,
@@ -111,7 +106,6 @@ __all__ = [
     "VarianceEstimate",
     "assign_within_pairs",
     "build_dataset",
-    "estimate_equal_weighted",
     "estimate_size_weighted",
     "generate_trial",
     "imbalance_report",
@@ -128,7 +122,6 @@ __all__ = [
     "randomization_test",
     "read_clusters",
     "read_design",
-    "read_units",
     "write_clusters",
     "write_dataset",
     "write_design",

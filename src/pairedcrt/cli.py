@@ -20,10 +20,12 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .assignment import assign_within_pairs
 from .core import load_dataset, read_clusters, write_clusters
 from .errors import DataError, PairedCrtError
-from .estimation import estimate_equal_weighted
+from .estimation import arm_means, kernel_inputs
 from .inference import infer
 from .matching import (
     MATCH_MODES,
@@ -128,14 +130,16 @@ def cmd_analyze(args) -> None:
     _check_alpha(args)
     dataset, design = _load_for_analysis(args)
     result = infer(dataset, design, alpha=args.alpha, delta0=args.delta0)
-    equal = estimate_equal_weighted(dataset)
+    # the equal-weighted estimate: arm means with a weight of 1 per cluster
+    n, ybar, d = kernel_inputs(dataset)
+    mu1_equal, mu0_equal, _, _ = arm_means(np.ones_like(n), ybar, d)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
         "pairs": design.pair_count,
         "match_mode": design.mode,
         **result.to_json_dict(),
-        "delta_hat_equal": equal.delta_hat,
+        "delta_hat_equal": float(mu1_equal - mu0_equal),
     }
     _emit(payload)
 

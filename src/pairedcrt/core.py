@@ -75,12 +75,6 @@ _COVARIATE_COL = re.compile(r"^x(\d+)$")
 
 _BOM = "\ufeff"
 
-# one record per units CSV row, with the physical line it starts on
-_UNIT_DTYPE = np.dtype(
-    [("cluster_id", object), ("unit_id", object), ("outcome", float), ("line", np.int64)]
-)
-
-
 @dataclass(frozen=True)
 class Dataset:
     """A validated trial of 2G clusters as read-only columns in cluster_id order.
@@ -486,23 +480,6 @@ def _unit_columns(source):
         i = int(bad.argmax())
         raise NonFiniteOutcome(f"units CSV line {lines[i]}: outcome {float(outcome[i])!r}")
     return cols["cluster_id"], cols["unit_id"], outcome, lines
-
-
-def read_units(source) -> np.ndarray:
-    """Parse a units CSV (path or open text stream).
-
-    Returns a structured array with one element per unit row, in file order,
-    and the fields ``cluster_id`` and ``unit_id`` (str), ``outcome`` (float)
-    and ``line`` (the physical line the row starts on), so its ``len`` is the
-    number of unit rows.
-    """
-    cluster_col, unit_col, outcome, lines = _unit_columns(source)
-    units = np.empty(len(outcome), dtype=_UNIT_DTYPE)
-    units["cluster_id"] = cluster_col
-    units["unit_id"] = unit_col
-    units["outcome"] = outcome
-    units["line"] = lines
-    return units
 
 
 def _covariate_columns(header: Sequence[str]) -> list[str]:

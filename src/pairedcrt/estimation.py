@@ -32,12 +32,12 @@ class PointEstimate:
     mu0: float
     n1: float
     n0: float
-    estimand: str  # "size_weighted" | "equal_weighted"
+    estimand: str  # "size_weighted"
 
 
 def kernel_inputs(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(N, ybar, D) as float arrays, the inputs of :func:`arm_means` and of
-    the per-pair kernel.
+    the variance kernel :class:`pairedcrt.inference.SignSums`.
 
     Raises ``MissingTreatment`` for a dataset without treatments and
     ``DataError`` for one without sampled outcomes.
@@ -73,18 +73,3 @@ def estimate_size_weighted(dataset: Dataset) -> PointEstimate:
         delta_hat=mu1 - mu0, mu1=mu1, mu0=mu0, n1=n1, n0=n0, estimand="size_weighted"
     )
 
-
-def estimate_equal_weighted(dataset: Dataset) -> PointEstimate:
-    """Unweighted difference of arm means of the cluster-level averages."""
-    n, ybar, d = kernel_inputs(dataset)
-    _, _, n1, n0 = arm_means(n, ybar, d)
-    mu1 = float(ybar[d == 1].mean())
-    mu0 = float(ybar[d == 0].mean())
-    return PointEstimate(
-        delta_hat=mu1 - mu0,
-        mu1=mu1,
-        mu0=mu0,
-        n1=float(n1),
-        n0=float(n0),
-        estimand="equal_weighted",
-    )

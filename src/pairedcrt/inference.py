@@ -15,23 +15,34 @@ within-pair difference that matching already explains, provided consecutive
 pairs are close in feature space (see
 :func:`pairedcrt.matching.order_pairs_for_variance`).
 
-The per-pair kernel :func:`pair_statistics` computes (delta, tau2,
-lambda2) for ``infer``. It takes treatment vectors of shape (2G,) or
-(B, 2G) and works per pair: with ``s = d[..., perm[0::2]]`` saying whether
-the first member of each pair is treated, pair j's signed difference is
+One kernel, :class:`SignSums`, computes (delta, tau2, lambda2) for ``infer``
+at the observed assignment and for the randomization test at whole batches
+of within-pair swap patterns. Let sigma_j = +1 when pair j's first member is
+treated and -1 otherwise, w = N / nbar, and, for pair j with members a and
+b, ``c_j = w_a ybar_a - w_b ybar_b``, ``M_j = (w_a + w_b) / 2`` and
+``D_j = (w_a - w_b) / 2``. With ``S = mu1 + mu0`` and ``delta = mu1 - mu0``,
+pair j's treatment-signed adjusted difference is
 
-    (N_t (ybar_t - mu1) - N_c (ybar_c - mu0)) / nbar,
+    e_j = sigma_j (c_j - D_j S) - M_j delta,
 
-t and c being its treated and control member, and the arm means come from
-:func:`pairedcrt.estimation.arm_means`. The randomization test evaluates
-the same three statistics for whole batches of swap patterns from
-pair-level sums instead (:class:`pairedcrt.randtest.SignSums`); a property
-test holds the two kernels to each other and to a per-cluster reference.
-:func:`first_member_treated` is the design check both share.
+so the arm sizes and sums, tau2 = mean(e_j^2) and lambda2 need only six
+linear forms in sigma (over the columns D, c, cM, DM, cM' and DM', M'
+being M of the other pair in the same pair of pairs, 0 for a trailing odd
+pair) and three in the adjacent products sigma_l sigma_f. Those columns are
+built once per call of ``infer`` or the randomization test, with ybar
+centred on its size-weighted mean (the statistics do not depend on a
+constant shift, and centring keeps S small), and a (B, G) matrix of signs
+costs one (B, G) x (G, 6) and one (B, G/2) x (G/2, 3) product. The tests
+hold the kernel to a per-cluster reference. ``infer`` reads its point
+estimate from :func:`pairedcrt.estimation.arm_means` and only tau2 and
+lambda2 from the kernel, built on the outcomes less the estimated effect
+on the treated arm. :func:`first_member_treated` is the design check both
+callers share, and :meth:`SignSums.v2` the one clamp rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
@@ -40,17 +51,22 @@ import numpy as np
 
 from .core import Dataset
 from .errors import DataError, TooFewPairs
-from .estimation import PointEstimate, arm_means, estimate_size_weighted, kernel_inputs
+from .estimation import PointEstimate, estimate_size_weighted, kernel_inputs
 from .matching import MatchedDesign
 
 #: v2 at or below this fraction of ``outcome_scale(n, ybar) ** 2`` is
 #: rounding, not variance, and clamps (degenerate data).
 V2_ROUNDING = 1e-13
 
-#: ``pair_statistics`` rounds in proportion to the largest |ybar|, not to
-#: the centred outcomes, so the scale is at least this fraction of it: the
-#: arm means of constant outcomes can round away from the constant.
+#: The kernel centres ybar on a mean that rounds in proportion to the
+#: largest |ybar|, not to the centred outcomes, so the scale is at least this
+#: fraction of it: the arm means of constant outcomes can round away from
+#: the constant.
 _CENTRING_ROUNDING = 1e-8
+
+#: |sqrt(G) delta_hat| at or below this fraction of the outcome scale
+#: counts as zero when the variance clamps.
+_ZERO_NUMERATOR_TOL = 1e-10
 
 _NORMAL = NormalDist()
 
@@ -138,34 +154,154 @@ def first_member_treated(
     return first
 
 
-def pair_statistics(
-    n: np.ndarray,
-    ybar: np.ndarray,
-    d: np.ndarray,
-    permutation: Sequence[int],
-    pair_count: int,
-):
-    """(delta, tau2, lambda2) for ``d`` of shape (2G,) or (B, 2G).
+@dataclass(frozen=True)
+class SignSums:
+    """Pair-level columns from which any swap pattern's statistics follow.
 
-    The results have the batch shape of ``d``, whose every row must treat
-    one member of each pair. ``permutation`` must be in
-    variance-ready pair order: tau2 does not depend on the pair order but
-    lambda2 does. For odd G the trailing pair drops out of lambda2.
+    ``linear`` (G, 6) and ``quad`` (G // 2, 3) are the columns of the module
+    docstring, already multiplied by the observed signs, so the kernel takes
+    signs relative to the observed assignment; the scalars are the sums that
+    do not depend on the signs. The sums round in proportion to their
+    largest term, not to v2; ``scale`` (:func:`outcome_scale` of the
+    outcomes the caller tests) sets the clamp and zero-numerator
+    thresholds, so a v2 that is rounding clamps at any outcome scale.
     """
-    perm = np.asarray(permutation)
-    s = first_member_treated(n, d, perm, pair_count)
-    mu1, mu0, _, _ = arm_means(n, ybar, d)
-    # positions, in pair order, of each pair's treated and control member
-    t = 2 * np.arange(pair_count) + ~s
-    c = t ^ 1
-    w, y = (n / n.mean())[perm], ybar[perm]
-    signed = w[t] * (y[t] - mu1[..., None]) - w[c] * (y[c] - mu0[..., None])
-    tau2 = (signed**2).mean(axis=-1)
-    half = pair_count // 2
-    lead = signed[..., 0 : 2 * half : 2]
-    follow = signed[..., 1 : 2 * half : 2]
-    lambda2 = (2.0 / pair_count) * (lead * follow).sum(axis=-1)
-    return mu1 - mu0, tau2, lambda2
+
+    pair_count: int
+    linear: np.ndarray
+    quad: np.ndarray
+    mid: float  # sum of M
+    level: float  # sum of (w_a ybar_a + w_b ybar_b) / 2
+    cc: float  # sum of c^2
+    cd: float  # sum of c D
+    dd: float  # sum of D^2
+    mm: float  # sum of M^2
+    mm_cross: float  # sum over pairs of pairs of M_l M_f
+    scale: float
+
+    @classmethod
+    def build(
+        cls,
+        n: np.ndarray,
+        ybar: np.ndarray,
+        permutation,
+        pair_count: int,
+        first_treated: np.ndarray,
+        scale: float,
+    ) -> "SignSums":
+        """Columns for sizes ``n``, outcomes ``ybar`` and a (G,) mask saying
+        whether each pair's first member is treated in the observed
+        assignment, with the clamp thresholds set by ``scale``.
+        ``permutation`` must be in variance-ready pair order."""
+        perm = np.asarray(permutation)
+        w = n / n.mean()
+        y = ybar - np.dot(n, ybar) / n.sum()
+        wa, wb = w[perm[0::2]], w[perm[1::2]]
+        ya, yb = y[perm[0::2]], y[perm[1::2]]
+        sign = np.where(first_treated, 1.0, -1.0)
+        m = 0.5 * (wa + wb)
+        d = 0.5 * (wa - wb)
+        c = wa * ya - wb * yb
+        lead, follow = slice(0, 2 * (pair_count // 2), 2), slice(1, 2 * (pair_count // 2), 2)
+        partner = np.zeros(pair_count)  # M of the other pair of the pair of pairs
+        partner[lead], partner[follow] = m[follow], m[lead]
+        linear = sign[:, np.newaxis] * np.column_stack(
+            (d, c, c * m, d * m, c * partner, d * partner)
+        )
+        quad = (sign[lead] * sign[follow])[:, np.newaxis] * np.column_stack(
+            (c[lead] * c[follow], c[lead] * d[follow] + d[lead] * c[follow], d[lead] * d[follow])
+        )
+        return cls(
+            pair_count=pair_count,
+            linear=linear,
+            quad=quad,
+            mid=float(m.sum()),
+            level=float((0.5 * (wa * ya + wb * yb)).sum()),
+            cc=float(np.dot(c, c)),
+            cd=float(np.dot(c, d)),
+            dd=float(np.dot(d, d)),
+            mm=float(np.dot(m, m)),
+            mm_cross=float(np.dot(m[lead], m[follow])),
+            scale=scale,
+        )
+
+    def statistics(self, signs: np.ndarray):
+        """(delta, tau2, lambda2), each of shape (B,), for a (B, G) matrix of
+        +-1 signs relative to the observed assignment."""
+        g = self.pair_count
+        half = g // 2
+        # transposed, each form comes out as one contiguous row
+        ld, lc, lcm, ldm, lcp, ldp = self.linear.T @ signs.T
+        products = signs[:, 0 : 2 * half : 2] * signs[:, 1 : 2 * half : 2]
+        q_cc, q_cd, q_dd = self.quad.T @ products.T
+        mu1 = (self.level + 0.5 * lc) / (self.mid + ld)
+        mu0 = (self.level - 0.5 * lc) / (self.mid - ld)
+        delta = mu1 - mu0
+        s = mu1 + mu0
+        squares = (
+            self.cc
+            - 2.0 * s * self.cd
+            + s * s * self.dd
+            - 2.0 * delta * (lcm - s * ldm)
+            + delta * delta * self.mm
+        )
+        cross = (
+            q_cc
+            - s * q_cd
+            + s * s * q_dd
+            - delta * (lcp - s * ldp)
+            + delta * delta * self.mm_cross
+        )
+        return delta, squares / g, (2.0 / g) * cross
+
+    def v2(self, tau2, lambda2):
+        """(v2, clamped) for v2 = tau2 - lambda2 / 2, elementwise.
+
+        A v2 at or below ``V2_ROUNDING`` times the squared scale is
+        rounding, not variance: it clamps, and its value is that floor.
+        """
+        v2 = tau2 - 0.5 * lambda2
+        floor = V2_ROUNDING * self.scale**2
+        clamped = v2 <= floor
+        return np.where(clamped, floor, v2), clamped
+
+    def studentized(self, signs: np.ndarray) -> np.ndarray:
+        """The statistic |sqrt(G) delta| / sqrt(v2) for each row of a (B, G)
+        sign matrix.
+
+        When the variance estimate clamps, T is 0 for a numerator that is
+        itself zero at the outcome scale and +inf otherwise, so degenerate
+        draws compare conservatively against a degenerate observed value.
+        """
+        delta, tau2, lambda2 = self.statistics(signs)
+        v2, clamped = self.v2(tau2, lambda2)
+        num = np.sqrt(self.pair_count) * delta
+        t = np.empty(num.shape, dtype=float)
+        ok = ~clamped
+        t[ok] = np.abs(num[ok]) / np.sqrt(v2[ok])
+        zero = clamped & (np.abs(num) <= _ZERO_NUMERATOR_TOL * self.scale)
+        t[zero] = 0.0
+        t[clamped & ~zero] = np.inf
+        return t
+
+
+def _observed_inputs(dataset: Dataset, design: MatchedDesign, alpha: float, delta0: float):
+    """(N, ybar, D, the design's permutation as an array, first-member-treated
+    mask) of the observed assignment, the entry of ``infer`` and of the
+    randomization test.
+
+    Raises ``ValueError`` unless 0 < ``alpha`` < 1 and ``delta0`` is finite,
+    and what :func:`~pairedcrt.estimation.kernel_inputs` and
+    :func:`first_member_treated` raise.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+    if not math.isfinite(delta0):
+        raise ValueError(f"delta0 must be a finite number, got {delta0!r}")
+    n, ybar, d = kernel_inputs(dataset)
+    perm = np.asarray(design.permutation)
+    first = first_member_treated(n, dataset.treatment, perm, design.pair_count)
+    return n, ybar, d, perm, first
 
 
 def infer(
@@ -177,19 +313,25 @@ def infer(
     """Two-sided z-test of effect = delta0 with a matching confidence interval.
 
     ``delta0`` enters only through the z numerator: removing a constant
-    effect from the treated arm cancels exactly in the arm-centered
-    adjusted outcomes, so the variance estimate is invariant to it.
+    effect from the treated arm cancels in the arm-centered adjusted
+    outcomes, and the kernel runs on the outcomes less the estimated
+    effect, never less ``delta0``, so v2 does not depend on ``delta0`` at
+    all. Raises ``ValueError`` unless 0 < ``alpha`` < 1 and ``delta0`` is
+    finite.
     """
+    n, ybar, d, perm, first = _observed_inputs(dataset, design, alpha, delta0)
     est = estimate_size_weighted(dataset)
-    n, ybar, d = kernel_inputs(dataset)
     g = design.pair_count
-    _, tau2, lambda2 = (float(v) for v in pair_statistics(n, ybar, d, design.permutation, g))
-    v2 = tau2 - 0.5 * lambda2
-    floor = V2_ROUNDING * outcome_scale(n, ybar) ** 2
-    clamped = v2 <= floor
-    var = VarianceEstimate(
-        tau2=tau2, lambda2=lambda2, v2=floor if clamped else v2, clamped=clamped
-    )
+    # The expanded sums round in proportion to their largest term, so the
+    # kernel runs on outcomes with the estimated effect removed from the
+    # treated arm, which leaves tau2 and lambda2 unchanged and keeps them
+    # accurate when the effect dwarfs the within-arm spread. v2 clamps at
+    # the scale of the outcomes as observed.
+    without_effect = ybar - d * est.delta_hat
+    sums = SignSums.build(n, without_effect, perm, g, first, outcome_scale(n, ybar))
+    _, tau2, lambda2 = (float(v[0]) for v in sums.statistics(np.ones((1, g))))
+    v2, clamped = sums.v2(tau2, lambda2)
+    var = VarianceEstimate(tau2=tau2, lambda2=lambda2, v2=float(v2), clamped=bool(clamped))
     if var.clamped:
         return InferenceResult(
             estimate=est,

@@ -9,25 +9,57 @@ that the package's row-per-step walks and one-column sort replaced,
 ``trial_columns_reference``
 builds a trial cluster by cluster, one float at a time, and
 ``pair_statistics_reference`` computes delta, tau2 and lambda2 through
-per-cluster adjusted outcomes, the path the per-pair kernel replaced, and
+per-cluster adjusted outcomes, the path the pair-level kernel replaced, and
 ``randomization_reference`` enumerates every swap pattern through it.
 ``adjusted_outcomes`` is that path's first step, and ``swap_treatments``
-turns swap bits into treatment vectors.
+turns swap bits into treatment vectors. ``statistic_batch`` (the package's
+kernel on whole treatment vectors) and ``read_units`` (a units CSV as one
+record per row) serve only the tests.
 """
 
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+import pairedcrt
 from pairedcrt.assignment import assign_within_pairs
-from pairedcrt.core import build_dataset
+from pairedcrt.core import _unit_columns, build_dataset
 from pairedcrt.errors import EmptyArm, MissingTreatment
 from pairedcrt.estimation import arm_means, kernel_inputs
+from pairedcrt.inference import SignSums, first_member_treated, outcome_scale
 from pairedcrt.matching import MatchedDesign, zscore
 
 #: The columns of a Dataset, for comparing two of them.
 COLUMNS = ("n_total", "X", "treatment", "outcomes", "offsets", "n_sampled", "ybar")
+
+#: One record per units CSV row, with the physical line it starts on.
+UNIT_DTYPE = np.dtype(
+    [("cluster_id", object), ("unit_id", object), ("outcome", float), ("line", np.int64)]
+)
+
+
+def read_units(source):
+    """Parse a units CSV (path or open text stream) through the package's
+    reader into a structured array of ``UNIT_DTYPE``, one element per unit
+    row in file order, so its ``len`` is the number of unit rows."""
+    cluster_col, unit_col, outcome, lines = _unit_columns(source)
+    units = np.empty(len(outcome), dtype=UNIT_DTYPE)
+    units["cluster_id"] = cluster_col
+    units["unit_id"] = unit_col
+    units["outcome"] = outcome
+    units["line"] = lines
+    return units
+
+
+def package_env():
+    """The environment of a subprocess that imports the package under test,
+    installed or not."""
+    src = str(Path(pairedcrt.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def csr(outcomes_per_cluster):
@@ -204,6 +236,19 @@ def swap_treatments(d, bits, permutation, pair_count):
     """
     pair_of_cluster = np.argsort(permutation) // 2
     return d ^ np.take(bits, pair_of_cluster, axis=1)
+
+
+def statistic_batch(n, ybar, dmat, permutation, pair_count):
+    """The package's studentized statistic for a batch of treatment vectors,
+    shape (B, 2G), through ``SignSums`` with every row's signs taken
+    relative to treating each pair's first member.
+
+    Every row must treat one member of each pair (``DataError`` otherwise).
+    """
+    first = first_member_treated(n, np.atleast_2d(dmat), permutation, pair_count)
+    first_all = np.ones(pair_count, dtype=bool)
+    sums = SignSums.build(n, ybar, permutation, pair_count, first_all, outcome_scale(n, ybar))
+    return sums.studentized(np.where(first, 1.0, -1.0))
 
 
 def pair_statistics_reference(n, ybar, d, permutation, pair_count):

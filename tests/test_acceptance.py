@@ -29,8 +29,8 @@ from pairedcrt import build_dataset, estimate_size_weighted
 from helpers import adjusted_outcomes
 from pairedcrt.inference import infer
 from pairedcrt.matching import pair_sorted_scalar
-from helpers import swap_treatments
-from pairedcrt.randtest import randomization_test, statistic_batch
+from helpers import statistic_batch, swap_treatments
+from pairedcrt.randtest import randomization_test
 from pairedcrt.simulation import (
     CovariateLaw,
     DgpSpec,

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,21 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import identity_design, make_dataset
+from helpers import identity_design, make_dataset, package_env
 from pairedcrt import cli
 from pairedcrt.assignment import assign_within_pairs
 from pairedcrt.core import build_dataset, write_dataset
 from pairedcrt.inference import infer
 from pairedcrt.matching import MatchedDesign, match_clusters, order_pairs_for_variance, write_design
 from pairedcrt.simulation import SizeLaw, generate_trial, preset
-
-
-def package_env():
-    """The environment of a subprocess that imports the package under test,
-    installed or not."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_cli(argv, capsys):

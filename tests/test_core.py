@@ -13,6 +13,7 @@ from helpers import (
     identity_design,
     make_dataset,
     random_dataset,
+    read_units,
 )
 from pairedcrt.core import (
     _certified_sums,
@@ -23,7 +24,6 @@ from pairedcrt.core import (
     build_dataset,
     load_dataset,
     read_clusters,
-    read_units,
     write_clusters,
     write_dataset,
 )

@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
-from helpers import make_dataset, random_dataset, with_outcomes, wls_oracle
-from pairedcrt.core import build_dataset
+from helpers import identity_design, make_dataset, random_dataset, with_outcomes, wls_oracle
+from pairedcrt import cli
+from pairedcrt.core import build_dataset, write_dataset
 from pairedcrt.errors import DataError, EmptyArm, MissingTreatment
-from pairedcrt.estimation import estimate_equal_weighted, estimate_size_weighted
+from pairedcrt.estimation import estimate_size_weighted
+from pairedcrt.matching import write_design
 
 
 def hand_dataset():
@@ -56,15 +60,24 @@ class TestSizeWeighted:
             estimate_size_weighted(ds)
 
 
-class TestEqualWeighted:
-    def test_hand_example(self):
-        est = estimate_equal_weighted(hand_dataset())
-        assert est.delta_hat == pytest.approx((1.0 + 3.0) / 2 - (2.0 + 4.0) / 2)
-        assert est.estimand == "equal_weighted"
+def delta_hat_equal(ds, tmp_path, capsys):
+    """``analyze``'s equal-weighted estimate for a dataset paired in index order."""
+    units, clusters, design = (tmp_path / name for name in ("u.csv", "c.csv", "d.csv"))
+    write_dataset(ds, units, clusters)
+    write_design(identity_design(ds.n_pairs), ds, design)
+    argv = ["analyze", "--units", str(units), "--clusters", str(clusters), "--design", str(design)]
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)["delta_hat_equal"]
 
-    def test_differs_from_size_weighted_when_sizes_vary(self):
+
+class TestEqualWeighted:
+    def test_hand_example(self, tmp_path, capsys):
+        got = delta_hat_equal(hand_dataset(), tmp_path, capsys)
+        assert got == pytest.approx((1.0 + 3.0) / 2 - (2.0 + 4.0) / 2)
+
+    def test_differs_from_size_weighted_when_sizes_vary(self, tmp_path, capsys):
         s = hand_dataset()
-        assert estimate_equal_weighted(s).delta_hat != pytest.approx(
+        assert delta_hat_equal(s, tmp_path, capsys) != pytest.approx(
             estimate_size_weighted(s).delta_hat
         )
 

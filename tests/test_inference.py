@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -11,14 +11,23 @@ from helpers import (
     make_dataset,
     pair_statistics_reference,
     random_dataset,
+    statistic_batch,
     swap_treatments,
     unit_level_reference,
     with_outcomes,
 )
 from pairedcrt.errors import DataError, MissingTreatment, TooFewPairs
 from pairedcrt.estimation import kernel_inputs
-from pairedcrt.inference import V2_ROUNDING, infer, outcome_scale, pair_statistics
-from pairedcrt.randtest import _COMPARE_TOL, statistic_batch
+from pairedcrt.inference import (
+    V2_ROUNDING,
+    SignSums,
+    first_member_treated,
+    infer,
+    outcome_scale,
+)
+from pairedcrt.matching import MatchedDesign
+from pairedcrt.randtest import _COMPARE_TOL, randomization_test
+from pairedcrt.simulation import generate_trial, preset
 
 
 class TestAdjustedOutcomes:
@@ -50,19 +59,23 @@ def unit_dataset(ys, ts):
 
 
 class TestVarianceEstimate:
-    """Hand values of the per-pair kernel on valid unit-sized datasets."""
+    """Hand values of the variance kernel on valid unit-sized datasets."""
 
     def test_hand_example(self):
         # treated (3, 1, 0, 0), control (0, 0, 1, 3): both arm means are 1,
         # so the signed differences are (3, 1, -1, -3)
         ds = unit_dataset([3.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 3.0], [1, 0] * 4)
-        delta, tau2, lambda2 = pair_statistics(*kernel_inputs(ds), tuple(range(8)), 4)
+        n, ybar, d = kernel_inputs(ds)
+        sums = SignSums.build(n, ybar, tuple(range(8)), 4, d[0::2] == 1, outcome_scale(n, ybar))
+        delta, tau2, lambda2 = (float(v[0]) for v in sums.statistics(np.ones((1, 4))))
         assert delta == 0.0
         assert tau2 == pytest.approx(5.0)
         assert lambda2 == pytest.approx(0.5 * (3.0 * 1.0 + (-1.0) * (-3.0)))
-        var = infer(ds, identity_design(4)).variance
-        assert var.v2 == pytest.approx(3.5)
-        assert not var.clamped
+        res = infer(ds, identity_design(4))
+        assert res.estimate.delta_hat == 0.0
+        assert (res.variance.tau2, res.variance.lambda2) == (tau2, lambda2)
+        assert res.variance.v2 == pytest.approx(3.5)
+        assert not res.variance.clamped
 
     def test_signed_differences_follow_treatment(self):
         # swapping the treatment in the first pair: treated (0, 1, 0, 0),
@@ -70,52 +83,38 @@ class TestVarianceEstimate:
         # (-1.5, 2.5, 0.5, -1.5)
         ys = [3.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 3.0]
         ds = unit_dataset(ys, [0, 1] + [1, 0] * 3)
-        args = kernel_inputs(ds)
-        _, tau2, lambda2 = pair_statistics(*args, tuple(range(8)), 4)
-        assert tau2 == pytest.approx(2.75)
-        assert lambda2 == pytest.approx(0.5 * (-1.5 * 2.5 + 0.5 * -1.5))
+        var = infer(ds, identity_design(4)).variance
+        assert var.tau2 == pytest.approx(2.75)
+        assert var.lambda2 == pytest.approx(0.5 * (-1.5 * 2.5 + 0.5 * -1.5))
         # listing the first pair's members the other way round keeps the
         # sign, which follows treatment and not member order
-        relisted = pair_statistics(*args, (1, 0, 2, 3, 4, 5, 6, 7), 4)
-        assert relisted[2] == pytest.approx(lambda2)
+        relisted = MatchedDesign(permutation=(1, 0, 2, 3, 4, 5, 6, 7), pair_count=4, mode="nn_x")
+        assert infer(ds, relisted).variance.lambda2 == pytest.approx(var.lambda2)
 
     def test_odd_pair_count_drops_trailing_pair(self):
         # treated (2, 0, 1), control (0, 1, 2): signed differences (2, -1, -1);
         # only the first two pairs form a pair of pairs
         ds = unit_dataset([2.0, 0.0, 0.0, 1.0, 1.0, 2.0], [1, 0] * 3)
-        _, tau2, lambda2 = pair_statistics(*kernel_inputs(ds), tuple(range(6)), 3)
-        assert tau2 == pytest.approx(2.0)
-        assert lambda2 == pytest.approx((2.0 / 3.0) * (2.0 * -1.0))
         var = infer(ds, identity_design(3)).variance
+        assert var.tau2 == pytest.approx(2.0)
+        assert var.lambda2 == pytest.approx((2.0 / 3.0) * (2.0 * -1.0))
         assert var.v2 == pytest.approx(var.tau2 - var.lambda2 / 2.0)
 
     def test_clamped_when_degenerate(self):
-        ds = unit_dataset([2.0, 2.0, 2.0, 2.0], [1, 0, 1, 0])
-        _, tau2, lambda2 = pair_statistics(*kernel_inputs(ds), (0, 1, 2, 3), 2)
-        assert tau2 == 0.0 and lambda2 == 0.0
-        var = infer(ds, identity_design(2)).variance
-        assert var.clamped
-        n, ybar, _ = kernel_inputs(ds)
-        assert var.v2 == V2_ROUNDING * outcome_scale(n, ybar) ** 2
+        # constant outcomes, then outcomes constant within arms: the floor
+        # follows the outcomes as observed, effect included
+        for ys in ([2.0, 2.0, 2.0, 2.0], [3.0, 1.0, 3.0, 1.0]):
+            ds = unit_dataset(ys, [1, 0, 1, 0])
+            var = infer(ds, identity_design(2)).variance
+            assert var.tau2 == 0.0 and var.lambda2 == 0.0
+            assert var.clamped
+            n, ybar, _ = kernel_inputs(ds)
+            assert var.v2 == V2_ROUNDING * outcome_scale(n, ybar) ** 2
 
     def test_too_few_pairs(self):
+        # a Dataset has at least two pairs, so only the shared check sees one
         with pytest.raises(TooFewPairs):
-            pair_statistics(
-                np.array([1.0, 1.0]), np.array([1.0, -1.0]), np.array([1.0, 0.0]), (0, 1), 1
-            )
-
-    def test_batched_matches_single(self, rng):
-        ds = random_dataset(rng, pairs=4)
-        n, ybar, d = kernel_inputs(ds)
-        # random_dataset pairs clusters (2j, 2j + 1); list the pairs in random order
-        perm = tuple(int(i) for j in rng.permutation(4) for i in (2 * j, 2 * j + 1))
-        bits = rng.integers(0, 2, size=(3, 4))
-        dmat = swap_treatments(d.astype(np.int64), bits, perm, 4)
-        batch = pair_statistics(n, ybar, dmat, perm, 4)
-        for b in range(3):
-            single = pair_statistics(n, ybar, dmat[b].astype(float), perm, 4)
-            for x, y in zip(batch, single):
-                assert x[b] == pytest.approx(float(y), rel=1e-12, abs=1e-15)
+            first_member_treated(np.array([1.0, 1.0]), np.array([1.0, 0.0]), (0, 1), 1)
 
 
 @st.composite
@@ -142,44 +141,107 @@ def kernel_cases(draw):
     return n, np.array(ys, dtype=float) / 8.0, dmat, tuple(perm), g, delta0
 
 
+def kernel_case_designs(case):
+    """Each treatment row of a ``kernel_cases`` draw as a dataset, with the
+    drawn design."""
+    n, ybar, dmat, perm, g, _ = case
+    design = MatchedDesign(permutation=perm, pair_count=g, mode="nn_x")
+    for d in dmat:
+        yield make_dataset(sizes=n.astype(np.int64), ybars=ybar, treatments=d), design
+
+
 class TestPairStatistics:
     @settings(max_examples=300, deadline=None)
     @given(case=kernel_cases())
     def test_agrees_with_per_cluster_reference(self, case):
         n, ybar, dmat, perm, g, delta0 = case
-        delta, tau2, lambda2 = pair_statistics(n, ybar, dmat, perm, g)
-        assert delta.shape == tau2.shape == lambda2.shape == (dmat.shape[0],)
         ref_delta, ref_tau2, ref_lambda2 = pair_statistics_reference(n, ybar, dmat, perm, g)
-        scale = ref_tau2 + np.abs(ref_lambda2)
-        assert np.all(np.abs(tau2 - ref_tau2) <= 1e-12 * scale)
-        assert np.all(np.abs(lambda2 - ref_lambda2) <= 1e-12 * scale)
-        assert np.all(np.abs(delta - ref_delta) <= 1e-12 * np.abs(ybar).max())
+        # the kernel sums expanded squares, so it rounds in proportion to the
+        # largest term, not to tau2
+        w, centred = n / n.mean(), ybar - np.dot(n, ybar) / n.sum()
+        term = (w.max() * (2.0 * np.abs(centred).max() + np.abs(ref_delta))) ** 2
+        scale = 1e-12 * (ref_tau2 + np.abs(ref_lambda2)) + 1e-14 * term
+        for b, (ds, design) in enumerate(kernel_case_designs(case)):
+            res = infer(ds, design)
+            assert abs(res.variance.tau2 - ref_tau2[b]) <= scale[b]
+            assert abs(res.variance.lambda2 - ref_lambda2[b]) <= scale[b]
+            assert abs(res.estimate.delta_hat - ref_delta[b]) <= 1e-12 * np.abs(ybar).max()
+            # the kernel never sees delta0, so v2 ignores it bit for bit
+            assert infer(ds, design, delta0=delta0).variance == res.variance
 
         # swapping every pair at once keeps the studentized statistic
         t = statistic_batch(n, ybar, dmat, perm, g)
         t_complement = statistic_batch(n, ybar, 1 - dmat, perm, g)
         np.testing.assert_allclose(t, t_complement, rtol=0.0, atol=_COMPARE_TOL)
 
-        # removing a hypothesized effect from the treated clusters leaves v2
-        for d, t2, l2, sc in zip(dmat, tau2, lambda2, scale):
-            _, t2_shifted, l2_shifted = pair_statistics(n, ybar - d * delta0, d, perm, g)
-            v2_shift = (t2_shifted - 0.5 * l2_shifted) - (t2 - 0.5 * l2)
-            assert abs(v2_shift) <= 1e-12 * (sc + delta0**2)
+    @settings(max_examples=300, deadline=None)
+    @given(case=kernel_cases())
+    # T = 148 at G = 2: the test's sums lose four digits to the effect
+    @example(
+        case=(
+            np.array([5.0, 4.0, 8.0, 3.0]),
+            np.array([0.0, 0.0, 42.75, -61.875]),
+            np.array([[0, 1, 1, 0]]),
+            (0, 2, 1, 3),
+            2,
+            0.0,
+        )
+    )
+    def test_randomization_statistic_is_abs_z(self, case):
+        delta0 = case[-1]
+        for ds, design in kernel_case_designs(case):
+            res = infer(ds, design, delta0=delta0)
+            rt = randomization_test(ds, design, delta0=delta0, mode="stochastic", draws=19, seed=0)
+            # a clamped v2 gives T = 0 or inf, so the two also clamp together
+            if res.degenerate:
+                assert rt.t_observed in (0.0, np.inf)
+                continue
+            # The test's kernel runs on the outcomes less delta0, not less
+            # the estimated effect, so its sums round in proportion to
+            # their largest term (as in TestSignSums), which grows with
+            # (delta_hat - delta0)^2 while v2 does not.
+            n, ybar, d = kernel_inputs(ds)
+            shifted = ybar - d * delta0
+            centred = np.abs(shifted - np.dot(n, shifted) / n.sum()).max()
+            effect = abs(res.estimate.delta_hat - delta0)
+            term = ((n / n.mean()).max() * (2.0 * centred + effect)) ** 2
+            rel = 1e-12 + 1e-14 * term / res.variance.v2
+            assert rt.t_observed == pytest.approx(abs(res.z), rel=rel)
 
     def test_single_vector_gives_scalars(self, rng):
-        n, ybar, d = kernel_inputs(random_dataset(rng, pairs=3))
-        for value in pair_statistics(n, ybar, d, tuple(range(6)), 3):
-            assert np.ndim(value) == 0
+        res = infer(random_dataset(rng, pairs=3), identity_design(3))
+        for value in (res.variance.tau2, res.variance.lambda2, res.variance.v2, res.z):
+            assert type(value) is float
+        assert type(res.variance.clamped) is bool
 
     def test_design_must_cover_the_data(self, rng):
-        n, ybar, d = kernel_inputs(random_dataset(rng, pairs=4))
+        n, _, d = kernel_inputs(random_dataset(rng, pairs=4))
         with pytest.raises(DataError, match="covers 4 clusters but the data has 8"):
-            pair_statistics(n, ybar, d, (0, 1, 2, 3), 2)
+            first_member_treated(n, d, (0, 1, 2, 3), 2)
 
     def test_each_pair_needs_one_treated_member(self):
         ds = unit_dataset([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 0])
         with pytest.raises(DataError, match="one treated and one control"):
             infer(ds, identity_design(2))
+
+
+class TestArguments:
+    """``infer`` and the randomization test check the level and the
+    hypothesized effect as the command line does."""
+
+    @pytest.mark.parametrize("test", [infer, randomization_test])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
+    def test_alpha_outside_the_unit_interval(self, test, alpha):
+        ds, design, _ = generate_trial(preset("null"), 10, "nn_x", 3)
+        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            test(ds, design, alpha=alpha)
+
+    @pytest.mark.parametrize("test", [infer, randomization_test])
+    @pytest.mark.parametrize("delta0", [math.nan, math.inf, -math.inf])
+    def test_delta0_not_finite(self, test, delta0):
+        ds, design, _ = generate_trial(preset("null"), 10, "nn_x", 3)
+        with pytest.raises(ValueError, match="delta0 must be a finite number"):
+            test(ds, design, delta0=delta0)
 
 
 class TestInfer:
@@ -212,8 +274,6 @@ class TestInfer:
     def test_member_order_within_pairs_irrelevant(self, rng):
         ds = random_dataset(rng, pairs=4)
         base = infer(ds, identity_design(4))
-        from pairedcrt.matching import MatchedDesign
-
         swapped = MatchedDesign(
             permutation=(1, 0, 3, 2, 5, 4, 7, 6), pair_count=4, mode="nn_x"
         )

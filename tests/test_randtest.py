@@ -11,14 +11,15 @@ from helpers import (
     pair_statistics_reference,
     random_dataset,
     randomization_reference,
+    statistic_batch,
     swap_treatments,
     with_outcomes,
 )
 from pairedcrt import randtest
 from pairedcrt.errors import BadB, DataError, MissingTreatment, TooManyPairsForExact
 from pairedcrt.estimation import kernel_inputs
-from pairedcrt.inference import infer, pair_statistics
-from pairedcrt.randtest import SignSums, randomization_test, statistic_batch
+from pairedcrt.inference import SignSums, infer, outcome_scale
+from pairedcrt.randtest import randomization_test
 from pairedcrt.simulation import MATCH_MODES, PRESET_NAMES, generate_trial, preset
 
 
@@ -170,7 +171,8 @@ class TestSignSums:
     def test_agrees_with_per_cluster_reference(self, case):
         n, ybar, offset, d, first, bits, perm, g = case
         # the statistic ignores a constant offset, so the reference runs without it
-        got = SignSums.build(n, ybar + offset, perm, g, first).statistics(1.0 - 2.0 * bits)
+        sums = SignSums.build(n, ybar + offset, perm, g, first, outcome_scale(n, ybar + offset))
+        got = sums.statistics(1.0 - 2.0 * bits)
         dmat = swap_treatments(d, bits, perm, g)
         ref = pair_statistics_reference(n, ybar, dmat, perm, g)
         # The kernel sums expanded squares, so it rounds in proportion to the
@@ -180,10 +182,8 @@ class TestSignSums:
         term = (w.max() * (2.0 * np.abs(centred).max() + np.abs(ref[0]))) ** 2
         scale = 1e-12 * (ref[1] + np.abs(ref[2])) + 1e-14 * term
         tolerances = (1e-12 * (np.abs(ybar).max() + 1.0), scale, scale)
-        # held to the reference and to infer's per-pair kernel alike
-        for want in (ref, pair_statistics(n, ybar, dmat, perm, g)):
-            for value, expected, tol in zip(got, want, tolerances):
-                assert np.all(np.abs(value - expected) <= tol)
+        for value, expected, tol in zip(got, ref, tolerances):
+            assert np.all(np.abs(value - expected) <= tol)
 
     def test_signs_are_relative_to_the_observed_assignment(self, rng):
         ds = random_dataset(rng, pairs=5)
@@ -191,7 +191,8 @@ class TestSignSums:
         perm = identity_design(5).permutation
         first = d[0::2] == 1
         bits = rng.integers(0, 2, size=(6, 5))
-        relative = SignSums.build(n, ybar, perm, 5, first).studentized(1.0 - 2.0 * bits)
+        sums = SignSums.build(n, ybar, perm, 5, first, outcome_scale(n, ybar))
+        relative = sums.studentized(1.0 - 2.0 * bits)
         dmat = swap_treatments(ds.treatment, bits, perm, 5)
         np.testing.assert_allclose(relative, statistic_batch(n, ybar, dmat, perm, 5), rtol=1e-13)
 

@@ -347,7 +347,8 @@ def infer(
         )
     se = np.sqrt(var.v2 / g)
     z = (est.delta_hat - delta0) / se
-    p = 2.0 * _NORMAL.cdf(-abs(z))
+    # erfc keeps relative precision far into the tail, where 1 - erf does not
+    p = math.erfc(abs(z) / math.sqrt(2.0))
     q = _NORMAL.inv_cdf(1.0 - alpha / 2.0)
     return InferenceResult(
         estimate=est,

@@ -17,9 +17,11 @@ neighbor. ``match_clusters`` runs the mode's matcher and orders the pairs.
 are close in the mode's z-scored features; the cross-pair products in the
 variance estimator assume this. With one feature the ordering is, unless
 rounding ties decide it, a sort of the pair midpoints. Otherwise it, like
-greedy pairing, is a nearest-neighbor walk. Each step of both walks scans
-outward from the query along the first feature and stops once the
-first-feature gap alone exceeds the best distance found, which is exact
+greedy pairing, is a nearest-neighbor walk. Each step of both walks asks for
+the untaken row nearest to the row taken last: the seed of a new pair, or
+the pair just visited. The scan starts from that row's links to its nearest
+untaken rows in a sort on the first feature, steps outward and stops once
+the first-feature gap alone exceeds the best distance found, which is exact
 (``_AxisScan``). Where the first feature does not prune (few distinct
 values, or much of the spread in other features) or there are 8 or more
 features, one distance row per step answers instead (``_Unvisited``). On
@@ -33,7 +35,6 @@ sample grows.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import logging
 import math
@@ -67,7 +68,7 @@ class MatchedDesign:
 
     def __post_init__(self):
         n = 2 * self.pair_count
-        if len(self.permutation) != n or sorted(self.permutation) != list(range(n)):
+        if len(self.permutation) != n or set(self.permutation) != set(range(n)):
             raise DataError("permutation is not a bijection on 0..2G-1")
         if self.mode not in MATCH_MODES:
             raise DataError(f"unknown match mode {self.mode!r}; choose from {MATCH_MODES}")
@@ -118,10 +119,11 @@ class _Unvisited:
     """The rows of a point set not yet taken, for nearest-point queries.
 
     Rows keep the caller's tie-break order, so ``argmin``'s first-index rule
-    breaks distance ties by that order. ``take_nearest`` computes one
-    distance row, sqrt(sum((z_j - z)^2)) over the feature axis, per call:
-    memory is O(n*k). A taken row's first coordinate becomes +inf, and the
-    rows are compacted once half of them are taken.
+    breaks distance ties by that order. ``take_nearest`` answers for the row
+    taken last, z, read from the points as given, and computes one distance
+    row, sqrt(sum((z_j - z)^2)) over the feature axis, per call: memory is
+    O(n*k). A taken row's first coordinate becomes +inf in the working copy,
+    and the rows are compacted once half of them are taken.
 
     The walks query ``_AxisScan``, whose scan along the first feature stops
     exactly, at the first row whose first-feature gap alone exceeds the best
@@ -138,9 +140,11 @@ class _Unvisited:
         # and reduces column-major rows far faster; from 8 features on it sums
         # row-major rows pairwise, as the n x n x k distance tensors did.
         self._layout = "F" if k < 8 else "C"
+        self._query_rows = points  # uncompacted: row i is the query once taken
         self._points = np.array(points, dtype=float, order=self._layout)
         self._index = np.arange(n)  # tie-break position of each stored row
         self._live = np.ones(n, dtype=bool)
+        self._last = -1  # the row taken last
         self.count = n
 
     def take(self, i: int) -> int:
@@ -151,16 +155,17 @@ class _Unvisited:
         """Take the untaken row that comes first in tie-break order."""
         return self._take_at(int(self._live.argmax()))
 
-    def take_nearest(self, point: np.ndarray) -> int:
-        """Take the untaken row nearest to ``point``; ties go to the first."""
-        d = self._points - point
+    def take_nearest(self) -> int:
+        """Take the untaken row nearest to the row taken last; ties go to the
+        first."""
+        d = self._points - self._query_rows[self._last]
         d *= d
         dist = d.sum(axis=1)
         np.sqrt(dist, out=dist)
         return self._take_at(int(dist.argmin()))
 
     def _take_at(self, pos: int) -> int:
-        i = int(self._index[pos])
+        i = self._last = int(self._index[pos])
         self._live[pos] = False
         self._points[pos, 0] = np.inf
         self.count -= 1
@@ -176,10 +181,13 @@ class _AxisScan:
     (Friedman, Baskett & Shustek, IEEE Trans. Computers, 1975).
 
     Rows sit in a sort on the first feature; the untaken ones form a doubly
-    linked list over that order. ``take_nearest`` steps outward from the
-    query on both sides, nearest first-feature gap first, and computes each
-    row's distance as numpy does: d = z_j - q, d * d summed left to right,
-    then the square root. A side stops once sqrt(d0 * d0) of its next row
+    linked list over that order. ``take_nearest`` answers for the row taken
+    last, q. Taking a row leaves its own links alone, so they still point to
+    its nearest untaken rows on either side of the sort, and the scan starts
+    from them. It steps outward on both sides, nearest first-feature gap
+    first, and computes each row's distance as numpy does: d = z_j - q, d * d
+    summed left to right, then the square root, with q read verbatim from
+    the scan's own lists. A side stops once sqrt(d0 * d0) of its next row
     exceeds the best distance so far. That is exact: d0 is monotone along
     the sort, and a rounded sum of non-negative terms is never below one of
     its terms, so every row further out is strictly farther. The comparison
@@ -230,26 +238,19 @@ class _AxisScan:
         self._first = i
         return self._unlink(pos[i])
 
-    def take_nearest(self, point: np.ndarray) -> int:
-        """Take the untaken row nearest to ``point``; ties go to the first."""
-        q0, *q = point.tolist()
-        x, rest, row, nxt, prv, untaken = (
-            self._x, self._rest, self._row, self._next, self._prev, self._untaken
-        )
-        # the first untaken position at or above q0, over the stale links of
-        # taken ones; the start is then linked to it directly
-        start = r = bisect.bisect_left(x, q0)
-        examined = 0
-        while not untaken[r]:
-            r = nxt[r]
-            examined += 1
-        if r != start:
-            nxt[start] = r
-        l = prv[r]
+    def take_nearest(self) -> int:
+        """Take the untaken row nearest to the row taken last; ties go to the
+        first."""
+        x, rest, row, nxt, prv = self._x, self._rest, self._row, self._next, self._prev
+        # the row taken last keeps its links, to its nearest untaken rows on
+        # either side, and its coordinates, which are the query's
+        last = self._taken[-1]
+        p0 = self._pos[last]
+        q0, l, r = x[p0], prv[p0], nxt[p0]
         dl, dr = x[l] - q0, x[r] - q0
         sl, sr = dl * dl, dr * dr
         gl, gr = math.sqrt(sl), math.sqrt(sr)
-        best, best_pos = math.inf, 0
+        best, best_pos, examined = math.inf, 0, 0
         while True:
             if gl <= gr:
                 if gl > best:
@@ -267,15 +268,15 @@ class _AxisScan:
                 dr = x[r] - q0
                 sr = dr * dr
                 gr = math.sqrt(sr)
-            for column, b in zip(rest, q):
-                d = column[p] - b
+            for column in rest:
+                d = column[p] - column[p0]
                 s += d * d
             dist = math.sqrt(s)
             if dist < best or (dist == best and row[p] < row[best_pos]):
                 best, best_pos = dist, p
             examined += 1
             if examined >= _SCAN_CAP:
-                best_pos = self._pos[self._masked_nearest(point)]
+                best_pos = self._pos[self._masked_nearest(self._points[last])]
                 break
         i = self._unlink(best_pos)
         self._credit += _SCAN_BUDGET - examined
@@ -376,7 +377,7 @@ def pair_greedy_nn(dataset: Dataset, include_size: bool = False) -> MatchedDesig
     perm: list[int] = []
     for _ in range(dataset.n_pairs):
         seed = unmatched.take_first()
-        perm.extend((seed, unmatched.take_nearest(z[seed])))
+        perm.extend((seed, unmatched.take_nearest()))
     return MatchedDesign(tuple(perm), dataset.n_pairs, mode)
 
 
@@ -413,7 +414,7 @@ def order_pairs_for_variance(design: MatchedDesign, dataset: Dataset) -> Matched
         unvisited = _AxisScan(mid)
         path = [unvisited.take(int(np.lexsort(mid.T[::-1])[0]))]
         for _ in range(design.pair_count - 1):
-            path.append(unvisited.take_nearest(mid[path[-1]]))
+            path.append(unvisited.take_nearest())
 
     new_perm = np.column_stack((first[path], second[path])).ravel()
     return MatchedDesign(tuple(new_perm.tolist()), design.pair_count, design.mode)

@@ -259,6 +259,31 @@ class TestInfer:
         assert res.ci_high == pytest.approx(2.697378601114257)
         assert not res.degenerate
 
+    # two-sided normal tail P(|Z| > z), to 20 digits
+    @pytest.mark.parametrize(
+        "target, tail",
+        [
+            (3.52, 4.3154679858943505469e-4),
+            (8.0, 1.2441921148543568247e-15),
+            (9.0, 2.2571768119076812955e-19),
+            (12.0, 3.5529642241553579954e-33),
+        ],
+    )
+    def test_p_value_keeps_relative_precision_in_the_tail(self, rng, target, tail):
+        # 1 - erf(|z| / sqrt 2) keeps only absolute precision: it reads 0.0
+        # from |z| of about 8.5 on and is 1.8% low at |z| = 8
+        ds = random_dataset(rng, pairs=6)
+        base = infer(ds, identity_design(6))
+        for sign in (1.0, -1.0):
+            delta0 = base.estimate.delta_hat - sign * target * base.se
+            res = infer(ds, identity_design(6), delta0=delta0)
+            assert res.z == pytest.approx(sign * target, rel=1e-12)
+            assert res.p_value > 0.0
+            assert res.p_value == pytest.approx(
+                math.erfc(abs(res.z) / math.sqrt(2.0)), rel=1e-14, abs=0.0
+            )
+            assert res.p_value == pytest.approx(tail, rel=1e-11, abs=0.0)
+
     def test_degenerate_constant_outcomes(self):
         ds = unit_dataset([2.0, 2.0, 2.0, 2.0], [1, 0, 0, 1])
         res = infer(ds, identity_design(2))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     all_pairings,
     design_cost,
+    feature_reference,
     identity_design,
     matching_reference,
     min_matching_cost,
@@ -45,8 +46,16 @@ def items_from(xs, sizes=None, ids=None):
 
 class TestMatchedDesign:
     def test_rejects_non_bijection(self):
-        with pytest.raises(DataError):
-            MatchedDesign(permutation=(0, 1, 1, 2), pair_count=2, mode="nn_x")
+        for permutation in [
+            (0, 1, 1, 2),  # a repeated entry
+            (0, 1, 2, 4),  # an entry out of range
+            (0, 1, 2, -1),  # a negative entry
+            (0, 1, 2),  # too short
+            (0, 1, 2, 3, 4, 5),  # too long, though each entry is distinct
+            (0, 1, 2, 3, 3),  # too long by a repeat: the same set as 0..3
+        ]:
+            with pytest.raises(DataError, match="not a bijection"):
+                MatchedDesign(permutation=permutation, pair_count=2, mode="nn_x")
 
     def test_pairs(self):
         d = MatchedDesign(permutation=(2, 0, 3, 1), pair_count=2, mode="nn_x")
@@ -256,7 +265,7 @@ class TestAgainstTensorReference:
             for _ in range(n // 2):
                 seed_row = scan.take_first()
                 assert seed_row == rows.take_first()
-                assert scan.take_nearest(points[seed_row]) == rows.take_nearest(points[seed_row])
+                assert scan.take_nearest() == rows.take_nearest()
 
     def test_scan_hands_over_mid_walk(self):
         # 200 clusters on a line cost the scan a row or two per query; the 200
@@ -272,7 +281,7 @@ class TestAgainstTensorReference:
         for _ in range(items.n_pairs):
             seed = scan.take_first()
             assert seed == rows.take_first()
-            assert scan.take_nearest(z[seed]) == rows.take_nearest(z[seed])
+            assert scan.take_nearest() == rows.take_nearest()
             handed_over.append(isinstance(scan.take_nearest.__self__, _Unvisited))
         assert 100 < handed_over.index(True) < 150
         design = pair_greedy_nn(items)
@@ -281,6 +290,52 @@ class TestAgainstTensorReference:
             order_pairs_for_variance(design, items).permutation
             == order_pairs_reference(design, items).permutation
         )
+
+
+def optimal_matching_cost(points):
+    """The least total within-pair Euclidean distance over all perfect
+    matchings of the rows of ``points``, by Edmonds' blossom algorithm from
+    networkx (a test-only dependency)."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    n = len(points)
+    for a in range(n):
+        for b in range(a + 1, n):
+            graph.add_edge(a, b, weight=float(np.linalg.norm(points[a] - points[b])))
+    matching = nx.min_weight_matching(graph)
+    assert len(matching) == n // 2
+    return sum(graph[a][b]["weight"] for a, b in matching)
+
+
+class TestAgainstOptimalMatching:
+    """Sorting on x1 attains the minimum-weight perfect matching in one
+    dimension, and greedy pairing, in the features it matches on, never
+    does better than that minimum."""
+
+    PAIR_COUNTS = (2, 3, 5, 8, 13, 21, 30, 40)
+
+    @pytest.mark.parametrize("values", ["continuous", "grid"])
+    def test_sorted_scalar_is_optimal(self, values):
+        rng = np.random.default_rng(7)
+        for g in self.PAIR_COUNTS:
+            if values == "grid":  # many ties
+                x = rng.integers(-5, 6, 2 * g).astype(float)
+            else:
+                x = rng.normal(0.0, 1.0, 2 * g)
+            cost = design_cost(pair_sorted_scalar(items_from(x)), x)
+            assert cost == pytest.approx(optimal_matching_cost(x[:, None]), rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("mode", ["nn_x", "nn_xn"])
+    def test_greedy_never_beats_the_optimum(self, mode):
+        rng = np.random.default_rng(8)
+        for g in self.PAIR_COUNTS:
+            x = rng.normal(0.0, 1.0, (2 * g, 2))
+            sizes = rng.integers(5, 60, 2 * g).tolist()
+            items = items_from(x, sizes=sizes)
+            z = zscore(feature_reference(items, mode))
+            design = pair_greedy_nn(items, include_size=mode == "nn_xn")
+            cost = sum(float(np.linalg.norm(z[a] - z[b])) for a, b in design.pairs())
+            assert cost >= optimal_matching_cost(z) - 1e-9
 
 
 class TestNonFiniteFeatures:

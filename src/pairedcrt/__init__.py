@@ -65,7 +65,6 @@ from .simulation import (
     SizeLaw,
     generate_trial,
     monte_carlo,
-    oracle_kind,
     oracle_variance,
     preset,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "load_dataset",
     "match_clusters",
     "monte_carlo",
-    "oracle_kind",
     "oracle_variance",
     "order_pairs_for_variance",
     "pair_greedy_nn",

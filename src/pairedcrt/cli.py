@@ -269,14 +269,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--oracle-draws", type=int, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
-    for name, p in (
-        ("match", p_match),
-        ("assign", p_assign),
-        ("analyze", p_analyze),
-        ("randtest", p_rand),
-        ("simulate", p_sim),
-    ):
-        p.set_defaults(subparser=p, command=name)
+    for p in (p_match, p_assign, p_analyze, p_rand, p_sim):
+        p.set_defaults(subparser=p)
 
     return parser
 

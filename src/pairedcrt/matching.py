@@ -22,15 +22,17 @@ the untaken row nearest to the row taken last: the seed of a new pair, or
 the pair just visited. The scan starts from that row's links to its nearest
 untaken rows in a sort on the first feature, steps outward and stops once
 the first-feature gap alone exceeds the best distance found, which is exact
-(``_AxisScan``). Where the first feature does not prune (few distinct
-values, or much of the spread in other features) or there are 8 or more
-features, one distance row per step answers instead (``_Unvisited``). On
-features close to one-dimensional a step examines a few rows; the worst
-case is one distance row per step, O(G^2 * k) time for G pairs with k
-features. Memory is O(G * k) throughout. ``imbalance_report`` computes the
-within-pair and cross-pair discrepancy sums that quantify how well a design
-approximates ideal matching; all of them should shrink toward zero as the
-sample grows.
+(``_AxisScan``). From 8 features on, or once the scan has examined more
+rows than its budget allows (the first feature does not prune: few distinct
+values, or much of the spread in other features), one distance row per step
+answers instead (``_Unvisited``). On features close to one-dimensional a
+step examines a few rows; the worst case is one distance row per step,
+O(G^2 * k) time for G pairs with k features. Memory is O(G * k) throughout.
+``imbalance_report`` computes the within-pair and cross-pair discrepancy
+sums that quantify how well a design approximates ideal matching; all of
+them should shrink toward zero as the sample grows. Pair ordering, the
+diagnostics and ``write_design`` reject a design that does not pair every
+cluster of the dataset.
 """
 
 from __future__ import annotations
@@ -63,15 +65,19 @@ class MatchedDesign:
     """
 
     permutation: tuple[int, ...]
-    pair_count: int
     mode: str
 
     def __post_init__(self):
-        n = 2 * self.pair_count
-        if len(self.permutation) != n or set(self.permutation) != set(range(n)):
+        n = len(self.permutation)
+        if n % 2 or set(self.permutation) != set(range(n)):
             raise DataError("permutation is not a bijection on 0..2G-1")
         if self.mode not in MATCH_MODES:
             raise DataError(f"unknown match mode {self.mode!r}; choose from {MATCH_MODES}")
+
+    @property
+    def pair_count(self) -> int:
+        """G, half the length of ``permutation``."""
+        return len(self.permutation) // 2
 
     @property
     def matched_on_size(self) -> bool:
@@ -127,11 +133,9 @@ class _Unvisited:
 
     The walks query ``_AxisScan``, whose scan along the first feature stops
     exactly, at the first row whose first-feature gap alone exceeds the best
-    distance. This class answers in its place in three cases: from 8
-    features on; where more than ``_SCAN_CAP`` rows lie as near to row 0 in
-    the first feature as its nearest row does in all; and, for the rest of
-    a walk, once a scan has examined more than ``_SCAN_BUDGET`` rows per
-    query.
+    distance. This class answers in its place from 8 features on and, for
+    the rest of a walk, once a scan has examined more than ``_SCAN_BUDGET``
+    rows per query.
     """
 
     def __init__(self, points: np.ndarray):
@@ -158,10 +162,7 @@ class _Unvisited:
     def take_nearest(self) -> int:
         """Take the untaken row nearest to the row taken last; ties go to the
         first."""
-        d = self._points - self._query_rows[self._last]
-        d *= d
-        dist = d.sum(axis=1)
-        np.sqrt(dist, out=dist)
+        dist = _distance_row(self._points, self._query_rows[self._last])
         return self._take_at(int(dist.argmin()))
 
     def _take_at(self, pos: int) -> int:
@@ -194,21 +195,20 @@ class _AxisScan:
     is strict, so an equally near row with a lower index further out is
     still seen, and ties go to the lower index.
 
-    The scan's work is bounded by what it observes. Where more than
-    ``_SCAN_CAP`` rows lie within the first-feature gap between row 0 and
-    its nearest row, the first feature does not prune, and ``_Unvisited``
-    answers from the start; so it does from 8 features on, where numpy sums
-    pairwise, not left to right. A query that examines ``_SCAN_CAP`` rows is
-    answered by one masked distance row. Once the rows examined exceed
-    ``_SCAN_BUDGET`` per query answered (after one cap of slack), the
-    untaken rows go to ``_Unvisited`` for the rest of the walk.
+    The scan's work is bounded by what it observes. From 8 features on,
+    where numpy sums pairwise, not left to right, ``_Unvisited`` answers
+    from the start. A query that examines ``_SCAN_CAP`` rows is answered by
+    one masked distance row. Once the rows examined exceed ``_SCAN_BUDGET``
+    per query answered (after one cap of slack), the untaken rows go to
+    ``_Unvisited`` for the rest of the walk; where the first feature does
+    not prune, that happens by the second query.
     """
 
     def __init__(self, points: np.ndarray):
         n, k = points.shape
         self._points = points
         self._taken: list[int] = []  # in the order taken
-        if k >= 8 or self._first_row_slab() > _SCAN_CAP:
+        if k >= 8:
             self._hand_over()
             return
         order = np.argsort(points[:, 0])  # ties need no order: the scan compares rows
@@ -293,24 +293,10 @@ class _AxisScan:
         self._taken.append(i)
         return i
 
-    def _distances(self, point: np.ndarray) -> np.ndarray:
-        d = self._points - point
-        d *= d
-        dist = d.sum(axis=1)
-        return np.sqrt(dist, out=dist)
-
     def _masked_nearest(self, point: np.ndarray) -> int:
-        dist = self._distances(point)
+        dist = _distance_row(self._points, point)
         dist[self._taken] = np.inf
         return int(dist.argmin())
-
-    def _first_row_slab(self) -> int:
-        """How many rows a scan from row 0 to its nearest other row would
-        examine: those no farther from it in the first feature."""
-        dist = self._distances(self._points[0])
-        dist[0] = np.inf
-        x = self._points[:, 0]
-        return int(np.count_nonzero(np.abs(x - x[0]) <= dist.min()))
 
     def _hand_over(self) -> None:
         rows = _Unvisited(self._points)
@@ -320,6 +306,14 @@ class _AxisScan:
         vars(self).clear()
         self.take, self.take_first = rows.take, rows.take_first
         self.take_nearest = rows.take_nearest
+
+
+def _distance_row(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sqrt(sum((z_j - q)^2)) over the feature axis, one entry per row."""
+    d = points - q
+    d *= d
+    dist = d.sum(axis=1)
+    return np.sqrt(dist, out=dist)
 
 
 def zscore(features: np.ndarray) -> np.ndarray:
@@ -360,25 +354,26 @@ def pair_sorted_scalar(dataset: Dataset) -> MatchedDesign:
     the total within-pair distance over all perfect matchings.
     """
     order = np.argsort(_features(dataset, "sorted_x")[:, 0], kind="stable")
-    return MatchedDesign(tuple(order.tolist()), dataset.n_pairs, "sorted_x")
+    return MatchedDesign(tuple(order.tolist()), "sorted_x")
 
 
-def pair_greedy_nn(dataset: Dataset, include_size: bool = False) -> MatchedDesign:
-    """Greedy nearest-neighbor pairing on z-scored features (mode ``nn_xn``
-    with ``include_size``, ``nn_x`` without).
+def pair_greedy_nn(dataset: Dataset, mode: str = "nn_x") -> MatchedDesign:
+    """Greedy nearest-neighbor pairing on z-scored features, in mode
+    ``nn_x`` (the covariates) or ``nn_xn`` (the covariates and size).
 
     Repeatedly takes the unmatched cluster with the smallest cluster_id and
     pairs it with its nearest unmatched neighbor in Euclidean distance
     (ties again broken by cluster_id).
     """
-    mode = "nn_xn" if include_size else "nn_x"
+    if mode not in ("nn_x", "nn_xn"):
+        raise ValueError(f"greedy matching runs in mode 'nn_x' or 'nn_xn', not {mode!r}")
     z = zscore(_features(dataset, mode))
     unmatched = _AxisScan(z)
     perm: list[int] = []
     for _ in range(dataset.n_pairs):
         seed = unmatched.take_first()
         perm.extend((seed, unmatched.take_nearest()))
-    return MatchedDesign(tuple(perm), dataset.n_pairs, mode)
+    return MatchedDesign(tuple(perm), mode)
 
 
 def match_clusters(dataset: Dataset, match_mode: str) -> MatchedDesign:
@@ -388,8 +383,17 @@ def match_clusters(dataset: Dataset, match_mode: str) -> MatchedDesign:
     if match_mode == "sorted_x":
         design = pair_sorted_scalar(dataset)
     else:
-        design = pair_greedy_nn(dataset, include_size=match_mode == "nn_xn")
+        design = pair_greedy_nn(dataset, match_mode)
     return order_pairs_for_variance(design, dataset)
+
+
+def _check_covers(design: MatchedDesign, dataset: Dataset) -> None:
+    """Raise ``DataError`` unless the design pairs every cluster of ``dataset``."""
+    if len(design.permutation) != dataset.n_clusters:
+        raise DataError(
+            f"the design covers {len(design.permutation)} clusters "
+            f"but the data has {dataset.n_clusters}"
+        )
 
 
 def order_pairs_for_variance(design: MatchedDesign, dataset: Dataset) -> MatchedDesign:
@@ -399,8 +403,10 @@ def order_pairs_for_variance(design: MatchedDesign, dataset: Dataset) -> Matched
     Pairs are visited along a greedy nearest-neighbor path through their
     feature midpoints, starting from the pair whose midpoint is
     lexicographically smallest. Ties go to the pair with the smallest
-    member cluster_id. Member order within each pair is preserved.
+    member cluster_id. Member order within each pair is preserved. A
+    design that does not cover ``dataset`` raises ``DataError``.
     """
+    _check_covers(design, dataset)
     z = zscore(_features(dataset, design.mode))
     perm = np.asarray(design.permutation)
     # rows are in cluster_id order, so a pair's smallest id is its smallest row
@@ -417,7 +423,7 @@ def order_pairs_for_variance(design: MatchedDesign, dataset: Dataset) -> Matched
             path.append(unvisited.take_nearest())
 
     new_perm = np.column_stack((first[path], second[path])).ravel()
-    return MatchedDesign(tuple(new_perm.tolist()), design.pair_count, design.mode)
+    return MatchedDesign(tuple(new_perm.tolist()), design.mode)
 
 
 def _sorted_path(mid: np.ndarray) -> np.ndarray | None:
@@ -442,7 +448,9 @@ def _sorted_path(mid: np.ndarray) -> np.ndarray | None:
 
 
 def imbalance_report(design: MatchedDesign, dataset: Dataset) -> ImbalanceReport:
-    """Compute all within-pair and cross-pair discrepancy sums for a design."""
+    """Compute all within-pair and cross-pair discrepancy sums for a design
+    that covers ``dataset``; one that does not raises ``DataError``."""
+    _check_covers(design, dataset)
     perm = np.asarray(design.permutation)
     g = design.pair_count
     w = _features(dataset, design.mode)
@@ -488,7 +496,9 @@ def imbalance_report(design: MatchedDesign, dataset: Dataset) -> ImbalanceReport
 
 
 def write_design(design: MatchedDesign, dataset: Dataset, path) -> None:
-    """Serialize a design as CSV rows ``pair_index,position,cluster_id,mode``."""
+    """Serialize a design as CSV rows ``pair_index,position,cluster_id,mode``;
+    a design that does not cover ``dataset`` raises ``DataError``."""
+    _check_covers(design, dataset)
     ids = dataset.cluster_ids
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -565,4 +575,4 @@ def read_design(source, dataset: Dataset, matched_on_size: bool = False) -> Matc
         logging.getLogger("pairedcrt").warning(
             "design CSV has no mode column; assuming match mode %r", mode
         )
-    return MatchedDesign(tuple(perm.tolist()), g, mode)
+    return MatchedDesign(tuple(perm.tolist()), mode)

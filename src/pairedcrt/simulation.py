@@ -15,7 +15,7 @@ exposed as :attr:`DgpSpec.true_delta`. :func:`oracle_variance` targets the
 limiting variance of sqrt(G) times the size-weighted estimator by Monte
 Carlo over (X, N), with the conditional moments given (X, N) evaluated in
 closed form; matching on X alone and matching on (X, N) have different
-limits, selected by ``match_on``.
+limits, selected by the match mode (``nn_xn`` matches on size).
 
 All randomness flows through Philox streams spawned from a single seed, so
 every artifact (trials, assignments, reports) is reproducible bit for bit.
@@ -316,11 +316,6 @@ def preset(name: str) -> DgpSpec:
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
-def oracle_kind(match_mode: str) -> str:
-    """Which limiting variance a match mode targets."""
-    return "x_and_n" if match_mode == "nn_xn" else "x_only"
-
-
 #: Most sampled units one trial may hold; each costs a few float columns.
 MAX_SAMPLED_UNITS = 10**7
 
@@ -381,17 +376,18 @@ def generate_trial(
 
 
 def oracle_variance(
-    dgp: DgpSpec, match_on: str = "x_only", draws: int = 1_000_000, seed: int = 0
+    dgp: DgpSpec, match_mode: str = "nn_x", draws: int = 1_000_000, seed: int = 0
 ) -> float:
     """Monte Carlo value of the limiting variance of sqrt(G) * delta_hat.
 
-    ``match_on`` picks the limit: "x_only" for designs matched on the
-    covariate alone, "x_and_n" for designs matched on covariate and size.
-    The draw is over (X, N); all conditional moments given (X, N) enter in
-    closed form, so ``draws`` only controls the outer averaging error.
+    ``match_mode``, one of ``MATCH_MODES``, picks the limit: ``nn_xn`` for
+    designs matched on covariate and size, ``sorted_x`` and ``nn_x`` for
+    designs matched on the covariate alone. The draw is over (X, N); all
+    conditional moments given (X, N) enter in closed form, so ``draws`` only
+    controls the outer averaging error.
     """
-    if match_on not in ("x_only", "x_and_n"):
-        raise ValueError(f"match_on must be 'x_only' or 'x_and_n', got {match_on!r}")
+    if match_mode not in MATCH_MODES:
+        raise ValueError(f"unknown match mode {match_mode!r}; choose from {MATCH_MODES}")
     m = dgp.outcomes
     en = dgp.sizes.mean()
     en2_over_en = dgp.sizes.mean_sq() / en
@@ -409,7 +405,7 @@ def oracle_variance(
     second = (w**2 * ((m.mu1(x, n) - c1) ** 2 + noise)).mean() + (
         w**2 * ((m.mu0(x, n) - c0) ** 2 + noise)
     ).mean()
-    if match_on == "x_and_n":
+    if match_mode == "nn_xn":
         cond = w * (m.mu1(x, n) + m.mu0(x, n) - c1 - c0)
     else:
         cond = (
@@ -550,7 +546,7 @@ def monte_carlo(config: SimConfig) -> SimReport:
         oracle_seed = int(children[r].generate_state(1, np.uint64)[0])
         oracle = oracle_variance(
             config.dgp,
-            match_on=oracle_kind(config.match_mode),
+            match_mode=config.match_mode,
             draws=config.oracle_draws,
             seed=oracle_seed,
         )

@@ -157,7 +157,7 @@ def wls_oracle(dataset):
 
 
 def identity_design(pair_count, mode="nn_x"):
-    return MatchedDesign(tuple(range(2 * pair_count)), pair_count, mode)
+    return MatchedDesign(tuple(range(2 * pair_count)), mode)
 
 
 def random_dataset(rng, pairs=3, max_size=8, with_treatments=True):
@@ -346,14 +346,14 @@ def unit_level_randomization_p(pairs_y, delta0=0.0):
     return count / (1 << g)
 
 
-def closed_form_variance(dgp, match_on):
+def closed_form_variance(dgp, match_mode):
     """Exact limiting variance by moment algebra over the size support.
 
     Derivation: with weights w = N / E[N] and centering constants
     c_d = E[N mu_d] / E[N], the second-moment term is
     E[w^2 ((mu_d - c_d)^2 + sigma_cluster^2 + sigma_unit^2 / s(N))] summed
     over arms, and the subtracted conditional term is the second moment of
-    E[sum of centered arms | X] (or | X, N). For the linear model every
+    E[sum of centered arms | X] (or | X, N in mode ``nn_xn``). For the linear model every
     piece reduces to moments of X and N; cross terms vanish because X and
     N are independent.
     """
@@ -387,10 +387,10 @@ def closed_form_variance(dgp, match_on):
         )
     beta_sum = m.beta1 + m.beta0
     theta_sum = m.theta1 + m.theta0
-    if match_on == "x_only":
-        cond = beta_sum**2 * var_x
-    else:
+    if match_mode == "nn_xn":
         cond = beta_sum**2 * var_x * ew2 + theta_sum**2 * ej
+    else:
+        cond = beta_sum**2 * var_x
     return second - 0.5 * cond
 
 
@@ -415,7 +415,7 @@ def matching_reference(dataset, mode):
     if mode == "sorted_x":
         x1 = feature_reference(dataset, mode)[:, 0]
         perm = sorted(range(n), key=lambda i: (x1[i], ids[i]))
-        return MatchedDesign(tuple(perm), n // 2, mode)
+        return MatchedDesign(tuple(perm), mode)
     z = zscore(feature_reference(dataset, mode))
     id_order = sorted(range(n), key=lambda i: ids[i])
     diffs = z[:, None, :] - z[None, :, :]
@@ -432,7 +432,7 @@ def matching_reference(dataset, mode):
         best = min(np.flatnonzero(row == row.min()), key=lambda i: ids[i])
         available[best] = False
         perm.extend((seed, int(best)))
-    return MatchedDesign(tuple(perm), n // 2, mode)
+    return MatchedDesign(tuple(perm), mode)
 
 
 def order_pairs_reference(design, dataset):
@@ -464,7 +464,7 @@ def order_pairs_reference(design, dataset):
     new_perm = []
     for j in path:
         new_perm.extend((int(perm[2 * j]), int(perm[2 * j + 1])))
-    return MatchedDesign(tuple(new_perm), g, design.mode)
+    return MatchedDesign(tuple(new_perm), design.mode)
 
 
 def trial_columns_reference(dgp, pair_count, match_mode, seed):

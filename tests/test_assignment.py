@@ -8,9 +8,7 @@ from pairedcrt.matching import MatchedDesign
 
 class TestAssignWithinPairs:
     def test_exactly_one_treated_per_pair(self):
-        design = MatchedDesign(
-            permutation=(3, 0, 2, 5, 1, 4), pair_count=3, mode="nn_x"
-        )
+        design = MatchedDesign(permutation=(3, 0, 2, 5, 1, 4), mode="nn_x")
         t = assign_within_pairs(design, seed=7)
         assert t.shape == (6,)
         assert set(np.unique(t)) <= {0, 1}

@@ -205,9 +205,7 @@ class TestDesignMode:
         _, _, design_path = write_analysis_fixture(tmp_path, ds, design)
         rows = Path(design_path).read_text().splitlines()
         Path(design_path).write_text("".join(r.rsplit(",", 1)[0] + "\n" for r in rows))
-        on_x = order_pairs_for_variance(
-            MatchedDesign(design.permutation, design.pair_count, "nn_x"), ds
-        )
+        on_x = order_pairs_for_variance(MatchedDesign(design.permutation, "nn_x"), ds)
         assert analyze_v2(tmp_path, capsys, design_path) == (0, infer(ds, on_x).variance.v2)
         assert analyze_v2(tmp_path, capsys, design_path, "--matched-on-size") == (
             0,

@@ -88,7 +88,7 @@ class TestVarianceEstimate:
         assert var.lambda2 == pytest.approx(0.5 * (-1.5 * 2.5 + 0.5 * -1.5))
         # listing the first pair's members the other way round keeps the
         # sign, which follows treatment and not member order
-        relisted = MatchedDesign(permutation=(1, 0, 2, 3, 4, 5, 6, 7), pair_count=4, mode="nn_x")
+        relisted = MatchedDesign(permutation=(1, 0, 2, 3, 4, 5, 6, 7), mode="nn_x")
         assert infer(ds, relisted).variance.lambda2 == pytest.approx(var.lambda2)
 
     def test_odd_pair_count_drops_trailing_pair(self):
@@ -145,7 +145,7 @@ def kernel_case_designs(case):
     """Each treatment row of a ``kernel_cases`` draw as a dataset, with the
     drawn design."""
     n, ybar, dmat, perm, g, _ = case
-    design = MatchedDesign(permutation=perm, pair_count=g, mode="nn_x")
+    design = MatchedDesign(permutation=perm, mode="nn_x")
     for d in dmat:
         yield make_dataset(sizes=n.astype(np.int64), ybars=ybar, treatments=d), design
 
@@ -299,9 +299,7 @@ class TestInfer:
     def test_member_order_within_pairs_irrelevant(self, rng):
         ds = random_dataset(rng, pairs=4)
         base = infer(ds, identity_design(4))
-        swapped = MatchedDesign(
-            permutation=(1, 0, 3, 2, 5, 4, 7, 6), pair_count=4, mode="nn_x"
-        )
+        swapped = MatchedDesign(permutation=(1, 0, 3, 2, 5, 4, 7, 6), mode="nn_x")
         other = infer(ds, swapped)
         assert other.variance.tau2 == pytest.approx(base.variance.tau2)
         assert other.variance.lambda2 == pytest.approx(base.variance.lambda2)

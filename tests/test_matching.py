@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import logging
 import math
@@ -50,16 +51,20 @@ class TestMatchedDesign:
             (0, 1, 1, 2),  # a repeated entry
             (0, 1, 2, 4),  # an entry out of range
             (0, 1, 2, -1),  # a negative entry
-            (0, 1, 2),  # too short
-            (0, 1, 2, 3, 4, 5),  # too long, though each entry is distinct
-            (0, 1, 2, 3, 3),  # too long by a repeat: the same set as 0..3
+            (0, 1, 2),  # an odd length
+            (0, 1, 2, 3, 3),  # an odd length by a repeat: the same set as 0..3
         ]:
             with pytest.raises(DataError, match="not a bijection"):
-                MatchedDesign(permutation=permutation, pair_count=2, mode="nn_x")
+                MatchedDesign(permutation=permutation, mode="nn_x")
 
     def test_pairs(self):
-        d = MatchedDesign(permutation=(2, 0, 3, 1), pair_count=2, mode="nn_x")
+        d = MatchedDesign(permutation=(2, 0, 3, 1), mode="nn_x")
         assert d.pairs() == [(2, 0), (3, 1)]
+
+    def test_pair_count_follows_the_permutation(self):
+        assert [f.name for f in dataclasses.fields(MatchedDesign)] == ["permutation", "mode"]
+        for g in (0, 1, 3):
+            assert MatchedDesign(tuple(range(2 * g)), "nn_x").pair_count == g
 
 
 class TestZscore:
@@ -111,7 +116,7 @@ class TestPairSortedScalar:
         with pytest.raises(DataError, match="no covariates"):
             pair_greedy_nn(no_covariates)
         # cluster size alone is a feature
-        assert pair_greedy_nn(no_covariates, include_size=True).pair_count == 2
+        assert pair_greedy_nn(no_covariates, "nn_xn").pair_count == 2
 
     def test_optimal_in_one_dimension(self, rng):
         for _ in range(30):
@@ -131,8 +136,8 @@ class TestPairGreedyNn:
     def test_include_size_changes_pairs(self):
         # identical covariates; sizes make (0,2) and (1,3) the natural pairs
         items = items_from([0.0, 0.0, 0.0, 0.0], sizes=[10, 100, 11, 99])
-        base = pair_greedy_nn(items, include_size=False)
-        sized = pair_greedy_nn(items, include_size=True)
+        base = pair_greedy_nn(items, "nn_x")
+        sized = pair_greedy_nn(items, "nn_xn")
         assert not base.matched_on_size
         assert sized.matched_on_size
         assert sorted(tuple(sorted(p)) for p in sized.pairs()) == [(0, 2), (1, 3)]
@@ -153,9 +158,15 @@ class TestPairGreedyNn:
             ]
             assert design_cost(design, xs) <= min_matching_cost(list(xs)) + 1e-12
 
+    def test_rejects_modes_it_does_not_run(self):
+        items = items_from([1.0, 2.0, 3.0, 4.0])
+        for mode in ("sorted_x", "optimal", True):
+            with pytest.raises(ValueError, match="'nn_x' or 'nn_xn'"):
+                pair_greedy_nn(items, mode)
+
     def test_records_its_mode(self):
         items = items_from([1.0, 2.0, 3.0, 4.0], sizes=[1, 2, 3, 4])
-        assert pair_greedy_nn(items, include_size=True).mode == "nn_xn"
+        assert pair_greedy_nn(items, "nn_xn").mode == "nn_xn"
         assert pair_greedy_nn(items).mode == "nn_x"
         assert pair_sorted_scalar(items).mode == "sorted_x"
 
@@ -211,7 +222,7 @@ class TestAgainstTensorReference:
         if mode == "sorted_x":
             design = pair_sorted_scalar(items)
         else:
-            design = pair_greedy_nn(items, include_size=mode == "nn_xn")
+            design = pair_greedy_nn(items, mode)
         reference = matching_reference(items, mode)
         assert design.permutation == reference.permutation
         assert (
@@ -225,7 +236,7 @@ class TestAgainstTensorReference:
     def test_pair_order_of_any_design_without_scores(self, items, mode, data):
         # any pairing may come in from a CSV; the mode alone names the features
         perm = tuple(data.draw(st.permutations(range(items.n_clusters))))
-        design = MatchedDesign(permutation=perm, pair_count=items.n_pairs, mode=mode)
+        design = MatchedDesign(permutation=perm, mode=mode)
         assert (
             order_pairs_for_variance(design, items).permutation
             == order_pairs_reference(design, items).permutation
@@ -238,7 +249,7 @@ class TestAgainstTensorReference:
         if mode == "sorted_x":
             design = pair_sorted_scalar(items)
         else:
-            design = pair_greedy_nn(items, include_size=mode == "nn_xn")
+            design = pair_greedy_nn(items, mode)
         reference = matching_reference(items, mode)
         assert design.permutation == reference.permutation
         assert (
@@ -246,7 +257,7 @@ class TestAgainstTensorReference:
             == order_pairs_reference(reference, items).permutation
         )
         perm = tuple(data.draw(st.permutations(range(items.n_clusters))))
-        drawn = MatchedDesign(permutation=perm, pair_count=items.n_pairs, mode=mode)
+        drawn = MatchedDesign(permutation=perm, mode=mode)
         assert (
             order_pairs_for_variance(drawn, items).permutation
             == order_pairs_reference(drawn, items).permutation
@@ -291,6 +302,20 @@ class TestAgainstTensorReference:
             == order_pairs_reference(design, items).permutation
         )
 
+    def test_scan_hands_over_at_the_start(self):
+        # x1 is constant, so it prunes nothing: the first queries each examine
+        # the scan's cap of rows, and the budget hands over within two of them
+        rng = np.random.default_rng(12)
+        items = items_from(np.column_stack((np.zeros(200), rng.normal(0.0, 1.0, 200))))
+        z = zscore(items.X)
+        scan, rows = _AxisScan(z), _Unvisited(z)
+        handed_over = []
+        for _ in range(items.n_pairs):
+            assert scan.take_first() == rows.take_first()
+            assert scan.take_nearest() == rows.take_nearest()
+            handed_over.append(isinstance(scan.take_nearest.__self__, _Unvisited))
+        assert handed_over[1:] == [True] * (items.n_pairs - 1)
+
 
 def optimal_matching_cost(points):
     """The least total within-pair Euclidean distance over all perfect
@@ -333,7 +358,7 @@ class TestAgainstOptimalMatching:
             sizes = rng.integers(5, 60, 2 * g).tolist()
             items = items_from(x, sizes=sizes)
             z = zscore(feature_reference(items, mode))
-            design = pair_greedy_nn(items, include_size=mode == "nn_xn")
+            design = pair_greedy_nn(items, mode)
             cost = sum(float(np.linalg.norm(z[a] - z[b])) for a, b in design.pairs())
             assert cost >= optimal_matching_cost(z) - 1e-9
 
@@ -362,7 +387,7 @@ def test_memory_is_linear_in_cluster_count():
     items = items_from(rng.uniform(0.0, 1.0, n), sizes=rng.choice([10, 50], n).tolist())
     tracemalloc.start()
     try:
-        design = pair_greedy_nn(items, include_size=True)
+        design = pair_greedy_nn(items, "nn_xn")
         order_pairs_for_variance(design, items)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -373,18 +398,14 @@ def test_memory_is_linear_in_cluster_count():
 class TestOrderPairsForVariance:
     def test_sorts_pairs_by_scalar_midpoint(self):
         items = items_from([4.0, 6.0, 0.0, 2.0, 2.0, 4.0])
-        design = MatchedDesign(
-            permutation=(0, 1, 2, 3, 4, 5), pair_count=3, mode="nn_x"
-        )
+        design = MatchedDesign(permutation=(0, 1, 2, 3, 4, 5), mode="nn_x")
         ordered = order_pairs_for_variance(design, items)
         # midpoints are 5, 1, 3 so the pair visit order is (2,3), (4,5), (0,1)
         assert ordered.permutation == (2, 3, 4, 5, 0, 1)
 
     def test_member_order_preserved(self):
         items = items_from([4.0, 6.0, 0.0, 2.0, 2.0, 4.0])
-        design = MatchedDesign(
-            permutation=(1, 0, 3, 2, 5, 4), pair_count=3, mode="nn_x"
-        )
+        design = MatchedDesign(permutation=(1, 0, 3, 2, 5, 4), mode="nn_x")
         ordered = order_pairs_for_variance(design, items)
         assert ordered.permutation == (3, 2, 5, 4, 1, 0)
 
@@ -410,7 +431,7 @@ class TestOrderPairsForVariance:
         # midpoints differ in the last bit and round to one distance from the
         # first pair, so the walk, and the ordering, takes (1,0) first
         items = items_from([1.0, 1.0, -1.0, 2.0, 0.0, 2.0])
-        design = MatchedDesign(permutation=(1, 0, 3, 4, 2, 5), pair_count=3, mode="nn_x")
+        design = MatchedDesign(permutation=(1, 0, 3, 4, 2, 5), mode="nn_x")
         ordered = order_pairs_for_variance(design, items)
         assert ordered.permutation == (2, 5, 1, 0, 3, 4)
         assert ordered == order_pairs_reference(design, items)
@@ -424,16 +445,14 @@ class TestOrderPairsForVariance:
         x1_only = items_from(list(xs[:, 0]))
         assert design == match_clusters(x1_only, "sorted_x")
         assert design == order_pairs_for_variance(
-            MatchedDesign(permutation=design.permutation, pair_count=20, mode="sorted_x"), items
+            MatchedDesign(permutation=design.permutation, mode="sorted_x"), items
         )
 
 
 class TestImbalanceReport:
     def fixture(self):
         items = items_from([1.0, 2.0, 5.0, 3.0], sizes=[2, 2, 4, 4], ids=list("abcd"))
-        design = MatchedDesign(
-            permutation=(0, 1, 2, 3), pair_count=2, mode="nn_xn"
-        )
+        design = MatchedDesign(permutation=(0, 1, 2, 3), mode="nn_xn")
         return items, design
 
     def test_hand_values_within_pairs(self):
@@ -462,12 +481,8 @@ class TestImbalanceReport:
         xs = rng.normal(0.0, 1.0, 8)
         sizes = rng.integers(1, 9, 8)
         items = items_from(xs, sizes=list(sizes))
-        design = MatchedDesign(
-            permutation=tuple(range(8)), pair_count=4, mode="nn_xn"
-        )
-        swapped = MatchedDesign(
-            permutation=(1, 0, 3, 2, 5, 4, 7, 6), pair_count=4, mode="nn_xn"
-        )
+        design = MatchedDesign(permutation=tuple(range(8)), mode="nn_xn")
+        swapped = MatchedDesign(permutation=(1, 0, 3, 2, 5, 4, 7, 6), mode="nn_xn")
         a = imbalance_report(design, items)
         b = imbalance_report(swapped, items)
         for r in (1, 2):
@@ -490,7 +505,7 @@ class TestImbalanceReport:
         items = items_from(xs, sizes=[2, 2, 4, 4])
         x1_only = items_from([x for x, _ in xs], sizes=[2, 2, 4, 4])
         for mode, other in (("sorted_x", x1_only), ("nn_x", items)):
-            design = MatchedDesign(permutation=(0, 1, 2, 3), pair_count=2, mode=mode)
+            design = MatchedDesign(permutation=(0, 1, 2, 3), mode=mode)
             got = imbalance_report(design, items).to_json_dict()
             assert got == imbalance_report(identity_design(2), other).to_json_dict()
 
@@ -500,6 +515,25 @@ class TestImbalanceReport:
         assert payload["pair_discrepancies"]["(1,1)"] == pytest.approx(5.0)
         assert payload["popo_discrepancies"]["(3,1)"] == pytest.approx(40.0)
         assert payload["fourth_moment_sums"]["4"] == pytest.approx(8.5)
+
+
+class TestDesignMustCoverTheData:
+    @pytest.mark.parametrize("design_pairs,data_pairs", [(4, 3), (3, 4)])
+    def test_rejected_by_every_function(self, tmp_path, design_pairs, data_pairs):
+        design = match_clusters(items_from(np.arange(2.0 * design_pairs)), "nn_x")
+        items = items_from(np.arange(2.0 * data_pairs))
+        message = (
+            f"the design covers {2 * design_pairs} clusters "
+            f"but the data has {2 * data_pairs}$"
+        )
+        with pytest.raises(DataError, match=message):
+            order_pairs_for_variance(design, items)
+        with pytest.raises(DataError, match=message):
+            imbalance_report(design, items)
+        path = tmp_path / "design.csv"
+        with pytest.raises(DataError, match=message):
+            write_design(design, items, path)
+        assert not path.exists()
 
 
 class TestDesignIO:
@@ -515,7 +549,7 @@ class TestDesignIO:
 
     def test_matched_on_size_flag_passed_through(self, rng, tmp_path):
         items = items_from(rng.normal(0.0, 1.0, 6), sizes=[3, 1, 4, 1, 5, 9])
-        design = pair_greedy_nn(items, include_size=True)
+        design = pair_greedy_nn(items, "nn_xn")
         path = tmp_path / "design.csv"
         write_design(design, items, path)
         back = read_design(path, items, matched_on_size=True)

@@ -76,9 +76,7 @@ class TestExact:
 
         ds = random_dataset(rng, pairs=3)
         base = randomization_test(ds, identity_design(3), mode="exact")
-        swapped = MatchedDesign(
-            permutation=(1, 0, 3, 2, 5, 4), pair_count=3, mode="nn_x"
-        )
+        swapped = MatchedDesign(permutation=(1, 0, 3, 2, 5, 4), mode="nn_x")
         other = randomization_test(ds, swapped, mode="exact")
         assert other.p_value == base.p_value
         assert other.t_observed == pytest.approx(base.t_observed)

@@ -224,18 +224,19 @@ class TestOracleVariance:
     # weights dominate the draw, so its Monte Carlo noise at 1e6 draws is
     # an order of magnitude larger than the bounded-size presets'
     @pytest.mark.parametrize("name,rel", [("null", 5e-3), ("size_heterogeneous", 5e-3), ("stress", 2.5e-2)])
-    @pytest.mark.parametrize("match_on", ["x_only", "x_and_n"])
-    def test_against_closed_form(self, name, match_on, rel):
+    # ids name the limit each mode targets: x only, or x and cluster size
+    @pytest.mark.parametrize("match_mode", ["nn_x", "nn_xn"], ids=["x_only", "x_and_n"])
+    def test_against_closed_form(self, name, match_mode, rel):
         dgp = preset(name)
-        mc = oracle_variance(dgp, match_on=match_on, draws=10**6, seed=0)
-        exact = closed_form_variance(dgp, match_on)
+        mc = oracle_variance(dgp, match_mode=match_mode, draws=10**6, seed=0)
+        exact = closed_form_variance(dgp, match_mode)
         assert mc == pytest.approx(exact, rel=rel)
 
     def test_matching_on_size_never_hurts(self):
         for name in PRESET_NAMES:
             dgp = preset(name)
-            x_only = oracle_variance(dgp, match_on="x_only", draws=200000, seed=3)
-            x_and_n = oracle_variance(dgp, match_on="x_and_n", draws=200000, seed=3)
+            x_only = oracle_variance(dgp, match_mode="nn_x", draws=200000, seed=3)
+            x_and_n = oracle_variance(dgp, match_mode="nn_xn", draws=200000, seed=3)
             assert x_and_n <= x_only + 1e-9
 
     def test_zero_when_outcomes_are_deterministic(self):
@@ -247,7 +248,7 @@ class TestOracleVariance:
                 alpha0=1.0, alpha1=2.0, sigma_cluster=0.0, sigma_unit=0.0
             ),
         )
-        assert oracle_variance(dgp, match_on="x_only", draws=1000, seed=0) == 0.0
+        assert oracle_variance(dgp, match_mode="nn_x", draws=1000, seed=0) == 0.0
 
     def test_unit_sizes_make_weights_trivial(self):
         dgp = DgpSpec(
@@ -265,15 +266,22 @@ class TestOracleVariance:
         )
         # with every size equal, matching on size adds nothing and the
         # variance reduces to the residual noise once X is matched away
-        x_only = oracle_variance(dgp, match_on="x_only", draws=200000, seed=5)
-        x_and_n = oracle_variance(dgp, match_on="x_and_n", draws=200000, seed=5)
+        x_only = oracle_variance(dgp, match_mode="nn_x", draws=200000, seed=5)
+        x_and_n = oracle_variance(dgp, match_mode="nn_xn", draws=200000, seed=5)
         expected = 2 * (1.0 + 0.25)
         assert x_only == pytest.approx(expected, rel=0.02)
         assert x_and_n == pytest.approx(expected, rel=0.02)
 
-    def test_bad_match_on(self):
-        with pytest.raises(ValueError):
-            oracle_variance(preset("null"), match_on="none", draws=100, seed=0)
+    def test_bad_match_mode(self):
+        for mode in ("none", "x_only", "x_and_n"):
+            with pytest.raises(ValueError, match="unknown match mode"):
+                oracle_variance(preset("null"), match_mode=mode, draws=100, seed=0)
+
+    def test_sorted_x_targets_the_x_only_limit(self):
+        dgp = preset("size_heterogeneous")
+        assert oracle_variance(dgp, "sorted_x", draws=1000, seed=4) == oracle_variance(
+            dgp, "nn_x", draws=1000, seed=4
+        )
 
 
 class TestMonteCarlo:
@@ -335,7 +343,7 @@ class TestMonteCarlo:
     def test_oracle_draws_wired(self):
         report = monte_carlo(self.small_config(replications=10, oracle_draws=20000))
         assert report.oracle_variance == pytest.approx(
-            closed_form_variance(preset("null"), "x_and_n"), rel=0.1
+            closed_form_variance(preset("null"), "nn_xn"), rel=0.1
         )
 
     def test_config_validation(self):

@@ -4,7 +4,7 @@ The package covers the full workflow: pairing clusters on baseline
 features, randomizing treatment within pairs, estimating size-weighted and
 equal-weighted average effects, a pair-aware variance estimator with
 normal-approximation inference, a randomization test over within-pair
-swaps, and a simulation harness with a Monte Carlo variance oracle.
+swaps, and a simulation harness with a closed-form variance oracle.
 
 Warnings, such as a design CSV read without its match mode, go to the
 ``pairedcrt`` logger, which is silent until the application configures

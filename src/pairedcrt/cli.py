@@ -176,12 +176,12 @@ def cmd_simulate(args) -> None:
     _check_alpha(args)
     if args.rand_mode == "stochastic" and args.rand_draws is None:
         args.subparser.error("--rand-draws is required with --rand-mode stochastic")
+    if args.rand_mode != "stochastic" and args.rand_draws is not None:
+        args.subparser.error("--rand-draws applies only with --rand-mode stochastic")
     if args.pairs < 2:
         args.subparser.error("--pairs must be at least 2")
     if args.reps < 1:
         args.subparser.error("--reps must be at least 1")
-    if args.oracle_draws < 0:
-        args.subparser.error("--oracle-draws must be nonnegative")
     if args.preset is not None:
         dgp = preset(args.preset)
     else:
@@ -201,7 +201,6 @@ def cmd_simulate(args) -> None:
         seed=args.seed,
         rand_mode=args.rand_mode,
         rand_draws=args.rand_draws,
-        oracle_draws=args.oracle_draws,
     )
     report = monte_carlo(config)
     _emit(
@@ -266,7 +265,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--seed", type=_seed, required=True)
     p_sim.add_argument("--rand-mode", choices=("exact", "stochastic"), default=None)
     p_sim.add_argument("--rand-draws", type=int, default=None)
-    p_sim.add_argument("--oracle-draws", type=int, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
     for p in (p_match, p_assign, p_analyze, p_rand, p_sim):

@@ -132,11 +132,9 @@ def outcome_scale(n: np.ndarray, ybar: np.ndarray) -> float:
     return float(w.max()) * max(centred, _CENTRING_ROUNDING * float(np.abs(ybar).max()))
 
 
-def first_member_treated(
-    n: np.ndarray, d: np.ndarray, permutation: Sequence[int], pair_count: int
-) -> np.ndarray:
+def first_member_treated(n: np.ndarray, d: np.ndarray, permutation: Sequence[int]) -> np.ndarray:
     """Whether each pair's first member is treated, shape (..., G) for ``d``
-    of shape (..., 2G).
+    of shape (..., 2G), G being half the length of ``permutation``.
 
     Raises ``DataError`` when the design does not cover the data or a pair
     does not have exactly one treated member, and ``TooFewPairs`` below two
@@ -145,7 +143,7 @@ def first_member_treated(
     perm = np.asarray(permutation)
     if len(perm) != len(n):
         raise DataError(f"the design covers {len(perm)} clusters but the data has {len(n)}")
-    if pair_count < 2:
+    if len(perm) // 2 < 2:
         raise TooFewPairs("the cross-pair correction needs at least 2 pairs")
     d = np.asarray(d)
     first = np.take(d, perm[0::2], axis=-1) == 1
@@ -185,15 +183,16 @@ class SignSums:
         n: np.ndarray,
         ybar: np.ndarray,
         permutation,
-        pair_count: int,
         first_treated: np.ndarray,
         scale: float,
     ) -> "SignSums":
         """Columns for sizes ``n``, outcomes ``ybar`` and a (G,) mask saying
         whether each pair's first member is treated in the observed
         assignment, with the clamp thresholds set by ``scale``.
-        ``permutation`` must be in variance-ready pair order."""
+        ``permutation`` must be in variance-ready pair order; its pairs
+        give G."""
         perm = np.asarray(permutation)
+        pair_count = len(perm) // 2
         w = n / n.mean()
         y = ybar - np.dot(n, ybar) / n.sum()
         wa, wb = w[perm[0::2]], w[perm[1::2]]
@@ -300,7 +299,7 @@ def _observed_inputs(dataset: Dataset, design: MatchedDesign, alpha: float, delt
         raise ValueError(f"delta0 must be a finite number, got {delta0!r}")
     n, ybar, d = kernel_inputs(dataset)
     perm = np.asarray(design.permutation)
-    first = first_member_treated(n, dataset.treatment, perm, design.pair_count)
+    first = first_member_treated(n, dataset.treatment, perm)
     return n, ybar, d, perm, first
 
 
@@ -328,7 +327,7 @@ def infer(
     # accurate when the effect dwarfs the within-arm spread. v2 clamps at
     # the scale of the outcomes as observed.
     without_effect = ybar - d * est.delta_hat
-    sums = SignSums.build(n, without_effect, perm, g, first, outcome_scale(n, ybar))
+    sums = SignSums.build(n, without_effect, perm, first, outcome_scale(n, ybar))
     _, tau2, lambda2 = (float(v[0]) for v in sums.statistics(np.ones((1, g))))
     v2, clamped = sums.v2(tau2, lambda2)
     var = VarianceEstimate(tau2=tau2, lambda2=lambda2, v2=float(v2), clamped=bool(clamped))

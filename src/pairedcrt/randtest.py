@@ -41,7 +41,7 @@ trace a 16 MiB peak.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,17 +77,8 @@ class RandTestResult:
     mc_standard_error: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "alpha": self.alpha,
-            "delta0": self.delta0,
-            "t_observed": self.t_observed if np.isfinite(self.t_observed) else None,
-            "draws": self.draws,
-            "mode": self.mode,
-            "seed": self.seed,
-            "mc_standard_error": self.mc_standard_error,
-        }
+        t = self.t_observed
+        return {**asdict(self), "t_observed": t if np.isfinite(t) else None}
 
 
 def _signs(bits: np.ndarray) -> np.ndarray:
@@ -146,7 +137,7 @@ def randomization_test(
         raise ValueError(f"mode must be 'exact' or 'stochastic', got {mode!r}")
 
     shifted = ybar - d_float * delta0
-    sums = SignSums.build(n, shifted, perm, g, first, outcome_scale(n, shifted))
+    sums = SignSums.build(n, shifted, perm, first, outcome_scale(n, shifted))
     t_obs = float(sums.studentized(np.ones((1, g)))[0])
     threshold = t_obs - _COMPARE_TOL
     count = weight  # pattern 0: the identity (and its complement) matches itself

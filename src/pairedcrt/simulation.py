@@ -11,11 +11,11 @@ such a DGP has the closed form
 
     delta = d_alpha + d_beta * E[X] + d_theta * E[N^2] / E[N],
 
-exposed as :attr:`DgpSpec.true_delta`. :func:`oracle_variance` targets the
-limiting variance of sqrt(G) times the size-weighted estimator by Monte
-Carlo over (X, N), with the conditional moments given (X, N) evaluated in
-closed form; matching on X alone and matching on (X, N) have different
-limits, selected by the match mode (``nn_xn`` matches on size).
+exposed as :attr:`DgpSpec.true_delta`. :func:`oracle_variance` gives the
+limiting variance of sqrt(G) times the size-weighted estimator, also in
+closed form, from the moments of X and of N over its finite support;
+matching on X alone and matching on (X, N) have different limits, selected
+by the match mode (``nn_xn`` matches on size).
 
 All randomness flows through Philox streams spawned from a single seed, so
 every artifact (trials, assignments, reports) is reproducible bit for bit.
@@ -24,7 +24,7 @@ every artifact (trials, assignments, reports) is reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -69,6 +69,10 @@ class CovariateLaw:
         a, b = self.params
         return (a + b) / 2.0 if self.kind == "uniform" else a
 
+    def variance(self) -> float:
+        a, b = self.params
+        return (b - a) ** 2 / 12.0 if self.kind == "uniform" else b * b
+
 
 @dataclass(frozen=True)
 class SizeLaw:
@@ -76,16 +80,25 @@ class SizeLaw:
 
     ``fixed`` takes (n,), ``uniform_int`` takes (low, high) inclusive, with
     at most ``MAX_SUPPORT`` values, and ``two_point`` takes (small, large,
-    prob_large). Finite support makes every size moment exactly computable
-    by enumeration.
+    prob_large). Every size must be an integer (``4.0`` is, ``7.9`` is not)
+    of at most ``MAX_SIZE``, so that it and its sampled count, rounded
+    through a float, fit the int64 columns of a trial. Finite support makes
+    every size moment exactly computable by enumeration.
     """
 
     MAX_SUPPORT = 10**6
+    MAX_SIZE = 2**62
 
     kind: str
     params: tuple[float, ...]
 
     def __post_init__(self):
+        if self.kind not in ("fixed", "uniform_int", "two_point"):
+            raise ValueError(f"unknown size law {self.kind!r}")
+        sizes = self.params[:1] if self.kind == "fixed" else self.params[:2]
+        for size in sizes:
+            if not size <= self.MAX_SIZE or not float(size).is_integer():
+                raise ValueError(f"{self.kind} sizes must be integers up to 2**62, got {size!r}")
         if self.kind == "fixed":
             (n,) = self.params
             if int(n) < 1:
@@ -96,14 +109,12 @@ class SizeLaw:
                 raise ValueError("uniform_int needs 1 <= low <= high")
             if int(high) - int(low) >= self.MAX_SUPPORT:
                 raise ValueError(f"uniform_int spans more than {self.MAX_SUPPORT} sizes")
-        elif self.kind == "two_point":
+        else:
             small, large, p = self.params
             if not 1 <= int(small) < int(large):
                 raise ValueError("two_point needs 1 <= small < large")
             if not 0.0 < p < 1.0:
                 raise ValueError("two_point needs 0 < prob_large < 1")
-        else:
-            raise ValueError(f"unknown size law {self.kind!r}")
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """Support values and their probabilities."""
@@ -375,47 +386,52 @@ def generate_trial(
     return dataset, design, dgp.true_delta
 
 
-def oracle_variance(
-    dgp: DgpSpec, match_mode: str = "nn_x", draws: int = 1_000_000, seed: int = 0
-) -> float:
-    """Monte Carlo value of the limiting variance of sqrt(G) * delta_hat.
+def oracle_variance(dgp: DgpSpec, match_mode: str = "nn_x") -> float:
+    """Limiting variance of sqrt(G) * delta_hat, in closed form.
 
     ``match_mode``, one of ``MATCH_MODES``, picks the limit: ``nn_xn`` for
     designs matched on covariate and size, ``sorted_x`` and ``nn_x`` for
-    designs matched on the covariate alone. The draw is over (X, N); all
-    conditional moments given (X, N) enter in closed form, so ``draws`` only
-    controls the outer averaging error.
+    designs matched on the covariate alone.
+
+    Derivation. With weights w = N / E[N] and centring constants
+    c_d = E[N mu_d] / E[N], the limit is the second-moment term
+
+        E[w^2 ((mu_d - c_d)^2 + sigma_cluster^2 + sigma_unit^2 / s(N))]
+
+    summed over both arms, less half the second moment of the conditional
+    term E[w (mu_1 + mu_0 - c_1 - c_0) | features], the features being X,
+    or (X, N) for ``nn_xn``. Under the linear model mu_d - c_d is
+    beta_d (X - E[X]) + theta_d (N - E[N^2] / E[N]), and X is independent of
+    N, so every cross term vanishes: a beta term is Var(X) E[w^2], a theta
+    term E[w^2 (N - E[N^2] / E[N])^2], and the noise sigma_cluster^2 E[w^2]
+    + sigma_unit^2 E[w^2 / s(N)]. Given X alone, the size terms of the
+    conditional term average out and it is (beta_1 + beta_0) (X - E[X]). The
+    moments of N are sums over the finite support of the size law.
     """
     if match_mode not in MATCH_MODES:
         raise ValueError(f"unknown match mode {match_mode!r}; choose from {MATCH_MODES}")
+    values, probs = dgp.sizes.support()
+    n = values.astype(float)
+    en = float(probs @ n)
+    w2 = (n / en) ** 2
+    ew2 = float(probs @ w2)
+    centre = float(probs @ (n * n)) / en  # E[N^2] / E[N]
+    size_spread = float(probs @ (w2 * (n - centre) ** 2))
+    ew2_over_s = float(probs @ (w2 / dgp.sampling.counts(values)))
+    var_x = dgp.covariates.variance()
+
     m = dgp.outcomes
-    en = dgp.sizes.mean()
-    en2_over_en = dgp.sizes.mean_sq() / en
-    c1 = m.alpha1 + m.beta1 * dgp.covariates.mean() + m.theta1 * en2_over_en
-    c0 = m.alpha0 + m.beta0 * dgp.covariates.mean() + m.theta0 * en2_over_en
-
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    x = dgp.covariates.sample(rng, draws)
-    n_int = dgp.sizes.sample(rng, draws)
-    s = dgp.sampling.counts(n_int).astype(float)
-    n = n_int.astype(float)
-    w = n / en
-
-    noise = m.sigma_cluster**2 + m.sigma_unit**2 / s
-    second = (w**2 * ((m.mu1(x, n) - c1) ** 2 + noise)).mean() + (
-        w**2 * ((m.mu0(x, n) - c0) ** 2 + noise)
-    ).mean()
+    second = (
+        (m.beta1**2 + m.beta0**2) * var_x * ew2
+        + (m.theta1**2 + m.theta0**2) * size_spread
+        + 2.0 * (m.sigma_cluster**2 * ew2 + m.sigma_unit**2 * ew2_over_s)
+    )
+    beta_sum = m.beta1 + m.beta0
     if match_mode == "nn_xn":
-        cond = w * (m.mu1(x, n) + m.mu0(x, n) - c1 - c0)
+        cond = beta_sum**2 * var_x * ew2 + (m.theta1 + m.theta0) ** 2 * size_spread
     else:
-        cond = (
-            (m.alpha1 + m.alpha0)
-            + (m.beta1 + m.beta0) * x
-            + (m.theta1 + m.theta0) * en2_over_en
-            - c1
-            - c0
-        )
-    return float(second - 0.5 * (cond**2).mean())
+        cond = beta_sum**2 * var_x
+    return float(second - 0.5 * cond)
 
 
 @dataclass(frozen=True)
@@ -430,8 +446,7 @@ class SimConfig:
     null_delta: float = 0.0
     seed: int = 0
     rand_mode: str | None = None  # None, "exact", or "stochastic"
-    rand_draws: int | None = None
-    oracle_draws: int = 0
+    rand_draws: int | None = None  # stochastic mode only
 
     def __post_init__(self):
         if self.pair_count < 2:
@@ -446,8 +461,8 @@ class SimConfig:
             raise ValueError(f"unknown rand_mode {self.rand_mode!r}")
         if self.rand_mode == "stochastic" and self.rand_draws is None:
             raise ValueError("stochastic randomization tests need rand_draws")
-        if self.oracle_draws < 0:
-            raise ValueError("oracle_draws must be nonnegative")
+        if self.rand_mode != "stochastic" and self.rand_draws is not None:
+            raise ValueError("rand_draws applies only to rand_mode 'stochastic'")
 
 
 @dataclass(frozen=True)
@@ -455,8 +470,9 @@ class SimReport:
     """Monte Carlo summary over replicated trials.
 
     ``empirical_sd`` is the standard deviation of sqrt(G) * delta_hat across
-    replications, the quantity the oracle variance squares. Coverage and the
-    z rejection rate come from the normal-approximation test of
+    replications, and ``oracle_variance`` (:func:`oracle_variance` of the
+    study's DGP and match mode) is the limit its square estimates. Coverage
+    and the z rejection rate come from the normal-approximation test of
     ``null_delta``; the randomization rejection rate is None unless a
     ``rand_mode`` was set.
     """
@@ -477,28 +493,10 @@ class SimReport:
     rejection_rate_z: float
     rejection_rate_rand: float | None
     clamped_rate: float
-    oracle_variance: float | None
+    oracle_variance: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "pair_count": self.pair_count,
-            "replications": self.replications,
-            "match_mode": self.match_mode,
-            "alpha": self.alpha,
-            "null_delta": self.null_delta,
-            "seed": self.seed,
-            "true_delta": self.true_delta,
-            "mean_delta_hat": self.mean_delta_hat,
-            "bias": self.bias,
-            "empirical_sd": self.empirical_sd,
-            "mean_v2": self.mean_v2,
-            "median_v2": self.median_v2,
-            "coverage": self.coverage,
-            "rejection_rate_z": self.rejection_rate_z,
-            "rejection_rate_rand": self.rejection_rate_rand,
-            "clamped_rate": self.clamped_rate,
-            "oracle_variance": self.oracle_variance,
-        }
+        return asdict(self)
 
 
 def monte_carlo(config: SimConfig) -> SimReport:
@@ -508,7 +506,7 @@ def monte_carlo(config: SimConfig) -> SimReport:
     evaluation order and a single root seed reproduces the whole study.
     """
     root = np.random.SeedSequence(config.seed)
-    children = root.spawn(config.replications + 1)
+    children = root.spawn(config.replications)
     r = config.replications
     dhats = np.empty(r)
     v2s = np.empty(r)
@@ -541,16 +539,6 @@ def monte_carlo(config: SimConfig) -> SimReport:
             )
             rand_reject[i] = rt.reject
 
-    oracle = None
-    if config.oracle_draws > 0:
-        oracle_seed = int(children[r].generate_state(1, np.uint64)[0])
-        oracle = oracle_variance(
-            config.dgp,
-            match_mode=config.match_mode,
-            draws=config.oracle_draws,
-            seed=oracle_seed,
-        )
-
     scaled = math.sqrt(config.pair_count) * dhats
     return SimReport(
         pair_count=config.pair_count,
@@ -569,5 +557,5 @@ def monte_carlo(config: SimConfig) -> SimReport:
         rejection_rate_z=float(z_reject.mean()),
         rejection_rate_rand=float(rand_reject.mean()) if config.rand_mode else None,
         clamped_rate=float(clamped.mean()),
-        oracle_variance=oracle,
+        oracle_variance=oracle_variance(config.dgp, config.match_mode),
     )

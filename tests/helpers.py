@@ -1,7 +1,7 @@
 """Shared test utilities: dataset builders and independent reference code.
 
 The reference implementations here (matched-pairs inference for unit-sized
-clusters, brute-force optimal matching, closed-form limiting variances, the
+clusters, brute-force optimal matching, a Monte Carlo limiting variance, the
 unit-level weighted least squares fit) deliberately avoid the package's own
 numerical paths, so agreement with them is evidence and not circularity.
 The matching references sort or keep the full n x n x k distance tensor
@@ -245,9 +245,9 @@ def statistic_batch(n, ybar, dmat, permutation, pair_count):
 
     Every row must treat one member of each pair (``DataError`` otherwise).
     """
-    first = first_member_treated(n, np.atleast_2d(dmat), permutation, pair_count)
+    first = first_member_treated(n, np.atleast_2d(dmat), permutation)
     first_all = np.ones(pair_count, dtype=bool)
-    sums = SignSums.build(n, ybar, permutation, pair_count, first_all, outcome_scale(n, ybar))
+    sums = SignSums.build(n, ybar, permutation, first_all, outcome_scale(n, ybar))
     return sums.studentized(np.where(first, 1.0, -1.0))
 
 
@@ -346,52 +346,44 @@ def unit_level_randomization_p(pairs_y, delta0=0.0):
     return count / (1 << g)
 
 
-def closed_form_variance(dgp, match_mode):
-    """Exact limiting variance by moment algebra over the size support.
+def monte_carlo_oracle(dgp, match_mode, draws, seed):
+    """The limiting variance of sqrt(G) * delta_hat by Monte Carlo over (X, N).
 
-    Derivation: with weights w = N / E[N] and centering constants
-    c_d = E[N mu_d] / E[N], the second-moment term is
-    E[w^2 ((mu_d - c_d)^2 + sigma_cluster^2 + sigma_unit^2 / s(N))] summed
-    over arms, and the subtracted conditional term is the second moment of
-    E[sum of centered arms | X] (or | X, N in mode ``nn_xn``). For the linear model every
-    piece reduces to moments of X and N; cross terms vanish because X and
-    N are independent.
+    Draws ``draws`` values of (X, N) from a Philox stream keyed by ``seed``
+    and averages, with the weights w = N / E[N], the second moment
+    E[w^2 ((mu_d - c_d)^2 + sigma_cluster^2 + sigma_unit^2 / s(N))] of each
+    arm, less half the second moment of the conditional term given X (given
+    (X, N) for ``nn_xn``). The conditional moments enter in closed form, so
+    ``draws`` only sets the outer averaging error.
     """
-    values, probs = dgp.sizes.support()
-    values = values.astype(float)
-    en = float((values * probs).sum())
-
-    def nmom(r):
-        return float((values**r * probs).sum())
-
-    center = nmom(2) / en
-    ew2 = nmom(2) / en**2
-    ej = (nmom(4) - 2 * center * nmom(3) + center**2 * nmom(2)) / en**2
-    s = dgp.sampling.counts(values.astype(np.int64)).astype(float)
-    ew2_over_s = float(((values**2 / s) * probs).sum()) / en**2
-
-    if dgp.covariates.kind == "uniform":
-        low, high = dgp.covariates.params
-        var_x = (high - low) ** 2 / 12.0
-    else:
-        var_x = dgp.covariates.params[1] ** 2
-
     m = dgp.outcomes
-    second = 0.0
-    for beta, theta in ((m.beta1, m.theta1), (m.beta0, m.theta0)):
-        second += (
-            beta**2 * var_x * ew2
-            + theta**2 * ej
-            + m.sigma_cluster**2 * ew2
-            + m.sigma_unit**2 * ew2_over_s
-        )
-    beta_sum = m.beta1 + m.beta0
-    theta_sum = m.theta1 + m.theta0
+    en = dgp.sizes.mean()
+    en2_over_en = dgp.sizes.mean_sq() / en
+    c1 = m.alpha1 + m.beta1 * dgp.covariates.mean() + m.theta1 * en2_over_en
+    c0 = m.alpha0 + m.beta0 * dgp.covariates.mean() + m.theta0 * en2_over_en
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    x = dgp.covariates.sample(rng, draws)
+    n_int = dgp.sizes.sample(rng, draws)
+    s = dgp.sampling.counts(n_int).astype(float)
+    n = n_int.astype(float)
+    w = n / en
+
+    noise = m.sigma_cluster**2 + m.sigma_unit**2 / s
+    second = (w**2 * ((m.mu1(x, n) - c1) ** 2 + noise)).mean() + (
+        w**2 * ((m.mu0(x, n) - c0) ** 2 + noise)
+    ).mean()
     if match_mode == "nn_xn":
-        cond = beta_sum**2 * var_x * ew2 + theta_sum**2 * ej
+        cond = w * (m.mu1(x, n) + m.mu0(x, n) - c1 - c0)
     else:
-        cond = beta_sum**2 * var_x
-    return second - 0.5 * cond
+        cond = (
+            (m.alpha1 + m.alpha0)
+            + (m.beta1 + m.beta0) * x
+            + (m.theta1 + m.theta0) * en2_over_en
+            - c1
+            - c0
+        )
+    return float(second - 0.5 * (cond**2).mean())
 
 
 def feature_reference(dataset, mode):

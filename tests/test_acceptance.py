@@ -134,7 +134,7 @@ def test_variance_estimator_tracks_its_oracle_across_match_modes():
             seeds = children[i].generate_state(3, np.uint64)
             ds, design, _ = generate_trial(dgp, 2000, mode, int(seeds[k]))
             v2s[i] = infer(ds, design).variance.v2
-        oracle = oracle_variance(dgp, mode, draws=10**6, seed=99)
+        oracle = oracle_variance(dgp, mode)
         median = float(np.median(v2s))
         rel = (median - oracle) / oracle
         details.append(f"{mode} {median:.3f} vs {oracle:.3f} ({rel:+.1%})")
@@ -168,8 +168,8 @@ def test_matching_on_size_lowers_asymptotic_variance():
             ds, design, _ = generate_trial(dgp, 500, mode, seed)
             dhats[i] = infer(ds, design).estimate.delta_hat
         empirical[mode] = float((np.sqrt(500.0) * dhats).std(ddof=1) ** 2)
-    omega2 = oracle_variance(dgp, "nn_x", draws=10**6, seed=1)
-    nu2 = oracle_variance(dgp, "nn_xn", draws=10**6, seed=2)
+    omega2 = oracle_variance(dgp, "nn_x")
+    nu2 = oracle_variance(dgp, "nn_xn")
     gap_emp = empirical["nn_x"] - empirical["nn_xn"]
     gap_oracle = omega2 - nu2
     assert nu2 < omega2
@@ -211,7 +211,7 @@ def test_shifted_null_keeps_level_and_detects_effects():
             alpha0=1.0, alpha1=1.0, sigma_cluster=0.5, sigma_unit=1.0
         ),
     )
-    nu2 = oracle_variance(flat, "nn_xn", draws=10**6, seed=8)
+    nu2 = oracle_variance(flat, "nn_xn")
     delta_star = 3.0 * (nu2 / 6.0) ** 0.5
     effected = dataclasses.replace(
         flat, outcomes=dataclasses.replace(flat.outcomes, alpha1=1.0 + delta_star)

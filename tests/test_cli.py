@@ -12,7 +12,7 @@ from pairedcrt.assignment import assign_within_pairs
 from pairedcrt.core import build_dataset, write_dataset
 from pairedcrt.inference import infer
 from pairedcrt.matching import MatchedDesign, match_clusters, order_pairs_for_variance, write_design
-from pairedcrt.simulation import SizeLaw, generate_trial, preset
+from pairedcrt.simulation import SizeLaw, generate_trial, oracle_variance, preset
 
 
 def run_cli(argv, capsys):
@@ -620,15 +620,43 @@ class TestBoundaryErrors:
         assert payload["error"] == "DataError"
         assert "samples 8000000000000 units" in payload["message"]
 
-    @pytest.mark.parametrize(
-        "flag,value", [("--pairs", "1"), ("--reps", "0"), ("--oracle-draws", "-1")]
-    )
+    @pytest.mark.parametrize("size", [7.9, 1e300])
+    def test_fractional_or_huge_size_is_data_error(self, tmp_path, capsys, size):
+        path = tmp_path / "dgp.json"
+        sizes = {"kind": "fixed", "params": [size]}
+        path.write_text(json.dumps({**preset("null").to_json_dict(), "sizes": sizes}))
+        code, stdout, err = run_cli(
+            ["simulate", "--dgp-json", str(path), "--pairs", "4", "--reps", "2", "--seed", "1"],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "DataError"
+        assert f"sizes must be integers up to 2**62, got {size!r}" in payload["message"]
+
+    @pytest.mark.parametrize("flag,value", [("--pairs", "1"), ("--reps", "0")])
     def test_simulate_size_out_of_range_is_usage_error(self, capsys, flag, value):
         argv = ["simulate", "--preset", "null", "--pairs", "4", "--reps", "2", "--seed", "1"]
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv + [flag, value])
         assert excinfo.value.code == 64
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--rand-mode", "exact"]])
+    def test_rand_draws_without_stochastic_mode_is_usage_error(self, capsys, mode):
+        argv = ["simulate", "--preset", "null", "--pairs", "4", "--reps", "2", "--seed", "1"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + mode + ["--rand-draws", "100"])
+        assert excinfo.value.code == 64
+        assert "--rand-draws" in capsys.readouterr().err
+
+    def test_oracle_draws_is_an_unknown_argument(self, capsys):
+        # the oracle variance is exact, so there are no draws to set
+        argv = ["simulate", "--preset", "null", "--pairs", "4", "--reps", "2", "--seed", "1"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + ["--oracle-draws", "1000"])
+        assert excinfo.value.code == 64
+        assert "unrecognized arguments: --oracle-draws" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -645,6 +673,7 @@ class TestSimulate:
         assert payload["true_delta"] == pytest.approx(0.0)
         assert payload["rejection_rate_rand"] is None
         assert 0.0 <= payload["coverage"] <= 1.0
+        assert payload["oracle_variance"] == oracle_variance(preset("null"), "nn_xn")
 
     def test_dgp_json_run(self, tmp_path, capsys):
         path = tmp_path / "dgp.json"

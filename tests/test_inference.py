@@ -66,7 +66,7 @@ class TestVarianceEstimate:
         # so the signed differences are (3, 1, -1, -3)
         ds = unit_dataset([3.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 3.0], [1, 0] * 4)
         n, ybar, d = kernel_inputs(ds)
-        sums = SignSums.build(n, ybar, tuple(range(8)), 4, d[0::2] == 1, outcome_scale(n, ybar))
+        sums = SignSums.build(n, ybar, tuple(range(8)), d[0::2] == 1, outcome_scale(n, ybar))
         delta, tau2, lambda2 = (float(v[0]) for v in sums.statistics(np.ones((1, 4))))
         assert delta == 0.0
         assert tau2 == pytest.approx(5.0)
@@ -114,7 +114,7 @@ class TestVarianceEstimate:
     def test_too_few_pairs(self):
         # a Dataset has at least two pairs, so only the shared check sees one
         with pytest.raises(TooFewPairs):
-            first_member_treated(np.array([1.0, 1.0]), np.array([1.0, 0.0]), (0, 1), 1)
+            first_member_treated(np.array([1.0, 1.0]), np.array([1.0, 0.0]), (0, 1))
 
 
 @st.composite
@@ -217,7 +217,7 @@ class TestPairStatistics:
     def test_design_must_cover_the_data(self, rng):
         n, _, d = kernel_inputs(random_dataset(rng, pairs=4))
         with pytest.raises(DataError, match="covers 4 clusters but the data has 8"):
-            first_member_treated(n, d, (0, 1, 2, 3), 2)
+            first_member_treated(n, d, (0, 1, 2, 3))
 
     def test_each_pair_needs_one_treated_member(self):
         ds = unit_dataset([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 0])

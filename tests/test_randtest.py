@@ -169,7 +169,7 @@ class TestSignSums:
     def test_agrees_with_per_cluster_reference(self, case):
         n, ybar, offset, d, first, bits, perm, g = case
         # the statistic ignores a constant offset, so the reference runs without it
-        sums = SignSums.build(n, ybar + offset, perm, g, first, outcome_scale(n, ybar + offset))
+        sums = SignSums.build(n, ybar + offset, perm, first, outcome_scale(n, ybar + offset))
         got = sums.statistics(1.0 - 2.0 * bits)
         dmat = swap_treatments(d, bits, perm, g)
         ref = pair_statistics_reference(n, ybar, dmat, perm, g)
@@ -189,7 +189,7 @@ class TestSignSums:
         perm = identity_design(5).permutation
         first = d[0::2] == 1
         bits = rng.integers(0, 2, size=(6, 5))
-        sums = SignSums.build(n, ybar, perm, 5, first, outcome_scale(n, ybar))
+        sums = SignSums.build(n, ybar, perm, first, outcome_scale(n, ybar))
         relative = sums.studentized(1.0 - 2.0 * bits)
         dmat = swap_treatments(ds.treatment, bits, perm, 5)
         np.testing.assert_allclose(relative, statistic_batch(n, ybar, dmat, perm, 5), rtol=1e-13)

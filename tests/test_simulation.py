@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from helpers import COLUMNS, assert_same_columns, closed_form_variance, trial_columns_reference
+from helpers import COLUMNS, assert_same_columns, monte_carlo_oracle, trial_columns_reference
 from pairedcrt.errors import DataError
+from pairedcrt.inference import infer
 from pairedcrt.matching import imbalance_report
 from pairedcrt.simulation import (
     CovariateLaw,
@@ -54,6 +55,26 @@ class TestLaws:
         with pytest.raises(ValueError):
             SizeLaw(kind="two_point", params=(10.0, 50.0, 1.5))
 
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("fixed", (7.9,)),
+            ("two_point", (10.7, 50.2, 0.5)),
+            ("two_point", (10, 50.2, 0.5)),
+            ("uniform_int", (1.5, 3.9)),
+            ("uniform_int", (1, 3.9)),
+            ("fixed", (1e300,)),
+            ("two_point", (1, 2**62 + 1, 0.5)),
+            ("uniform_int", (2**63, 2**63)),
+        ],
+    )
+    def test_fractional_or_huge_sizes_are_rejected(self, kind, params):
+        with pytest.raises(ValueError, match=r"sizes must be integers up to 2\*\*62"):
+            SizeLaw(kind=kind, params=params)
+        payload = {**preset("null").to_json_dict(), "sizes": {"kind": kind, "params": list(params)}}
+        with pytest.raises(DataError, match=r"sizes must be integers up to 2\*\*62"):
+            DgpSpec.from_json_dict(payload)
+
     def test_uniform_int_support_is_bounded(self, monkeypatch):
         def enumerate_support(self):
             raise AssertionError("support enumerated")
@@ -71,6 +92,8 @@ class TestLaws:
     def test_covariate_laws(self):
         assert CovariateLaw(kind="uniform", params=(0.0, 1.0)).mean() == pytest.approx(0.5)
         assert CovariateLaw(kind="normal", params=(2.0, 1.5)).mean() == 2.0
+        assert CovariateLaw(kind="uniform", params=(1.0, 4.0)).variance() == 0.75
+        assert CovariateLaw(kind="normal", params=(2.0, 1.5)).variance() == 2.25
         with pytest.raises(ValueError):
             CovariateLaw(kind="beta", params=(1.0, 1.0))
         with pytest.raises(ValueError):
@@ -220,23 +243,58 @@ class TestGenerateTrial:
 
 
 class TestOracleVariance:
-    # the stress preset mixes in rare size-200 clusters whose squared
-    # weights dominate the draw, so its Monte Carlo noise at 1e6 draws is
-    # an order of magnitude larger than the bounded-size presets'
+    # the reference averages 10^6 draws of (X, N); the stress preset mixes in
+    # rare size-200 clusters whose squared weights dominate the draw, so its
+    # Monte Carlo noise is an order of magnitude larger than the
+    # bounded-size presets'
     @pytest.mark.parametrize("name,rel", [("null", 5e-3), ("size_heterogeneous", 5e-3), ("stress", 2.5e-2)])
     # ids name the limit each mode targets: x only, or x and cluster size
     @pytest.mark.parametrize("match_mode", ["nn_x", "nn_xn"], ids=["x_only", "x_and_n"])
     def test_against_closed_form(self, name, match_mode, rel):
         dgp = preset(name)
-        mc = oracle_variance(dgp, match_mode=match_mode, draws=10**6, seed=0)
-        exact = closed_form_variance(dgp, match_mode)
-        assert mc == pytest.approx(exact, rel=rel)
+        exact = oracle_variance(dgp, match_mode)
+        assert exact == pytest.approx(monte_carlo_oracle(dgp, match_mode, 10**6, seed=0), rel=rel)
+
+    @pytest.mark.parametrize("match_mode", ["nn_x", "nn_xn"], ids=["x_only", "x_and_n"])
+    def test_other_laws_against_monte_carlo(self, match_mode):
+        # a uniform_int size law with a normal covariate, and fraction
+        # sampling with a negative slope, beside the presets' laws
+        outcomes = LinearOutcomeModel(
+            alpha0=0.5, alpha1=1.0, beta0=1.5, beta1=-0.5, theta0=0.02, theta1=0.06,
+            sigma_cluster=0.7, sigma_unit=1.3,
+        )  # fmt: skip
+        dgps = (
+            DgpSpec(
+                covariates=CovariateLaw(kind="normal", params=(1.0, 2.0)),
+                sizes=SizeLaw(kind="uniform_int", params=(3, 40)),
+                sampling=SamplingRule(kind="full"),
+                outcomes=preset("size_heterogeneous").outcomes,
+            ),
+            DgpSpec(
+                covariates=CovariateLaw(kind="uniform", params=(-1.0, 3.0)),
+                sizes=SizeLaw(kind="two_point", params=(7, 90, 0.3)),
+                sampling=SamplingRule(kind="fraction", q=0.35),
+                outcomes=outcomes,
+            ),
+        )
+        for dgp in dgps:
+            reference = monte_carlo_oracle(dgp, match_mode, 10**6, seed=1)
+            assert oracle_variance(dgp, match_mode) == pytest.approx(reference, rel=1e-2)
+
+    def test_draws_nothing(self, monkeypatch):
+        def draw(self, rng, size):
+            raise AssertionError("oracle_variance drew a sample")
+
+        monkeypatch.setattr(CovariateLaw, "sample", draw)
+        monkeypatch.setattr(SizeLaw, "sample", draw)
+        for mode in MATCH_MODES:
+            assert oracle_variance(preset("stress"), mode) > 0.0
 
     def test_matching_on_size_never_hurts(self):
         for name in PRESET_NAMES:
             dgp = preset(name)
-            x_only = oracle_variance(dgp, match_mode="nn_x", draws=200000, seed=3)
-            x_and_n = oracle_variance(dgp, match_mode="nn_xn", draws=200000, seed=3)
+            x_only = oracle_variance(dgp, match_mode="nn_x")
+            x_and_n = oracle_variance(dgp, match_mode="nn_xn")
             assert x_and_n <= x_only + 1e-9
 
     def test_zero_when_outcomes_are_deterministic(self):
@@ -248,7 +306,7 @@ class TestOracleVariance:
                 alpha0=1.0, alpha1=2.0, sigma_cluster=0.0, sigma_unit=0.0
             ),
         )
-        assert oracle_variance(dgp, match_mode="nn_x", draws=1000, seed=0) == 0.0
+        assert oracle_variance(dgp, match_mode="nn_x") == 0.0
 
     def test_unit_sizes_make_weights_trivial(self):
         dgp = DgpSpec(
@@ -266,22 +324,20 @@ class TestOracleVariance:
         )
         # with every size equal, matching on size adds nothing and the
         # variance reduces to the residual noise once X is matched away
-        x_only = oracle_variance(dgp, match_mode="nn_x", draws=200000, seed=5)
-        x_and_n = oracle_variance(dgp, match_mode="nn_xn", draws=200000, seed=5)
+        x_only = oracle_variance(dgp, match_mode="nn_x")
+        x_and_n = oracle_variance(dgp, match_mode="nn_xn")
         expected = 2 * (1.0 + 0.25)
-        assert x_only == pytest.approx(expected, rel=0.02)
-        assert x_and_n == pytest.approx(expected, rel=0.02)
+        assert x_only == pytest.approx(expected, rel=1e-12)
+        assert x_and_n == pytest.approx(expected, rel=1e-12)
 
     def test_bad_match_mode(self):
         for mode in ("none", "x_only", "x_and_n"):
             with pytest.raises(ValueError, match="unknown match mode"):
-                oracle_variance(preset("null"), match_mode=mode, draws=100, seed=0)
+                oracle_variance(preset("null"), match_mode=mode)
 
     def test_sorted_x_targets_the_x_only_limit(self):
         dgp = preset("size_heterogeneous")
-        assert oracle_variance(dgp, "sorted_x", draws=1000, seed=4) == oracle_variance(
-            dgp, "nn_x", draws=1000, seed=4
-        )
+        assert oracle_variance(dgp, "sorted_x") == oracle_variance(dgp, "nn_x")
 
 
 class TestMonteCarlo:
@@ -311,7 +367,7 @@ class TestMonteCarlo:
         assert report.mean_v2 > 0
         assert 0.0 <= report.coverage <= 1.0
         assert report.rejection_rate_rand is None
-        assert report.oracle_variance is None
+        assert report.oracle_variance == oracle_variance(preset("null"), "nn_xn")
         payload = report.to_json_dict()
         assert payload["match_mode"] == "nn_xn"
         assert payload["rejection_rate_rand"] is None
@@ -340,11 +396,23 @@ class TestMonteCarlo:
         assert report.rejection_rate_rand is not None
         assert 0.0 <= report.rejection_rate_rand <= 1.0
 
-    def test_oracle_draws_wired(self):
-        report = monte_carlo(self.small_config(replications=10, oracle_draws=20000))
-        assert report.oracle_variance == pytest.approx(
-            closed_form_variance(preset("null"), "nn_xn"), rel=0.1
-        )
+    def test_replication_i_runs_on_spawned_child_i(self):
+        config = self.small_config(replications=4)
+        dhats = []
+        for child in np.random.SeedSequence(config.seed).spawn(4):
+            trial_seed = int(child.generate_state(2, np.uint64)[0])
+            ds, design, _ = generate_trial(config.dgp, config.pair_count, config.match_mode, trial_seed)
+            dhats.append(infer(ds, design).estimate.delta_hat)
+        assert monte_carlo(config).mean_delta_hat == np.mean(dhats)
+
+    def test_oracle_variance_in_every_report(self):
+        dgp = preset("size_heterogeneous")
+        for mode in MATCH_MODES:
+            for rand_mode in (None, "exact"):
+                config = self.small_config(dgp=dgp, replications=3, match_mode=mode, rand_mode=rand_mode)
+                report = monte_carlo(config)
+                assert report.oracle_variance == oracle_variance(dgp, mode)
+                assert report.to_json_dict()["oracle_variance"] == report.oracle_variance
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -359,6 +427,9 @@ class TestMonteCarlo:
             self.small_config(rand_mode="permute")
         with pytest.raises(ValueError):
             self.small_config(rand_mode="stochastic", rand_draws=None)
+        for rand_mode in (None, "exact"):
+            with pytest.raises(ValueError, match="rand_draws applies only"):
+                self.small_config(rand_mode=rand_mode, rand_draws=100)
 
 
 class TestMatchingQuality:

@@ -5,13 +5,7 @@ features, randomizing treatment within pairs, estimating size-weighted and
 equal-weighted average effects, a pair-aware variance estimator with
 normal-approximation inference, a randomization test over within-pair
 swaps, and a simulation harness with a closed-form variance oracle.
-
-Warnings, such as a design CSV read without its match mode, go to the
-``pairedcrt`` logger, which is silent until the application configures
-logging.
 """
-
-import logging
 
 from .assignment import assign_within_pairs
 from .core import (
@@ -40,7 +34,7 @@ from .errors import (
     UnknownCluster,
 )
 from .estimation import PointEstimate, estimate_size_weighted
-from .inference import InferenceResult, VarianceEstimate, infer
+from .inference import InferenceResult, infer
 from .matching import (
     MATCH_MODES,
     ImbalanceReport,
@@ -102,7 +96,6 @@ __all__ = [
     "TooFewPairs",
     "TooManyPairsForExact",
     "UnknownCluster",
-    "VarianceEstimate",
     "assign_within_pairs",
     "build_dataset",
     "estimate_size_weighted",
@@ -124,5 +117,3 @@ __all__ = [
     "write_dataset",
     "write_design",
 ]
-
-logging.getLogger(__name__).addHandler(logging.NullHandler())

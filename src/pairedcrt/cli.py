@@ -35,7 +35,7 @@ from .matching import (
     read_design,
     write_design,
 )
-from .randtest import randomization_test
+from .randtest import MIN_DRAWS, randomization_test
 from .simulation import PRESET_NAMES, DgpSpec, SimConfig, monte_carlo, preset
 
 SCHEMA_VERSION = 1
@@ -72,6 +72,18 @@ def _finite(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _draws(text: str) -> int:
+    """A draw count for a stochastic randomization test: an integer of at
+    least ``MIN_DRAWS``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < MIN_DRAWS:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {MIN_DRAWS}, got {text!r}")
     return value
 
 
@@ -121,7 +133,11 @@ def cmd_assign(args) -> None:
 
 def _load_for_analysis(args):
     dataset = load_dataset(args.units, args.clusters)
-    design = read_design(args.design, dataset, matched_on_size=args.matched_on_size)
+    design = read_design(args.design, dataset)
+    if args.matched_on_size and not design.matched_on_size:
+        raise DataError(
+            f"the design CSV was matched in mode {design.mode!r}, not on size (nn_xn)"
+        )
     # reordering is idempotent, so match-produced designs pass through unchanged
     return dataset, order_pairs_for_variance(design, dataset)
 
@@ -236,8 +252,8 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--matched-on-size",
             action="store_true",
-            help="the design was matched on cluster size as well as covariates; "
-            "needed only for a design CSV without a mode column",
+            help="check that the design was matched on cluster size as well as "
+            "covariates (its mode is nn_xn)",
         )
         p.add_argument("--alpha", type=float, default=0.05)
         p.add_argument("--delta0", type=_finite, default=0.0, help="hypothesized effect")
@@ -249,7 +265,7 @@ def build_parser() -> _Parser:
     p_rand = sub.add_parser("randtest", help="randomization test over pair swaps")
     add_analysis_inputs(p_rand)
     p_rand.add_argument("--mode", choices=("exact", "stochastic"), default="exact")
-    p_rand.add_argument("--draws", type=int, help="draw count for stochastic mode")
+    p_rand.add_argument("--draws", type=_draws, help="draw count for stochastic mode")
     p_rand.add_argument("--seed", type=_seed, help="seed for stochastic mode")
     p_rand.set_defaults(func=cmd_randtest)
 
@@ -264,7 +280,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--null-delta", type=_finite, default=0.0)
     p_sim.add_argument("--seed", type=_seed, required=True)
     p_sim.add_argument("--rand-mode", choices=("exact", "stochastic"), default=None)
-    p_sim.add_argument("--rand-draws", type=int, default=None)
+    p_sim.add_argument("--rand-draws", type=_draws, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     for p in (p_match, p_assign, p_analyze, p_rand, p_sim):

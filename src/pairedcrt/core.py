@@ -1,4 +1,5 @@
-"""The columnar ``Dataset``, CSV ingestion and CSV output.
+"""The columnar ``Dataset``, CSV ingestion and CSV output, and the JSON
+form of result records (:func:`_json_record`).
 
 A trial consists of 2G clusters. A :class:`Dataset` holds one column per
 cluster-level quantity, every column in ``cluster_id`` order:
@@ -53,7 +54,7 @@ import io
 import math
 import operator
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -626,3 +627,17 @@ def write_clusters(dataset: Dataset, clusters_path) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(zip(*columns))
+
+
+def _json_record(record) -> dict:
+    """``dataclasses.asdict`` of a result record in JSON types, at any depth:
+    a tuple becomes a list and a non-finite float ``None``, since JSON has
+    no NaN or infinity and ``null`` marks a value that is undefined, such as
+    the standard error of a degenerate test."""
+    return asdict(record, dict_factory=lambda items: {k: _json_value(v) for k, v in items})
+
+
+def _json_value(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return list(value) if isinstance(value, tuple) else value

@@ -43,13 +43,14 @@ callers share, and :meth:`SignSums.v2` the one clamp rule.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, _json_record
 from .errors import DataError, TooFewPairs
 from .estimation import PointEstimate, estimate_size_weighted, kernel_inputs
 from .matching import MatchedDesign
@@ -68,21 +69,29 @@ _CENTRING_ROUNDING = 1e-8
 #: counts as zero when the variance clamps.
 _ZERO_NUMERATOR_TOL = 1e-10
 
+#: Largest ``scale * sqrt(G)`` the kernel takes, its terms being below
+#: 225 G scale^2 (:meth:`SignSums.build`).
+_MAX_SCALE = math.sqrt(sys.float_info.max / 1024.0)
+
 _NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
-class VarianceEstimate:
+class InferenceResult(PointEstimate):
+    """The size-weighted estimate (the fields of ``PointEstimate``), its
+    variance estimate v2 = tau2 - lambda2 / 2 and the z-test of
+    effect = ``delta0`` with its confidence interval at level 1 - ``alpha``.
+
+    ``clamped`` says that v2 was rounding and clamped to its floor; the test
+    is then degenerate (the JSON key ``degenerate`` repeats ``clamped``):
+    ``se`` and the interval bounds are infinite (JSON ``null``), ``z`` is 0
+    and ``p_value`` 1.
+    """
+
     tau2: float
     lambda2: float
     v2: float
     clamped: bool
-
-
-@dataclass(frozen=True)
-class InferenceResult:
-    estimate: PointEstimate
-    variance: VarianceEstimate
     se: float
     z: float
     p_value: float
@@ -90,32 +99,9 @@ class InferenceResult:
     ci_high: float
     alpha: float
     delta0: float
-    degenerate: bool
 
     def to_json_dict(self) -> dict:
-        def _finite(x: float):
-            return x if np.isfinite(x) else None
-
-        return {
-            "delta_hat": self.estimate.delta_hat,
-            "mu1": self.estimate.mu1,
-            "mu0": self.estimate.mu0,
-            "n1": self.estimate.n1,
-            "n0": self.estimate.n0,
-            "estimand": self.estimate.estimand,
-            "tau2": self.variance.tau2,
-            "lambda2": self.variance.lambda2,
-            "v2": self.variance.v2,
-            "clamped": self.variance.clamped,
-            "se": _finite(self.se),
-            "z": self.z,
-            "p_value": self.p_value,
-            "ci_low": _finite(self.ci_low),
-            "ci_high": _finite(self.ci_high),
-            "alpha": self.alpha,
-            "delta0": self.delta0,
-            "degenerate": self.degenerate,
-        }
+        return {**_json_record(self), "degenerate": self.clamped}
 
 
 def outcome_scale(n: np.ndarray, ybar: np.ndarray) -> float:
@@ -190,9 +176,26 @@ class SignSums:
         whether each pair's first member is treated in the observed
         assignment, with the clamp thresholds set by ``scale``.
         ``permutation`` must be in variance-ready pair order; its pairs
-        give G."""
+        give G.
+
+        Raises ``DataError`` when ``scale * sqrt(G)`` exceeds
+        ``_MAX_SCALE``. With W the largest weight and Y the largest centred
+        |ybar| the kernel sees, |c| <= 2 W Y, |D| <= W / 2, M <= W, and the
+        arm means, S and delta are at most 2 Y, so no term or partial sum
+        of the statistics exceeds 25 G (W Y)^2. W Y is at most ``scale`` for
+        the randomization test, which measures the outcomes it passes, and
+        3 ``scale`` for ``infer``, which passes its outcomes less the
+        estimated effect, |delta_hat| being at most twice their centred
+        spread.
+        """
         perm = np.asarray(permutation)
         pair_count = len(perm) // 2
+        if not scale * math.sqrt(pair_count) <= _MAX_SCALE:
+            raise DataError(
+                f"outcomes at scale {scale:.3g} overflow the variance kernel, "
+                f"which takes at most {_MAX_SCALE / math.sqrt(pair_count):.3g} "
+                f"at {pair_count} pairs; rescale the outcomes"
+            )
         w = n / n.mean()
         y = ybar - np.dot(n, ybar) / n.sum()
         wa, wb = w[perm[0::2]], w[perm[1::2]]
@@ -330,34 +333,25 @@ def infer(
     sums = SignSums.build(n, without_effect, perm, first, outcome_scale(n, ybar))
     _, tau2, lambda2 = (float(v[0]) for v in sums.statistics(np.ones((1, g))))
     v2, clamped = sums.v2(tau2, lambda2)
-    var = VarianceEstimate(tau2=tau2, lambda2=lambda2, v2=float(v2), clamped=bool(clamped))
-    if var.clamped:
-        return InferenceResult(
-            estimate=est,
-            variance=var,
-            se=np.inf,
-            z=0.0,
-            p_value=1.0,
-            ci_low=-np.inf,
-            ci_high=np.inf,
-            alpha=alpha,
-            delta0=delta0,
-            degenerate=True,
-        )
-    se = np.sqrt(var.v2 / g)
-    z = (est.delta_hat - delta0) / se
-    # erfc keeps relative precision far into the tail, where 1 - erf does not
-    p = math.erfc(abs(z) / math.sqrt(2.0))
-    q = _NORMAL.inv_cdf(1.0 - alpha / 2.0)
+    if clamped:
+        se, z, p, half_width = np.inf, 0.0, 1.0, np.inf
+    else:
+        se = np.sqrt(float(v2) / g)
+        z = (est.delta_hat - delta0) / se
+        # erfc keeps relative precision far into the tail, where 1 - erf does not
+        p = math.erfc(abs(z) / math.sqrt(2.0))
+        half_width = _NORMAL.inv_cdf(1.0 - alpha / 2.0) * se
     return InferenceResult(
-        estimate=est,
-        variance=var,
+        **vars(est),
+        tau2=tau2,
+        lambda2=lambda2,
+        v2=float(v2),
+        clamped=bool(clamped),
         se=float(se),
         z=float(z),
         p_value=float(p),
-        ci_low=float(est.delta_hat - q * se),
-        ci_high=float(est.delta_hat + q * se),
+        ci_low=float(est.delta_hat - half_width),
+        ci_high=float(est.delta_hat + half_width),
         alpha=alpha,
         delta0=delta0,
-        degenerate=False,
     )

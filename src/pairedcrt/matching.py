@@ -38,7 +38,6 @@ cluster of the dataset.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass
 
@@ -507,34 +506,27 @@ def write_design(design: MatchedDesign, dataset: Dataset, path) -> None:
         w.writerows((slot // 2, slot % 2, ids[i], design.mode) for slot, i in slots)
 
 
-def read_design(source, dataset: Dataset, matched_on_size: bool = False) -> MatchedDesign:
+def read_design(source, dataset: Dataset) -> MatchedDesign:
     """Load a design CSV and resolve its cluster_ids against ``dataset``.
 
     The match mode comes from the ``mode`` column, which must hold one of
-    ``MATCH_MODES``, the same on every row; ``matched_on_size`` then only
-    asserts that it is ``nn_xn``. A file without the column (one not
-    written by ``write_design``) is read as ``nn_xn`` with
-    ``matched_on_size`` and as ``nn_x`` without, and a WARNING on the
-    ``pairedcrt`` logger names the mode assumed. The design must pair every
+    ``MATCH_MODES``, the same on every row. The design must pair every
     cluster of ``dataset``; a design that covers only some of them raises
-    ``DataError``, as does any malformed row, naming its line.
+    ``DataError``, as does any malformed row, naming its line, and then a
+    file without the ``mode`` column.
     """
     header, cols, lines = _read_csv(source, "design CSV")
     required = {"pair_index", "position", "cluster_id"}
     if not required.issubset(header):
         raise DataError(f"design CSV header must contain {sorted(required)}")
-    mode = "nn_xn" if matched_on_size else "nn_x"
-    if "mode" in cols and len(lines):
-        mode = cols["mode"][0]
-        for line, text in zip(lines, cols["mode"]):
-            if text not in MATCH_MODES:
-                raise DataError(f"design CSV line {line}: unknown mode {text!r}")
-            if text != mode:
-                raise DataError(
-                    f"design CSV line {line}: mode {text!r} where earlier rows have {mode!r}"
-                )
-        if matched_on_size and mode != "nn_xn":
-            raise DataError(f"the design CSV was matched in mode {mode!r}, not on size (nn_xn)")
+    modes = cols.get("mode", ())
+    for line, text in zip(lines, modes):
+        if text not in MATCH_MODES:
+            raise DataError(f"design CSV line {line}: unknown mode {text!r}")
+        if text != modes[0]:
+            raise DataError(
+                f"design CSV line {line}: mode {text!r} where earlier rows have {modes[0]!r}"
+            )
 
     def ints(name: str) -> np.ndarray:
         return _parse_column(
@@ -569,10 +561,8 @@ def read_design(source, dataset: Dataset, matched_on_size: bool = False) -> Matc
         raise DataError(
             f"design CSV pairs {2 * g} clusters but the data has {dataset.n_clusters} clusters"
         )
+    if not modes:
+        raise DataError(f"design CSV has no mode column naming the match mode, one of {MATCH_MODES}")
     perm = np.empty(len(slot), dtype=np.intp)
     perm[slot] = cluster
-    if "mode" not in cols:
-        logging.getLogger("pairedcrt").warning(
-            "design CSV has no mode column; assuming match mode %r", mode
-        )
-    return MatchedDesign(tuple(perm.tolist()), mode)
+    return MatchedDesign(tuple(perm.tolist()), modes[0])

@@ -41,11 +41,11 @@ trace a 16 MiB peak.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, _json_record
 from .errors import BadB, TooManyPairsForExact
 from .inference import SignSums, _observed_inputs, outcome_scale
 from .matching import MatchedDesign
@@ -77,8 +77,7 @@ class RandTestResult:
     mc_standard_error: float | None
 
     def to_json_dict(self) -> dict:
-        t = self.t_observed
-        return {**asdict(self), "t_observed": t if np.isfinite(t) else None}
+        return _json_record(self)
 
 
 def _signs(bits: np.ndarray) -> np.ndarray:

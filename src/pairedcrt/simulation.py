@@ -24,18 +24,18 @@ every artifact (trials, assignments, reports) is reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .assignment import assign_within_pairs
-from .core import Dataset, build_dataset
+from .core import Dataset, _json_record, build_dataset
 from .errors import DataError
 from .inference import infer
 # MATCH_MODES and match_clusters live in matching and are re-exported here
 from .matching import MATCH_MODES, MatchedDesign, match_clusters
-from .randtest import randomization_test
+from .randtest import MIN_DRAWS, randomization_test
 
 
 @dataclass(frozen=True)
@@ -215,22 +215,7 @@ class DgpSpec:
         )
 
     def to_json_dict(self) -> dict:
-        m = self.outcomes
-        return {
-            "covariates": {"kind": self.covariates.kind, "params": list(self.covariates.params)},
-            "sizes": {"kind": self.sizes.kind, "params": list(self.sizes.params)},
-            "sampling": {"kind": self.sampling.kind, "q": self.sampling.q},
-            "outcomes": {
-                "alpha0": m.alpha0,
-                "alpha1": m.alpha1,
-                "beta0": m.beta0,
-                "beta1": m.beta1,
-                "theta0": m.theta0,
-                "theta1": m.theta1,
-                "sigma_cluster": m.sigma_cluster,
-                "sigma_unit": m.sigma_unit,
-            },
-        }
+        return _json_record(self)
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DgpSpec":
@@ -463,6 +448,8 @@ class SimConfig:
             raise ValueError("stochastic randomization tests need rand_draws")
         if self.rand_mode != "stochastic" and self.rand_draws is not None:
             raise ValueError("rand_draws applies only to rand_mode 'stochastic'")
+        if self.rand_draws is not None and self.rand_draws < MIN_DRAWS:
+            raise ValueError(f"rand_draws must be at least {MIN_DRAWS}, got {self.rand_draws}")
 
 
 @dataclass(frozen=True)
@@ -496,7 +483,7 @@ class SimReport:
     oracle_variance: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return _json_record(self)
 
 
 def monte_carlo(config: SimConfig) -> SimReport:
@@ -522,9 +509,9 @@ def monte_carlo(config: SimConfig) -> SimReport:
             config.dgp, config.pair_count, config.match_mode, trial_seed
         )
         res = infer(dataset, design, alpha=config.alpha, delta0=config.null_delta)
-        dhats[i] = res.estimate.delta_hat
-        v2s[i] = res.variance.v2
-        clamped[i] = res.variance.clamped
+        dhats[i] = res.delta_hat
+        v2s[i] = res.v2
+        clamped[i] = res.clamped
         covered[i] = res.ci_low <= true_delta <= res.ci_high
         z_reject[i] = res.p_value <= config.alpha
         if config.rand_mode is not None:

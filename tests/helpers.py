@@ -17,6 +17,7 @@ kernel on whole treatment vectors) and ``read_units`` (a units CSV as one
 record per row) serve only the tests.
 """
 
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -60,6 +61,16 @@ def package_env():
     src = str(Path(pairedcrt.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return {**os.environ, "PYTHONPATH": path}
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def strict_json(text):
+    """Parse a CLI payload as strict JSON, in which NaN and Infinity do not
+    exist."""
+    return json.loads(text, parse_constant=_not_json)
 
 
 def csr(outcomes_per_cluster):

@@ -133,7 +133,7 @@ def test_variance_estimator_tracks_its_oracle_across_match_modes():
         for i in range(200):
             seeds = children[i].generate_state(3, np.uint64)
             ds, design, _ = generate_trial(dgp, 2000, mode, int(seeds[k]))
-            v2s[i] = infer(ds, design).variance.v2
+            v2s[i] = infer(ds, design).v2
         oracle = oracle_variance(dgp, mode)
         median = float(np.median(v2s))
         rel = (median - oracle) / oracle
@@ -166,7 +166,7 @@ def test_matching_on_size_lowers_asymptotic_variance():
         for i in range(2000):
             seed = int(children[i].generate_state(2, np.uint64)[k])
             ds, design, _ = generate_trial(dgp, 500, mode, seed)
-            dhats[i] = infer(ds, design).estimate.delta_hat
+            dhats[i] = infer(ds, design).delta_hat
         empirical[mode] = float((np.sqrt(500.0) * dhats).std(ddof=1) ** 2)
     omega2 = oracle_variance(dgp, "nn_x")
     nu2 = oracle_variance(dgp, "nn_xn")
@@ -291,8 +291,8 @@ def test_unit_clusters_reduce_to_scalar_matched_pairs():
         ref_p = unit_level_randomization_p(pairs_y)
         worst = max(
             worst,
-            abs(res.estimate.delta_hat - ref["delta"]),
-            abs(res.variance.v2 - ref["v2"]),
+            abs(res.delta_hat - ref["delta"]),
+            abs(res.v2 - ref["v2"]),
             abs(rt.p_value - ref_p),
         )
     assert worst < 1e-10

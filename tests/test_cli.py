@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import identity_design, make_dataset, package_env
+from helpers import identity_design, make_dataset, package_env, strict_json, with_outcomes
 from pairedcrt import cli
 from pairedcrt.assignment import assign_within_pairs
 from pairedcrt.core import build_dataset, write_dataset
 from pairedcrt.inference import infer
-from pairedcrt.matching import MatchedDesign, match_clusters, order_pairs_for_variance, write_design
+from pairedcrt.matching import match_clusters, write_design
 from pairedcrt.simulation import SizeLaw, generate_trial, oracle_variance, preset
 
 
@@ -54,7 +54,7 @@ class TestPipeline:
             capsys,
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["schema_version"] == 1
         assert payload["pairs"] == 6
         assert payload["matched_on_size"] is True
@@ -71,7 +71,7 @@ class TestPipeline:
             capsys,
         )
         assert code == 0
-        assert json.loads(out)["n_treated"] == 6
+        assert strict_json(out)["n_treated"] == 6
 
         code, out, _ = run_cli(
             [
@@ -84,7 +84,7 @@ class TestPipeline:
             capsys,
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["command"] == "analyze"
         assert payload["v2"] > 0
         assert payload["ci_low"] < payload["delta_hat"] < payload["ci_high"]
@@ -102,7 +102,7 @@ class TestPipeline:
             capsys,
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["draws"] == 64
         assert 2 / 64 <= payload["p_value"] <= 1.0
 
@@ -115,7 +115,7 @@ class TestAnalyze:
             capsys,
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["delta_hat"] == pytest.approx(1.0)
         assert payload["v2"] == pytest.approx(1.5)
         assert payload["delta_hat_equal"] == pytest.approx(1.0)
@@ -131,12 +131,47 @@ class TestAnalyze:
             capsys,
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["degenerate"] is True
         assert payload["se"] is None
         assert payload["ci_low"] is None
         assert payload["ci_high"] is None
         assert payload["p_value"] == 1.0
+
+    @pytest.mark.parametrize("ybars", [[3.0, 1.0, 1.0, 2.0], [2.0, 2.0, 2.0, 2.0]])
+    def test_payload_keys_in_order(self, tmp_path, capsys, ybars):
+        ds = make_dataset(sizes=[1, 1, 1, 1], ybars=ybars, treatments=[1, 0, 0, 1])
+        units, clusters, design = write_analysis_fixture(tmp_path, ds, identity_design(2))
+        code, out, _ = run_cli(
+            ["analyze", "--units", units, "--clusters", clusters, "--design", design], capsys
+        )
+        assert code == 0
+        payload = strict_json(out)
+        assert list(payload) == [
+            "schema_version", "command", "pairs", "match_mode",
+            "delta_hat", "mu1", "mu0", "n1", "n0", "estimand",
+            "tau2", "lambda2", "v2", "clamped",
+            "se", "z", "p_value", "ci_low", "ci_high", "alpha", "delta0",
+            "degenerate", "delta_hat_equal",
+        ]  # fmt: skip
+        assert payload["degenerate"] is payload["clamped"] is (len(set(ybars)) == 1)
+
+    def test_outcome_scale_overflowing_the_kernel_is_data_error(self, tmp_path, capsys):
+        ds, design, _ = generate_trial(preset("size_heterogeneous"), 20, "nn_xn", seed=3)
+        base = infer(ds, design).v2
+        for factor, code_wanted in ((1e100, 0), (1e160, 2)):
+            scaled = with_outcomes(ds, lambda y, _: y * factor)
+            units, clusters, design_path = write_analysis_fixture(tmp_path, scaled, design)
+            argv = ["analyze", "--units", units, "--clusters", clusters, "--design", design_path]
+            code, out, err = run_cli(argv, capsys)
+            assert code == code_wanted
+            if code == 0:
+                assert strict_json(out)["v2"] == pytest.approx(factor**2 * base, rel=1e-9)
+            else:
+                assert out == ""
+                payload = strict_json(err)
+                assert payload["error"] == "DataError"
+                assert "rescale the outcomes" in payload["message"]
 
     def test_alpha_out_of_range_is_usage_error(self, tmp_path, capsys):
         units, clusters, design = unit_fixture(tmp_path)
@@ -159,7 +194,7 @@ def analyze_v2(tmp_path, capsys, design_path, *flags, command="analyze"):
          str(tmp_path / "clusters.csv"), "--design", str(design_path), *flags],
         capsys,
     )  # fmt: skip
-    return code, (json.loads(out).get("v2") if code == 0 else json.loads(err))
+    return code, (strict_json(out).get("v2") if code == 0 else strict_json(err))
 
 
 class TestDesignMode:
@@ -170,7 +205,7 @@ class TestDesignMode:
     def test_nn_xn_design_with_or_without_flag(self, tmp_path, capsys, flags):
         ds, design, _ = generate_trial(preset("size_heterogeneous"), 200, "nn_xn", seed=3)
         _, _, design_path = write_analysis_fixture(tmp_path, ds, design)
-        want = infer(ds, design).variance.v2
+        want = infer(ds, design).v2
         assert want == pytest.approx(2.8168, abs=1e-4)
         assert analyze_v2(tmp_path, capsys, design_path, *flags) == (0, want)
 
@@ -184,7 +219,7 @@ class TestDesignMode:
         y = 1.0 + 2.0 * x[:, 0] + 3.0 * x[:, 1] + 0.5 * t + rng.normal(0.0, 1.0, 400)
         ds = build_dataset(ids, n, x, t, y, np.arange(401))
         _, _, design_path = write_analysis_fixture(tmp_path, ds, design)
-        assert analyze_v2(tmp_path, capsys, design_path) == (0, infer(ds, design).variance.v2)
+        assert analyze_v2(tmp_path, capsys, design_path) == (0, infer(ds, design).v2)
 
     @pytest.mark.parametrize("command", ["analyze", "randtest"])
     @pytest.mark.parametrize("mode", ["sorted_x", "nn_x"])
@@ -200,17 +235,20 @@ class TestDesignMode:
             "message": f"the design CSV was matched in mode '{mode}', not on size (nn_xn)",
         }
 
-    def test_design_without_mode_column_reads_as_before(self, tmp_path, capsys):
+    def test_design_without_mode_column_is_data_error(self, tmp_path, capsys):
+        # read as nn_x, this design would give v2 = 2.6465 instead of 2.8168
         ds, design, _ = generate_trial(preset("size_heterogeneous"), 200, "nn_xn", seed=3)
         _, _, design_path = write_analysis_fixture(tmp_path, ds, design)
         rows = Path(design_path).read_text().splitlines()
         Path(design_path).write_text("".join(r.rsplit(",", 1)[0] + "\n" for r in rows))
-        on_x = order_pairs_for_variance(MatchedDesign(design.permutation, "nn_x"), ds)
-        assert analyze_v2(tmp_path, capsys, design_path) == (0, infer(ds, on_x).variance.v2)
-        assert analyze_v2(tmp_path, capsys, design_path, "--matched-on-size") == (
-            0,
-            infer(ds, design).variance.v2,
+        message = (
+            "design CSV has no mode column naming the match mode, "
+            "one of ('sorted_x', 'nn_x', 'nn_xn')"
         )
+        for command in ("analyze", "randtest"):
+            for flags in ((), ("--matched-on-size",)):
+                code, err = analyze_v2(tmp_path, capsys, design_path, *flags, command=command)
+                assert (code, err) == (2, {"error": "DataError", "message": message})
 
     @pytest.mark.parametrize("command", ["analyze", "randtest"])
     @pytest.mark.parametrize("mode", ["sorted_x", "nn_x", "nn_xn"])
@@ -220,39 +258,8 @@ class TestDesignMode:
         argv = [command, "--units", units, "--clusters", clusters, "--design", design_path]
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert (payload["schema_version"], payload["match_mode"]) == (1, mode)
-        # a design CSV without the mode column echoes the mode assumed
-        rows = Path(design_path).read_text().splitlines()
-        Path(design_path).write_text("".join(r.rsplit(",", 1)[0] + "\n" for r in rows))
-        for flags, assumed in (((), "nn_x"), (("--matched-on-size",), "nn_xn")):
-            code, out, _ = run_cli(argv + list(flags), capsys)
-            assert (code, json.loads(out)["match_mode"]) == (0, assumed)
-
-    def test_design_without_mode_column_warns_only_where_logging_is_set_up(self, tmp_path):
-        ds = make_dataset(sizes=[1] * 8, ybars=[3.0, 1.0, 2.0, 0.0, 5.0, 1.0, 4.0, 2.0],
-                          treatments=[1, 0] * 4)  # fmt: skip
-        units, clusters, design_path = write_analysis_fixture(tmp_path, ds, identity_design(4))
-        rows = Path(design_path).read_text().splitlines()
-        Path(design_path).write_text("".join(r.rsplit(",", 1)[0] + "\n" for r in rows))
-        argv = ["analyze", "--units", units, "--clusters", clusters, "--design", design_path]
-
-        def run(setup):
-            code = (
-                f"import logging, sys; {setup}; "
-                "from pairedcrt import cli; sys.exit(cli.main(sys.argv[1:]))"
-            )
-            return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                                  text=True, env=package_env())  # fmt: skip
-
-        silent = run("pass")
-        assert (silent.returncode, silent.stderr) == (0, "")
-        logged = run("logging.basicConfig()")
-        assert logged.returncode == 0
-        assert logged.stdout == silent.stdout
-        assert logged.stderr == (
-            "WARNING:pairedcrt:design CSV has no mode column; assuming match mode 'nn_x'\n"
-        )
 
     @pytest.mark.parametrize(
         "spoil,message",
@@ -285,7 +292,7 @@ class TestRandtest:
             capsys,
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["p_value"] == 1.0
         assert payload["t_observed"] == 0.0
         assert payload["reject"] is False
@@ -300,6 +307,35 @@ class TestRandtest:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(common + ["--mode", "stochastic", "--draws", "100"])
         assert excinfo.value.code == 64
+
+    def test_effect_overflowing_the_kernel_is_data_error(self, tmp_path, capsys):
+        ds, design, _ = generate_trial(preset("size_heterogeneous"), 20, "nn_xn", seed=3)
+        units, clusters, design_path = write_analysis_fixture(tmp_path, ds, design)
+        argv = ["randtest", "--units", units, "--clusters", clusters, "--design", design_path]
+        code, out, err = run_cli(argv + ["--delta0", "1e160"], capsys)
+        assert (code, out) == (2, "")
+        payload = strict_json(err)
+        assert payload["error"] == "DataError"
+        assert payload["message"].startswith("outcomes at scale ")
+        assert payload["message"].endswith(" at 20 pairs; rescale the outcomes")
+
+    @pytest.mark.parametrize("draws", ["5", "18", "x"])
+    @pytest.mark.parametrize("command", ["randtest", "simulate"])
+    def test_too_few_draws_is_usage_error(self, tmp_path, capsys, command, draws):
+        # argparse rejects the count before any file is read or trial drawn
+        if command == "randtest":
+            units, clusters, design = unit_fixture(tmp_path)
+            argv = ["randtest", "--units", units, "--clusters", clusters, "--design", design,
+                    "--mode", "stochastic", "--seed", "1", "--draws", draws]  # fmt: skip
+        else:
+            argv = ["simulate", "--preset", "null", "--pairs", "4", "--reps", "2", "--seed", "1",
+                    "--rand-mode", "stochastic", "--rand-draws", draws]  # fmt: skip
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must be an integer >= 19, got '{draws}'" in captured.err
 
     def test_stochastic_runs(self, tmp_path, capsys):
         units, clusters, design = unit_fixture(tmp_path)
@@ -316,7 +352,7 @@ class TestRandtest:
             capsys,
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["mode"] == "stochastic"
         assert payload["draws"] == 99
         assert payload["seed"] == 5
@@ -331,7 +367,7 @@ class TestRandtest:
             capsys,
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["mode"] == "exact"
         assert payload["mc_standard_error"] is None
 
@@ -364,7 +400,7 @@ class TestUsageAndDataErrors:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert json.loads(err)["error"] == "OSError"
+        assert strict_json(err)["error"] == "OSError"
 
     def test_invalid_data_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "clusters.csv"
@@ -373,7 +409,7 @@ class TestUsageAndDataErrors:
             ["match", "--clusters", str(bad), "--out", str(tmp_path / "design.csv")]
         )
         assert code == 2
-        payload = json.loads(capsys.readouterr().err)
+        payload = strict_json(capsys.readouterr().err)
         assert payload["error"] == "OddClusterCount"
         assert payload["message"]
 
@@ -422,7 +458,7 @@ class TestInputValidation:
         code, stdout, err = run_cli(argv, capsys)
         assert code == 2
         assert stdout == ""
-        payload = json.loads(err)
+        payload = strict_json(err)
         assert payload["error"] == "DataError"
         assert "'c'" in payload["message"]
 
@@ -452,7 +488,7 @@ class TestInputValidation:
         )
         assert code == 2
         assert stdout == ""
-        payload = json.loads(err)
+        payload = strict_json(err)
         assert payload["error"] == "DataError"
         assert "column 0" in payload["message"]
 
@@ -469,7 +505,7 @@ class TestInputValidation:
         )
         assert code == 2
         assert stdout == ""
-        payload = json.loads(err)
+        payload = strict_json(err)
         assert payload["error"] == "DataError"
         assert "4 clusters" in payload["message"] and "8 clusters" in payload["message"]
 
@@ -498,7 +534,7 @@ class TestInputValidation:
             capsys,
         )
         assert code == 0
-        assert json.loads(out)["seed"] == 2**64 - 1
+        assert strict_json(out)["seed"] == 2**64 - 1
 
 
 class TestBoundaryErrors:
@@ -529,7 +565,7 @@ class TestBoundaryErrors:
             tmp_path, capsys, lambda **paths: self.append(paths[kind], row)
         )
         assert (code, stdout) == (2, "")
-        payload = json.loads(err)
+        payload = strict_json(err)
         assert payload["error"] == "DataError"
         assert f"{kind} CSV line" in payload["message"]
         assert "fields where the header has" in payload["message"]
@@ -541,7 +577,7 @@ class TestBoundaryErrors:
 
         code, _, err = self.run_analyze(tmp_path, capsys, spoil)
         assert code == 2
-        payload = json.loads(err)
+        payload = strict_json(err)
         assert payload == {"error": "DataError", "message": "design CSV line 4: bad pair_index 'x'"}
 
     @pytest.mark.parametrize("kind", ["units", "clusters", "design"])
@@ -550,7 +586,7 @@ class TestBoundaryErrors:
             tmp_path, capsys, lambda **paths: self.append(paths[kind], b"\xff\xfe\n")
         )
         assert code == 2
-        payload = json.loads(err)
+        payload = strict_json(err)
         assert payload["error"] == "DataError"
         assert "is not UTF-8" in payload["message"]
 
@@ -563,7 +599,7 @@ class TestBoundaryErrors:
             capsys,
         )
         assert code == 2
-        assert json.loads(err)["error"] == "DataError"
+        assert strict_json(err)["error"] == "DataError"
 
     @pytest.mark.parametrize(
         "text,message",
@@ -585,7 +621,7 @@ class TestBoundaryErrors:
             capsys,
         )
         assert (code, stdout) == (2, "")
-        payload = json.loads(err)
+        payload = strict_json(err)
         assert payload["error"] == "DataError"
         assert message in payload["message"]
 
@@ -602,7 +638,7 @@ class TestBoundaryErrors:
             capsys,
         )
         assert (code, stdout) == (2, "")
-        payload = json.loads(err)
+        payload = strict_json(err)
         assert payload["error"] == "DataError"
         assert "more than 1000000 sizes" in payload["message"]
 
@@ -616,7 +652,7 @@ class TestBoundaryErrors:
             capsys,
         )
         assert (code, stdout) == (2, "")
-        payload = json.loads(err)
+        payload = strict_json(err)
         assert payload["error"] == "DataError"
         assert "samples 8000000000000 units" in payload["message"]
 
@@ -630,7 +666,7 @@ class TestBoundaryErrors:
             capsys,
         )
         assert (code, stdout) == (2, "")
-        payload = json.loads(err)
+        payload = strict_json(err)
         assert payload["error"] == "DataError"
         assert f"sizes must be integers up to 2**62, got {size!r}" in payload["message"]
 
@@ -666,7 +702,7 @@ class TestSimulate:
             capsys,
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["schema_version"] == 1
         assert payload["command"] == "simulate"
         assert payload["replications"] == 5
@@ -690,7 +726,7 @@ class TestSimulate:
             capsys,
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["true_delta"] == pytest.approx(1.0)
         assert payload["rejection_rate_rand"] is not None
 

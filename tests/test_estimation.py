@@ -1,9 +1,15 @@
-import json
 
 import numpy as np
 import pytest
 
-from helpers import identity_design, make_dataset, random_dataset, with_outcomes, wls_oracle
+from helpers import (
+    identity_design,
+    make_dataset,
+    random_dataset,
+    strict_json,
+    with_outcomes,
+    wls_oracle,
+)
 from pairedcrt import cli
 from pairedcrt.core import build_dataset, write_dataset
 from pairedcrt.errors import DataError, EmptyArm, MissingTreatment
@@ -67,7 +73,7 @@ def delta_hat_equal(ds, tmp_path, capsys):
     write_design(identity_design(ds.n_pairs), ds, design)
     argv = ["analyze", "--units", str(units), "--clusters", str(clusters), "--design", str(design)]
     assert cli.main(argv) == 0
-    return json.loads(capsys.readouterr().out)["delta_hat_equal"]
+    return strict_json(capsys.readouterr().out)["delta_hat_equal"]
 
 
 class TestEqualWeighted:

@@ -19,6 +19,7 @@ from helpers import (
 from pairedcrt.errors import DataError, MissingTreatment, TooFewPairs
 from pairedcrt.estimation import kernel_inputs
 from pairedcrt.inference import (
+    _MAX_SCALE,
     V2_ROUNDING,
     SignSums,
     first_member_treated,
@@ -72,10 +73,10 @@ class TestVarianceEstimate:
         assert tau2 == pytest.approx(5.0)
         assert lambda2 == pytest.approx(0.5 * (3.0 * 1.0 + (-1.0) * (-3.0)))
         res = infer(ds, identity_design(4))
-        assert res.estimate.delta_hat == 0.0
-        assert (res.variance.tau2, res.variance.lambda2) == (tau2, lambda2)
-        assert res.variance.v2 == pytest.approx(3.5)
-        assert not res.variance.clamped
+        assert res.delta_hat == 0.0
+        assert (res.tau2, res.lambda2) == (tau2, lambda2)
+        assert res.v2 == pytest.approx(3.5)
+        assert not res.clamped
 
     def test_signed_differences_follow_treatment(self):
         # swapping the treatment in the first pair: treated (0, 1, 0, 0),
@@ -83,33 +84,33 @@ class TestVarianceEstimate:
         # (-1.5, 2.5, 0.5, -1.5)
         ys = [3.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 3.0]
         ds = unit_dataset(ys, [0, 1] + [1, 0] * 3)
-        var = infer(ds, identity_design(4)).variance
-        assert var.tau2 == pytest.approx(2.75)
-        assert var.lambda2 == pytest.approx(0.5 * (-1.5 * 2.5 + 0.5 * -1.5))
+        res = infer(ds, identity_design(4))
+        assert res.tau2 == pytest.approx(2.75)
+        assert res.lambda2 == pytest.approx(0.5 * (-1.5 * 2.5 + 0.5 * -1.5))
         # listing the first pair's members the other way round keeps the
         # sign, which follows treatment and not member order
         relisted = MatchedDesign(permutation=(1, 0, 2, 3, 4, 5, 6, 7), mode="nn_x")
-        assert infer(ds, relisted).variance.lambda2 == pytest.approx(var.lambda2)
+        assert infer(ds, relisted).lambda2 == pytest.approx(res.lambda2)
 
     def test_odd_pair_count_drops_trailing_pair(self):
         # treated (2, 0, 1), control (0, 1, 2): signed differences (2, -1, -1);
         # only the first two pairs form a pair of pairs
         ds = unit_dataset([2.0, 0.0, 0.0, 1.0, 1.0, 2.0], [1, 0] * 3)
-        var = infer(ds, identity_design(3)).variance
-        assert var.tau2 == pytest.approx(2.0)
-        assert var.lambda2 == pytest.approx((2.0 / 3.0) * (2.0 * -1.0))
-        assert var.v2 == pytest.approx(var.tau2 - var.lambda2 / 2.0)
+        res = infer(ds, identity_design(3))
+        assert res.tau2 == pytest.approx(2.0)
+        assert res.lambda2 == pytest.approx((2.0 / 3.0) * (2.0 * -1.0))
+        assert res.v2 == pytest.approx(res.tau2 - res.lambda2 / 2.0)
 
     def test_clamped_when_degenerate(self):
         # constant outcomes, then outcomes constant within arms: the floor
         # follows the outcomes as observed, effect included
         for ys in ([2.0, 2.0, 2.0, 2.0], [3.0, 1.0, 3.0, 1.0]):
             ds = unit_dataset(ys, [1, 0, 1, 0])
-            var = infer(ds, identity_design(2)).variance
-            assert var.tau2 == 0.0 and var.lambda2 == 0.0
-            assert var.clamped
+            res = infer(ds, identity_design(2))
+            assert res.tau2 == 0.0 and res.lambda2 == 0.0
+            assert res.clamped
             n, ybar, _ = kernel_inputs(ds)
-            assert var.v2 == V2_ROUNDING * outcome_scale(n, ybar) ** 2
+            assert res.v2 == V2_ROUNDING * outcome_scale(n, ybar) ** 2
 
     def test_too_few_pairs(self):
         # a Dataset has at least two pairs, so only the shared check sees one
@@ -163,11 +164,14 @@ class TestPairStatistics:
         scale = 1e-12 * (ref_tau2 + np.abs(ref_lambda2)) + 1e-14 * term
         for b, (ds, design) in enumerate(kernel_case_designs(case)):
             res = infer(ds, design)
-            assert abs(res.variance.tau2 - ref_tau2[b]) <= scale[b]
-            assert abs(res.variance.lambda2 - ref_lambda2[b]) <= scale[b]
-            assert abs(res.estimate.delta_hat - ref_delta[b]) <= 1e-12 * np.abs(ybar).max()
+            assert abs(res.tau2 - ref_tau2[b]) <= scale[b]
+            assert abs(res.lambda2 - ref_lambda2[b]) <= scale[b]
+            assert abs(res.delta_hat - ref_delta[b]) <= 1e-12 * np.abs(ybar).max()
             # the kernel never sees delta0, so v2 ignores it bit for bit
-            assert infer(ds, design, delta0=delta0).variance == res.variance
+            other = infer(ds, design, delta0=delta0)
+            assert (other.tau2, other.lambda2, other.v2, other.clamped) == (
+                res.tau2, res.lambda2, res.v2, res.clamped
+            )
 
         # swapping every pair at once keeps the studentized statistic
         t = statistic_batch(n, ybar, dmat, perm, g)
@@ -193,7 +197,7 @@ class TestPairStatistics:
             res = infer(ds, design, delta0=delta0)
             rt = randomization_test(ds, design, delta0=delta0, mode="stochastic", draws=19, seed=0)
             # a clamped v2 gives T = 0 or inf, so the two also clamp together
-            if res.degenerate:
+            if res.clamped:
                 assert rt.t_observed in (0.0, np.inf)
                 continue
             # The test's kernel runs on the outcomes less delta0, not less
@@ -203,16 +207,16 @@ class TestPairStatistics:
             n, ybar, d = kernel_inputs(ds)
             shifted = ybar - d * delta0
             centred = np.abs(shifted - np.dot(n, shifted) / n.sum()).max()
-            effect = abs(res.estimate.delta_hat - delta0)
+            effect = abs(res.delta_hat - delta0)
             term = ((n / n.mean()).max() * (2.0 * centred + effect)) ** 2
-            rel = 1e-12 + 1e-14 * term / res.variance.v2
+            rel = 1e-12 + 1e-14 * term / res.v2
             assert rt.t_observed == pytest.approx(abs(res.z), rel=rel)
 
     def test_single_vector_gives_scalars(self, rng):
         res = infer(random_dataset(rng, pairs=3), identity_design(3))
-        for value in (res.variance.tau2, res.variance.lambda2, res.variance.v2, res.z):
+        for value in (res.tau2, res.lambda2, res.v2, res.z):
             assert type(value) is float
-        assert type(res.variance.clamped) is bool
+        assert type(res.clamped) is bool
 
     def test_design_must_cover_the_data(self, rng):
         n, _, d = kernel_inputs(random_dataset(rng, pairs=4))
@@ -248,16 +252,16 @@ class TestInfer:
     def test_unit_level_fixture(self):
         ds = unit_dataset([3.0, 1.0, 1.0, 1.0], [1, 0, 1, 0])
         res = infer(ds, identity_design(2))
-        assert res.estimate.delta_hat == pytest.approx(1.0)
-        assert res.variance.tau2 == pytest.approx(1.0)
-        assert res.variance.lambda2 == pytest.approx(-1.0)
-        assert res.variance.v2 == pytest.approx(1.5)
+        assert res.delta_hat == pytest.approx(1.0)
+        assert res.tau2 == pytest.approx(1.0)
+        assert res.lambda2 == pytest.approx(-1.0)
+        assert res.v2 == pytest.approx(1.5)
         assert res.se == pytest.approx(math.sqrt(0.75))
         assert res.z == pytest.approx(1.1547005383792517)
         assert res.p_value == pytest.approx(0.2482130789899236, abs=1e-12)
         assert res.ci_low == pytest.approx(-0.6973786011142571)
         assert res.ci_high == pytest.approx(2.697378601114257)
-        assert not res.degenerate
+        assert not res.clamped
 
     # two-sided normal tail P(|Z| > z), to 20 digits
     @pytest.mark.parametrize(
@@ -275,7 +279,7 @@ class TestInfer:
         ds = random_dataset(rng, pairs=6)
         base = infer(ds, identity_design(6))
         for sign in (1.0, -1.0):
-            delta0 = base.estimate.delta_hat - sign * target * base.se
+            delta0 = base.delta_hat - sign * target * base.se
             res = infer(ds, identity_design(6), delta0=delta0)
             assert res.z == pytest.approx(sign * target, rel=1e-12)
             assert res.p_value > 0.0
@@ -287,12 +291,13 @@ class TestInfer:
     def test_degenerate_constant_outcomes(self):
         ds = unit_dataset([2.0, 2.0, 2.0, 2.0], [1, 0, 0, 1])
         res = infer(ds, identity_design(2))
-        assert res.degenerate
+        assert res.clamped
         assert res.p_value == 1.0
         assert res.z == 0.0
         assert math.isinf(res.se)
         assert res.ci_low == -math.inf and res.ci_high == math.inf
         payload = res.to_json_dict()
+        assert payload["degenerate"] is payload["clamped"] is True
         assert payload["se"] is None
         assert payload["ci_low"] is None and payload["ci_high"] is None
 
@@ -301,8 +306,8 @@ class TestInfer:
         base = infer(ds, identity_design(4))
         swapped = MatchedDesign(permutation=(1, 0, 3, 2, 5, 4, 7, 6), mode="nn_x")
         other = infer(ds, swapped)
-        assert other.variance.tau2 == pytest.approx(base.variance.tau2)
-        assert other.variance.lambda2 == pytest.approx(base.variance.lambda2)
+        assert other.tau2 == pytest.approx(base.tau2)
+        assert other.lambda2 == pytest.approx(base.lambda2)
         assert other.z == pytest.approx(base.z)
 
     def test_scale_and_shift_invariances(self, rng):
@@ -312,9 +317,9 @@ class TestInfer:
         shifted = infer(with_outcomes(ds, lambda y, _: y + 7.0), identity_design(4))
         scaled = infer(with_outcomes(ds, lambda y, _: 2.0 * y), identity_design(4))
         assert shifted.z == pytest.approx(base.z)
-        assert shifted.estimate.delta_hat == pytest.approx(base.estimate.delta_hat)
+        assert shifted.delta_hat == pytest.approx(base.delta_hat)
         assert scaled.z == pytest.approx(base.z)
-        assert scaled.variance.v2 == pytest.approx(4.0 * base.variance.v2)
+        assert scaled.v2 == pytest.approx(4.0 * base.v2)
         assert scaled.p_value == pytest.approx(base.p_value)
 
     def test_treatment_relabel_negates_z(self, rng):
@@ -324,7 +329,7 @@ class TestInfer:
         b = infer(flipped, identity_design(4))
         assert b.z == pytest.approx(-a.z)
         assert b.p_value == pytest.approx(a.p_value)
-        assert b.variance.v2 == pytest.approx(a.variance.v2)
+        assert b.v2 == pytest.approx(a.v2)
 
     def test_shifted_null_matches_shifted_data(self, rng):
         ds = random_dataset(rng, pairs=5)
@@ -334,7 +339,7 @@ class TestInfer:
         tested = infer(boosted, identity_design(5), delta0=effect)
         assert tested.z == pytest.approx(base.z)
         assert tested.p_value == pytest.approx(base.p_value)
-        assert tested.variance.v2 == pytest.approx(base.variance.v2)
+        assert tested.v2 == pytest.approx(base.v2)
         assert tested.ci_low == pytest.approx(base.ci_low + effect)
         assert tested.ci_high == pytest.approx(base.ci_high + effect)
 
@@ -344,7 +349,7 @@ class TestInfer:
         ds = random_dataset(rng, pairs=4)
         at_zero = infer(ds, identity_design(4), delta0=0.0)
         at_shift = infer(ds, identity_design(4), delta0=0.8)
-        assert at_shift.variance.v2 == pytest.approx(at_zero.variance.v2, abs=1e-14)
+        assert at_shift.v2 == pytest.approx(at_zero.v2, abs=1e-14)
         assert at_shift.se == pytest.approx(at_zero.se, abs=1e-14)
         assert at_shift.z != pytest.approx(at_zero.z)
 
@@ -365,7 +370,38 @@ class TestInfer:
                 else:
                     pairs_y.append((ys[b], ys[a]))
             ref = unit_level_reference(pairs_y)
-            assert res.estimate.delta_hat == pytest.approx(ref["delta"], abs=1e-12)
-            assert res.variance.tau2 == pytest.approx(ref["tau2"], abs=1e-12)
-            assert res.variance.lambda2 == pytest.approx(ref["lambda2"], abs=1e-12)
-            assert res.variance.v2 == pytest.approx(ref["v2"], abs=1e-12)
+            assert res.delta_hat == pytest.approx(ref["delta"], abs=1e-12)
+            assert res.tau2 == pytest.approx(ref["tau2"], abs=1e-12)
+            assert res.lambda2 == pytest.approx(ref["lambda2"], abs=1e-12)
+            assert res.v2 == pytest.approx(ref["v2"], abs=1e-12)
+
+
+class TestKernelOverflow:
+    """Outcomes whose scale times sqrt(G) exceeds ``_MAX_SCALE`` are
+    rejected before the kernel runs; just below it, every statistic stays
+    finite, which the suite's error::RuntimeWarning filter checks."""
+
+    @pytest.mark.parametrize("name", ["size_heterogeneous", "stress"])
+    def test_both_sides_of_the_bound(self, name):
+        ds, design, _ = generate_trial(preset(name), 6, "nn_xn", seed=3)
+        n, ybar, _ = kernel_inputs(ds)
+        base_infer, base_rand = infer(ds, design), randomization_test(ds, design)
+        unit = _MAX_SCALE / math.sqrt(design.pair_count) / outcome_scale(n, ybar)
+        for factor in (0.99, 1.01):
+            scaled = with_outcomes(ds, lambda y, _: y * (factor * unit))
+            if factor < 1.0:
+                res = infer(scaled, design)
+                assert res.v2 == pytest.approx((factor * unit) ** 2 * base_infer.v2, rel=1e-9)
+                assert math.isfinite(res.se) and res.z == pytest.approx(base_infer.z, rel=1e-9)
+                assert randomization_test(scaled, design).p_value == base_rand.p_value
+            else:
+                for run in (infer, randomization_test):
+                    with pytest.raises(DataError, match="rescale the outcomes"):
+                        run(scaled, design)
+
+    def test_shifted_null_beyond_the_bound(self):
+        # the randomization test measures the outcomes less delta0
+        ds, design, _ = generate_trial(preset("size_heterogeneous"), 20, "nn_xn", seed=3)
+        assert infer(ds, design, delta0=1e160).z < 0
+        with pytest.raises(DataError, match="at 20 pairs; rescale the outcomes"):
+            randomization_test(ds, design, delta0=1e160)

@@ -1,6 +1,5 @@
 import dataclasses
 import io
-import logging
 import math
 import tracemalloc
 
@@ -543,7 +542,7 @@ class TestDesignIO:
         design = pair_greedy_nn(items)
         path = tmp_path / "design.csv"
         write_design(design, items, path)
-        back = read_design(path, items, matched_on_size=False)
+        back = read_design(path, items)
         assert back.permutation == design.permutation
         assert back.pair_count == design.pair_count
 
@@ -552,7 +551,7 @@ class TestDesignIO:
         design = pair_greedy_nn(items, "nn_xn")
         path = tmp_path / "design.csv"
         write_design(design, items, path)
-        back = read_design(path, items, matched_on_size=True)
+        back = read_design(path, items)
         assert back.matched_on_size
 
     @pytest.mark.parametrize("mode", MATCH_MODES)
@@ -565,11 +564,6 @@ class TestDesignIO:
         assert lines[0] == "pair_index,position,cluster_id,mode"
         assert all(line.endswith(f",{mode}") for line in lines[1:])
         assert read_design(path, items) == design
-        if mode == "nn_xn":
-            assert read_design(path, items, matched_on_size=True) == design
-        else:
-            with pytest.raises(DataError, match=f"matched in mode '{mode}', not on size"):
-                read_design(path, items, matched_on_size=True)
 
     @pytest.mark.parametrize("as_path", [True, False])
     def test_byte_order_mark_dropped(self, rng, tmp_path, as_path):
@@ -581,19 +575,14 @@ class TestDesignIO:
         path.write_text(text, encoding="utf-8")
         assert read_design(path if as_path else io.StringIO(text), items) == design
 
-    def test_file_without_mode_column(self, tmp_path, caplog):
+    def test_missing_mode_column_is_data_error(self, tmp_path):
+        # the mode decides pair ordering and the variance estimate, so a
+        # design that does not name it is rejected, not read with a guess
         items = items_from([1.0, 2.0, 3.0, 4.0])
         path = tmp_path / "design.csv"
         path.write_text("pair_index,position,cluster_id\n0,0,c000\n0,1,c001\n1,0,c002\n1,1,c003\n")
-        with caplog.at_level(logging.WARNING, logger="pairedcrt"):
-            assert read_design(path, items).mode == "nn_x"
-            assert read_design(path, items, matched_on_size=True).mode == "nn_xn"
-            write_design(pair_greedy_nn(items), items, tmp_path / "with_mode.csv")
-            read_design(tmp_path / "with_mode.csv", items)  # says which mode: no warning
-        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
-            ("pairedcrt", "WARNING", f"design CSV has no mode column; assuming match mode {mode!r}")
-            for mode in ("nn_x", "nn_xn")
-        ]
+        with pytest.raises(DataError, match="design CSV has no mode column"):
+            read_design(path, items)
 
     @pytest.mark.parametrize(
         "modes,message",

@@ -399,7 +399,7 @@ class TestOutcomeScale:
         res, unit_res = infer(scaled, design), infer(ds, design)
         rt, unit_rt = (randomization_test(d, design, mode="exact") for d in (scaled, ds))
         # the absolute floors clamped at 1e-7: degenerate, p = 1 and T = inf
-        assert not res.degenerate
+        assert not res.clamped
         assert res.z == pytest.approx(unit_res.z, rel=1e-9)
         assert unit_res.z == pytest.approx(3.864, abs=1e-3)
         assert rt.p_value == unit_rt.p_value
@@ -415,6 +415,6 @@ class TestOutcomeScale:
             ds = make_dataset(
                 sizes=rng.integers(1, 50, 2 * g), ybars=[value] * (2 * g), treatments=[1, 0] * g
             )
-            assert infer(ds, identity_design(g)).degenerate
+            assert infer(ds, identity_design(g)).clamped
             rt = randomization_test(ds, identity_design(g), mode="exact")
             assert (rt.p_value, rt.t_observed) == (1.0, 0.0)

@@ -140,6 +140,8 @@ class TestDgpSpec:
         dgp = preset("stress")
         clone = DgpSpec.from_json_dict(json.loads(json.dumps(dgp.to_json_dict())))
         assert clone == dgp
+        # the dict is JSON already: its parameters are lists, as JSON reads them
+        assert DgpSpec.from_json_dict(dgp.to_json_dict()) == dgp
 
     @pytest.mark.parametrize(
         "spoil,message",
@@ -402,7 +404,7 @@ class TestMonteCarlo:
         for child in np.random.SeedSequence(config.seed).spawn(4):
             trial_seed = int(child.generate_state(2, np.uint64)[0])
             ds, design, _ = generate_trial(config.dgp, config.pair_count, config.match_mode, trial_seed)
-            dhats.append(infer(ds, design).estimate.delta_hat)
+            dhats.append(infer(ds, design).delta_hat)
         assert monte_carlo(config).mean_delta_hat == np.mean(dhats)
 
     def test_oracle_variance_in_every_report(self):
@@ -430,6 +432,8 @@ class TestMonteCarlo:
         for rand_mode in (None, "exact"):
             with pytest.raises(ValueError, match="rand_draws applies only"):
                 self.small_config(rand_mode=rand_mode, rand_draws=100)
+        with pytest.raises(ValueError, match="rand_draws must be at least 19, got 18"):
+            self.small_config(rand_mode="stochastic", rand_draws=18)
 
 
 class TestMatchingQuality:

@@ -13,13 +13,22 @@ import numpy as np
 from .matching import MatchedDesign
 
 
+def _philox(seed) -> np.random.Generator:
+    """The Philox generator keyed by ``seed``, a Python or numpy integer in
+    [0, 2**64); any other seed raises ``ValueError``."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
 def assign_within_pairs(design: MatchedDesign, seed: int) -> np.ndarray:
     """Return a binary treatment vector with exactly one treated cluster per pair.
 
     The vector is indexed by cluster position (the same indexing as the
-    design's permutation), not by pair.
+    design's permutation), not by pair. ``seed`` must be an integer in
+    [0, 2**64).
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = _philox(seed)
     first_treated = rng.integers(0, 2, size=design.pair_count)
     treatments = np.empty(2 * design.pair_count, dtype=np.int64)
     perm = np.asarray(design.permutation)

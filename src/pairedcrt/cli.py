@@ -87,48 +87,36 @@ def _draws(text: str) -> int:
     return value
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
 def _check_alpha(args) -> None:
     if not 0.0 < args.alpha < 1.0:
         args.subparser.error("--alpha must be strictly between 0 and 1")
 
 
-def cmd_match(args) -> None:
+def cmd_match(args) -> dict:
     clusters = read_clusters(args.clusters)
     design = match_clusters(clusters, args.mode)
     write_design(design, clusters, args.out)
     report = imbalance_report(design, clusters)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "match",
-            "pairs": design.pair_count,
-            "mode": args.mode,
-            "matched_on_size": design.matched_on_size,
-            "out": str(args.out),
-            "imbalance": report.to_json_dict(),
-        }
-    )
+    return {
+        "pairs": design.pair_count,
+        "mode": args.mode,
+        "matched_on_size": design.matched_on_size,
+        "out": str(args.out),
+        "imbalance": report.to_json_dict(),
+    }
 
 
-def cmd_assign(args) -> None:
+def cmd_assign(args) -> dict:
     clusters = read_clusters(args.clusters)
     design = read_design(args.design, clusters)
     treatments = assign_within_pairs(design, args.seed)
     write_clusters(clusters.with_treatments(treatments), args.out)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "assign",
-            "pairs": design.pair_count,
-            "seed": args.seed,
-            "n_treated": int(treatments.sum()),
-            "out": str(args.out),
-        }
-    )
+    return {
+        "pairs": design.pair_count,
+        "seed": args.seed,
+        "n_treated": int(treatments.sum()),
+        "out": str(args.out),
+    }
 
 
 def _load_for_analysis(args):
@@ -142,25 +130,22 @@ def _load_for_analysis(args):
     return dataset, order_pairs_for_variance(design, dataset)
 
 
-def cmd_analyze(args) -> None:
+def cmd_analyze(args) -> dict:
     _check_alpha(args)
     dataset, design = _load_for_analysis(args)
     result = infer(dataset, design, alpha=args.alpha, delta0=args.delta0)
     # the equal-weighted estimate: arm means with a weight of 1 per cluster
     n, ybar, d = kernel_inputs(dataset)
     mu1_equal, mu0_equal, _, _ = arm_means(np.ones_like(n), ybar, d)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "analyze",
+    return {
         "pairs": design.pair_count,
         "match_mode": design.mode,
         **result.to_json_dict(),
         "delta_hat_equal": float(mu1_equal - mu0_equal),
     }
-    _emit(payload)
 
 
-def cmd_randtest(args) -> None:
+def cmd_randtest(args) -> dict:
     _check_alpha(args)
     if args.mode == "stochastic":
         if args.draws is None:
@@ -177,18 +162,10 @@ def cmd_randtest(args) -> None:
         draws=args.draws,
         seed=args.seed,
     )
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "randtest",
-            "pairs": design.pair_count,
-            "match_mode": design.mode,
-            **result.to_json_dict(),
-        }
-    )
+    return {"pairs": design.pair_count, "match_mode": design.mode, **result.to_json_dict()}
 
 
-def cmd_simulate(args) -> None:
+def cmd_simulate(args) -> dict:
     _check_alpha(args)
     if args.rand_mode == "stochastic" and args.rand_draws is None:
         args.subparser.error("--rand-draws is required with --rand-mode stochastic")
@@ -218,14 +195,7 @@ def cmd_simulate(args) -> None:
         rand_mode=args.rand_mode,
         rand_draws=args.rand_draws,
     )
-    report = monte_carlo(config)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            **report.to_json_dict(),
-        }
-    )
+    return monte_carlo(config).to_json_dict()
 
 
 def build_parser() -> _Parser:
@@ -293,7 +263,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        # every command returns its payload; the envelope is written here, once
+        envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
+        print(json.dumps({**envelope, **args.func(args)}, indent=2))
     except PairedCrtError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),

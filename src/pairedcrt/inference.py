@@ -70,7 +70,7 @@ _CENTRING_ROUNDING = 1e-8
 _ZERO_NUMERATOR_TOL = 1e-10
 
 #: Largest ``scale * sqrt(G)`` the kernel takes, its terms being below
-#: 225 G scale^2 (:meth:`SignSums.build`).
+#: 225 G scale^2 (:func:`_checked_scale`).
 _MAX_SCALE = math.sqrt(sys.float_info.max / 1024.0)
 
 _NORMAL = NormalDist()
@@ -116,6 +116,36 @@ def outcome_scale(n: np.ndarray, ybar: np.ndarray) -> float:
     w = n / n.mean()
     centred = float(np.abs(ybar - np.dot(n, ybar) / n.sum()).max())
     return float(w.max()) * max(centred, _CENTRING_ROUNDING * float(np.abs(ybar).max()))
+
+
+def _checked_scale(n: np.ndarray, ybar: np.ndarray, pair_count: int) -> float:
+    """:func:`outcome_scale` of the outcomes the kernel will see, checked
+    before any sum over them is formed.
+
+    Raises ``DataError`` when ``scale * sqrt(G)`` exceeds ``_MAX_SCALE``.
+    With W the largest weight and Y the largest centred |ybar| the kernel
+    sees, |c| <= 2 W Y, |D| <= W / 2, M <= W, and the arm means, S and delta
+    are at most 2 Y, so no term or partial sum of the statistics exceeds
+    25 G (W Y)^2. W Y is at most ``scale`` for the randomization test, which
+    measures the outcomes it passes, and 3 ``scale`` for ``infer``, which
+    passes its outcomes less the estimated effect, |delta_hat| being at most
+    twice their centred spread.
+
+    The scale is at least W ``_CENTRING_ROUNDING`` max |ybar|, which takes
+    no sum; where that bound is too large already, it is rejected and
+    reported before a size-weighted sum of the outcomes can overflow.
+    """
+    root = math.sqrt(pair_count)
+    scale = float(n.max() / n.mean()) * (_CENTRING_ROUNDING * float(np.abs(ybar).max()))
+    if scale * root <= _MAX_SCALE:
+        scale = outcome_scale(n, ybar)
+    if not scale * root <= _MAX_SCALE:
+        raise DataError(
+            f"outcomes at scale {scale:.3g} overflow the variance kernel, "
+            f"which takes at most {_MAX_SCALE / root:.3g} "
+            f"at {pair_count} pairs; rescale the outcomes"
+        )
+    return scale
 
 
 def first_member_treated(n: np.ndarray, d: np.ndarray, permutation: Sequence[int]) -> np.ndarray:
@@ -176,26 +206,11 @@ class SignSums:
         whether each pair's first member is treated in the observed
         assignment, with the clamp thresholds set by ``scale``.
         ``permutation`` must be in variance-ready pair order; its pairs
-        give G.
-
-        Raises ``DataError`` when ``scale * sqrt(G)`` exceeds
-        ``_MAX_SCALE``. With W the largest weight and Y the largest centred
-        |ybar| the kernel sees, |c| <= 2 W Y, |D| <= W / 2, M <= W, and the
-        arm means, S and delta are at most 2 Y, so no term or partial sum
-        of the statistics exceeds 25 G (W Y)^2. W Y is at most ``scale`` for
-        the randomization test, which measures the outcomes it passes, and
-        3 ``scale`` for ``infer``, which passes its outcomes less the
-        estimated effect, |delta_hat| being at most twice their centred
-        spread.
+        give G. The callers pass a scale that :func:`_checked_scale` took,
+        so no statistic overflows.
         """
         perm = np.asarray(permutation)
         pair_count = len(perm) // 2
-        if not scale * math.sqrt(pair_count) <= _MAX_SCALE:
-            raise DataError(
-                f"outcomes at scale {scale:.3g} overflow the variance kernel, "
-                f"which takes at most {_MAX_SCALE / math.sqrt(pair_count):.3g} "
-                f"at {pair_count} pairs; rescale the outcomes"
-            )
         w = n / n.mean()
         y = ybar - np.dot(n, ybar) / n.sum()
         wa, wb = w[perm[0::2]], w[perm[1::2]]
@@ -319,18 +334,22 @@ def infer(
     outcomes, and the kernel runs on the outcomes less the estimated
     effect, never less ``delta0``, so v2 does not depend on ``delta0`` at
     all. Raises ``ValueError`` unless 0 < ``alpha`` < 1 and ``delta0`` is
-    finite.
+    finite, and ``DataError`` for outcomes beyond :func:`_checked_scale`.
+    The design's pairs must be in variance order, as ``match_clusters`` and
+    ``order_pairs_for_variance`` leave them; that order is trusted, not
+    checked, and the same pairs in another order give another v2.
     """
     n, ybar, d, perm, first = _observed_inputs(dataset, design, alpha, delta0)
-    est = estimate_size_weighted(dataset)
     g = design.pair_count
+    scale = _checked_scale(n, ybar, g)
+    est = estimate_size_weighted(dataset)
     # The expanded sums round in proportion to their largest term, so the
     # kernel runs on outcomes with the estimated effect removed from the
     # treated arm, which leaves tau2 and lambda2 unchanged and keeps them
     # accurate when the effect dwarfs the within-arm spread. v2 clamps at
     # the scale of the outcomes as observed.
     without_effect = ybar - d * est.delta_hat
-    sums = SignSums.build(n, without_effect, perm, first, outcome_scale(n, ybar))
+    sums = SignSums.build(n, without_effect, perm, first, scale)
     _, tau2, lambda2 = (float(v[0]) for v in sums.statistics(np.ones((1, g))))
     v2, clamped = sums.v2(tau2, lambda2)
     if clamped:

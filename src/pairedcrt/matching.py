@@ -11,23 +11,25 @@ carries its mode, in memory and in its CSV.
 ``pair_sorted_scalar`` sorts clusters by x1 and pairs adjacent ones, which
 is optimal in one dimension. ``pair_greedy_nn`` z-scores the features and
 repeatedly pairs the lowest-id unmatched cluster with its nearest unmatched
-neighbor. ``match_clusters`` runs the mode's matcher and orders the pairs.
+neighbor. Both return their pairs unordered; ``match_clusters`` runs the
+mode's matcher and orders the pairs.
 
 ``order_pairs_for_variance`` rearranges the pairs so that consecutive pairs
 are close in the mode's z-scored features; the cross-pair products in the
 variance estimator assume this. With one feature the ordering is, unless
 rounding ties decide it, a sort of the pair midpoints. Otherwise it, like
-greedy pairing, is a nearest-neighbor walk. Each step of both walks asks for
-the untaken row nearest to the row taken last: the seed of a new pair, or
-the pair just visited. The scan starts from that row's links to its nearest
-untaken rows in a sort on the first feature, steps outward and stops once
-the first-feature gap alone exceeds the best distance found, which is exact
-(``_AxisScan``). From 8 features on, or once the scan has examined more
-rows than its budget allows (the first feature does not prune: few distinct
-values, or much of the spread in other features), one distance row per step
-answers instead (``_Unvisited``). On features close to one-dimensional a
-step examines a few rows; the worst case is one distance row per step,
-O(G^2 * k) time for G pairs with k features. Memory is O(G * k) throughout.
+greedy pairing, is a nearest-neighbor walk of two operations: ``take(i)``
+(a pair's seed, or the path's first pair) and ``take_nearest()``, the
+untaken row nearest to the row taken last. That scan starts from the row's
+links to its nearest untaken rows in a sort on the first feature, steps
+outward and stops once the first-feature gap alone exceeds the best
+distance found, which is exact (``_AxisScan``). From 8 features on, or once
+the scans exceed their one budget of rows (the first feature does not
+prune: few distinct values, or much of the spread in other features), one
+distance row per step answers instead (``_Unvisited``). On features close
+to one-dimensional a step examines a few rows; the worst case is one
+distance row per step, O(G^2 * k) time for G pairs with k features. Memory
+is O(G * k) throughout.
 ``imbalance_report`` computes the within-pair and cross-pair discrepancy
 sums that quantify how well a design approximates ideal matching; all of
 them should shrink toward zero as the sample grows. Pair ordering, the
@@ -48,9 +50,9 @@ from .errors import DataError
 
 MATCH_MODES = ("sorted_x", "nn_x", "nn_xn")
 
-# rows one axis scan examines before a masked distance row answers it, and
-# rows examined per query answered before the scan hands over to _Unvisited
-_SCAN_CAP = 32
+# rows the axis scans may examine beyond their budget, and rows examined per
+# query answered before the scan hands over to _Unvisited
+_SCAN_SLACK = 32
 _SCAN_BUDGET = 8
 
 
@@ -121,7 +123,8 @@ class ImbalanceReport:
 
 
 class _Unvisited:
-    """The rows of a point set not yet taken, for nearest-point queries.
+    """The rows of a point set not yet taken, with the two operations of the
+    nearest-neighbor walks: ``take(i)`` and ``take_nearest()``.
 
     Rows keep the caller's tie-break order, so ``argmin``'s first-index rule
     breaks distance ties by that order. ``take_nearest`` answers for the row
@@ -133,8 +136,8 @@ class _Unvisited:
     The walks query ``_AxisScan``, whose scan along the first feature stops
     exactly, at the first row whose first-feature gap alone exceeds the best
     distance. This class answers in its place from 8 features on and, for
-    the rest of a walk, once a scan has examined more than ``_SCAN_BUDGET``
-    rows per query.
+    the rest of a walk, once the scans have examined more than
+    ``_SCAN_BUDGET`` rows per query (after ``_SCAN_SLACK`` rows of slack).
     """
 
     def __init__(self, points: np.ndarray):
@@ -153,10 +156,6 @@ class _Unvisited:
     def take(self, i: int) -> int:
         """Take row ``i``."""
         return self._take_at(int(self._index.searchsorted(i)))
-
-    def take_first(self) -> int:
-        """Take the untaken row that comes first in tie-break order."""
-        return self._take_at(int(self._live.argmax()))
 
     def take_nearest(self) -> int:
         """Take the untaken row nearest to the row taken last; ties go to the
@@ -177,8 +176,9 @@ class _Unvisited:
 
 
 class _AxisScan:
-    """``_Unvisited``'s interface, answered by a scan along the first feature
-    (Friedman, Baskett & Shustek, IEEE Trans. Computers, 1975).
+    """``_Unvisited``'s two operations, ``take(i)`` and ``take_nearest()``,
+    answered by a scan along the first feature (Friedman, Baskett & Shustek,
+    IEEE Trans. Computers, 1975).
 
     Rows sit in a sort on the first feature; the untaken ones form a doubly
     linked list over that order. ``take_nearest`` answers for the row taken
@@ -196,11 +196,11 @@ class _AxisScan:
 
     The scan's work is bounded by what it observes. From 8 features on,
     where numpy sums pairwise, not left to right, ``_Unvisited`` answers
-    from the start. A query that examines ``_SCAN_CAP`` rows is answered by
-    one masked distance row. Once the rows examined exceed ``_SCAN_BUDGET``
-    per query answered (after one cap of slack), the untaken rows go to
-    ``_Unvisited`` for the rest of the walk; where the first feature does
-    not prune, that happens by the second query.
+    from the start. Otherwise a scan runs until it stops exactly, and once
+    the rows examined exceed ``_SCAN_BUDGET`` per query answered (after
+    ``_SCAN_SLACK`` rows of slack), the untaken rows go to ``_Unvisited``
+    for the rest of the walk; where the first feature does not prune, that
+    happens after the first query.
     """
 
     def __init__(self, points: np.ndarray):
@@ -221,21 +221,11 @@ class _AxisScan:
         self._pos = pos.tolist()
         self._next = [*range(1, n + 2), n + 1]
         self._prev = [0, *range(n + 1)]
-        self._untaken = [True] * (n + 2)
-        self._first = 0  # no row before this one is untaken
-        self._credit = _SCAN_CAP  # rows left to examine beyond the budget
+        self._credit = _SCAN_SLACK  # rows left to examine beyond the budget
 
     def take(self, i: int) -> int:
         """Take row ``i``."""
         return self._unlink(self._pos[i])
-
-    def take_first(self) -> int:
-        """Take the untaken row that comes first in tie-break order."""
-        i, pos, untaken = self._first, self._pos, self._untaken
-        while not untaken[pos[i]]:
-            i += 1
-        self._first = i
-        return self._unlink(pos[i])
 
     def take_nearest(self) -> int:
         """Take the untaken row nearest to the row taken last; ties go to the
@@ -243,8 +233,7 @@ class _AxisScan:
         x, rest, row, nxt, prv = self._x, self._rest, self._row, self._next, self._prev
         # the row taken last keeps its links, to its nearest untaken rows on
         # either side, and its coordinates, which are the query's
-        last = self._taken[-1]
-        p0 = self._pos[last]
+        p0 = self._pos[self._taken[-1]]
         q0, l, r = x[p0], prv[p0], nxt[p0]
         dl, dr = x[l] - q0, x[r] - q0
         sl, sr = dl * dl, dr * dr
@@ -274,9 +263,6 @@ class _AxisScan:
             if dist < best or (dist == best and row[p] < row[best_pos]):
                 best, best_pos = dist, p
             examined += 1
-            if examined >= _SCAN_CAP:
-                best_pos = self._pos[self._masked_nearest(self._points[last])]
-                break
         i = self._unlink(best_pos)
         self._credit += _SCAN_BUDGET - examined
         if self._credit < 0:
@@ -287,15 +273,9 @@ class _AxisScan:
         nxt, prv = self._next, self._prev
         a, b = prv[p], nxt[p]
         nxt[a], prv[b] = b, a
-        self._untaken[p] = False
         i = self._row[p]
         self._taken.append(i)
         return i
-
-    def _masked_nearest(self, point: np.ndarray) -> int:
-        dist = _distance_row(self._points, point)
-        dist[self._taken] = np.inf
-        return int(dist.argmin())
 
     def _hand_over(self) -> None:
         rows = _Unvisited(self._points)
@@ -303,8 +283,7 @@ class _AxisScan:
             rows.take(i)
         # from here on _Unvisited answers every call; the scan's lists go
         vars(self).clear()
-        self.take, self.take_first = rows.take, rows.take_first
-        self.take_nearest = rows.take_nearest
+        self.take, self.take_nearest = rows.take, rows.take_nearest
 
 
 def _distance_row(points: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -362,16 +341,23 @@ def pair_greedy_nn(dataset: Dataset, mode: str = "nn_x") -> MatchedDesign:
 
     Repeatedly takes the unmatched cluster with the smallest cluster_id and
     pairs it with its nearest unmatched neighbor in Euclidean distance
-    (ties again broken by cluster_id).
+    (ties again broken by cluster_id). The pairs come in the order they were
+    formed, not in variance order; :func:`match_clusters` orders them.
     """
     if mode not in ("nn_x", "nn_xn"):
         raise ValueError(f"greedy matching runs in mode 'nn_x' or 'nn_xn', not {mode!r}")
     z = zscore(_features(dataset, mode))
     unmatched = _AxisScan(z)
+    matched = bytearray(len(z))
     perm: list[int] = []
+    seed = 0  # no cluster before this one is unmatched
     for _ in range(dataset.n_pairs):
-        seed = unmatched.take_first()
-        perm.extend((seed, unmatched.take_nearest()))
+        while matched[seed]:
+            seed += 1
+        unmatched.take(seed)
+        mate = unmatched.take_nearest()
+        matched[seed] = matched[mate] = 1
+        perm.extend((seed, mate))
     return MatchedDesign(tuple(perm), mode)
 
 

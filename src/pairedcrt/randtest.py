@@ -45,9 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assignment import _philox
 from .core import Dataset, _json_record
 from .errors import BadB, TooManyPairsForExact
-from .inference import SignSums, _observed_inputs, outcome_scale
+from .inference import SignSums, _checked_scale, _observed_inputs
 from .matching import MatchedDesign
 
 #: Exact enumeration is capped at 2^24 group elements.
@@ -102,8 +103,9 @@ def randomization_test(
     Exact mode counts all 2^G swap patterns and needs G <= ``MAX_EXACT_PAIRS``.
     Stochastic mode evaluates the identity plus ``draws - 1`` uniform swap
     patterns drawn from a Philox stream keyed by ``seed``; ``draws`` must be
-    at least 19. Raises ``ValueError`` unless 0 < ``alpha`` < 1 and
-    ``delta0`` is finite.
+    at least 19 and ``seed`` an integer in [0, 2**64). Raises ``ValueError``
+    unless 0 < ``alpha`` < 1 and ``delta0`` is finite. As for ``infer``, the
+    design's pairs must be in variance order, which is trusted, not checked.
     """
     n, ybar, d_float, perm, first = _observed_inputs(dataset, design, alpha, delta0)
     g = design.pair_count
@@ -125,7 +127,7 @@ def randomization_test(
             raise BadB(f"stochastic mode needs draws >= {MIN_DRAWS}, got {draws}")
         if seed is None:
             raise BadB("stochastic mode needs a seed")
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        rng = _philox(seed)
         patterns = draws
         weight = 1
 
@@ -135,8 +137,9 @@ def randomization_test(
     else:
         raise ValueError(f"mode must be 'exact' or 'stochastic', got {mode!r}")
 
-    shifted = ybar - d_float * delta0
-    sums = SignSums.build(n, shifted, perm, first, outcome_scale(n, shifted))
+    with np.errstate(over="ignore"):  # an infinite shift fails the scale check
+        shifted = ybar - d_float * delta0
+    sums = SignSums.build(n, shifted, perm, first, _checked_scale(n, shifted, g))
     t_obs = float(sums.studentized(np.ones((1, g)))[0])
     threshold = t_obs - _COMPARE_TOL
     count = weight  # pattern 0: the identity (and its complement) matches itself

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .assignment import assign_within_pairs
+from .assignment import _philox, assign_within_pairs
 from .core import Dataset, _json_record, build_dataset
 from .errors import DataError
 from .inference import infer
@@ -450,6 +450,7 @@ class SimConfig:
             raise ValueError("rand_draws applies only to rand_mode 'stochastic'")
         if self.rand_draws is not None and self.rand_draws < MIN_DRAWS:
             raise ValueError(f"rand_draws must be at least {MIN_DRAWS}, got {self.rand_draws}")
+        _philox(self.seed)  # the seed rule of assignments and randomization tests
 
 
 @dataclass(frozen=True)

@@ -47,3 +47,13 @@ class TestAssignWithinPairs:
         lag = first[:, 1:].ravel()
         rho = np.corrcoef(lead, lag)[0, 1]
         assert abs(rho) < 0.02
+
+    def test_seed_rule(self):
+        # a Philox key: a Python or numpy integer in [0, 2**64), nothing else
+        design = identity_design(10)
+        for seed in (7.9, -1, 2**64, "7", None):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                assign_within_pairs(design, seed)
+        top = assign_within_pairs(design, 2**64 - 1)
+        assert np.array_equal(top, assign_within_pairs(design, np.uint64(2**64 - 1)))
+        assert np.array_equal(assign_within_pairs(design, np.int32(7)), assign_within_pairs(design, 7))

@@ -173,6 +173,24 @@ class TestAnalyze:
                 assert payload["error"] == "DataError"
                 assert "rescale the outcomes" in payload["message"]
 
+    @pytest.mark.parametrize("command", ["analyze", "randtest"])
+    def test_outcomes_near_float_range_give_one_json_error(self, tmp_path, command):
+        # without the suite's warning filter: stderr holds the error alone
+        ds, design, _ = generate_trial(preset("size_heterogeneous"), 20, "nn_xn", seed=3)
+        scaled = with_outcomes(ds, lambda y, _: y * 1e305)
+        units, clusters, design_path = write_analysis_fixture(tmp_path, scaled, design)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairedcrt.cli", command,
+             "--units", units, "--clusters", clusters, "--design", design_path],
+            capture_output=True, text=True, env=package_env(),
+        )  # fmt: skip
+        assert (proc.returncode, proc.stdout) == (2, "")
+        payload = strict_json(proc.stderr)
+        assert payload["error"] == "DataError"
+        assert payload["message"].startswith("outcomes at scale ")
+        assert "scale inf" not in payload["message"]
+        assert payload["message"].endswith(" at 20 pairs; rescale the outcomes")
+
     def test_alpha_out_of_range_is_usage_error(self, tmp_path, capsys):
         units, clusters, design = unit_fixture(tmp_path)
         with pytest.raises(SystemExit) as excinfo:

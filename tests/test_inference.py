@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -398,6 +399,24 @@ class TestKernelOverflow:
                 for run in (infer, randomization_test):
                     with pytest.raises(DataError, match="rescale the outcomes"):
                         run(scaled, design)
+
+    def test_outcomes_near_float_range(self):
+        # the bound is checked before any sum of the outcomes is formed: the
+        # scale reported is W times _CENTRING_ROUNDING of the largest |ybar|,
+        # finite, and no RuntimeWarning (an error in this suite) comes first
+        ds, design, _ = generate_trial(preset("size_heterogeneous"), 20, "nn_xn", seed=3)
+        scaled = with_outcomes(ds, lambda y, _: y * 1e305)
+        runs = ((infer, 0.0), (randomization_test, 0.0), (randomization_test, -sys.float_info.max))
+        scales = []
+        for run, delta0 in runs:
+            with pytest.raises(DataError) as excinfo:
+                run(scaled, design, delta0=delta0)
+            message = str(excinfo.value)
+            assert message.startswith("outcomes at scale ")
+            assert message.endswith(" at 20 pairs; rescale the outcomes")
+            scales.append(float(message.split()[3]))
+        # less delta0 = -float_max, a treated outcome overflows to inf
+        assert scales[0] == scales[1] < math.inf == scales[2]
 
     def test_shifted_null_beyond_the_bound(self):
         # the randomization test measures the outcomes less delta0

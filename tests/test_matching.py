@@ -188,8 +188,8 @@ def tied_items(draw):
 def wide_items(draw):
     """Up to 300 clusters in 1 to 9 features, continuous, rounded to one
     decimal or on an integer grid, with the first feature as drawn,
-    constant or on three values: enough rows for the axis scan to reach its
-    cap and hand over to the distance rows."""
+    constant or on three values: enough rows for the axis scan to spend its
+    budget and hand over to the distance rows."""
     values = draw(st.sampled_from(["normal", "rounded", "grid"]))
     first = draw(st.sampled_from(["as drawn", "constant", "three values"]))
     # n and k from the seed: hypothesis would favour the smallest
@@ -209,6 +209,24 @@ def wide_items(draw):
     sizes = rng.choice([1, 2, 3, 10, 50], n).tolist()
     ids = [f"c{i:03d}" for i in rng.permutation(n)]
     return items_from(x, sizes=sizes, ids=ids)
+
+
+def greedy_walk_on_both(scan, rows, n):
+    """Greedy pairing of ``n`` rows on an axis scan and on distance rows,
+    step by step: each takes the lowest untaken row with ``take``, then its
+    nearest, and both must agree. Returns whether the scan had handed over
+    to the distance rows after each pair."""
+    taken = bytearray(n)
+    seed, handed_over = 0, []
+    for _ in range(n // 2):
+        while taken[seed]:
+            seed += 1
+        assert scan.take(seed) == rows.take(seed) == seed
+        mate = scan.take_nearest()
+        assert mate == rows.take_nearest()
+        taken[seed] = taken[mate] = 1
+        handed_over.append(isinstance(scan.take_nearest.__self__, _Unvisited))
+    return handed_over
 
 
 class TestAgainstTensorReference:
@@ -271,28 +289,19 @@ class TestAgainstTensorReference:
             n, k = 2 * int(rng.integers(5, 60)), int(rng.integers(2, 8))
             points = rng.integers(0, 4, (n, k)) / 10
             points[:, 0] = rng.permutation(n) / 10
-            scan, rows = _AxisScan(points), _Unvisited(points)
-            for _ in range(n // 2):
-                seed_row = scan.take_first()
-                assert seed_row == rows.take_first()
-                assert scan.take_nearest() == rows.take_nearest()
+            greedy_walk_on_both(_AxisScan(points), _Unvisited(points), n)
 
     def test_scan_hands_over_mid_walk(self):
         # 200 clusters on a line cost the scan a row or two per query; the 200
-        # after them share x1, so each of their queries examines the scan's
-        # cap of rows, and the untaken rows go to the distance rows
+        # after them share x1, so each of their queries examines every
+        # untaken row of the block, and once the budget is spent the untaken
+        # rows go to the distance rows
         rng = np.random.default_rng(11)
         line = np.column_stack((np.arange(200.0), np.zeros(200)))
         block = np.column_stack((np.full(200, 300.0), rng.normal(0.0, 1.0, 200)))
         items = items_from(np.vstack((line, block)))
         z = zscore(items.X)
-        scan, rows = _AxisScan(z), _Unvisited(z)
-        handed_over = []
-        for _ in range(items.n_pairs):
-            seed = scan.take_first()
-            assert seed == rows.take_first()
-            assert scan.take_nearest() == rows.take_nearest()
-            handed_over.append(isinstance(scan.take_nearest.__self__, _Unvisited))
+        handed_over = greedy_walk_on_both(_AxisScan(z), _Unvisited(z), items.n_clusters)
         assert 100 < handed_over.index(True) < 150
         design = pair_greedy_nn(items)
         assert design.permutation == matching_reference(items, "nn_x").permutation
@@ -302,17 +311,12 @@ class TestAgainstTensorReference:
         )
 
     def test_scan_hands_over_at_the_start(self):
-        # x1 is constant, so it prunes nothing: the first queries each examine
-        # the scan's cap of rows, and the budget hands over within two of them
+        # x1 is constant, so it prunes nothing: the first query examines every
+        # untaken row, and the budget hands over after it
         rng = np.random.default_rng(12)
         items = items_from(np.column_stack((np.zeros(200), rng.normal(0.0, 1.0, 200))))
         z = zscore(items.X)
-        scan, rows = _AxisScan(z), _Unvisited(z)
-        handed_over = []
-        for _ in range(items.n_pairs):
-            assert scan.take_first() == rows.take_first()
-            assert scan.take_nearest() == rows.take_nearest()
-            handed_over.append(isinstance(scan.take_nearest.__self__, _Unvisited))
+        handed_over = greedy_walk_on_both(_AxisScan(z), _Unvisited(z), items.n_clusters)
         assert handed_over[1:] == [True] * (items.n_pairs - 1)
 
 

@@ -318,6 +318,15 @@ class TestStochastic:
             randomization_test(ds, identity_design(3), mode="stochastic", draws=10, seed=1)
         with pytest.raises(BadB):
             randomization_test(ds, identity_design(3), mode="stochastic", draws=100)
+        # the seed rule of assign_within_pairs
+        for seed in (5.5, -1, 2**64):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                randomization_test(ds, identity_design(3), mode="stochastic", draws=19, seed=seed)
+        top = [
+            randomization_test(ds, identity_design(3), mode="stochastic", draws=199, seed=seed)
+            for seed in (2**64 - 1, np.uint64(2**64 - 1))
+        ]
+        assert top[0].p_value == top[1].p_value
 
     def test_unknown_mode_rejected(self, rng):
         ds = random_dataset(rng, pairs=3)

@@ -434,6 +434,11 @@ class TestMonteCarlo:
                 self.small_config(rand_mode=rand_mode, rand_draws=100)
         with pytest.raises(ValueError, match="rand_draws must be at least 19, got 18"):
             self.small_config(rand_mode="stochastic", rand_draws=18)
+        # the seed rule of assignments and randomization tests
+        for seed in (7.9, -1, 2**64):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                self.small_config(seed=seed)
+        assert self.small_config(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 class TestMatchingQuality:

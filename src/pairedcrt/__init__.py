@@ -1,10 +1,11 @@
 """Design and analysis of cluster randomized trials with matched pairs.
 
 The package covers the full workflow: pairing clusters on baseline
-features, randomizing treatment within pairs, estimating size-weighted and
-equal-weighted average effects, a pair-aware variance estimator with
-normal-approximation inference, a randomization test over within-pair
-swaps, and a simulation harness with a closed-form variance oracle.
+features, randomizing treatment within pairs, estimating the size-weighted
+average effect (only ``analyze`` prints the equal-weighted one, without a
+standard error), a pair-aware variance estimator with normal-approximation
+inference, a randomization test over within-pair swaps, and a simulation
+harness with a closed-form variance oracle.
 """
 
 from .assignment import assign_within_pairs
@@ -17,7 +18,6 @@ from .core import (
     write_dataset,
 )
 from .errors import (
-    BadB,
     DataError,
     DuplicateUnit,
     EmptyArm,
@@ -29,7 +29,6 @@ from .errors import (
     PairedCrtError,
     RaggedCovariates,
     SampleExceedsSize,
-    TooFewPairs,
     TooManyPairsForExact,
     UnknownCluster,
 )
@@ -66,7 +65,6 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadB",
     "CovariateLaw",
     "DataError",
     "Dataset",
@@ -93,7 +91,6 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "SizeLaw",
-    "TooFewPairs",
     "TooManyPairsForExact",
     "UnknownCluster",
     "assign_within_pairs",

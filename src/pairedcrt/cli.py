@@ -152,6 +152,8 @@ def cmd_randtest(args) -> dict:
             args.subparser.error("--draws is required in stochastic mode")
         if args.seed is None:
             args.subparser.error("--seed is required in stochastic mode")
+    elif args.draws is not None:
+        args.subparser.error("--draws applies only with --mode stochastic")
     dataset, design = _load_for_analysis(args)
     result = randomization_test(
         dataset,

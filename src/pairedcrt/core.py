@@ -641,3 +641,11 @@ def _json_value(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return list(value) if isinstance(value, tuple) else value
+
+
+def _check_count(value, name: str, minimum: int) -> None:
+    """Raises ``ValueError`` unless argument ``name`` is an integer >= ``minimum``."""
+    whole = isinstance(value, (int, np.integer))
+    if not (whole and value >= minimum):
+        need = f"at least {minimum}" if whole else f"an integer of at least {minimum}"
+        raise ValueError(f"{name} must be {need}, got {value!r}")

@@ -1,4 +1,6 @@
-"""Exception hierarchy for data validation and analysis failures."""
+"""Exceptions for invalid data: a ``PairedCrtError`` says the data (or their
+size, for exact enumeration) are at fault, and the command line exits 2 on
+it. An argument mistake, such as an unknown mode, raises ``ValueError``."""
 
 from __future__ import annotations
 
@@ -51,13 +53,5 @@ class EmptyArm(PairedCrtError):
     """All clusters fall in a single treatment arm."""
 
 
-class TooFewPairs(PairedCrtError):
-    """Fewer than 2 pairs: the cross-pair variance correction is undefined."""
-
-
 class TooManyPairsForExact(PairedCrtError):
     """Exact enumeration requested but 2^G exceeds the configured cap."""
-
-
-class BadB(PairedCrtError):
-    """Stochastic randomization test called with too few draws."""

@@ -51,9 +51,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import Dataset, _json_record
-from .errors import DataError, TooFewPairs
+from .errors import DataError
 from .estimation import PointEstimate, estimate_size_weighted, kernel_inputs
-from .matching import MatchedDesign
+from .matching import MatchedDesign, _check_covers
 
 #: v2 at or below this fraction of ``outcome_scale(n, ybar) ** 2`` is
 #: rounding, not variance, and clamps (degenerate data).
@@ -153,14 +153,11 @@ def first_member_treated(n: np.ndarray, d: np.ndarray, permutation: Sequence[int
     of shape (..., 2G), G being half the length of ``permutation``.
 
     Raises ``DataError`` when the design does not cover the data or a pair
-    does not have exactly one treated member, and ``TooFewPairs`` below two
-    pairs.
+    does not have exactly one treated member. A design that covers a
+    ``Dataset`` has at least two pairs, as the cross-pair correction needs.
     """
     perm = np.asarray(permutation)
-    if len(perm) != len(n):
-        raise DataError(f"the design covers {len(perm)} clusters but the data has {len(n)}")
-    if len(perm) // 2 < 2:
-        raise TooFewPairs("the cross-pair correction needs at least 2 pairs")
+    _check_covers(perm, len(n))
     d = np.asarray(d)
     first = np.take(d, perm[0::2], axis=-1) == 1
     if np.any(first == (np.take(d, perm[1::2], axis=-1) == 1)):
@@ -302,19 +299,25 @@ class SignSums:
         return t
 
 
+def _check_test_arguments(alpha, delta0, delta0_name: str = "delta0") -> None:
+    """Raises ``ValueError`` unless 0 < ``alpha`` < 1 and ``delta0``, the
+    argument ``delta0_name``, is finite."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+    if not math.isfinite(delta0):
+        raise ValueError(f"{delta0_name} must be a finite number, got {delta0!r}")
+
+
 def _observed_inputs(dataset: Dataset, design: MatchedDesign, alpha: float, delta0: float):
     """(N, ybar, D, the design's permutation as an array, first-member-treated
     mask) of the observed assignment, the entry of ``infer`` and of the
     randomization test.
 
-    Raises ``ValueError`` unless 0 < ``alpha`` < 1 and ``delta0`` is finite,
-    and what :func:`~pairedcrt.estimation.kernel_inputs` and
+    Raises what :func:`_check_test_arguments`,
+    :func:`~pairedcrt.estimation.kernel_inputs` and
     :func:`first_member_treated` raise.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
-    if not math.isfinite(delta0):
-        raise ValueError(f"delta0 must be a finite number, got {delta0!r}")
+    _check_test_arguments(alpha, delta0)
     n, ybar, d = kernel_inputs(dataset)
     perm = np.asarray(design.permutation)
     first = first_member_treated(n, dataset.treatment, perm)

@@ -361,10 +361,15 @@ def pair_greedy_nn(dataset: Dataset, mode: str = "nn_x") -> MatchedDesign:
     return MatchedDesign(tuple(perm), mode)
 
 
-def match_clusters(dataset: Dataset, match_mode: str) -> MatchedDesign:
-    """Pair clusters in the given match mode and order the pairs for variance."""
+def _check_match_mode(match_mode) -> None:
+    """Raises ``ValueError`` unless ``match_mode`` is one of ``MATCH_MODES``."""
     if match_mode not in MATCH_MODES:
         raise ValueError(f"unknown match mode {match_mode!r}; choose from {MATCH_MODES}")
+
+
+def match_clusters(dataset: Dataset, match_mode: str) -> MatchedDesign:
+    """Pair clusters in the given match mode and order the pairs for variance."""
+    _check_match_mode(match_mode)
     if match_mode == "sorted_x":
         design = pair_sorted_scalar(dataset)
     else:
@@ -372,12 +377,11 @@ def match_clusters(dataset: Dataset, match_mode: str) -> MatchedDesign:
     return order_pairs_for_variance(design, dataset)
 
 
-def _check_covers(design: MatchedDesign, dataset: Dataset) -> None:
-    """Raise ``DataError`` unless the design pairs every cluster of ``dataset``."""
-    if len(design.permutation) != dataset.n_clusters:
+def _check_covers(permutation, cluster_count: int) -> None:
+    """Raise ``DataError`` unless ``permutation`` pairs all ``cluster_count`` clusters."""
+    if len(permutation) != cluster_count:
         raise DataError(
-            f"the design covers {len(design.permutation)} clusters "
-            f"but the data has {dataset.n_clusters}"
+            f"the design covers {len(permutation)} clusters but the data has {cluster_count}"
         )
 
 
@@ -391,7 +395,7 @@ def order_pairs_for_variance(design: MatchedDesign, dataset: Dataset) -> Matched
     member cluster_id. Member order within each pair is preserved. A
     design that does not cover ``dataset`` raises ``DataError``.
     """
-    _check_covers(design, dataset)
+    _check_covers(design.permutation, dataset.n_clusters)
     z = zscore(_features(dataset, design.mode))
     perm = np.asarray(design.permutation)
     # rows are in cluster_id order, so a pair's smallest id is its smallest row
@@ -435,7 +439,7 @@ def _sorted_path(mid: np.ndarray) -> np.ndarray | None:
 def imbalance_report(design: MatchedDesign, dataset: Dataset) -> ImbalanceReport:
     """Compute all within-pair and cross-pair discrepancy sums for a design
     that covers ``dataset``; one that does not raises ``DataError``."""
-    _check_covers(design, dataset)
+    _check_covers(design.permutation, dataset.n_clusters)
     perm = np.asarray(design.permutation)
     g = design.pair_count
     w = _features(dataset, design.mode)
@@ -483,7 +487,7 @@ def imbalance_report(design: MatchedDesign, dataset: Dataset) -> ImbalanceReport
 def write_design(design: MatchedDesign, dataset: Dataset, path) -> None:
     """Serialize a design as CSV rows ``pair_index,position,cluster_id,mode``;
     a design that does not cover ``dataset`` raises ``DataError``."""
-    _check_covers(design, dataset)
+    _check_covers(design.permutation, dataset.n_clusters)
     ids = dataset.cluster_ids
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

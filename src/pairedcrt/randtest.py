@@ -46,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import _philox
-from .core import Dataset, _json_record
-from .errors import BadB, TooManyPairsForExact
+from .core import Dataset, _check_count, _json_record
+from .errors import TooManyPairsForExact
 from .inference import SignSums, _checked_scale, _observed_inputs
 from .matching import MatchedDesign
 
@@ -89,6 +89,18 @@ def _signs(bits: np.ndarray) -> np.ndarray:
     return signs
 
 
+def _check_mode_and_draws(mode, draws, prefix: str = "") -> None:
+    """Raises ``ValueError`` unless ``mode`` is "exact" or "stochastic" and
+    ``draws`` is an integer >= ``MIN_DRAWS`` exactly when it is stochastic."""
+    if mode not in ("exact", "stochastic"):
+        raise ValueError(f"{prefix}mode must be 'exact' or 'stochastic', got {mode!r}")
+    if (draws is None) == (mode == "stochastic"):
+        problem = "is required with" if draws is None else "applies only to"
+        raise ValueError(f"{prefix}draws {problem} {prefix}mode 'stochastic'")
+    if draws is not None:
+        _check_count(draws, f"{prefix}draws", MIN_DRAWS)
+
+
 def randomization_test(
     dataset: Dataset,
     design: MatchedDesign,
@@ -100,13 +112,16 @@ def randomization_test(
 ) -> RandTestResult:
     """Exact or sampled randomization p-value for the hypothesis effect = delta0.
 
-    Exact mode counts all 2^G swap patterns and needs G <= ``MAX_EXACT_PAIRS``.
-    Stochastic mode evaluates the identity plus ``draws - 1`` uniform swap
-    patterns drawn from a Philox stream keyed by ``seed``; ``draws`` must be
-    at least 19 and ``seed`` an integer in [0, 2**64). Raises ``ValueError``
-    unless 0 < ``alpha`` < 1 and ``delta0`` is finite. As for ``infer``, the
+    Exact mode counts all 2^G swap patterns and needs G <= ``MAX_EXACT_PAIRS``;
+    it takes no ``draws`` and ignores ``seed``. Stochastic mode evaluates the
+    identity plus ``draws - 1`` uniform swap patterns drawn from a Philox
+    stream keyed by ``seed``, an integer in [0, 2**64); ``draws`` is an
+    integer of at least ``MIN_DRAWS``. Any other mode, draws or seed raises
+    ``ValueError``, as do an ``alpha`` outside (0, 1) and a non-finite
+    ``delta0``. As for ``infer``, the
     design's pairs must be in variance order, which is trusted, not checked.
     """
+    _check_mode_and_draws(mode, draws)
     n, ybar, d_float, perm, first = _observed_inputs(dataset, design, alpha, delta0)
     g = design.pair_count
     if mode == "exact":
@@ -122,20 +137,13 @@ def randomization_test(
             return np.unpackbits(index_bytes.reshape(m, 8), axis=1, count=g, bitorder="little")
 
         seed = None  # enumeration draws nothing
-    elif mode == "stochastic":
-        if draws is None or draws < MIN_DRAWS:
-            raise BadB(f"stochastic mode needs draws >= {MIN_DRAWS}, got {draws}")
-        if seed is None:
-            raise BadB("stochastic mode needs a seed")
+    else:
         rng = _philox(seed)
-        patterns = draws
+        seed, patterns = int(seed), int(draws)  # numpy integers are not JSON
         weight = 1
 
         def swap_bits(start: int, m: int) -> np.ndarray:
             return rng.integers(0, 2, size=(m, g), dtype=np.int64)
-
-    else:
-        raise ValueError(f"mode must be 'exact' or 'stochastic', got {mode!r}")
 
     with np.errstate(over="ignore"):  # an infinite shift fails the scale check
         shifted = ybar - d_float * delta0

@@ -25,17 +25,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .assignment import _philox, assign_within_pairs
-from .core import Dataset, _json_record, build_dataset
+from .core import Dataset, _check_count, _json_record, build_dataset
 from .errors import DataError
-from .inference import infer
+from .inference import _check_test_arguments, infer
 # MATCH_MODES and match_clusters live in matching and are re-exported here
-from .matching import MATCH_MODES, MatchedDesign, match_clusters
-from .randtest import MIN_DRAWS, randomization_test
+from .matching import MATCH_MODES, MatchedDesign, _check_match_mode, match_clusters
+from .randtest import _check_mode_and_draws, randomization_test
 
 
 @dataclass(frozen=True)
@@ -264,35 +264,8 @@ def preset(name: str) -> DgpSpec:
     cluster size, which rewards matching on size; ``stress`` combines
     rare large clusters with subsampling and loud unit noise.
     """
-    base_cov = CovariateLaw("uniform", (0.0, 1.0))
-    base_sizes = SizeLaw("two_point", (10, 50, 0.5))
-    if name == "null":
-        return DgpSpec(
-            covariates=base_cov,
-            sizes=base_sizes,
-            sampling=SamplingRule("full"),
-            outcomes=LinearOutcomeModel(
-                alpha0=1.0, alpha1=1.0, beta0=2.0, beta1=2.0, theta0=0.02, theta1=0.02
-            ),
-        )
-    if name == "constant_effect":
-        return DgpSpec(
-            covariates=base_cov,
-            sizes=base_sizes,
-            sampling=SamplingRule("full"),
-            outcomes=LinearOutcomeModel(
-                alpha0=1.0, alpha1=2.0, beta0=2.0, beta1=2.0, theta0=0.02, theta1=0.02
-            ),
-        )
-    if name == "size_heterogeneous":
-        return DgpSpec(
-            covariates=base_cov,
-            sizes=base_sizes,
-            sampling=SamplingRule("full"),
-            outcomes=LinearOutcomeModel(
-                alpha0=1.0, alpha1=1.5, beta0=2.0, beta1=2.0, theta0=0.0, theta1=0.04
-            ),
-        )
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     if name == "stress":
         return DgpSpec(
             covariates=CovariateLaw("normal", (0.0, 1.0)),
@@ -309,11 +282,27 @@ def preset(name: str) -> DgpSpec:
                 sigma_unit=2.0,
             ),
         )
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    # the other three share X ~ U(0, 1), N in {10, 50} and full sampling
+    alpha1, theta0, theta1 = {
+        "null": (1.0, 0.02, 0.02),
+        "constant_effect": (2.0, 0.02, 0.02),
+        "size_heterogeneous": (1.5, 0.0, 0.04),
+    }[name]
+    return DgpSpec(
+        covariates=CovariateLaw("uniform", (0.0, 1.0)),
+        sizes=SizeLaw("two_point", (10, 50, 0.5)),
+        sampling=SamplingRule("full"),
+        outcomes=LinearOutcomeModel(
+            alpha0=1.0, alpha1=alpha1, beta0=2.0, beta1=2.0, theta0=theta0, theta1=theta1
+        ),
+    )
 
 
 #: Most sampled units one trial may hold; each costs a few float columns.
 MAX_SAMPLED_UNITS = 10**7
+
+#: The pair-count rule of :func:`generate_trial` and ``SimConfig``.
+_check_pair_count = partial(_check_count, name="pair_count", minimum=2)
 
 
 @lru_cache(maxsize=1)
@@ -331,10 +320,12 @@ def generate_trial(
     Cluster covariates, sizes, noise and the assignment each use their own
     Philox stream spawned from ``seed``. Cluster and unit noise are drawn
     before assignment, so a rerun with a different assignment seed would
-    reuse the same potential outcomes. Raises ``DataError`` when the drawn
-    sizes would sample more than ``MAX_SAMPLED_UNITS`` units, before any
-    outcome is drawn.
+    reuse the same potential outcomes. Raises ``ValueError`` unless
+    ``pair_count`` is an integer of at least 2, and ``DataError`` when the
+    drawn sizes would sample more than ``MAX_SAMPLED_UNITS`` units, before
+    any outcome is drawn.
     """
+    _check_pair_count(pair_count)
     m = 2 * pair_count
     streams = np.random.SeedSequence(seed).spawn(5)
     rng_x, rng_n, rng_gamma, rng_eps = (
@@ -393,8 +384,7 @@ def oracle_variance(dgp: DgpSpec, match_mode: str = "nn_x") -> float:
     conditional term average out and it is (beta_1 + beta_0) (X - E[X]). The
     moments of N are sums over the finite support of the size law.
     """
-    if match_mode not in MATCH_MODES:
-        raise ValueError(f"unknown match mode {match_mode!r}; choose from {MATCH_MODES}")
+    _check_match_mode(match_mode)
     values, probs = dgp.sizes.support()
     n = values.astype(float)
     en = float(probs @ n)
@@ -421,7 +411,8 @@ def oracle_variance(dgp: DgpSpec, match_mode: str = "nn_x") -> float:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo study settings; see :func:`monte_carlo`."""
+    """Monte Carlo study settings (see :func:`monte_carlo`), checked at
+    construction by the argument rules of the functions a study calls."""
 
     dgp: DgpSpec
     pair_count: int
@@ -434,23 +425,14 @@ class SimConfig:
     rand_draws: int | None = None  # stochastic mode only
 
     def __post_init__(self):
-        if self.pair_count < 2:
-            raise ValueError("pair_count must be at least 2")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if self.match_mode not in MATCH_MODES:
-            raise ValueError(f"unknown match mode {self.match_mode!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.rand_mode not in (None, "exact", "stochastic"):
-            raise ValueError(f"unknown rand_mode {self.rand_mode!r}")
-        if self.rand_mode == "stochastic" and self.rand_draws is None:
-            raise ValueError("stochastic randomization tests need rand_draws")
-        if self.rand_mode != "stochastic" and self.rand_draws is not None:
-            raise ValueError("rand_draws applies only to rand_mode 'stochastic'")
-        if self.rand_draws is not None and self.rand_draws < MIN_DRAWS:
-            raise ValueError(f"rand_draws must be at least {MIN_DRAWS}, got {self.rand_draws}")
-        _philox(self.seed)  # the seed rule of assignments and randomization tests
+        _check_pair_count(self.pair_count)
+        _check_count(self.replications, "replications", 1)
+        _check_match_mode(self.match_mode)
+        _check_test_arguments(self.alpha, self.null_delta, "null_delta")
+        # a study without a test (rand_mode None) takes no draws, as exact mode
+        rand_mode = "exact" if self.rand_mode is None else self.rand_mode
+        _check_mode_and_draws(rand_mode, self.rand_draws, "rand_")
+        _philox(self.seed)
 
 
 @dataclass(frozen=True)
@@ -458,8 +440,9 @@ class SimReport:
     """Monte Carlo summary over replicated trials.
 
     ``empirical_sd`` is the standard deviation of sqrt(G) * delta_hat across
-    replications, and ``oracle_variance`` (:func:`oracle_variance` of the
-    study's DGP and match mode) is the limit its square estimates. Coverage
+    replications (NaN, JSON ``null``, for one), and ``oracle_variance``
+    (:func:`oracle_variance` of the study's DGP and match mode) is the limit
+    its square estimates. Coverage
     and the z rejection rate come from the normal-approximation test of
     ``null_delta``; the randomization rejection rate is None unless a
     ``rand_mode`` was set.
@@ -529,16 +512,16 @@ def monte_carlo(config: SimConfig) -> SimReport:
 
     scaled = math.sqrt(config.pair_count) * dhats
     return SimReport(
-        pair_count=config.pair_count,
-        replications=r,
+        pair_count=int(config.pair_count),  # numpy integers are not JSON
+        replications=int(r),
         match_mode=config.match_mode,
         alpha=config.alpha,
         null_delta=config.null_delta,
-        seed=config.seed,
+        seed=int(config.seed),
         true_delta=true_delta,
         mean_delta_hat=float(dhats.mean()),
         bias=float(dhats.mean() - true_delta),
-        empirical_sd=float(scaled.std(ddof=1)) if r > 1 else 0.0,
+        empirical_sd=float(scaled.std(ddof=1)) if r > 1 else math.nan,  # no sd of one
         mean_v2=float(v2s.mean()),
         median_v2=float(np.median(v2s)),
         coverage=float(covered.mean()),

@@ -337,6 +337,18 @@ class TestRandtest:
         assert payload["message"].startswith("outcomes at scale ")
         assert payload["message"].endswith(" at 20 pairs; rescale the outcomes")
 
+    def test_draws_without_stochastic_mode_is_usage_error(self, tmp_path, capsys):
+        # the flag is checked before any file is read, so none need exist
+        missing = str(tmp_path / "missing.csv")
+        argv = ["randtest", "--units", missing, "--clusters", missing, "--design", missing,
+                "--mode", "exact", "--draws", "100"]  # fmt: skip
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--draws applies only with --mode stochastic" in captured.err
+
     @pytest.mark.parametrize("draws", ["5", "18", "x"])
     @pytest.mark.parametrize("command", ["randtest", "simulate"])
     def test_too_few_draws_is_usage_error(self, tmp_path, capsys, command, draws):
@@ -728,6 +740,15 @@ class TestSimulate:
         assert payload["rejection_rate_rand"] is None
         assert 0.0 <= payload["coverage"] <= 1.0
         assert payload["oracle_variance"] == oracle_variance(preset("null"), "nn_xn")
+
+    def test_one_replication_has_no_empirical_sd(self, capsys):
+        code, out, _ = run_cli(
+            ["simulate", "--preset", "null", "--pairs", "4", "--reps", "1", "--seed", "9"],
+            capsys,
+        )
+        assert code == 0
+        assert strict_json(out)["empirical_sd"] is None
+        assert '"empirical_sd": null' in out
 
     def test_dgp_json_run(self, tmp_path, capsys):
         path = tmp_path / "dgp.json"

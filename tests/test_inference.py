@@ -17,7 +17,7 @@ from helpers import (
     unit_level_reference,
     with_outcomes,
 )
-from pairedcrt.errors import DataError, MissingTreatment, TooFewPairs
+from pairedcrt.errors import DataError, MissingTreatment
 from pairedcrt.estimation import kernel_inputs
 from pairedcrt.inference import (
     _MAX_SCALE,
@@ -112,11 +112,6 @@ class TestVarianceEstimate:
             assert res.clamped
             n, ybar, _ = kernel_inputs(ds)
             assert res.v2 == V2_ROUNDING * outcome_scale(n, ybar) ** 2
-
-    def test_too_few_pairs(self):
-        # a Dataset has at least two pairs, so only the shared check sees one
-        with pytest.raises(TooFewPairs):
-            first_member_treated(np.array([1.0, 1.0]), np.array([1.0, 0.0]), (0, 1))
 
 
 @st.composite

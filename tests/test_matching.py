@@ -419,6 +419,24 @@ class TestOrderPairsForVariance:
         twice = order_pairs_for_variance(once, items_from(list(xs)))
         assert once.permutation == twice.permutation
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        items=st.one_of(tied_items(), wide_items()),
+        mode=st.sampled_from(MATCH_MODES),
+        data=st.data(),
+    )
+    def test_order_depends_only_on_the_pairs(self, items, mode, data):
+        # the pairs may come in any order, members kept in theirs, and an
+        # ordered design passes through unchanged, which lets the command
+        # line reorder every design it reads
+        perm = data.draw(st.permutations(range(items.n_clusters)))
+        design = MatchedDesign(permutation=tuple(perm), mode=mode)
+        pairs = data.draw(st.permutations(design.pairs()))
+        shuffled = MatchedDesign(permutation=tuple(c for pair in pairs for c in pair), mode=mode)
+        ordered = order_pairs_for_variance(design, items)
+        assert order_pairs_for_variance(shuffled, items) == ordered
+        assert order_pairs_for_variance(ordered, items) == ordered
+
     def test_matches_midpoint_sort_in_one_dimension(self, rng):
         for _ in range(10):
             xs = rng.normal(0.0, 1.0, 10)

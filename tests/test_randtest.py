@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from helpers import (
     with_outcomes,
 )
 from pairedcrt import randtest
-from pairedcrt.errors import BadB, DataError, MissingTreatment, TooManyPairsForExact
+from pairedcrt.errors import DataError, MissingTreatment, TooManyPairsForExact
 from pairedcrt.estimation import kernel_inputs
 from pairedcrt.inference import SignSums, infer, outcome_scale
 from pairedcrt.randtest import randomization_test
@@ -314,9 +315,13 @@ class TestStochastic:
 
     def test_draw_and_seed_validation(self, rng):
         ds = random_dataset(rng, pairs=3)
-        with pytest.raises(BadB):
+        with pytest.raises(ValueError, match="draws must be at least 19, got 10"):
             randomization_test(ds, identity_design(3), mode="stochastic", draws=10, seed=1)
-        with pytest.raises(BadB):
+        with pytest.raises(ValueError, match="draws must be an integer of at least 19, got 19.5"):
+            randomization_test(ds, identity_design(3), mode="stochastic", draws=19.5, seed=1)
+        with pytest.raises(ValueError, match="draws is required with mode 'stochastic'"):
+            randomization_test(ds, identity_design(3), mode="stochastic", seed=1)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\), got None"):
             randomization_test(ds, identity_design(3), mode="stochastic", draws=100)
         # the seed rule of assign_within_pairs
         for seed in (5.5, -1, 2**64):
@@ -328,10 +333,23 @@ class TestStochastic:
         ]
         assert top[0].p_value == top[1].p_value
 
+    def test_numpy_integer_arguments_give_the_same_json(self, rng):
+        ds = random_dataset(rng, pairs=4)
+        plain, numpy_ints = (
+            randomization_test(ds, identity_design(4), mode="stochastic", draws=draws, seed=seed)
+            for draws, seed in ((99, 5), (np.int64(99), np.uint64(5)))
+        )
+        assert json.dumps(numpy_ints.to_json_dict()) == json.dumps(plain.to_json_dict())
+
     def test_unknown_mode_rejected(self, rng):
         ds = random_dataset(rng, pairs=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mode must be 'exact' or 'stochastic'"):
             randomization_test(ds, identity_design(3), mode="bootstrap")
+
+    def test_exact_mode_takes_no_draws(self, rng):
+        ds = random_dataset(rng, pairs=3)
+        with pytest.raises(ValueError, match="draws applies only to mode 'stochastic'"):
+            randomization_test(ds, identity_design(3), mode="exact", draws=100)
 
 
 class TestChunking:
@@ -373,9 +391,9 @@ class TestDesignCoverage:
         ds = random_dataset(rng, pairs=4)
         with pytest.raises(DataError, match="covers 4 clusters but the data has 8"):
             infer(ds, identity_design(2))
-        for mode in ("exact", "stochastic"):
+        for mode, draws in (("exact", None), ("stochastic", 99)):
             with pytest.raises(DataError, match="covers 4 clusters but the data has 8"):
-                randomization_test(ds, identity_design(2), mode=mode, draws=99, seed=1)
+                randomization_test(ds, identity_design(2), mode=mode, draws=draws, seed=1)
 
 
 class TestResultPayload:

@@ -1,9 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from helpers import COLUMNS, assert_same_columns, monte_carlo_oracle, trial_columns_reference
+from helpers import (
+    COLUMNS,
+    assert_same_columns,
+    monte_carlo_oracle,
+    strict_json,
+    trial_columns_reference,
+)
 from pairedcrt.errors import DataError
 from pairedcrt.inference import infer
 from pairedcrt.matching import imbalance_report
@@ -197,6 +204,11 @@ class TestGenerateTrial:
             assert ds.treatment[a] + ds.treatment[b] == 1
         assert np.array_equal(ds.n_sampled, dgp.sampling.counts(ds.n_total))
         assert np.all(ds.n_sampled <= ds.n_total)
+
+    @pytest.mark.parametrize("pair_count", [4.0, 4.5, 1, 0, "4"])
+    def test_pair_count_is_an_integer_of_at_least_two(self, pair_count):
+        with pytest.raises(ValueError, match="pair_count must be"):
+            generate_trial(preset("null"), pair_count)
 
     def test_match_mode_controls_size_matching(self):
         dgp = preset("size_heterogeneous")
@@ -434,11 +446,36 @@ class TestMonteCarlo:
                 self.small_config(rand_mode=rand_mode, rand_draws=100)
         with pytest.raises(ValueError, match="rand_draws must be at least 19, got 18"):
             self.small_config(rand_mode="stochastic", rand_draws=18)
+        # the rules of generate_trial, randomization_test and infer, at construction
+        with pytest.raises(ValueError, match="pair_count must be an integer"):
+            self.small_config(pair_count=4.5)
+        with pytest.raises(ValueError, match="replications must be an integer"):
+            self.small_config(replications=2.5)
+        with pytest.raises(ValueError, match="rand_draws must be an integer"):
+            self.small_config(rand_mode="stochastic", rand_draws=19.5)
+        for null_delta in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="null_delta must be a finite number"):
+                self.small_config(null_delta=null_delta)
         # the seed rule of assignments and randomization tests
         for seed in (7.9, -1, 2**64):
             with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
                 self.small_config(seed=seed)
         assert self.small_config(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+    def test_numpy_integer_settings_give_the_same_json_report(self):
+        plain = monte_carlo(self.small_config(pair_count=4, replications=2, seed=5))
+        numpy_ints = monte_carlo(
+            self.small_config(pair_count=np.int64(4), replications=np.int64(2), seed=np.uint64(5))
+        )
+        assert numpy_ints == plain
+        text = json.dumps(numpy_ints.to_json_dict())
+        assert strict_json(text) == plain.to_json_dict()
+        assert text == json.dumps(plain.to_json_dict())
+
+    def test_one_replication_has_no_empirical_sd(self):
+        report = monte_carlo(self.small_config(replications=1))
+        assert math.isnan(report.empirical_sd)
+        assert report.to_json_dict()["empirical_sd"] is None
 
 
 class TestMatchingQuality:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _is_integer
 from .matching import MatchedDesign
 
 
 def _philox(seed) -> np.random.Generator:
     """The Philox generator keyed by ``seed``, a Python or numpy integer in
-    [0, 2**64); any other seed raises ``ValueError``."""
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+    [0, 2**64); any other seed, a bool too, raises ``ValueError``."""
+    if not (_is_integer(seed) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 

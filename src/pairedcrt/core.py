@@ -38,23 +38,32 @@ header. Errors name the physical line on which the offending row starts,
 counting the header as line 1, blank lines and the line breaks inside quoted
 fields.
 
-A CSV is read whole, and one leading UTF-8 byte order mark is dropped. A
-text with no double quote, no NUL, no carriage return outside a CRLF line
-break and no line longer than ``csv.field_size_limit()`` (the package's own
-files, which ``csv.writer`` ends with CRLF, and most exports) is split once
-into columns. Any other text, such as one with quoted fields, goes through
-``csv.reader``. The input alone decides, and both paths give the same
-columns, line numbers and errors.
+A CSV is read in pieces of about ``_CHUNK_CHARS`` characters that end at
+line breaks, and one leading UTF-8 byte order mark is dropped. A piece with
+no double quote, no NUL, no carriage return outside a CRLF line break and no
+line longer than ``csv.field_size_limit()`` (the package's own files, which
+``csv.writer`` ends with CRLF, and most exports) is split once into
+columns. From the first piece that is not, such as one with a quoted field,
+the rest of the text goes through ``csv.reader``. The input alone decides,
+and both paths give the same columns, line numbers and errors.
+
+A units CSV is never held whole: of each row :func:`load_dataset` keeps its
+outcome, a cluster code and a hash of its (cluster_id, unit_id), and the
+field strings die with their piece, so loading traces about twice the
+file's size. Errors are raised only once the whole text has been read, so
+they are those, with the lines, that a whole-file read would give.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
 import operator
 import re
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -75,6 +84,12 @@ from .errors import (
 _COVARIATE_COL = re.compile(r"^x(\d+)$")
 
 _BOM = "\ufeff"
+
+#: Characters of CSV text parsed at a time. A chunk's field strings take
+#: several times its text and die with it, so they stay in the CPU's
+#: caches, and a units CSV is never held whole: of each row only its
+#: outcome, cluster code and key hash (24 bytes) are kept.
+_CHUNK_CHARS = 1 << 16
 
 @dataclass(frozen=True)
 class Dataset:
@@ -353,98 +368,197 @@ def _gather_clusters(y: np.ndarray, offsets: np.ndarray, order: np.ndarray):
 
 def _read_csv(source, kind: str) -> tuple[list[str], dict[str, list[str]], np.ndarray]:
     """Header, columns and the physical line each data row starts on, of a
-    CSV (path or open text stream).
+    CSV (path or open text stream): the chunks of :func:`_csv_chunks`,
+    joined, with the errors it raises."""
+    chunks = _csv_chunks(source, kind)
+    header = next(chunks)
+    columns = [[] for _ in header]
+    lines = [np.zeros(0, dtype=np.int64)]
+    for cols, row_lines in chunks:
+        for column, col in zip(columns, cols):
+            column.extend(col)
+        lines.append(row_lines)
+    return header, dict(zip(header, columns)), np.concatenate(lines)
 
-    One leading byte order mark is dropped and blank rows are skipped.
-    Raises ``DataError`` for a file that is not UTF-8, a malformed CSV, a
-    repeated column name or a row whose field count differs from the
-    header's.
+
+def _csv_chunks(source, kind: str):
+    """Reads a CSV (path or open text stream) in chunks of about
+    ``_CHUNK_CHARS`` characters. Yields its header, a list of names, then
+    for each chunk of data rows a list of columns of field strings, in
+    header order, and an array of the physical line each row starts on.
+
+    One leading byte order mark is dropped and blank rows are skipped. A
+    ``DataError`` is raised for a file that is not UTF-8, a malformed CSV, a
+    repeated column name and then the first row whose field count differs
+    from the header's, in that order of precedence, and only once the whole
+    text has been read, so the error is the one a whole-file read finds
+    first. No chunk is yielded after a repeated name or such a row.
     """
-    lines = None
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, newline="", encoding="utf-8") as fh:
-                text = fh.read().removeprefix(_BOM)
-        except UnicodeDecodeError as exc:
-            raise DataError(
-                f"{kind} {str(source)!r} is not UTF-8: {exc.reason} at byte {exc.start}"
-            ) from None
-    else:
-        # keep the stream's own line breaks for csv.reader
-        lines = source.readlines()
-        if lines:
-            lines[0] = lines[0].removeprefix(_BOM)
-        text = "".join(lines)
-    table = _split_csv(text, kind)
-    if table is None:
-        # a StringIO with newline="" breaks lines as a file opened with it does
-        table = _reader_csv(io.StringIO(text, newline="") if lines is None else lines, kind)
-    return table
+    batches = _row_batches(source, kind)
+    header = next(batches)
+    yield header
+    bad = None
+    if len(set(header)) != len(header):
+        bad = DataError(f"{kind} header repeats a column: {header}")
+    for widths, lines, columns in batches:
+        if bad is not None:
+            continue  # only a decoding or CSV error can still come first
+        wrong = widths != len(header)
+        if wrong.any():
+            i = int(wrong.argmax())
+            bad = DataError(
+                f"{kind} line {lines[i]}: {widths[i]} fields where the header has {len(header)}"
+            )
+        else:
+            yield columns, lines
+    if bad is not None:
+        raise bad
 
 
-def _split_csv(text: str, kind: str):
-    """``_read_csv``'s table from one split of ``text``, or None for a text
-    holding a quote, a NUL, a carriage return outside CRLF or a line longer
-    than ``csv.field_size_limit()``, which only ``csv.reader`` reads right."""
+def _row_batches(source, kind: str):
+    """The rows of a CSV, a batch per piece of :func:`_text_chunks`: yields
+    the header, then per batch each row's field count, the physical line it
+    starts on and the columns, which hold the rows' fields in order when
+    every row has the header's width.
+
+    A piece is split into columns at once, as long as every piece before it
+    was; the first one that ``_split_rows`` declines and all later ones go
+    through ``csv.reader``. Both give the same rows, line numbers and errors.
+    """
+    limit = csv.field_size_limit()
+    pieces = _text_chunks(source, kind)
+    header, line = None, 0  # physical lines before the piece
+    for text, own_lines in pieces:
+        split = _split_rows(text, limit)
+        if split is None:
+            yield from _reader_batches(chain([(text, own_lines)], pieces), kind, header, line)
+            return
+        starts, widths, fields, count = split
+        lines = starts + (line + 1)
+        if header is None:
+            # the first line is the header, or an empty one when blank
+            header = fields[: widths[0]] if len(starts) and starts[0] == 0 else []
+            if header:
+                fields, widths, lines = fields[len(header) :], widths[1:], lines[1:]
+            yield header
+        line += count
+        yield widths, lines, [fields[j :: len(header)] for j in range(len(header))]
+
+
+def _split_rows(text: str, limit: int):
+    """The non-blank rows of ``text``, whole lines, from one split: (the
+    index of the line each starts on, their field counts, all their fields
+    in one list, the number of lines), or None for a text holding a quote, a
+    NUL, a carriage return outside CRLF or a line longer than ``limit``,
+    which only ``csv.reader`` reads right."""
     text = text.replace("\r\n", "\n")
     if '"' in text or "\r" in text or "\0" in text:
         return None
-    head, _, body = text.partition("\n")
-    if body and not body.endswith("\n"):
-        body += "\n"
+    if text and not text.endswith("\n"):
+        text += "\n"
     # in UTF-8 the bytes of "\n" and "," stand for nothing else
-    raw = np.frombuffer(body.encode("utf-8"), np.uint8)
+    raw = np.frombuffer(text.encode("utf-8"), np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
     lengths = ends - starts  # bytes, at least the characters
-    limit = csv.field_size_limit()
-    if len(head) > limit or (len(ends) and lengths.max() > limit):
+    if len(ends) and lengths.max() > limit:
         return None
-    header = head.split(",") if head else []
     kept = lengths > 0
-    row_lines = np.flatnonzero(kept) + 2
     commas = np.flatnonzero(raw == ord(","))
     widths = np.searchsorted(commas, ends[kept]) - np.searchsorted(commas, starts[kept]) + 1
-    _check_shape(kind, header, widths, row_lines)
-    if len(row_lines) < len(ends):
-        body = "\n".join(filter(None, body.split("\n")))
-    fields = body.rstrip("\n").replace("\n", ",").split(",") if len(row_lines) else []
-    width = len(header)
-    return header, {name: fields[j::width] for j, name in enumerate(header)}, row_lines
+    if not kept.all():
+        text = "\n".join(filter(None, text.split("\n")))
+    fields = text.rstrip("\n").replace("\n", ",").split(",") if kept.any() else []
+    return np.flatnonzero(kept), widths, fields, len(ends)
 
 
-def _reader_csv(lines, kind: str):
-    """``_read_csv``'s table from ``csv.reader`` over an iterable of lines."""
-    reader = csv.reader(lines)
-    rows, starts = [], []
+def _reader_batches(pieces, kind: str, header, line: int):
+    """``_row_batches``'s output from ``csv.reader`` over the lines of
+    ``pieces``, which start after physical line ``line``; the header is read
+    and yielded first when ``header`` is None."""
+    begun = 0  # pieces the reader has taken lines from
+
+    def lines():
+        nonlocal begun
+        for text, own_lines in pieces:
+            begun += 1
+            yield from io.StringIO(text, newline="") if own_lines is None else own_lines
+
+    def batch(rows: list, starts: list):
+        columns = list(zip(*rows)) if rows else [()] * len(header)
+        widths = np.fromiter(map(len, rows), np.int64, len(rows))
+        return widths, np.array(starts, dtype=np.int64) + line, columns
+
+    reader = csv.reader(lines())
     try:
-        header = next(reader, [])
+        if header is None:
+            header = next(reader, [])
+            yield header
+        rows, starts, batched = [], [], begun
         start = reader.line_num + 1
         for row in reader:
+            if begun != batched:
+                yield batch(rows, starts)
+                rows, starts, batched = [], [], begun
             if row:
                 rows.append(row)
                 starts.append(start)
             start = reader.line_num + 1
     except csv.Error as exc:
-        raise DataError(f"{kind} line {reader.line_num}: {exc}") from None
-    row_lines = np.array(starts, dtype=np.int64)
-    _check_shape(kind, header, np.fromiter(map(len, rows), np.int64, len(rows)), row_lines)
-    columns = zip(*rows) if rows else [()] * len(header)
-    return header, {name: list(col) for name, col in zip(header, columns)}, row_lines
+        for _ in pieces:
+            pass  # a byte that is not UTF-8, further on, comes first
+        raise DataError(f"{kind} line {reader.line_num + line}: {exc}") from None
+    yield batch(rows, starts)
 
 
-def _check_shape(kind: str, header: list[str], widths: np.ndarray, lines: np.ndarray) -> None:
-    """Reject a repeated column name, then the first row whose field count
-    ``widths`` differs from the header's."""
-    if len(set(header)) != len(header):
-        raise DataError(f"{kind} header repeats a column: {header}")
-    bad = widths != len(header)
-    if bad.any():
-        i = int(bad.argmax())
-        raise DataError(
-            f"{kind} line {lines[i]}: {widths[i]} fields where the header has {len(header)}"
-        )
+def _text_chunks(source, kind: str):
+    """The text of a CSV in pieces of about ``_CHUNK_CHARS`` characters,
+    each ending at a line break but the last, with one leading byte order
+    mark dropped. Yields (text, lines): the lines ``csv.reader`` is to read,
+    a stream's own, or None for a file's, which are those of
+    ``io.StringIO(text, newline="")``.
+
+    A path is read as UTF-8; a byte that is not raises ``DataError`` naming
+    its offset in the file. A stream is read as an iterable of lines.
+    """
+    if not isinstance(source, (str, Path)):
+        lines, size, fresh = [], 0, True
+        for line in source:
+            if fresh:
+                line, fresh = line.removeprefix(_BOM), False
+            lines.append(line)
+            size += len(line)
+            if size >= _CHUNK_CHARS:
+                yield "".join(lines), lines
+                lines, size = [], 0
+        yield "".join(lines), lines
+        return
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    parts, done, fresh = [], 0, True
+    with open(source, "rb") as fh:
+        while True:
+            block = fh.read(_CHUNK_CHARS)
+            try:
+                text = decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                at = done - len(decoder.getstate()[0]) + exc.start
+                raise DataError(
+                    f"{kind} {str(source)!r} is not UTF-8: {exc.reason} at byte {at}"
+                ) from None
+            done += len(block)
+            if fresh and text:
+                text, fresh = text.removeprefix(_BOM), False
+            cut = text.rfind("\n") + 1
+            if cut:
+                parts.append(text[:cut])
+                yield "".join(parts), None
+                parts = [text[cut:]]
+            else:
+                parts.append(text)
+            if not block:
+                break
+    yield "".join(parts), None
 
 
 def _parse_column(
@@ -463,24 +577,108 @@ def _parse_column(
         raise
 
 
+def _unit_chunks(source):
+    """A units CSV (path or open text stream) in the chunks of
+    :func:`_csv_chunks`: yields each chunk's ``cluster_id`` and ``unit_id``
+    fields, its outcomes as floats and the physical line each row starts on.
+
+    After the errors of ``_csv_chunks``, raises ``DataError`` for a header
+    without the three columns, then for the first outcome that is not a
+    number, then ``NonFiniteOutcome`` for the first one that is not finite,
+    once the whole text has been read. No chunk is yielded after an error.
+    """
+    chunks = _csv_chunks(source, "units CSV")
+    header = next(chunks)
+    required = ("cluster_id", "unit_id", "outcome")
+    error = None  # the first one found, raised once the text is read
+    if not set(required).issubset(header):
+        error = DataError(f"units CSV header must contain {sorted(required)}, got {header}")
+    else:
+        at = [header.index(name) for name in required]
+    for columns, lines in chunks:
+        if error is not None and not isinstance(error, NonFiniteOutcome):
+            continue  # no later row can bring an error that comes first
+        ids, units, texts = (columns[j] for j in at)
+        try:
+            outcome = _parse_column(
+                texts,
+                float,
+                float,
+                lambda i, text: DataError(f"units CSV line {lines[i]}: bad outcome {text!r}"),
+            )
+        except DataError as exc:
+            error = exc
+            continue
+        bad = ~np.isfinite(outcome)
+        if error is None and bad.any():
+            i = int(bad.argmax())
+            error = NonFiniteOutcome(f"units CSV line {lines[i]}: outcome {float(outcome[i])!r}")
+        if error is None:
+            yield ids, units, outcome, lines
+    if error is not None:
+        raise error
+
+
 def _unit_columns(source):
-    """A units CSV's ``cluster_id`` and ``unit_id`` columns, its outcomes as
-    floats and the physical line each row starts on."""
-    header, cols, lines = _read_csv(source, "units CSV")
-    required = {"cluster_id", "unit_id", "outcome"}
-    if not required.issubset(header):
-        raise DataError(f"units CSV header must contain {sorted(required)}, got {header}")
-    outcome = _parse_column(
-        cols["outcome"],
-        float,
-        float,
-        lambda i, text: DataError(f"units CSV line {lines[i]}: bad outcome {text!r}"),
-    )
-    bad = ~np.isfinite(outcome)
-    if bad.any():
-        i = int(bad.argmax())
-        raise NonFiniteOutcome(f"units CSV line {lines[i]}: outcome {float(outcome[i])!r}")
-    return cols["cluster_id"], cols["unit_id"], outcome, lines
+    """Reads a units CSV with :func:`_unit_chunks`, keeping of each row only
+    its outcome, a code for its cluster_id and a hash of its (cluster_id,
+    unit_id). Returns these three arrays and the cluster_ids in code order.
+
+    The arrays grow by half as chunks come in, in place where the allocator
+    can, so no field string outlives its chunk.
+    """
+    outcome = np.empty(0)
+    codes = np.empty(0, dtype=np.intp)
+    keys = np.empty(0, dtype=np.int64)
+    code_of = {}
+    n = 0
+    for ids, units, y, _ in _unit_chunks(source):
+        for cid in set(ids).difference(code_of):
+            code_of[cid] = len(code_of)
+        m = n + len(y)
+        if m > len(outcome):
+            for column in (outcome, codes, keys):
+                column.resize(max(m, len(column) * 3 // 2), refcheck=False)
+        outcome[n:m] = y
+        codes[n:m] = np.fromiter(map(code_of.__getitem__, ids), np.intp, len(ids))
+        keys[n:m] = np.fromiter(map(hash, zip(ids, units)), np.int64, len(ids))
+        n = m
+    for column in (outcome, codes, keys):
+        column.resize(n, refcheck=False)
+    return outcome, codes, keys, list(code_of)
+
+
+def _unit_rows(reread, rows: np.ndarray) -> list[tuple[str, str, int]]:
+    """(cluster_id, unit_id, line) of each of ``rows``, row indices in
+    increasing order, read again from the units CSV ``reread()``."""
+    found, n = [], 0
+    for ids, units, _, lines in _unit_chunks(reread()):
+        for r in (rows[(rows >= n) & (rows < n + len(lines))] - n).tolist():
+            found.append((ids[r], units[r], int(lines[r])))
+        n += len(lines)
+    return found
+
+
+def _replayable(source):
+    """A function giving ``source`` from where it stands now, each time it is
+    called: a path as it is, a seekable stream sought back, and the lines of
+    any other stream, read once, as a list."""
+    if isinstance(source, (str, Path)):
+        return lambda: source
+    if source.seekable():
+        try:
+            start = source.tell()
+        except OSError:  # a file iterated with next() cannot tell where it is
+            pass
+        else:
+
+            def again():
+                source.seek(start)
+                return source
+
+            return again
+    lines = source.readlines()
+    return lambda: lines
 
 
 def _covariate_columns(header: Sequence[str]) -> list[str]:
@@ -565,26 +763,36 @@ def load_dataset(units_source, clusters_source) -> Dataset:
 
     Sources may be file paths or open text streams. Every unit row must
     reference a cluster present in the clusters table, and no (cluster_id,
-    unit_id) may repeat; sampled outcomes are kept in input order.
+    unit_id) may repeat; sampled outcomes are kept in input order. The units
+    CSV is read in chunks (a stream that cannot seek is read whole first),
+    and any error in it comes before one in the clusters CSV, then an
+    unknown cluster, then a repeated unit.
     """
-    cluster_col, unit_col, outcome, lines = _unit_columns(units_source)
+    units = _replayable(units_source)
+    outcome, codes, keys, ids = _unit_columns(units())
     clusters = read_clusters(clusters_source)
     index_of = {cid: i for i, cid in enumerate(clusters.cluster_ids)}
-    try:
-        codes = np.fromiter(map(index_of.__getitem__, cluster_col), np.intp, len(cluster_col))
-    except KeyError as exc:
-        i = cluster_col.index(exc.args[0])
+    codes = np.array([index_of.get(cid, -1) for cid in ids], dtype=np.intp)[codes]
+    if (codes < 0).any():
+        [(cid, unit, line)] = _unit_rows(units, np.flatnonzero(codes < 0)[:1])
         raise UnknownCluster(
-            f"units CSV line {lines[i]}: unit {unit_col[i]!r} references unknown "
-            f"cluster {cluster_col[i]!r}"
-        ) from None
-    keys = list(zip(cluster_col, unit_col))
-    i = _first_repeat(keys)
-    if i is not None:
-        raise DuplicateUnit(f"units CSV line {lines[i]}: duplicate unit {keys[i]!r}")
+            f"units CSV line {line}: unit {unit!r} references unknown cluster {cid!r}"
+        )
+    # Rows whose key hashes another row's are read again and compared
+    # exactly, so a collision of hashes never rejects distinct units.
+    ranked = np.sort(keys)
+    repeats = ranked[1:][ranked[1:] == ranked[:-1]]
+    if len(repeats):
+        found = _unit_rows(units, np.flatnonzero(np.isin(keys, repeats)))
+        i = _first_repeat([(cid, unit) for cid, unit, _ in found])
+        if i is not None:
+            cid, unit, line = found[i]
+            raise DuplicateUnit(f"units CSV line {line}: duplicate unit {(cid, unit)!r}")
+    del keys, ranked  # freed before build_dataset's own temporaries
     offsets = np.zeros(clusters.n_clusters + 1, dtype=np.int64)
     np.cumsum(np.bincount(codes, minlength=clusters.n_clusters), out=offsets[1:])
     outcomes = outcome[np.argsort(codes, kind="stable")]
+    del outcome, codes
     return build_dataset(
         clusters.cluster_ids, clusters.n_total, clusters.X, clusters.treatment, outcomes, offsets
     )
@@ -643,9 +851,14 @@ def _json_value(value):
     return list(value) if isinstance(value, tuple) else value
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, a bool not counting."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_count(value, name: str, minimum: int) -> None:
     """Raises ``ValueError`` unless argument ``name`` is an integer >= ``minimum``."""
-    whole = isinstance(value, (int, np.integer))
+    whole = _is_integer(value)
     if not (whole and value >= minimum):
         need = f"at least {minimum}" if whole else f"an integer of at least {minimum}"
         raise ValueError(f"{name} must be {need}, got {value!r}")

@@ -43,6 +43,7 @@ callers share, and :meth:`SignSums.v2` the one clamp rule.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -299,12 +300,19 @@ class SignSums:
         return t
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number, such as an int, a float or a
+    numpy scalar of either, a bool not counting."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_test_arguments(alpha, delta0, delta0_name: str = "delta0") -> None:
-    """Raises ``ValueError`` unless 0 < ``alpha`` < 1 and ``delta0``, the
-    argument ``delta0_name``, is finite."""
-    if not 0.0 < alpha < 1.0:
+    """Raises ``ValueError`` unless ``alpha`` and ``delta0``, the argument
+    ``delta0_name``, are real numbers (not bools), 0 < ``alpha`` < 1 and
+    ``delta0`` is finite."""
+    if not (_is_real(alpha) and 0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
-    if not math.isfinite(delta0):
+    if not (_is_real(delta0) and math.isfinite(delta0)):
         raise ValueError(f"{delta0_name} must be a finite number, got {delta0!r}")
 
 

@@ -425,6 +425,8 @@ class SimConfig:
     rand_draws: int | None = None  # stochastic mode only
 
     def __post_init__(self):
+        if not isinstance(self.dgp, DgpSpec):
+            raise ValueError(f"dgp must be a DgpSpec, got {self.dgp!r}")
         _check_pair_count(self.pair_count)
         _check_count(self.replications, "replications", 1)
         _check_match_mode(self.match_mode)

@@ -27,7 +27,7 @@ import numpy as np
 
 import pairedcrt
 from pairedcrt.assignment import assign_within_pairs
-from pairedcrt.core import _unit_columns, build_dataset
+from pairedcrt.core import _unit_chunks, build_dataset
 from pairedcrt.errors import EmptyArm, MissingTreatment
 from pairedcrt.estimation import arm_means, kernel_inputs
 from pairedcrt.inference import SignSums, first_member_treated, outcome_scale
@@ -46,13 +46,8 @@ def read_units(source):
     """Parse a units CSV (path or open text stream) through the package's
     reader into a structured array of ``UNIT_DTYPE``, one element per unit
     row in file order, so its ``len`` is the number of unit rows."""
-    cluster_col, unit_col, outcome, lines = _unit_columns(source)
-    units = np.empty(len(outcome), dtype=UNIT_DTYPE)
-    units["cluster_id"] = cluster_col
-    units["unit_id"] = unit_col
-    units["outcome"] = outcome
-    units["line"] = lines
-    return units
+    chunks = [np.rec.fromarrays(chunk, dtype=UNIT_DTYPE) for chunk in _unit_chunks(source)]
+    return np.concatenate([np.empty(0, dtype=UNIT_DTYPE), *chunks])
 
 
 def package_env():

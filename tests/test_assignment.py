@@ -51,7 +51,7 @@ class TestAssignWithinPairs:
     def test_seed_rule(self):
         # a Philox key: a Python or numpy integer in [0, 2**64), nothing else
         design = identity_design(10)
-        for seed in (7.9, -1, 2**64, "7", None):
+        for seed in (7.9, -1, 2**64, "7", None, True, False, np.True_):
             with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
                 assign_within_pairs(design, seed)
         top = assign_within_pairs(design, 2**64 - 1)

@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,12 +18,12 @@ from helpers import (
     random_dataset,
     read_units,
 )
+from pairedcrt import core
 from pairedcrt.core import (
     _certified_sums,
     _cluster_sums,
     _read_csv,
-    _reader_csv,
-    _split_csv,
+    _split_rows,
     build_dataset,
     load_dataset,
     read_clusters,
@@ -414,6 +417,28 @@ class TestReaders:
         with pytest.raises(DataError, match=f"at byte {len(head) + 1}$"):
             read_units(path)
 
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            "Köln,u1,1.0\n".encode("latin-1"),  # invalid start byte
+            b"a,u\xe2\x82z,1.0\n",  # invalid continuation byte
+            b"a,u\xe2\x82",  # unexpected end of data
+        ],
+    )
+    def test_non_utf8_byte_named_as_a_whole_decode_names_it(self, tmp_path, tail):
+        # a ragged row before the byte does not come first
+        data = "\ufeffcluster_id,unit_id,outcome\na,u1\n".encode() + "é,u2,1.0\n".encode() * 5
+        data += tail
+        path = tmp_path / "units.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        message = f"is not UTF-8: {whole.value.reason} at byte {whole.value.start}$"
+        for chars in (1, 2, 3, 7, 1 << 16):
+            with mock.patch.object(core, "_CHUNK_CHARS", chars):
+                with pytest.raises(DataError, match=message):
+                    read_units(path)
+
     @pytest.mark.parametrize("as_path", [True, False])
     def test_units_byte_order_mark_dropped(self, tmp_path, as_path):
         text = "\ufeffcluster_id,unit_id,outcome\r\na,u1,1.5\r\nb,u1,2\r\n"
@@ -496,6 +521,123 @@ class TestReaders:
         assert ds.offsets.tolist() == [0, 2, 3, 4, 5]
 
 
+def chunked_units(replace: dict[int, str], quoted: bool = False) -> str:
+    """A units CSV of 40 rows, 10 per cluster of ``four_large_clusters``,
+    data row i on line i + 2, with the rows of ``replace`` swapped in."""
+    rows = [f"{'abcd'[i % 4]},u{i},{0.25 * i!r}" for i in range(40)]
+    if quoted:
+        # csv.reader takes over from the chunk holding row 5
+        rows[5] = f'"{rows[5][0]}",u5,1.25'
+    for i, row in replace.items():
+        rows[i] = row
+    return "cluster_id,unit_id,outcome\n" + "".join(row + "\n" for row in rows)
+
+
+def four_large_clusters():
+    return io.StringIO("cluster_id,n_total,x1\na,50,0\nb,50,0\nc,50,0\nd,50,0\n")
+
+
+def load_error(text: str, as_path, tmp_path) -> tuple[type, str]:
+    path = tmp_path / "units.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_dataset(path if as_path else io.StringIO(text), four_large_clusters())
+    return type(info.value), str(info.value)
+
+
+class TestLoadInChunks:
+    """A units CSV read in chunks of a few rows fails as a whole-file read does."""
+
+    @pytest.mark.parametrize("as_path", [True, False])
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize(
+        "replace,error,message",
+        [
+            ({30: "b,u99,oops"}, DataError, "units CSV line 32: bad outcome 'oops'"),
+            ({30: "b,u99,nan"}, NonFiniteOutcome, "units CSV line 32: outcome nan"),
+            ({30: "b,u99,1,5"}, DataError, "units CSV line 32: 4 fields where"),
+            ({30: "ghost,u99,1.0"}, UnknownCluster, "units CSV line 32: unit 'u99' references"),
+            # the first copy of ('a', 'u0') sits in the first chunk
+            ({30: "a,u0,9.5"}, DuplicateUnit, r"units CSV line 32: duplicate unit \('a', 'u0'\)"),
+            # the precedence of a whole-file read, whatever chunk holds each
+            ({3: "d,u3,inf", 20: "a,u20,oops"}, DataError, "line 22: bad outcome"),
+            ({3: "d,u3,oops", 20: "a,u20"}, DataError, "line 22: 2 fields where"),
+            ({3: "ghost,u3,1", 20: "a,u20,inf"}, NonFiniteOutcome, "line 22: outcome inf"),
+            ({3: "a,u0,1", 20: "ghost,u20,1"}, UnknownCluster, "line 22: unit 'u20'"),
+        ],
+    )
+    def test_error_names_the_line_of_a_whole_file_read(
+        self, tmp_path, as_path, quoted, replace, error, message
+    ):
+        text = chunked_units(replace, quoted)
+        whole = load_error(text, as_path, tmp_path)
+        assert whole[0] is error
+        assert re.search(message, whole[1])
+        for chars in (1, 16, 50, 200):
+            with mock.patch.object(core, "_CHUNK_CHARS", chars):
+                assert load_error(text, as_path, tmp_path) == whole
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_same_dataset_in_any_chunking(self, quoted):
+        text = chunked_units({}, quoted)
+        whole = load_dataset(io.StringIO(text), four_large_clusters())
+        for chars in (1, 16, 50, 200):
+            with mock.patch.object(core, "_CHUNK_CHARS", chars):
+                assert_same_columns(load_dataset(io.StringIO(text), four_large_clusters()), whole)
+
+    def test_equal_key_hashes_are_not_duplicates(self, monkeypatch):
+        # every key hashes alike: only the exact comparison can tell them apart
+        monkeypatch.setattr(core, "hash", lambda key: 7, raising=False)
+        ds = load_dataset(io.StringIO(chunked_units({})), four_large_clusters())
+        assert ds.n_sampled.tolist() == [10, 10, 10, 10]
+        with pytest.raises(DuplicateUnit, match=r"line 32: duplicate unit \('a', 'u0'\)"):
+            load_dataset(io.StringIO(chunked_units({30: "a,u0,1"})), four_large_clusters())
+
+    def test_memory_is_bounded_by_the_file_size(self, tmp_path):
+        # 2000 clusters of 30 units, written as the benchmark writes them
+        rng = np.random.default_rng(5)
+        units, clusters = tmp_path / "units.csv", tmp_path / "clusters.csv"
+        y = rng.normal(0.0, 1.0, 60_000).tolist()
+        units.write_text(
+            "cluster_id,unit_id,outcome\n"
+            + "".join(f"c{i // 30:05d},u{i % 30 + 1},{y[i]!r}\n" for i in range(60_000))
+        )
+        clusters.write_text(
+            "cluster_id,n_total,x1\n" + "".join(f"c{g:05d},40,{g / 2000!r}\n" for g in range(2000))
+        )
+        tracemalloc.start()
+        try:
+            ds = load_dataset(units, clusters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.outcomes.tolist() == y
+        # the whole text and its field strings traced 12.7 times the file
+        assert peak < 3 * units.stat().st_size
+
+    def test_stream_that_cannot_seek(self):
+        class Pipe(io.StringIO):
+            def seekable(self):
+                return False
+
+        with pytest.raises(DuplicateUnit, match="line 32"):
+            load_dataset(Pipe(chunked_units({30: "a,u0,1"})), four_large_clusters())
+        ds = load_dataset(Pipe(chunked_units({})), four_large_clusters())
+        assert ds.n_sampled.tolist() == [10, 10, 10, 10]
+
+    def test_file_read_on_from_where_it_stands(self, tmp_path):
+        path = tmp_path / "units.csv"
+        path.write_text("a note before the table\n" + chunked_units({30: "a,u0,1"}))
+        with open(path, encoding="utf-8") as fh:
+            next(fh)  # which leaves the file unable to tell its position
+            with pytest.raises(DuplicateUnit, match="line 32"):
+                load_dataset(fh, four_large_clusters())
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            with pytest.raises(DuplicateUnit, match="line 32"):
+                load_dataset(fh, four_large_clusters())
+
+
 # Two blank lines and a quoted field holding a line break (lines 2 to 5)
 # come before the row on physical line 6.
 _BEFORE_LINE_6 = '\n\n"a\nz",u1,1.0\n'
@@ -543,8 +685,10 @@ class TestPhysicalLineNumbers:
 
 
 # Fragments for texts that exercise both CSV paths: quotes, CRLF, bare CR,
-# NUL, blank lines, empty and repeated names, ragged rows, non-ASCII text.
-_CSV_TOKENS = ["a", "b", "x1", "1.5", "é", " ", ",", ",", ",", "\n", "\n", "\r\n", "\r", '"', "\0"]
+# NUL, blank lines, empty and repeated names, ragged rows, non-ASCII text,
+# a byte order mark anywhere.
+_CSV_TOKENS = ["a", "b", "x1", "1.5", "é", "\ufeff", " ", ",", ",", ","]
+_CSV_TOKENS += ["\n", "\n", "\r\n", "\r", '"', "\0"]
 
 
 @st.composite
@@ -562,7 +706,33 @@ def csv_texts(draw):
     text = "".join(line + draw(ends) for line in lines)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
-    return draw(st.sampled_from(["", "\n", "\r\n"])) + text
+    return draw(st.sampled_from(["", "\n", "\r\n", "\ufeff"])) + text
+
+
+def reader_table(text: str, kind: str):
+    """The reference for ``_read_csv``: ``csv.reader`` over the whole text,
+    then the checks of the header and of each row's field count."""
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    rows, starts = [], []
+    try:
+        header = next(reader, [])
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                rows.append(row)
+                starts.append(start)
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise DataError(f"{kind} line {reader.line_num}: {exc}") from None
+    if len(set(header)) != len(header):
+        raise DataError(f"{kind} header repeats a column: {header}")
+    for row, line in zip(rows, starts):
+        if len(row) != len(header):
+            raise DataError(
+                f"{kind} line {line}: {len(row)} fields where the header has {len(header)}"
+            )
+    columns = zip(*rows) if rows else [()] * len(header)
+    return header, {name: list(col) for name, col in zip(header, columns)}, np.array(starts)
 
 
 def _table_or_error(read):
@@ -570,35 +740,58 @@ def _table_or_error(read):
         table = read()
     except DataError as exc:
         return type(exc), str(exc)
-    if table is None:
-        return None
     header, columns, lines = table
     return header, columns, lines.tolist()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("csv.reader was called")
 
 
 class TestCsvPaths:
     """The one-split path and the csv.reader path read every text alike."""
 
-    @settings(max_examples=600, deadline=None)
-    @given(text=csv_texts(), limit=st.sampled_from([6, csv.field_size_limit()]))
-    def test_both_paths_agree(self, tmp_path_factory, text, limit):
-        path = tmp_path_factory.mktemp("csv") / "t.csv"
+    @staticmethod
+    def check_both_paths_agree(directory, text, limit):
+        path = directory / "t.csv"
         path.write_text(text, encoding="utf-8", newline="")
+        plain = text.replace("\r\n", "\n")
+        splits = not ('"' in plain or "\r" in plain or "\0" in plain) and (
+            max(map(len, plain.encode().split(b"\n"))) <= limit
+        )
         old = csv.field_size_limit(limit)
         try:
-            want = _table_or_error(lambda: _reader_csv(io.StringIO(text, newline=""), "t CSV"))
-            split = _table_or_error(lambda: _split_csv(text, "t CSV"))
+            want = _table_or_error(lambda: reader_table(text, "t CSV"))
             from_path = _table_or_error(lambda: _read_csv(path, "t CSV"))
             from_stream = _table_or_error(lambda: _read_csv(io.StringIO(text, newline=""), "t CSV"))
+            declined = _split_rows(text, limit) is None
+            if splits:
+                with mock.patch.object(csv, "reader", _refuse):
+                    split = _table_or_error(lambda: _read_csv(path, "t CSV"))
         finally:
             csv.field_size_limit(old)
         assert from_path == want
         assert from_stream == want
-        plain = text.replace("\r\n", "\n")
-        if '"' in plain or "\r" in plain or "\0" in plain:
-            assert split is None
-        elif max(map(len, plain.encode().split(b"\n"))) <= limit:
+        assert declined is not splits
+        if splits:
             assert split == want
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=csv_texts(), limit=st.sampled_from([6, csv.field_size_limit()]))
+    def test_both_paths_agree(self, tmp_path_factory, text, limit):
+        self.check_both_paths_agree(tmp_path_factory.mktemp("csv"), text, limit)
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        text=csv_texts(),
+        limit=st.sampled_from([6, csv.field_size_limit()]),
+        chunk=st.integers(1, 12),
+    )
+    def test_both_paths_agree_in_small_chunks(self, tmp_path_factory, text, limit, chunk):
+        # pieces of a few characters: a line per piece, the reader taking
+        # over mid-text, a byte order mark or a character cut across blocks
+        with mock.patch.object(core, "_CHUNK_CHARS", chunk):
+            self.check_both_paths_agree(tmp_path_factory.mktemp("csv"), text, limit)
 
     def test_own_and_benchmark_files_take_the_split_path(self, rng, tmp_path, monkeypatch):
         ds = random_dataset(rng, pairs=5)

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,6 +243,26 @@ class TestArguments:
         ds, design, _ = generate_trial(preset("null"), 10, "nn_x", 3)
         with pytest.raises(ValueError, match="delta0 must be a finite number"):
             test(ds, design, delta0=delta0)
+
+    @pytest.mark.parametrize("test", [infer, randomization_test])
+    @pytest.mark.parametrize("value", ["0.05", None, True, np.True_, [0.05], 1j])
+    def test_not_a_real_number(self, test, value):
+        # a ValueError, as for any other argument mistake, and not a TypeError
+        ds, design, _ = generate_trial(preset("null"), 10, "nn_x", 3)
+        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            test(ds, design, alpha=value)
+        with pytest.raises(ValueError, match="delta0 must be a finite number"):
+            test(ds, design, delta0=value)
+
+    def test_numpy_and_fraction_numbers_are_real(self):
+        ds, design, _ = generate_trial(preset("null"), 10, "nn_x", 3)
+        plain = infer(ds, design, alpha=0.05, delta0=0.5)
+        assert infer(ds, design, alpha=np.float32(0.05), delta0=np.int64(0)).delta_hat == (
+            plain.delta_hat
+        )
+        assert infer(ds, design, alpha=Fraction(1, 20), delta0=Fraction(1, 2)).p_value == (
+            plain.p_value
+        )
 
 
 class TestInfer:

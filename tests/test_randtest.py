@@ -324,9 +324,11 @@ class TestStochastic:
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\), got None"):
             randomization_test(ds, identity_design(3), mode="stochastic", draws=100)
         # the seed rule of assign_within_pairs
-        for seed in (5.5, -1, 2**64):
+        for seed in (5.5, -1, 2**64, True):
             with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
                 randomization_test(ds, identity_design(3), mode="stochastic", draws=19, seed=seed)
+        with pytest.raises(ValueError, match="draws must be an integer of at least 19, got True"):
+            randomization_test(ds, identity_design(3), mode="stochastic", draws=True, seed=1)
         top = [
             randomization_test(ds, identity_design(3), mode="stochastic", draws=199, seed=seed)
             for seed in (2**64 - 1, np.uint64(2**64 - 1))
@@ -384,6 +386,17 @@ class TestChunking:
             tracemalloc.stop()
         # a chunk's (B, 2G) treatment matrices traced about 65 MiB
         assert peak < 32 * 2**20
+
+    def test_chunk_fits_in_cache(self):
+        ds, design, _ = generate_trial(preset("size_heterogeneous"), 1000, "nn_xn", 3)
+        tracemalloc.start()
+        try:
+            randomization_test(ds, design, mode="stochastic", draws=1999, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # chunks of 2^20 swap bits traced 16.1 MiB; of 2^17, 2.1 MiB
+        assert peak < 4 * 2**20
 
 
 class TestDesignCoverage:

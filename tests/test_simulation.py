@@ -461,6 +461,24 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
                 self.small_config(seed=seed)
         assert self.small_config(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+        # a bool is no count, seed or number, and a non-number no level
+        with pytest.raises(ValueError, match="replications must be an integer of at least 1"):
+            self.small_config(replications=True)
+        with pytest.raises(ValueError, match="pair_count must be an integer of at least 2"):
+            self.small_config(pair_count=True)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            self.small_config(seed=True)
+        with pytest.raises(ValueError, match="alpha must lie strictly between 0 and 1"):
+            self.small_config(alpha="0.05")
+        with pytest.raises(ValueError, match="null_delta must be a finite number"):
+            self.small_config(null_delta="0")
+        with pytest.raises(ValueError, match="null_delta must be a finite number"):
+            self.small_config(null_delta=False)
+
+    @pytest.mark.parametrize("dgp", ["null", None, {"name": "null"}])
+    def test_config_needs_a_dgp_spec(self, dgp):
+        with pytest.raises(ValueError, match="dgp must be a DgpSpec"):
+            self.small_config(dgp=dgp)
 
     def test_numpy_integer_settings_give_the_same_json_report(self):
         plain = monte_carlo(self.small_config(pair_count=4, replications=2, seed=5))

@@ -42,16 +42,25 @@ A CSV is read in pieces of about ``_CHUNK_CHARS`` characters that end at
 line breaks, and one leading UTF-8 byte order mark is dropped. A piece with
 no double quote, no NUL, no carriage return outside a CRLF line break and no
 line longer than ``csv.field_size_limit()`` (the package's own files, which
-``csv.writer`` ends with CRLF, and most exports) is split once into
-columns. From the first piece that is not, such as one with a quoted field,
-the rest of the text goes through ``csv.reader``. The input alone decides,
-and both paths give the same columns, line numbers and errors.
+``csv.writer`` ends with CRLF, and most exports) is scanned once, as UTF-8
+bytes, for commas and line feeds. From the first piece that is not, such as
+one with a quoted field, the rest of the text goes through ``csv.reader``,
+whose fields are encoded into one buffer. Either way a piece keeps its bytes
+and a (rows, width) table of the offsets where each field begins and ends
+(:class:`_Fields`). The input alone decides the path, and both give the same
+fields, line numbers and errors.
 
-A units CSV is never held whole: of each row :func:`load_dataset` keeps its
-outcome, a cluster code and a hash of its (cluster_id, unit_id), and the
-field strings die with their piece, so loading traces about twice the
-file's size. Errors are raised only once the whole text has been read, so
-they are those, with the lines, that a whole-file read would give.
+A field becomes a string only when its column is asked for, each column in
+one decode and one split; every field of a clusters or design CSV does. Of a
+units CSV, :func:`load_dataset` decodes the outcomes, whose ``float`` is the
+one Python call per row, and one cluster_id per run of rows whose id has the
+same bytes (one per cluster in ``csv.writer``'s files, which are grouped by
+cluster). Unit ids stay bytes. Of each row it keeps the outcome, a cluster
+code and a 64-bit hash of the code and the unit_id's bytes; rows whose
+hashes collide are read again and compared exactly. The units CSV is never
+held whole, and loading traces about 1.7 times the file's size. Errors are
+raised only once the whole text has been read, so they are those, with the
+lines, that a whole-file read would give.
 """
 
 from __future__ import annotations
@@ -85,10 +94,13 @@ _COVARIATE_COL = re.compile(r"^x(\d+)$")
 
 _BOM = "\ufeff"
 
-#: Characters of CSV text parsed at a time. A chunk's field strings take
-#: several times its text and die with it, so they stay in the CPU's
-#: caches, and a units CSV is never held whole: of each row only its
-#: outcome, cluster code and key hash (24 bytes) are kept.
+#: The masks keeping the low 0 to 8 bytes of a 64-bit word.
+_LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+
+#: Characters of CSV text parsed at a time. A piece's bytes, field offsets
+#: and strings take several times its text and die with it, so they stay in
+#: the CPU's caches, and a units CSV is never held whole: of each row only
+#: its outcome, cluster code and key hash (24 bytes) are kept.
 _CHUNK_CHARS = 1 << 16
 
 @dataclass(frozen=True)
@@ -366,6 +378,55 @@ def _gather_clusters(y: np.ndarray, offsets: np.ndarray, order: np.ndarray):
     return y[index], new
 
 
+class _Fields:
+    """CSV fields of a piece of rows as UTF-8 bytes: field i is
+    ``buf[start[i]:end[i]]``, and ``buf[end[i]]`` is the byte that ends it.
+    ``start`` and ``end`` hold one column, (rows,), or a table, (rows,
+    width). Seven more bytes follow the last field's end byte, so any 8
+    bytes from within a field can be read as one word. Strings are made
+    only when asked for."""
+
+    __slots__ = ("buf", "start", "end")
+
+    def __init__(self, buf: np.ndarray, start: np.ndarray, end: np.ndarray):
+        self.buf, self.start, self.end = buf, start, end
+
+    def column(self, j: int) -> "_Fields":
+        return _Fields(self.buf, self.start[:, j], self.end[:, j])
+
+    def strings(self, rows: np.ndarray | None = None) -> list[str]:
+        """The fields, or those of ``rows``, row after row, as strings: their
+        bytes are gathered with a line feed after each, then decoded and
+        split once. Every field is gathered through a mask over the bytes
+        they span, some rows' fields through an index of each byte."""
+        start, end = (self.start, self.end) if rows is None else (self.start[rows], self.end[rows])
+        start, end = start.ravel(), end.ravel()
+        size = end - start + 1  # each field and the byte that ends it
+        if rows is None and len(start):
+            # runs of bytes between the fields, left out, and of the fields
+            runs = np.empty(2 * len(start), dtype=np.intp)
+            runs[0::2] = start
+            runs[2::2] -= end[:-1] + 1
+            runs[1::2] = size
+            kept = np.zeros(len(runs), dtype=bool)
+            kept[1::2] = True
+            data = self.buf[: end[-1] + 1][np.repeat(kept, runs)]
+        else:
+            at = np.zeros(len(start) + 1, dtype=np.intp)
+            np.cumsum(size, out=at[1:])
+            data = self.buf[np.repeat(start - at[:-1], size) + np.arange(at[-1])]
+        data[np.cumsum(size) - 1] = ord("\n")
+        fields = data.tobytes().decode("utf-8", "surrogatepass").split("\n")
+        if len(fields) != len(start) + 1:  # a line break inside a quoted field
+            return [_decode(self.buf[a:b]) for a, b in zip(start.tolist(), end.tolist())]
+        fields.pop()
+        return fields
+
+
+def _decode(data: np.ndarray) -> str:
+    return data.tobytes().decode("utf-8", "surrogatepass")
+
+
 def _read_csv(source, kind: str) -> tuple[list[str], dict[str, list[str]], np.ndarray]:
     """Header, columns and the physical line each data row starts on, of a
     CSV (path or open text stream): the chunks of :func:`_csv_chunks`,
@@ -374,9 +435,10 @@ def _read_csv(source, kind: str) -> tuple[list[str], dict[str, list[str]], np.nd
     header = next(chunks)
     columns = [[] for _ in header]
     lines = [np.zeros(0, dtype=np.int64)]
-    for cols, row_lines in chunks:
-        for column, col in zip(columns, cols):
-            column.extend(col)
+    for table, row_lines in chunks:
+        fields = table.strings()
+        for j, column in enumerate(columns):
+            column.extend(fields[j :: len(header)])
         lines.append(row_lines)
     return header, dict(zip(header, columns)), np.concatenate(lines)
 
@@ -384,7 +446,7 @@ def _read_csv(source, kind: str) -> tuple[list[str], dict[str, list[str]], np.nd
 def _csv_chunks(source, kind: str):
     """Reads a CSV (path or open text stream) in chunks of about
     ``_CHUNK_CHARS`` characters. Yields its header, a list of names, then
-    for each chunk of data rows a list of columns of field strings, in
+    for each chunk of data rows a table of their :class:`_Fields`, in
     header order, and an array of the physical line each row starts on.
 
     One leading byte order mark is dropped and blank rows are skipped. A
@@ -400,7 +462,7 @@ def _csv_chunks(source, kind: str):
     bad = None
     if len(set(header)) != len(header):
         bad = DataError(f"{kind} header repeats a column: {header}")
-    for widths, lines, columns in batches:
+    for widths, lines, buf, begins, ends in batches:
         if bad is not None:
             continue  # only a decoding or CSV error can still come first
         wrong = widths != len(header)
@@ -410,7 +472,8 @@ def _csv_chunks(source, kind: str):
                 f"{kind} line {lines[i]}: {widths[i]} fields where the header has {len(header)}"
             )
         else:
-            yield columns, lines
+            shape = (len(lines), len(header))
+            yield _Fields(buf, begins.reshape(shape), ends.reshape(shape)), lines
     if bad is not None:
         raise bad
 
@@ -418,65 +481,80 @@ def _csv_chunks(source, kind: str):
 def _row_batches(source, kind: str):
     """The rows of a CSV, a batch per piece of :func:`_text_chunks`: yields
     the header, then per batch each row's field count, the physical line it
-    starts on and the columns, which hold the rows' fields in order when
-    every row has the header's width.
+    starts on, a UTF-8 buffer and the offsets in it where each field begins
+    and ends, row after row.
 
-    A piece is split into columns at once, as long as every piece before it
-    was; the first one that ``_split_rows`` declines and all later ones go
-    through ``csv.reader``. Both give the same rows, line numbers and errors.
+    A piece is split by :func:`_field_offsets`, as long as every piece
+    before it was; the first one it declines and all later ones go through
+    ``csv.reader``. Both give the same rows, line numbers and errors.
     """
     limit = csv.field_size_limit()
     pieces = _text_chunks(source, kind)
     header, line = None, 0  # physical lines before the piece
     for text, own_lines in pieces:
-        split = _split_rows(text, limit)
+        split = _field_offsets(text, limit)
         if split is None:
             yield from _reader_batches(chain([(text, own_lines)], pieces), kind, header, line)
             return
-        starts, widths, fields, count = split
+        buf, starts, widths, begins, ends, count = split
         lines = starts + (line + 1)
         if header is None:
             # the first line is the header, or an empty one when blank
-            header = fields[: widths[0]] if len(starts) and starts[0] == 0 else []
-            if header:
-                fields, widths, lines = fields[len(header) :], widths[1:], lines[1:]
+            header = []
+            if len(starts) and starts[0] == 0:
+                w = widths[0]
+                header = _decode(buf[: ends[w - 1]]).split(",")
+                widths, lines, begins, ends = widths[1:], lines[1:], begins[w:], ends[w:]
             yield header
         line += count
-        yield widths, lines, [fields[j :: len(header)] for j in range(len(header))]
+        yield widths, lines, buf, begins, ends
 
 
-def _split_rows(text: str, limit: int):
-    """The non-blank rows of ``text``, whole lines, from one split: (the
-    index of the line each starts on, their field counts, all their fields
-    in one list, the number of lines), or None for a text holding a quote, a
-    NUL, a carriage return outside CRLF or a line longer than ``limit``,
-    which only ``csv.reader`` reads right."""
-    text = text.replace("\r\n", "\n")
-    if '"' in text or "\r" in text or "\0" in text:
+def _field_offsets(text: str, limit: int):
+    """The non-blank rows of ``text``, whole lines, from one scan of its
+    UTF-8 bytes for commas and line feeds: (the bytes, the index of the line
+    each row starts on, their field counts, the offsets where each field
+    begins and of the byte that ends it, a comma, a line feed or the
+    carriage return of a CRLF, row after row, the number of lines), or None
+    for a text holding a quote, a NUL, a carriage return outside CRLF or a
+    line longer than ``limit``, which only ``csv.reader`` reads right. Lone
+    surrogates, which a stream may hold, pass through as bytes."""
+    if '"' in text or "\0" in text or text.endswith("\r"):
         return None
     if text and not text.endswith("\n"):
         text += "\n"
-    # in UTF-8 the bytes of "\n" and "," stand for nothing else
-    raw = np.frombuffer(text.encode("utf-8"), np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))
-    starts = np.zeros_like(ends)
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts  # bytes, at least the characters
-    if len(ends) and lengths.max() > limit:
+    # in UTF-8 the bytes of "\n", "\r" and "," stand for nothing else
+    buf = np.frombuffer(text.encode("utf-8", "surrogatepass") + bytes(7), np.uint8)
+    ends = np.flatnonzero((buf == ord("\n")) | (buf == ord(",")))
+    begins = np.zeros_like(ends)
+    begins[1:] = ends[:-1] + 1
+    breaks = np.flatnonzero(buf[ends] == ord("\n"))  # the index in ends of each line's end
+    line_ends = ends[breaks]
+    line_starts = np.zeros_like(line_ends)
+    line_starts[1:] = line_ends[:-1] + 1
+    returns = np.count_nonzero(buf == ord("\r"))
+    if returns:
+        crlf = buf[line_ends - 1] == ord("\r")
+        if np.count_nonzero(crlf) != returns:
+            return None
+        line_ends -= crlf
+        ends[breaks] = line_ends  # a CRLF line's last field ends at its CR
+    if (line_ends - line_starts).max(initial=0) > limit:  # bytes, at least the characters
         return None
-    kept = lengths > 0
-    commas = np.flatnonzero(raw == ord(","))
-    widths = np.searchsorted(commas, ends[kept]) - np.searchsorted(commas, starts[kept]) + 1
-    if not kept.all():
-        text = "\n".join(filter(None, text.split("\n")))
-    fields = text.rstrip("\n").replace("\n", ",").split(",") if kept.any() else []
-    return np.flatnonzero(kept), widths, fields, len(ends)
+    kept = line_ends > line_starts
+    if not kept.all():  # a blank line holds no field
+        blank = breaks[~kept]
+        begins, ends = np.delete(begins, blank), np.delete(ends, blank)
+        breaks = breaks[kept] - np.searchsorted(blank, breaks[kept])
+    widths = np.diff(breaks, prepend=-1)
+    return buf, np.flatnonzero(kept), widths, begins, ends, len(line_ends)
 
 
 def _reader_batches(pieces, kind: str, header, line: int):
     """``_row_batches``'s output from ``csv.reader`` over the lines of
     ``pieces``, which start after physical line ``line``; the header is read
-    and yielded first when ``header`` is None."""
+    and yielded first when ``header`` is None. A batch's fields are encoded
+    into one buffer, each followed by a line feed."""
     begun = 0  # pieces the reader has taken lines from
 
     def lines():
@@ -486,9 +564,18 @@ def _reader_batches(pieces, kind: str, header, line: int):
             yield from io.StringIO(text, newline="") if own_lines is None else own_lines
 
     def batch(rows: list, starts: list):
-        columns = list(zip(*rows)) if rows else [()] * len(header)
-        widths = np.fromiter(map(len, rows), np.int64, len(rows))
-        return widths, np.array(starts, dtype=np.int64) + line, columns
+        widths = np.fromiter(map(len, rows), np.intp, len(rows))
+        fields = list(chain.from_iterable(rows))
+        text = "\n".join(fields) + "\n"
+        buf = text.encode("utf-8", "surrogatepass")
+        size = np.fromiter(map(len, fields), np.intp, len(fields))
+        if len(buf) != len(text):  # not all ASCII: count each field's bytes
+            size = np.fromiter(
+                (len(f.encode("utf-8", "surrogatepass")) for f in fields), np.intp, len(fields)
+            )
+        ends = np.cumsum(size + 1) - 1
+        lines = np.array(starts, dtype=np.int64) + line
+        return widths, lines, np.frombuffer(buf + bytes(7), np.uint8), ends - size, ends
 
     reader = csv.reader(lines())
     try:
@@ -580,7 +667,8 @@ def _parse_column(
 def _unit_chunks(source):
     """A units CSV (path or open text stream) in the chunks of
     :func:`_csv_chunks`: yields each chunk's ``cluster_id`` and ``unit_id``
-    fields, its outcomes as floats and the physical line each row starts on.
+    columns (:class:`_Fields`), its outcomes as floats and the physical
+    line each row starts on.
 
     After the errors of ``_csv_chunks``, raises ``DataError`` for a header
     without the three columns, then for the first outcome that is not a
@@ -595,13 +683,13 @@ def _unit_chunks(source):
         error = DataError(f"units CSV header must contain {sorted(required)}, got {header}")
     else:
         at = [header.index(name) for name in required]
-    for columns, lines in chunks:
+    for table, lines in chunks:
         if error is not None and not isinstance(error, NonFiniteOutcome):
             continue  # no later row can bring an error that comes first
-        ids, units, texts = (columns[j] for j in at)
+        ids, units, texts = (table.column(j) for j in at)
         try:
             outcome = _parse_column(
-                texts,
+                texts.strings(),
                 float,
                 float,
                 lambda i, text: DataError(f"units CSV line {lines[i]}: bad outcome {text!r}"),
@@ -624,28 +712,74 @@ def _unit_columns(source):
     its outcome, a code for its cluster_id and a hash of its (cluster_id,
     unit_id). Returns these three arrays and the cluster_ids in code order.
 
-    The arrays grow by half as chunks come in, in place where the allocator
-    can, so no field string outlives its chunk.
+    No field string but one cluster_id per run of rows is made. The arrays
+    are allocated once, at :func:`_line_count` rows, and grow by half only
+    when full, as for a stream.
     """
-    outcome = np.empty(0)
-    codes = np.empty(0, dtype=np.intp)
-    keys = np.empty(0, dtype=np.int64)
     code_of = {}
+    size = _line_count(source)
+    columns = [np.empty(size), np.empty(size, dtype=np.intp), np.empty(size, dtype=np.int64)]
     n = 0
     for ids, units, y, _ in _unit_chunks(source):
-        for cid in set(ids).difference(code_of):
-            code_of[cid] = len(code_of)
+        codes = _cluster_codes(ids, code_of)
         m = n + len(y)
-        if m > len(outcome):
-            for column in (outcome, codes, keys):
-                column.resize(max(m, len(column) * 3 // 2), refcheck=False)
-        outcome[n:m] = y
-        codes[n:m] = np.fromiter(map(code_of.__getitem__, ids), np.intp, len(ids))
-        keys[n:m] = np.fromiter(map(hash, zip(ids, units)), np.int64, len(ids))
+        if m > size:
+            size = max(m, size * 3 // 2)
+            columns = [np.concatenate([c[:n], np.empty(size - n, c.dtype)]) for c in columns]
+        for column, piece in zip(columns, (y, codes, _unit_keys(codes, units))):
+            column[n:m] = piece
         n = m
-    for column in (outcome, codes, keys):
-        column.resize(n, refcheck=False)
-    return outcome, codes, keys, list(code_of)
+    return *(column[:n] for column in columns), list(code_of)
+
+
+def _line_count(source) -> int:
+    """One more than the line feeds of a CSV file, which is at least its
+    number of rows unless bare carriage returns end some; 0 for a stream."""
+    if not isinstance(source, (str, Path)):
+        return 0
+    with open(source, "rb") as fh:
+        return 1 + sum(block.count(b"\n") for block in iter(lambda: fh.read(_CHUNK_CHARS), b""))
+
+
+def _cluster_codes(ids: _Fields, code_of: dict[str, int]) -> np.ndarray:
+    """The code of each row's cluster_id in ``code_of``, which gains a code
+    for each new one: one lookup per run of rows with equal id bytes."""
+    length = ids.end - ids.start
+    # a row starts a run unless its id has the previous row's bytes
+    same = length[1:] == length[:-1]
+    for rows, word in _field_words(ids):
+        differ = (rows[1:] == rows[:-1] + 1) & (word[1:] != word[:-1])
+        same[rows[1:][differ] - 1] = False
+    runs = np.flatnonzero(np.concatenate(([len(length) > 0], ~same)))
+    names = ids.strings(runs)
+    codes = np.fromiter((code_of.setdefault(n, len(code_of)) for n in names), np.intp, len(names))
+    return np.repeat(codes, np.diff(runs, append=len(length)))
+
+
+def _unit_keys(codes: np.ndarray, units: _Fields) -> np.ndarray:
+    """A 64-bit hash of each row's (cluster code, unit_id bytes): a
+    polynomial in the byte count, the bytes' 8-byte words and the code,
+    modulo 2^64."""
+    base = np.uint64(0x9E3779B97F4A7C15)  # odd, so each step is one-to-one
+    key = (units.end - units.start).astype(np.uint64)
+    for rows, word in _field_words(units):
+        key[rows] = key[rows] * base + word
+    return (key * base + codes.astype(np.uint64)).view(np.int64)
+
+
+def _field_words(column: _Fields):
+    """The fields of ``column`` as little-endian 64-bit words, zero past
+    the field's end: yields, for k = 0, 1, ..., the rows whose field is
+    longer than 8k bytes (every row for k = 0), in order, and their k-th
+    word."""
+    words = np.ndarray((len(column.buf) - 7,), "<u8", column.buf, 0, (1,))
+    rows, start, left = np.arange(len(column.start)), column.start, column.end - column.start
+    while True:
+        yield rows, words[start] & _LOW_BYTES[np.minimum(left, 8)]
+        more = left > 8
+        if not more.any():
+            return
+        rows, start, left = rows[more], start[more] + 8, left[more] - 8
 
 
 def _unit_rows(reread, rows: np.ndarray) -> list[tuple[str, str, int]]:
@@ -653,8 +787,8 @@ def _unit_rows(reread, rows: np.ndarray) -> list[tuple[str, str, int]]:
     increasing order, read again from the units CSV ``reread()``."""
     found, n = [], 0
     for ids, units, _, lines in _unit_chunks(reread()):
-        for r in (rows[(rows >= n) & (rows < n + len(lines))] - n).tolist():
-            found.append((ids[r], units[r], int(lines[r])))
+        mine = rows[(rows >= n) & (rows < n + len(lines))] - n
+        found += zip(ids.strings(mine), units.strings(mine), lines[mine].tolist())
         n += len(lines)
     return found
 
@@ -747,14 +881,14 @@ def read_clusters(source) -> Dataset:
         )
     treatment = None
     if "treatment" in header:
-        treatment = _parse_column(
-            cols["treatment"],
-            lambda text: {"0": 0, "1": 1}[text.strip()],
-            np.int64,
-            lambda i, text: NonBinaryTreatment(
-                f"clusters CSV line {lines[i]}: treatment {text.strip()!r} not in {{0, 1}}"
-            ),
-        )
+        texts = list(map(str.strip, cols["treatment"]))
+        odd = set(texts).difference(("0", "1"))
+        if odd:
+            i = int(np.fromiter(map(odd.__contains__, texts), bool, len(texts)).argmax())
+            raise NonBinaryTreatment(
+                f"clusters CSV line {lines[i]}: treatment {texts[i]!r} not in {{0, 1}}"
+            )
+        treatment = np.fromiter(map("1".__eq__, texts), np.int64, len(texts))
     return build_dataset(ids, n_total, x, treatment)
 
 

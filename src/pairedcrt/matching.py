@@ -510,13 +510,17 @@ def read_design(source, dataset: Dataset) -> MatchedDesign:
     if not required.issubset(header):
         raise DataError(f"design CSV header must contain {sorted(required)}")
     modes = cols.get("mode", ())
-    for line, text in zip(lines, modes):
-        if text not in MATCH_MODES:
-            raise DataError(f"design CSV line {line}: unknown mode {text!r}")
-        if text != modes[0]:
-            raise DataError(
-                f"design CSV line {line}: mode {text!r} where earlier rows have {modes[0]!r}"
-            )
+    if len(set(modes)) > 1 or not set(modes).issubset(MATCH_MODES):
+        # the first row whose mode is unknown or differs from the first row's
+        first = modes[0]
+        i = 0
+        if first in MATCH_MODES:
+            i = int(np.fromiter(map(first.__ne__, modes), bool, len(modes)).argmax())
+        if modes[i] not in MATCH_MODES:
+            raise DataError(f"design CSV line {lines[i]}: unknown mode {modes[i]!r}")
+        raise DataError(
+            f"design CSV line {lines[i]}: mode {modes[i]!r} where earlier rows have {first!r}"
+        )
 
     def ints(name: str) -> np.ndarray:
         return _parse_column(

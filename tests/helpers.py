@@ -46,7 +46,10 @@ def read_units(source):
     """Parse a units CSV (path or open text stream) through the package's
     reader into a structured array of ``UNIT_DTYPE``, one element per unit
     row in file order, so its ``len`` is the number of unit rows."""
-    chunks = [np.rec.fromarrays(chunk, dtype=UNIT_DTYPE) for chunk in _unit_chunks(source)]
+    chunks = [
+        np.rec.fromarrays([ids.strings(), units.strings(), y, lines], dtype=UNIT_DTYPE)
+        for ids, units, y, lines in _unit_chunks(source)
+    ]
     return np.concatenate([np.empty(0, dtype=UNIT_DTYPE), *chunks])
 
 

@@ -22,8 +22,9 @@ from pairedcrt import core
 from pairedcrt.core import (
     _certified_sums,
     _cluster_sums,
+    _field_offsets,
     _read_csv,
-    _split_rows,
+    _unit_columns,
     build_dataset,
     load_dataset,
     read_clusters,
@@ -439,6 +440,13 @@ class TestReaders:
                 with pytest.raises(DataError, match=message):
                     read_units(path)
 
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_stream_with_lone_surrogates(self, quote):
+        # a stream opened with errors="surrogateescape" yields them
+        units = read_units(units_csv(f"{quote}a\udc80{quote},u1,1.5\nb,u\udcff,2\n"))
+        assert units["cluster_id"].tolist() == ["a\udc80", "b"]
+        assert units["unit_id"].tolist() == ["u1", "u\udcff"]
+
     @pytest.mark.parametrize("as_path", [True, False])
     def test_units_byte_order_mark_dropped(self, tmp_path, as_path):
         text = "\ufeffcluster_id,unit_id,outcome\r\na,u1,1.5\r\nb,u1,2\r\n"
@@ -587,11 +595,35 @@ class TestLoadInChunks:
 
     def test_equal_key_hashes_are_not_duplicates(self, monkeypatch):
         # every key hashes alike: only the exact comparison can tell them apart
-        monkeypatch.setattr(core, "hash", lambda key: 7, raising=False)
+        monkeypatch.setattr(core, "_unit_keys", lambda codes, units: np.full(len(codes), 7))
         ds = load_dataset(io.StringIO(chunked_units({})), four_large_clusters())
         assert ds.n_sampled.tolist() == [10, 10, 10, 10]
         with pytest.raises(DuplicateUnit, match=r"line 32: duplicate unit \('a', 'u0'\)"):
             load_dataset(io.StringIO(chunked_units({30: "a,u0,1"})), four_large_clusters())
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("chars", [16, 1 << 16])
+    def test_colliding_units_before_a_duplicate(self, monkeypatch, quoted, chars):
+        # a key of the cluster alone: each unit collides with every other
+        # of its cluster, and 'u4' is also a unit of cluster d, before the
+        # true duplicate of ('a', 'u4') on line 38
+        monkeypatch.setattr(core, "_unit_keys", lambda codes, units: codes.astype(np.int64))
+        monkeypatch.setattr(core, "_CHUNK_CHARS", chars)
+        text = chunked_units({35: "d,u4,1.0", 36: "a,u4,2.0"}, quoted)
+        message = r"^units CSV line 38: duplicate unit \('a', 'u4'\)$"
+        with pytest.raises(DuplicateUnit, match=message):
+            load_dataset(io.StringIO(text), four_large_clusters())
+
+    def test_distinct_units_get_distinct_keys(self):
+        # units named alike across clusters, ids of 1 to 20 bytes, in any order
+        rng = np.random.default_rng(3)
+        rows = [
+            f"c{g}{'x' * (g % 13)},u{u:0{u % 9}d},{u}.5\n" for g in range(200) for u in range(30)
+        ]
+        text = "cluster_id,unit_id,outcome\n" + "".join(rng.permutation(rows))
+        _, codes, keys, ids = _unit_columns(io.StringIO(text))
+        assert len(ids) == 200 and len(np.unique(codes)) == 200
+        assert len(np.unique(keys)) == len(keys) == 6000
 
     def test_memory_is_bounded_by_the_file_size(self, tmp_path):
         # 2000 clusters of 30 units, written as the benchmark writes them
@@ -636,6 +668,118 @@ class TestLoadInChunks:
             fh.readline()
             with pytest.raises(DuplicateUnit, match="line 32"):
                 load_dataset(fh, four_large_clusters())
+
+
+_CLUSTERS_CSV = "cluster_id,n_total,x1\na,90,0\nb,90,0\nß,90,0\n東京,90,0\n"
+_CLUSTER_IDS = ["a", "b", "ß", "東京"]
+# unit id stems, numbered within each cluster, so ids recur across clusters;
+# some are non-ASCII or hold what csv.writer quotes
+_UNIT_IDS = ["u", "é", "ü", "x y", "", "x,y", "l\nm"]
+_OUTCOMES = ["1.5", "-0.0", "2.5e-3", " 1.5", "1_0", "\u0661\u0662\u0663"] * 40
+_OUTCOMES += ["1e308", "inf", "nan", "oops", ""]
+
+
+@st.composite
+def units_texts(draw):
+    """Units CSVs of 4 to 42 rows, grouped by cluster or not, with odd
+    outcomes and, at times, a unit repeated, an unknown cluster, a ragged
+    or blank row; LF or CRLF; fields quoted where needed and, at times, one
+    somewhere in the file that needs no quotes."""
+    clusters = draw(st.lists(st.sampled_from(_CLUSTER_IDS), max_size=36)) + _CLUSTER_IDS
+    clusters = draw(st.permutations(clusters))
+    if draw(st.booleans()):
+        clusters.sort()  # grouped by cluster, as csv.writer's files are
+    seen = dict.fromkeys(_CLUSTER_IDS, 0)
+    stems = st.sampled_from(draw(st.sampled_from([_UNIT_IDS[:5], _UNIT_IDS])))
+    rows = []
+    for cid in clusters:
+        seen[cid] += 1
+        unit = draw(stems) + str(seen[cid])
+        rows.append([cid, unit, draw(st.sampled_from(_OUTCOMES))])
+    for _ in range(draw(st.sampled_from([0] * 6 + [1, 2]))):
+        # a unit repeated, or one of a cluster the clusters CSV lacks
+        row = list(draw(st.sampled_from(rows)))
+        if draw(st.booleans()):
+            row[0] = "ghost"
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    if draw(st.integers(0, 5)) == 0:
+        draw(st.sampled_from(rows)).append("9")
+    quoted = draw(st.integers(0, len(rows) - 1)) if draw(st.booleans()) else None
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "cluster_id,unit_id,outcome" + end
+    for i, row in enumerate(rows):
+        quote = [(i, j) == (quoted, 0) or "," in f or "\n" in f for j, f in enumerate(row)]
+        text += ",".join(f'"{f}"' if q else f for f, q in zip(row, quote)) + end
+        if draw(st.integers(0, 9)) == 0:
+            text += end
+    return text
+
+
+def load_reference(text: str) -> core.Dataset:
+    """``load_dataset`` of a units CSV and ``_CLUSTERS_CSV``, whole-file:
+    ``reader_table``, then ``float`` and a dict per check, in the order of
+    precedence of the package's errors."""
+    header, cols, lines = reader_table(text, "units CSV")
+    required = ("cluster_id", "unit_id", "outcome")
+    if not set(required).issubset(header):
+        raise DataError(f"units CSV header must contain {sorted(required)}, got {header}")
+    rows = list(zip(cols["cluster_id"], cols["unit_id"], cols["outcome"], lines.tolist()))
+    y = []
+    for _, _, text, line in rows:
+        try:
+            y.append(float(text))
+        except ValueError:
+            raise DataError(f"units CSV line {line}: bad outcome {text!r}") from None
+    for value, (*_, line) in zip(y, rows):
+        if not math.isfinite(value):
+            raise NonFiniteOutcome(f"units CSV line {line}: outcome {value!r}")
+    clusters = read_clusters(io.StringIO(_CLUSTERS_CSV))
+    index = {cid: g for g, cid in enumerate(clusters.cluster_ids)}
+    for cid, unit, _, line in rows:
+        if cid not in index:
+            raise UnknownCluster(
+                f"units CSV line {line}: unit {unit!r} references unknown cluster {cid!r}"
+            )
+    seen = set()
+    for cid, unit, _, line in rows:
+        if (cid, unit) in seen:
+            raise DuplicateUnit(f"units CSV line {line}: duplicate unit {(cid, unit)!r}")
+        seen.add((cid, unit))
+    per_cluster = [[] for _ in index]
+    for value, (cid, *_) in zip(y, rows):
+        per_cluster[index[cid]].append(value)
+    flat, offsets = csr(per_cluster)
+    return build_dataset(clusters.cluster_ids, clusters.n_total, clusters.X, None, flat, offsets)
+
+
+def _dataset_or_error(load):
+    try:
+        return load()
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+class TestLoadAgainstReference:
+    """``load_dataset`` gives the Dataset or the error of a whole-file read."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        text=units_texts(),
+        chars=st.sampled_from([1, 7, 40, 1 << 16]),
+        as_path=st.booleans(),
+    )
+    def test_same_as_the_whole_file_reference(self, tmp_path_factory, text, chars, as_path):
+        want = _dataset_or_error(lambda: load_reference(text))
+        path = tmp_path_factory.mktemp("csv") / "units.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        units = path if as_path else io.StringIO(text, newline="")
+        with mock.patch.object(core, "_CHUNK_CHARS", chars):
+            got = _dataset_or_error(lambda: load_dataset(units, io.StringIO(_CLUSTERS_CSV)))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert not isinstance(got, tuple), got
+            assert_same_columns(got, want)
 
 
 # Two blank lines and a quoted field holding a line break (lines 2 to 5)
@@ -764,7 +908,7 @@ class TestCsvPaths:
             want = _table_or_error(lambda: reader_table(text, "t CSV"))
             from_path = _table_or_error(lambda: _read_csv(path, "t CSV"))
             from_stream = _table_or_error(lambda: _read_csv(io.StringIO(text, newline=""), "t CSV"))
-            declined = _split_rows(text, limit) is None
+            declined = _field_offsets(text, limit) is None
             if splits:
                 with mock.patch.object(csv, "reader", _refuse):
                     split = _table_or_error(lambda: _read_csv(path, "t CSV"))

@@ -17,21 +17,7 @@ from .core import (
     write_clusters,
     write_dataset,
 )
-from .errors import (
-    DataError,
-    DuplicateUnit,
-    EmptyArm,
-    EmptyCluster,
-    MissingTreatment,
-    NonBinaryTreatment,
-    NonFiniteOutcome,
-    OddClusterCount,
-    PairedCrtError,
-    RaggedCovariates,
-    SampleExceedsSize,
-    TooManyPairsForExact,
-    UnknownCluster,
-)
+from .errors import DataError, PairedCrtError
 from .estimation import PointEstimate, estimate_size_weighted
 from .inference import InferenceResult, infer
 from .matching import (
@@ -69,30 +55,19 @@ __all__ = [
     "DataError",
     "Dataset",
     "DgpSpec",
-    "DuplicateUnit",
-    "EmptyArm",
-    "EmptyCluster",
     "ImbalanceReport",
     "InferenceResult",
     "LinearOutcomeModel",
     "MATCH_MODES",
     "MatchedDesign",
-    "MissingTreatment",
-    "NonBinaryTreatment",
-    "NonFiniteOutcome",
-    "OddClusterCount",
     "PRESET_NAMES",
     "PairedCrtError",
     "PointEstimate",
-    "RaggedCovariates",
     "RandTestResult",
-    "SampleExceedsSize",
     "SamplingRule",
     "SimConfig",
     "SimReport",
     "SizeLaw",
-    "TooManyPairsForExact",
-    "UnknownCluster",
     "assign_within_pairs",
     "build_dataset",
     "estimate_size_weighted",

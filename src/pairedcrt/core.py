@@ -27,16 +27,18 @@ columns directly. :func:`build_dataset` is the one constructor: it sorts by
 ``cluster_id`` and validates every column, so downstream code relies on id
 order (matching tie-breaks, design serialization) and on finite values.
 
-Input schemas (UTF-8, comma-delimited, ``.`` decimal point):
+Input schemas (UTF-8 files, comma-delimited, ``.`` decimal point):
 
 * units CSV: header ``cluster_id,unit_id,outcome``
 * clusters CSV: header ``cluster_id,n_total,x1,...,xk[,treatment]``
   with ``treatment`` in {0, 1} when present.
 
-Blank lines are skipped; any other row must have as many fields as the
-header. Errors name the physical line on which the offending row starts,
-counting the header as line 1, blank lines and the line breaks inside quoted
-fields.
+Every CSV source is a file path (``str`` or ``os.PathLike``); any other
+source raises ``ValueError``. Blank lines are skipped; any other row must
+have as many fields as the header. Every data fault raises ``DataError``,
+whose message names the cluster or the physical line on which the offending
+row starts, counting the header as line 1, blank lines and the line breaks
+inside quoted fields.
 
 A CSV is read in pieces of about ``_CHUNK_CHARS`` characters that end at
 line breaks, and one leading UTF-8 byte order mark is dropped. A piece with
@@ -70,25 +72,15 @@ import csv
 import io
 import math
 import operator
+import os
 import re
 from dataclasses import asdict, dataclass, replace
 from itertools import chain
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DuplicateUnit,
-    EmptyCluster,
-    NonBinaryTreatment,
-    NonFiniteOutcome,
-    OddClusterCount,
-    RaggedCovariates,
-    SampleExceedsSize,
-    UnknownCluster,
-)
+from .errors import DataError
 
 _COVARIATE_COL = re.compile(r"^x(\d+)$")
 
@@ -144,16 +136,14 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 
 def _treatment_column(treatments, cluster_ids: Sequence[str]) -> np.ndarray:
     if len(treatments) != len(cluster_ids):
-        raise NonBinaryTreatment(
-            f"expected {len(cluster_ids)} treatments, got {len(treatments)}"
-        )
+        raise DataError(f"expected {len(cluster_ids)} treatments, got {len(treatments)}")
     t = np.asarray(treatments)
     if t.dtype == object and any(v is None for v in t.tolist()):
-        raise NonBinaryTreatment("treatment present for some clusters but not all")
+        raise DataError("treatment present for some clusters but not all")
     bad = ~np.isin(t, (0, 1))
     if bad.any():
         i = int(bad.argmax())
-        raise NonBinaryTreatment(
+        raise DataError(
             f"cluster {cluster_ids[i]!r}: treatment {t.tolist()[i]!r} not in {{0, 1}}"
         )
     return _frozen(t.astype(np.int64))
@@ -173,22 +163,22 @@ def build_dataset(
     covariates per cluster. ``treatment`` (0/1 per cluster) is optional.
     ``outcomes`` and ``offsets`` give the sampled outcomes in CSR form, the
     units of the i-th cluster being ``outcomes[offsets[i]:offsets[i + 1]]``;
-    leave both out for a clusters-only table. Raises a ``DataError`` subclass
-    naming the cluster for any invalid value.
+    leave both out for a clusters-only table. Raises ``DataError`` naming the
+    cluster for any invalid value.
     """
     ids = tuple(cluster_ids)
     m = len(ids)
     if m < 4 or m % 2 != 0:
-        raise OddClusterCount(f"need an even cluster count >= 4, got {m}")
+        raise DataError(f"need an even cluster count >= 4, got {m}")
     repeat = _first_repeat(ids)
     if repeat is not None:
         raise DataError(f"duplicate cluster_id {ids[repeat]!r}")
     try:
         x = np.array(X, dtype=float)
     except ValueError as exc:
-        raise RaggedCovariates(f"covariates do not form one row per cluster: {exc}") from None
+        raise DataError(f"covariates do not form one row per cluster: {exc}") from None
     if x.ndim != 2 or x.shape[0] != m:
-        raise RaggedCovariates(f"covariates must have shape (clusters, k), got {x.shape}")
+        raise DataError(f"covariates must have shape (clusters, k), got {x.shape}")
     n = np.array(n_total)
     if n.shape != (m,) or not np.issubdtype(n.dtype, np.integer):
         raise DataError(f"n_total must hold one integer per cluster, got {n.dtype} {n.shape}")
@@ -221,18 +211,18 @@ def build_dataset(
         counts = np.diff(starts)
         empty = counts == 0
         if empty.any():
-            raise EmptyCluster(f"cluster {ids[int(empty.argmax())]!r} has no sampled units")
+            raise DataError(f"cluster {ids[int(empty.argmax())]!r} has no sampled units")
         over = counts > n
         if over.any():
             i = int(over.argmax())
-            raise SampleExceedsSize(
+            raise DataError(
                 f"cluster {ids[i]!r}: {counts[i]} sampled units exceed n_total={n[i]}"
             )
         bad = ~np.isfinite(y)
         if bad.any():
             k = int(bad.argmax())
             i = int(np.searchsorted(starts, k, side="right")) - 1
-            raise NonFiniteOutcome(f"cluster {ids[i]!r}: outcome {float(y[k])!r}")
+            raise DataError(f"cluster {ids[i]!r}: outcome {float(y[k])!r}")
         ybar = _cluster_sums(y, starts, ids) / counts
 
     return Dataset(
@@ -320,9 +310,13 @@ def _certified_sums(y: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.
         size = np.abs(e0) + np.add.reduceat(np.abs(err, out=err), a)
         absy = np.abs(y)
         # Every y_i, Q_i, err_i and e0 is a multiple of g, the spacing of
-        # floats at the smallest nonzero |y_i|. A sum of such terms whose
-        # absolute values total below 2^53 g has exact partial sums, in any
-        # order: there lo is exact and r is the rounded sum, even at a tie.
+        # floats at the smallest nonzero |y_i| of the whole dataset. g must
+        # be global: the prefix sums Q_a and the errors err_i include every
+        # earlier cluster's outcomes, so they are multiples of the global g
+        # only, not of a spacing taken from one cluster's outcomes. A sum of
+        # such terms whose absolute values total below 2^53 g has exact
+        # partial sums, in any order: there lo is exact and r is the rounded
+        # sum, even at a tie.
         g = math.ulp(float(absy.min(initial=np.inf, where=absy > 0)))
         exact = size < 2.0**53 * g
         # Otherwise lo sums c + 1 terms for a cluster of c units, so its
@@ -416,7 +410,7 @@ class _Fields:
             np.cumsum(size, out=at[1:])
             data = self.buf[np.repeat(start - at[:-1], size) + np.arange(at[-1])]
         data[np.cumsum(size) - 1] = ord("\n")
-        fields = data.tobytes().decode("utf-8", "surrogatepass").split("\n")
+        fields = data.tobytes().decode("utf-8").split("\n")
         if len(fields) != len(start) + 1:  # a line break inside a quoted field
             return [_decode(self.buf[a:b]) for a, b in zip(start.tolist(), end.tolist())]
         fields.pop()
@@ -424,13 +418,13 @@ class _Fields:
 
 
 def _decode(data: np.ndarray) -> str:
-    return data.tobytes().decode("utf-8", "surrogatepass")
+    return data.tobytes().decode("utf-8")
 
 
 def _read_csv(source, kind: str) -> tuple[list[str], dict[str, list[str]], np.ndarray]:
-    """Header, columns and the physical line each data row starts on, of a
-    CSV (path or open text stream): the chunks of :func:`_csv_chunks`,
-    joined, with the errors it raises."""
+    """Header, columns and the physical line each data row starts on, of the
+    CSV file at path ``source``: the chunks of :func:`_csv_chunks`, joined,
+    with the errors it raises."""
     chunks = _csv_chunks(source, kind)
     header = next(chunks)
     columns = [[] for _ in header]
@@ -444,7 +438,7 @@ def _read_csv(source, kind: str) -> tuple[list[str], dict[str, list[str]], np.nd
 
 
 def _csv_chunks(source, kind: str):
-    """Reads a CSV (path or open text stream) in chunks of about
+    """Reads the CSV file at path ``source`` in chunks of about
     ``_CHUNK_CHARS`` characters. Yields its header, a list of names, then
     for each chunk of data rows a table of their :class:`_Fields`, in
     header order, and an array of the physical line each row starts on.
@@ -491,10 +485,10 @@ def _row_batches(source, kind: str):
     limit = csv.field_size_limit()
     pieces = _text_chunks(source, kind)
     header, line = None, 0  # physical lines before the piece
-    for text, own_lines in pieces:
+    for text in pieces:
         split = _field_offsets(text, limit)
         if split is None:
-            yield from _reader_batches(chain([(text, own_lines)], pieces), kind, header, line)
+            yield from _reader_batches(chain([text], pieces), kind, header, line)
             return
         buf, starts, widths, begins, ends, count = split
         lines = starts + (line + 1)
@@ -517,14 +511,13 @@ def _field_offsets(text: str, limit: int):
     begins and of the byte that ends it, a comma, a line feed or the
     carriage return of a CRLF, row after row, the number of lines), or None
     for a text holding a quote, a NUL, a carriage return outside CRLF or a
-    line longer than ``limit``, which only ``csv.reader`` reads right. Lone
-    surrogates, which a stream may hold, pass through as bytes."""
+    line longer than ``limit``, which only ``csv.reader`` reads right."""
     if '"' in text or "\0" in text or text.endswith("\r"):
         return None
     if text and not text.endswith("\n"):
         text += "\n"
     # in UTF-8 the bytes of "\n", "\r" and "," stand for nothing else
-    buf = np.frombuffer(text.encode("utf-8", "surrogatepass") + bytes(7), np.uint8)
+    buf = np.frombuffer(text.encode("utf-8") + bytes(7), np.uint8)
     ends = np.flatnonzero((buf == ord("\n")) | (buf == ord(",")))
     begins = np.zeros_like(ends)
     begins[1:] = ends[:-1] + 1
@@ -559,20 +552,18 @@ def _reader_batches(pieces, kind: str, header, line: int):
 
     def lines():
         nonlocal begun
-        for text, own_lines in pieces:
+        for text in pieces:
             begun += 1
-            yield from io.StringIO(text, newline="") if own_lines is None else own_lines
+            yield from io.StringIO(text, newline="")
 
     def batch(rows: list, starts: list):
         widths = np.fromiter(map(len, rows), np.intp, len(rows))
         fields = list(chain.from_iterable(rows))
         text = "\n".join(fields) + "\n"
-        buf = text.encode("utf-8", "surrogatepass")
+        buf = text.encode("utf-8")
         size = np.fromiter(map(len, fields), np.intp, len(fields))
         if len(buf) != len(text):  # not all ASCII: count each field's bytes
-            size = np.fromiter(
-                (len(f.encode("utf-8", "surrogatepass")) for f in fields), np.intp, len(fields)
-            )
+            size = np.fromiter((len(f.encode("utf-8")) for f in fields), np.intp, len(fields))
         ends = np.cumsum(size + 1) - 1
         lines = np.array(starts, dtype=np.int64) + line
         return widths, lines, np.frombuffer(buf + bytes(7), np.uint8), ends - size, ends
@@ -600,30 +591,17 @@ def _reader_batches(pieces, kind: str, header, line: int):
 
 
 def _text_chunks(source, kind: str):
-    """The text of a CSV in pieces of about ``_CHUNK_CHARS`` characters,
-    each ending at a line break but the last, with one leading byte order
-    mark dropped. Yields (text, lines): the lines ``csv.reader`` is to read,
-    a stream's own, or None for a file's, which are those of
-    ``io.StringIO(text, newline="")``.
+    """The text of the CSV file at path ``source`` in pieces of about
+    ``_CHUNK_CHARS`` characters, each ending at a line feed but the last,
+    with one leading byte order mark dropped.
 
-    A path is read as UTF-8; a byte that is not raises ``DataError`` naming
-    its offset in the file. A stream is read as an iterable of lines.
+    The file is read as UTF-8; a byte that is not raises ``DataError``
+    naming its offset in the file. A source that is not a file path raises
+    ``ValueError`` before anything is read.
     """
-    if not isinstance(source, (str, Path)):
-        lines, size, fresh = [], 0, True
-        for line in source:
-            if fresh:
-                line, fresh = line.removeprefix(_BOM), False
-            lines.append(line)
-            size += len(line)
-            if size >= _CHUNK_CHARS:
-                yield "".join(lines), lines
-                lines, size = [], 0
-        yield "".join(lines), lines
-        return
     decoder = codecs.getincrementaldecoder("utf-8")()
     parts, done, fresh = [], 0, True
-    with open(source, "rb") as fh:
+    with open(_file_path(source, kind), "rb") as fh:
         while True:
             block = fh.read(_CHUNK_CHARS)
             try:
@@ -639,13 +617,24 @@ def _text_chunks(source, kind: str):
             cut = text.rfind("\n") + 1
             if cut:
                 parts.append(text[:cut])
-                yield "".join(parts), None
+                yield "".join(parts)
                 parts = [text[cut:]]
             else:
                 parts.append(text)
             if not block:
                 break
-    yield "".join(parts), None
+    yield "".join(parts)
+
+
+def _file_path(source, kind: str):
+    """``source``, a file path (``str`` or ``os.PathLike``); any other source
+    raises ``ValueError``."""
+    if not isinstance(source, (str, os.PathLike)):
+        raise ValueError(
+            f"{kind} source must be a file path (str or os.PathLike), "
+            f"got {type(source).__name__}"
+        )
+    return source
 
 
 def _parse_column(
@@ -665,27 +654,29 @@ def _parse_column(
 
 
 def _unit_chunks(source):
-    """A units CSV (path or open text stream) in the chunks of
+    """The units CSV file at path ``source`` in the chunks of
     :func:`_csv_chunks`: yields each chunk's ``cluster_id`` and ``unit_id``
     columns (:class:`_Fields`), its outcomes as floats and the physical
     line each row starts on.
 
     After the errors of ``_csv_chunks``, raises ``DataError`` for a header
     without the three columns, then for the first outcome that is not a
-    number, then ``NonFiniteOutcome`` for the first one that is not finite,
-    once the whole text has been read. No chunk is yielded after an error.
+    number, then for the first one that is not finite, once the whole text
+    has been read. No chunk is yielded after an error.
     """
     chunks = _csv_chunks(source, "units CSV")
     header = next(chunks)
     required = ("cluster_id", "unit_id", "outcome")
     error = None  # the first one found, raised once the text is read
+    settled = False  # whether no later row can bring an error that comes first
     if not set(required).issubset(header):
         error = DataError(f"units CSV header must contain {sorted(required)}, got {header}")
+        settled = True
     else:
         at = [header.index(name) for name in required]
     for table, lines in chunks:
-        if error is not None and not isinstance(error, NonFiniteOutcome):
-            continue  # no later row can bring an error that comes first
+        if settled:
+            continue
         ids, units, texts = (table.column(j) for j in at)
         try:
             outcome = _parse_column(
@@ -695,12 +686,13 @@ def _unit_chunks(source):
                 lambda i, text: DataError(f"units CSV line {lines[i]}: bad outcome {text!r}"),
             )
         except DataError as exc:
-            error = exc
+            error, settled = exc, True
             continue
         bad = ~np.isfinite(outcome)
         if error is None and bad.any():
             i = int(bad.argmax())
-            error = NonFiniteOutcome(f"units CSV line {lines[i]}: outcome {float(outcome[i])!r}")
+            # a later outcome that is not a number still comes first
+            error = DataError(f"units CSV line {lines[i]}: outcome {float(outcome[i])!r}")
         if error is None:
             yield ids, units, outcome, lines
     if error is not None:
@@ -708,13 +700,13 @@ def _unit_chunks(source):
 
 
 def _unit_columns(source):
-    """Reads a units CSV with :func:`_unit_chunks`, keeping of each row only
-    its outcome, a code for its cluster_id and a hash of its (cluster_id,
-    unit_id). Returns these three arrays and the cluster_ids in code order.
+    """Reads the units CSV file at path ``source`` with :func:`_unit_chunks`,
+    keeping of each row only its outcome, a code for its cluster_id and a
+    hash of its (cluster_id, unit_id). Returns these three arrays and the
+    cluster_ids in code order.
 
     No field string but one cluster_id per run of rows is made. The arrays
-    are allocated once, at :func:`_line_count` rows, and grow by half only
-    when full, as for a stream.
+    are allocated once, at :func:`_line_count` rows, which no file exceeds.
     """
     code_of = {}
     size = _line_count(source)
@@ -723,9 +715,6 @@ def _unit_columns(source):
     for ids, units, y, _ in _unit_chunks(source):
         codes = _cluster_codes(ids, code_of)
         m = n + len(y)
-        if m > size:
-            size = max(m, size * 3 // 2)
-            columns = [np.concatenate([c[:n], np.empty(size - n, c.dtype)]) for c in columns]
         for column, piece in zip(columns, (y, codes, _unit_keys(codes, units))):
             column[n:m] = piece
         n = m
@@ -733,12 +722,17 @@ def _unit_columns(source):
 
 
 def _line_count(source) -> int:
-    """One more than the line feeds of a CSV file, which is at least its
-    number of rows unless bare carriage returns end some; 0 for a stream."""
-    if not isinstance(source, (str, Path)):
-        return 0
-    with open(source, "rb") as fh:
-        return 1 + sum(block.count(b"\n") for block in iter(lambda: fh.read(_CHUNK_CHARS), b""))
+    """One more than the line breaks (LF, CR or CRLF) of the units CSV file
+    at path ``source``, so at least its number of rows. Each block counts
+    its LFs and CRs less its CRLFs; a CRLF split across two blocks counts
+    twice, which keeps the bound."""
+    count = 1
+    with open(_file_path(source, "units CSV"), "rb") as fh:
+        for block in iter(lambda: fh.read(_CHUNK_CHARS), b""):
+            data = np.frombuffer(block, np.uint8)
+            lf, cr = data == ord("\n"), data == ord("\r")
+            count += np.count_nonzero(lf | cr) - np.count_nonzero(cr[:-1] & lf[1:])
+    return int(count)
 
 
 def _cluster_codes(ids: _Fields, code_of: dict[str, int]) -> np.ndarray:
@@ -782,37 +776,15 @@ def _field_words(column: _Fields):
         rows, start, left = rows[more], start[more] + 8, left[more] - 8
 
 
-def _unit_rows(reread, rows: np.ndarray) -> list[tuple[str, str, int]]:
+def _unit_rows(source, rows: np.ndarray) -> list[tuple[str, str, int]]:
     """(cluster_id, unit_id, line) of each of ``rows``, row indices in
-    increasing order, read again from the units CSV ``reread()``."""
+    increasing order, read again from the units CSV file at path ``source``."""
     found, n = [], 0
-    for ids, units, _, lines in _unit_chunks(reread()):
+    for ids, units, _, lines in _unit_chunks(source):
         mine = rows[(rows >= n) & (rows < n + len(lines))] - n
         found += zip(ids.strings(mine), units.strings(mine), lines[mine].tolist())
         n += len(lines)
     return found
-
-
-def _replayable(source):
-    """A function giving ``source`` from where it stands now, each time it is
-    called: a path as it is, a seekable stream sought back, and the lines of
-    any other stream, read once, as a list."""
-    if isinstance(source, (str, Path)):
-        return lambda: source
-    if source.seekable():
-        try:
-            start = source.tell()
-        except OSError:  # a file iterated with next() cannot tell where it is
-            pass
-        else:
-
-            def again():
-                source.seek(start)
-                return source
-
-            return again
-    lines = source.readlines()
-    return lambda: lines
 
 
 def _covariate_columns(header: Sequence[str]) -> list[str]:
@@ -831,7 +803,9 @@ def _covariate_columns(header: Sequence[str]) -> list[str]:
 
 
 def read_clusters(source) -> Dataset:
-    """Parse a clusters CSV into a clusters-only Dataset (no outcomes).
+    """Parse the clusters CSV file at path ``source`` (``str`` or
+    ``os.PathLike``; any other source raises ``ValueError``) into a
+    clusters-only Dataset (no outcomes).
 
     Every ``cluster_id`` must be unique, every ``n_total`` a positive
     integer, every covariate finite and every ``treatment``, when the column
@@ -868,7 +842,7 @@ def read_clusters(source) -> Dataset:
             cols[col],
             float,
             float,
-            lambda i, text: RaggedCovariates(
+            lambda i, text: DataError(
                 f"clusters CSV line {lines[i]}: bad covariate value {text!r}"
             ),
         )
@@ -885,7 +859,7 @@ def read_clusters(source) -> Dataset:
         odd = set(texts).difference(("0", "1"))
         if odd:
             i = int(np.fromiter(map(odd.__contains__, texts), bool, len(texts)).argmax())
-            raise NonBinaryTreatment(
+            raise DataError(
                 f"clusters CSV line {lines[i]}: treatment {texts[i]!r} not in {{0, 1}}"
             )
         treatment = np.fromiter(map("1".__eq__, texts), np.int64, len(texts))
@@ -895,21 +869,21 @@ def read_clusters(source) -> Dataset:
 def load_dataset(units_source, clusters_source) -> Dataset:
     """Load and validate a dataset from a units CSV and a clusters CSV.
 
-    Sources may be file paths or open text streams. Every unit row must
-    reference a cluster present in the clusters table, and no (cluster_id,
-    unit_id) may repeat; sampled outcomes are kept in input order. The units
-    CSV is read in chunks (a stream that cannot seek is read whole first),
-    and any error in it comes before one in the clusters CSV, then an
-    unknown cluster, then a repeated unit.
+    Both sources are file paths (``str`` or ``os.PathLike``); any other
+    source raises ``ValueError``. Every unit row must reference a cluster
+    present in the clusters table, and no (cluster_id, unit_id) may repeat;
+    sampled outcomes are kept in input order. The units CSV is read in
+    chunks, and any error in it comes before one in the clusters CSV, then
+    an unknown cluster, then a repeated unit, each a ``DataError``.
     """
-    units = _replayable(units_source)
-    outcome, codes, keys, ids = _unit_columns(units())
+    _file_path(clusters_source, "clusters CSV")  # before the units are read
+    outcome, codes, keys, ids = _unit_columns(units_source)
     clusters = read_clusters(clusters_source)
     index_of = {cid: i for i, cid in enumerate(clusters.cluster_ids)}
     codes = np.array([index_of.get(cid, -1) for cid in ids], dtype=np.intp)[codes]
     if (codes < 0).any():
-        [(cid, unit, line)] = _unit_rows(units, np.flatnonzero(codes < 0)[:1])
-        raise UnknownCluster(
+        [(cid, unit, line)] = _unit_rows(units_source, np.flatnonzero(codes < 0)[:1])
+        raise DataError(
             f"units CSV line {line}: unit {unit!r} references unknown cluster {cid!r}"
         )
     # Rows whose key hashes another row's are read again and compared
@@ -917,11 +891,11 @@ def load_dataset(units_source, clusters_source) -> Dataset:
     ranked = np.sort(keys)
     repeats = ranked[1:][ranked[1:] == ranked[:-1]]
     if len(repeats):
-        found = _unit_rows(units, np.flatnonzero(np.isin(keys, repeats)))
+        found = _unit_rows(units_source, np.flatnonzero(np.isin(keys, repeats)))
         i = _first_repeat([(cid, unit) for cid, unit, _ in found])
         if i is not None:
             cid, unit, line = found[i]
-            raise DuplicateUnit(f"units CSV line {line}: duplicate unit {(cid, unit)!r}")
+            raise DataError(f"units CSV line {line}: duplicate unit {(cid, unit)!r}")
     del keys, ranked  # freed before build_dataset's own temporaries
     offsets = np.zeros(clusters.n_clusters + 1, dtype=np.int64)
     np.cumsum(np.bincount(codes, minlength=clusters.n_clusters), out=offsets[1:])

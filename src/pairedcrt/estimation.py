@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .errors import DataError, EmptyArm, MissingTreatment
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,11 @@ def kernel_inputs(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """(N, ybar, D) as float arrays, the inputs of :func:`arm_means` and of
     the variance kernel :class:`pairedcrt.inference.SignSums`.
 
-    Raises ``MissingTreatment`` for a dataset without treatments and
-    ``DataError`` for one without sampled outcomes.
+    Raises ``DataError`` for a dataset without treatments or without sampled
+    outcomes.
     """
     if dataset.treatment is None:
-        raise MissingTreatment("estimation requires a treatment for every cluster")
+        raise DataError("estimation requires a treatment for every cluster")
     if dataset.ybar is None:
         raise DataError("estimation requires sampled outcomes")
     return dataset.n_total.astype(float), dataset.ybar, dataset.treatment.astype(float)
@@ -61,7 +61,7 @@ def arm_means(n: np.ndarray, ybar: np.ndarray, d: np.ndarray):
     n1 = d @ n
     n0 = c @ n
     if np.any(n1 == 0) or np.any(n0 == 0):
-        raise EmptyArm("a treatment arm is empty")
+        raise DataError("a treatment arm is empty")
     weighted = n * ybar
     return (d @ weighted) / n1, (c @ weighted) / n0, n1, n0
 

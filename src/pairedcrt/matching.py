@@ -497,7 +497,9 @@ def write_design(design: MatchedDesign, dataset: Dataset, path) -> None:
 
 
 def read_design(source, dataset: Dataset) -> MatchedDesign:
-    """Load a design CSV and resolve its cluster_ids against ``dataset``.
+    """Load the design CSV file at path ``source`` (``str`` or
+    ``os.PathLike``; any other source raises ``ValueError``) and resolve its
+    cluster_ids against ``dataset``.
 
     The match mode comes from the ``mode`` column, which must hold one of
     ``MATCH_MODES``, the same on every row. The design must pair every

@@ -49,7 +49,7 @@ import numpy as np
 
 from .assignment import _philox
 from .core import Dataset, _check_count, _json_record
-from .errors import TooManyPairsForExact
+from .errors import DataError
 from .inference import SignSums, _checked_scale, _observed_inputs
 from .matching import MatchedDesign
 
@@ -130,9 +130,7 @@ def randomization_test(
     g = design.pair_count
     if mode == "exact":
         if g > MAX_EXACT_PAIRS:
-            raise TooManyPairsForExact(
-                f"exact enumeration supports at most {MAX_EXACT_PAIRS} pairs, got {g}"
-            )
+            raise DataError(f"exact enumeration supports at most {MAX_EXACT_PAIRS} pairs, got {g}")
         patterns = 1 << (g - 1)  # the last pair's bit stays 0
         weight = 2  # each pattern stands for itself and its complement
 

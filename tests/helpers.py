@@ -28,7 +28,7 @@ import numpy as np
 import pairedcrt
 from pairedcrt.assignment import assign_within_pairs
 from pairedcrt.core import _unit_chunks, build_dataset
-from pairedcrt.errors import EmptyArm, MissingTreatment
+from pairedcrt.errors import DataError
 from pairedcrt.estimation import arm_means, kernel_inputs
 from pairedcrt.inference import SignSums, first_member_treated, outcome_scale
 from pairedcrt.matching import MatchedDesign, zscore
@@ -43,7 +43,7 @@ UNIT_DTYPE = np.dtype(
 
 
 def read_units(source):
-    """Parse a units CSV (path or open text stream) through the package's
+    """Parse the units CSV file at path ``source`` through the package's
     reader into a structured array of ``UNIT_DTYPE``, one element per unit
     row in file order, so its ``len`` is the number of unit rows."""
     chunks = [
@@ -151,10 +151,10 @@ def wls_oracle(dataset):
     the cluster-mean estimator on purpose.
     """
     if dataset.treatment is None:
-        raise MissingTreatment("wls_oracle requires treatments")
+        raise DataError("wls_oracle requires treatments")
     n_treated_clusters = int(dataset.treatment.sum())
     if n_treated_clusters in (0, dataset.n_clusters):
-        raise EmptyArm("all clusters are in one arm")
+        raise DataError("all clusters are in one arm")
     y = dataset.outcomes
     d = np.repeat(dataset.treatment, dataset.n_sampled).astype(float)
     sw = np.sqrt(np.repeat(dataset.n_total / dataset.n_sampled, dataset.n_sampled))

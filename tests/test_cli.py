@@ -440,8 +440,8 @@ class TestUsageAndDataErrors:
         )
         assert code == 2
         payload = strict_json(capsys.readouterr().err)
-        assert payload["error"] == "OddClusterCount"
-        assert payload["message"]
+        assert payload["error"] == "DataError"
+        assert payload["message"] == "need an even cluster count >= 4, got 3"
 
     def test_simulate_rejects_both_dgp_sources(self, tmp_path, capsys):
         path = tmp_path / "dgp.json"

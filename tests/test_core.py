@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import re
 import tracemalloc
@@ -31,17 +32,7 @@ from pairedcrt.core import (
     write_clusters,
     write_dataset,
 )
-from pairedcrt.errors import (
-    DataError,
-    DuplicateUnit,
-    EmptyCluster,
-    NonBinaryTreatment,
-    NonFiniteOutcome,
-    OddClusterCount,
-    RaggedCovariates,
-    SampleExceedsSize,
-    UnknownCluster,
-)
+from pairedcrt.errors import DataError
 from pairedcrt.inference import infer
 from pairedcrt.matching import read_design, write_design
 from pairedcrt.simulation import generate_trial, preset
@@ -82,37 +73,38 @@ class TestBuildDataset:
                 column[0] = 0
 
     def test_rejects_odd_or_tiny_counts(self):
-        with pytest.raises(OddClusterCount):
+        with pytest.raises(DataError, match="^need an even cluster count >= 4, got 2$"):
             table(ids="ab")
-        with pytest.raises(OddClusterCount):
+        with pytest.raises(DataError, match="^need an even cluster count >= 4, got 5$"):
             table(ids="abcde")
 
     def test_rejects_ragged_covariates(self):
-        with pytest.raises(RaggedCovariates):
+        with pytest.raises(DataError, match="^covariates do not form one row per cluster: "):
             build_dataset("abcd", [2] * 4, [[0.0], [0.0], [0.0], [0.0, 1.0]])
-        with pytest.raises(RaggedCovariates):
+        message = r"^covariates must have shape \(clusters, k\), got \(4,\)$"
+        with pytest.raises(DataError, match=message):
             build_dataset("abcd", [2] * 4, [0.0, 0.0, 0.0, 0.0])
 
     def test_rejects_partial_treatments(self):
-        with pytest.raises(NonBinaryTreatment):
+        with pytest.raises(DataError, match="^treatment present for some clusters but not all$"):
             table(t=[1, 0, None, None])
 
     def test_rejects_empty_cluster(self):
-        with pytest.raises(EmptyCluster, match="'a'"):
+        with pytest.raises(DataError, match="^cluster 'a' has no sampled units$"):
             table(outs=())
 
     def test_rejects_oversampled_cluster(self):
-        with pytest.raises(SampleExceedsSize, match="'a'"):
+        with pytest.raises(DataError, match="^cluster 'a': 2 sampled units exceed n_total=1$"):
             table(n=1, outs=(1.0, 2.0))
 
     def test_rejects_nonfinite_values(self):
-        with pytest.raises(NonFiniteOutcome, match="'a'"):
+        with pytest.raises(DataError, match="^cluster 'a': outcome nan$"):
             table(outs=(1.0, math.nan))
         with pytest.raises(DataError, match="'a'.*not finite"):
             table(xs=(math.inf,))
 
     def test_rejects_nonbinary_treatment(self):
-        with pytest.raises(NonBinaryTreatment, match="'a'"):
+        with pytest.raises(DataError, match=r"^cluster 'a': treatment 2 not in \{0, 1\}$"):
             table(t=[2, 0, 1, 0])
 
     def test_rejects_bad_columns(self):
@@ -134,9 +126,9 @@ class TestBuildDataset:
         assert ds2.treatment is not None
         assert ds2.treatment.tolist() == [1, 0, 0, 1]
         assert ds2.outcomes is ds.outcomes
-        with pytest.raises(NonBinaryTreatment):
+        with pytest.raises(DataError, match="^expected 4 treatments, got 2$"):
             ds.with_treatments([1, 0])
-        with pytest.raises(NonBinaryTreatment):
+        with pytest.raises(DataError, match=r"^cluster 'c': treatment 2 not in \{0, 1\}$"):
             ds.with_treatments([1, 0, 2, 0])
 
 
@@ -357,30 +349,42 @@ class TestCsvRoundTrip:
         assert back.X.tobytes() == ds.X.tobytes()
 
 
+@pytest.fixture
+def csv_file(tmp_path):
+    """A function writing a text, byte for byte, to a new file in
+    ``tmp_path`` and returning its path."""
+    paths = (tmp_path / f"{i}.csv" for i in itertools.count())
+
+    def write(text):
+        path = next(paths)
+        path.write_text(text, encoding="utf-8", newline="")
+        return path
+
+    return write
+
+
 def units_csv(body):
-    return io.StringIO("cluster_id,unit_id,outcome\n" + body)
+    return "cluster_id,unit_id,outcome\n" + body
 
 
-def four_clusters(extra=""):
-    return io.StringIO("cluster_id,n_total,x1\na,2,0\nb,1,0\nc,1,0\nd,1,0\n" + extra)
+FOUR_CLUSTERS = "cluster_id,n_total,x1\na,2,0\nb,1,0\nc,1,0\nd,1,0\n"
 
 
 class TestReaders:
-    def test_units_header_required(self):
-        src = io.StringIO("cluster_id,outcome\na,1.0\n")
+    def test_units_header_required(self, csv_file):
         with pytest.raises(DataError):
-            read_units(src)
+            read_units(csv_file("cluster_id,outcome\na,1.0\n"))
 
-    def test_units_bad_outcome(self):
+    def test_units_bad_outcome(self, csv_file):
         with pytest.raises(DataError, match="line 3: bad outcome 'oops'"):
-            read_units(units_csv("a,u1,1.0\na,u2,oops\n"))
+            read_units(csv_file(units_csv("a,u1,1.0\na,u2,oops\n")))
 
-    def test_units_nonfinite_outcome(self):
-        with pytest.raises(NonFiniteOutcome, match="line 2"):
-            read_units(units_csv("a,u1,inf\n"))
+    def test_units_nonfinite_outcome(self, csv_file):
+        with pytest.raises(DataError, match="^units CSV line 2: outcome inf$"):
+            read_units(csv_file(units_csv("a,u1,inf\n")))
 
-    def test_units_are_one_record_per_row(self):
-        units = read_units(units_csv("a,u1,1.5\n\nb,u1,-2\na,u2,0.25\n"))
+    def test_units_are_one_record_per_row(self, csv_file):
+        units = read_units(csv_file(units_csv("a,u1,1.5\n\nb,u1,-2\na,u2,0.25\n")))
         assert len(units) == 3
         assert units["cluster_id"].tolist() == ["a", "b", "a"]
         assert units["unit_id"].tolist() == ["u1", "u1", "u2"]
@@ -396,13 +400,35 @@ class TestReaders:
             (read_clusters, "cluster_id,n_total,x1\na,2,0.5\nb,2\n"),
         ],
     )
-    def test_field_count_must_match_header(self, read, text):
+    def test_field_count_must_match_header(self, csv_file, read, text):
         with pytest.raises(DataError, match="line 3: .* fields where the header has"):
-            read(io.StringIO(text))
+            read(csv_file(text))
 
-    def test_repeated_column_rejected(self):
+    def test_repeated_column_rejected(self, csv_file):
         with pytest.raises(DataError, match="repeats a column"):
-            read_clusters(io.StringIO("cluster_id,n_total,x1,x1\na,2,0.1,0.2\n"))
+            read_clusters(csv_file("cluster_id,n_total,x1,x1\na,2,0.1,0.2\n"))
+
+    @pytest.mark.parametrize(
+        "read,kind",
+        [
+            (lambda stream, units, clusters: load_dataset(stream, clusters), "units"),
+            (lambda stream, units, clusters: load_dataset(units, stream), "clusters"),
+            (lambda stream, units, clusters: read_clusters(stream), "clusters"),
+            (
+                lambda stream, units, clusters: read_design(stream, read_clusters(clusters)),
+                "design",
+            ),
+        ],
+        ids=["load_dataset-units", "load_dataset-clusters", "read_clusters", "read_design"],
+    )
+    def test_source_that_is_not_a_path_rejected(self, csv_file, read, kind):
+        # an argument mistake, raised before the units CSV and its bad
+        # outcome are read
+        units = csv_file(units_csv("a,u1,oops\n"))
+        clusters = csv_file(FOUR_CLUSTERS)
+        message = rf"^{kind} CSV source must be a file path \(str or os.PathLike\), got StringIO$"
+        with pytest.raises(ValueError, match=message):
+            read(io.StringIO(FOUR_CLUSTERS), units, clusters)
 
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "units.csv"
@@ -440,97 +466,79 @@ class TestReaders:
                 with pytest.raises(DataError, match=message):
                     read_units(path)
 
-    @pytest.mark.parametrize("quote", ["", '"'])
-    def test_stream_with_lone_surrogates(self, quote):
-        # a stream opened with errors="surrogateescape" yields them
-        units = read_units(units_csv(f"{quote}a\udc80{quote},u1,1.5\nb,u\udcff,2\n"))
-        assert units["cluster_id"].tolist() == ["a\udc80", "b"]
-        assert units["unit_id"].tolist() == ["u1", "u\udcff"]
-
-    @pytest.mark.parametrize("as_path", [True, False])
-    def test_units_byte_order_mark_dropped(self, tmp_path, as_path):
-        text = "\ufeffcluster_id,unit_id,outcome\r\na,u1,1.5\r\nb,u1,2\r\n"
-        path = tmp_path / "units.csv"
-        path.write_text(text, encoding="utf-8", newline="")
-        units = read_units(path if as_path else io.StringIO(text, newline=""))
+    def test_units_byte_order_mark_dropped(self, csv_file):
+        units = read_units(csv_file("\ufeffcluster_id,unit_id,outcome\r\na,u1,1.5\r\nb,u1,2\r\n"))
         assert units["cluster_id"].tolist() == ["a", "b"]
         assert units["outcome"].tolist() == [1.5, 2.0]
 
-    @pytest.mark.parametrize("as_path", [True, False])
-    def test_clusters_byte_order_mark_dropped(self, tmp_path, as_path):
-        text = "\ufeffcluster_id,n_total,x1\na,2,0\nb,1,0\nc,1,0\nd,1,0\n"
-        path = tmp_path / "clusters.csv"
-        path.write_text(text, encoding="utf-8")
-        ds = read_clusters(path if as_path else io.StringIO(text))
+    def test_clusters_byte_order_mark_dropped(self, csv_file):
+        ds = read_clusters(csv_file("\ufeff" + FOUR_CLUSTERS))
         assert ds.cluster_ids == ("a", "b", "c", "d")
         assert ds.n_total.tolist() == [2, 1, 1, 1]
 
-    def test_clusters_header_required(self):
+    def test_clusters_header_required(self, csv_file):
         with pytest.raises(DataError):
-            read_clusters(io.StringIO("cluster_id,x1\na,0.5\n"))
+            read_clusters(csv_file("cluster_id,x1\na,0.5\n"))
 
-    def test_covariate_columns_no_gaps(self):
-        src = io.StringIO("cluster_id,n_total,x1,x3\na,2,0.1,0.2\n")
+    def test_covariate_columns_no_gaps(self, csv_file):
         with pytest.raises(DataError):
-            read_clusters(src)
+            read_clusters(csv_file("cluster_id,n_total,x1,x3\na,2,0.1,0.2\n"))
 
-    def test_unknown_column_rejected(self):
-        src = io.StringIO("cluster_id,n_total,x1,bonus\na,2,0.1,9\n")
+    def test_unknown_column_rejected(self, csv_file):
         with pytest.raises(DataError):
-            read_clusters(src)
+            read_clusters(csv_file("cluster_id,n_total,x1,bonus\na,2,0.1,9\n"))
 
-    def test_duplicate_cluster_rejected(self):
-        src = io.StringIO("cluster_id,n_total,x1\na,2,0.1\na,3,0.2\n")
+    def test_duplicate_cluster_rejected(self, csv_file):
         with pytest.raises(DataError, match="line 3: duplicate cluster_id 'a'"):
-            read_clusters(src)
+            read_clusters(csv_file("cluster_id,n_total,x1\na,2,0.1\na,3,0.2\n"))
 
-    def test_treatment_values_validated(self):
-        src = io.StringIO("cluster_id,n_total,x1,treatment\na,2,0.1,9\n")
-        with pytest.raises(NonBinaryTreatment, match="line 2"):
-            read_clusters(src)
+    def test_treatment_values_validated(self, csv_file):
+        message = r"^clusters CSV line 2: treatment '9' not in \{0, 1\}$"
+        with pytest.raises(DataError, match=message):
+            read_clusters(csv_file("cluster_id,n_total,x1,treatment\na,2,0.1,9\n"))
 
     @pytest.mark.parametrize("n_total", ["0", "-3"])
-    def test_nonpositive_n_total_rejected(self, n_total):
-        src = io.StringIO(f"cluster_id,n_total,x1\na,2,0.1\nb,{n_total},0.2\n")
+    def test_nonpositive_n_total_rejected(self, csv_file, n_total):
         with pytest.raises(DataError, match="'b'.*n_total"):
-            read_clusters(src)
+            read_clusters(csv_file(f"cluster_id,n_total,x1\na,2,0.1\nb,{n_total},0.2\n"))
 
     @pytest.mark.parametrize("n_total", ["2.5", "x", str(2**64)])
-    def test_bad_n_total_rejected(self, n_total):
-        src = io.StringIO(f"cluster_id,n_total,x1\na,2,0.1\nb,{n_total},0.2\n")
+    def test_bad_n_total_rejected(self, csv_file, n_total):
         with pytest.raises(DataError, match="line 3: bad n_total"):
-            read_clusters(src)
+            read_clusters(csv_file(f"cluster_id,n_total,x1\na,2,0.1\nb,{n_total},0.2\n"))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_nonfinite_covariate_rejected(self, value):
-        src = io.StringIO(f"cluster_id,n_total,x1,x2\na,2,0.1,0.3\nb,3,0.2,{value}\n")
+    def test_nonfinite_covariate_rejected(self, csv_file, value):
         with pytest.raises(DataError, match="'b'.*not finite"):
-            read_clusters(src)
+            read_clusters(csv_file(f"cluster_id,n_total,x1,x2\na,2,0.1,0.3\nb,3,0.2,{value}\n"))
 
-    def test_covariates_parse_in_order(self):
-        src = io.StringIO("cluster_id,n_total,x2,x1\nd,2,0.4,0.3\nc,2,0.2,0.1\na,2,0,0\nb,2,0,0\n")
-        ds = read_clusters(src)
+    def test_covariates_parse_in_order(self, csv_file):
+        ds = read_clusters(
+            csv_file("cluster_id,n_total,x2,x1\nd,2,0.4,0.3\nc,2,0.2,0.1\na,2,0,0\nb,2,0,0\n")
+        )
         assert ds.cluster_ids == ("a", "b", "c", "d")
         assert ds.X.tolist() == [[0.0, 0.0], [0.0, 0.0], [0.1, 0.2], [0.3, 0.4]]
 
-    def test_load_rejects_unknown_cluster_reference(self):
-        with pytest.raises(UnknownCluster, match="line 3: unit 'u1' references unknown"):
-            load_dataset(units_csv("a,u1,1.0\nghost,u1,1.0\n"), four_clusters())
+    def test_load_rejects_unknown_cluster_reference(self, csv_file):
+        units = csv_file(units_csv("a,u1,1.0\nghost,u1,1.0\n"))
+        message = "^units CSV line 3: unit 'u1' references unknown cluster 'ghost'$"
+        with pytest.raises(DataError, match=message):
+            load_dataset(units, csv_file(FOUR_CLUSTERS))
 
-    def test_load_rejects_duplicate_unit(self):
-        units = units_csv("".join(f"{c},u1,1.0\n" for c in "abcd") + "a,u1,2.0\n")
-        with pytest.raises(DuplicateUnit, match="line 6"):
-            load_dataset(units, four_clusters())
+    def test_load_rejects_duplicate_unit(self, csv_file):
+        units = csv_file(units_csv("".join(f"{c},u1,1.0\n" for c in "abcd") + "a,u1,2.0\n"))
+        with pytest.raises(DataError, match=r"^units CSV line 6: duplicate unit \('a', 'u1'\)$"):
+            load_dataset(units, csv_file(FOUR_CLUSTERS))
 
-    def test_load_keeps_unit_order(self):
-        units = units_csv("b,u1,0.0\na,u1,3.0\nc,u1,0.0\na,u2,1.0\nd,u1,0.0\n")
-        ds = load_dataset(units, four_clusters())
+    def test_load_keeps_unit_order(self, csv_file):
+        units = csv_file(units_csv("b,u1,0.0\na,u1,3.0\nc,u1,0.0\na,u2,1.0\nd,u1,0.0\n"))
+        ds = load_dataset(units, csv_file(FOUR_CLUSTERS))
         assert ds.outcomes.tolist() == [3.0, 1.0, 0.0, 0.0, 0.0]
         assert ds.offsets.tolist() == [0, 2, 3, 4, 5]
 
 
 def chunked_units(replace: dict[int, str], quoted: bool = False) -> str:
-    """A units CSV of 40 rows, 10 per cluster of ``four_large_clusters``,
+    """A units CSV of 40 rows, 10 per cluster of ``FOUR_LARGE_CLUSTERS``,
     data row i on line i + 2, with the rows of ``replace`` swapped in."""
     rows = [f"{'abcd'[i % 4]},u{i},{0.25 * i!r}" for i in range(40)]
     if quoted:
@@ -541,87 +549,82 @@ def chunked_units(replace: dict[int, str], quoted: bool = False) -> str:
     return "cluster_id,unit_id,outcome\n" + "".join(row + "\n" for row in rows)
 
 
-def four_large_clusters():
-    return io.StringIO("cluster_id,n_total,x1\na,50,0\nb,50,0\nc,50,0\nd,50,0\n")
+FOUR_LARGE_CLUSTERS = "cluster_id,n_total,x1\na,50,0\nb,50,0\nc,50,0\nd,50,0\n"
 
 
-def load_error(text: str, as_path, tmp_path) -> tuple[type, str]:
-    path = tmp_path / "units.csv"
-    path.write_text(text, encoding="utf-8")
+def load_error(csv_file, text: str) -> tuple[type, str]:
     with pytest.raises(DataError) as info:
-        load_dataset(path if as_path else io.StringIO(text), four_large_clusters())
+        load_dataset(csv_file(text), csv_file(FOUR_LARGE_CLUSTERS))
     return type(info.value), str(info.value)
 
 
 class TestLoadInChunks:
     """A units CSV read in chunks of a few rows fails as a whole-file read does."""
 
-    @pytest.mark.parametrize("as_path", [True, False])
     @pytest.mark.parametrize("quoted", [False, True])
     @pytest.mark.parametrize(
-        "replace,error,message",
+        "replace,message",
         [
-            ({30: "b,u99,oops"}, DataError, "units CSV line 32: bad outcome 'oops'"),
-            ({30: "b,u99,nan"}, NonFiniteOutcome, "units CSV line 32: outcome nan"),
-            ({30: "b,u99,1,5"}, DataError, "units CSV line 32: 4 fields where"),
-            ({30: "ghost,u99,1.0"}, UnknownCluster, "units CSV line 32: unit 'u99' references"),
+            ({30: "b,u99,oops"}, "units CSV line 32: bad outcome 'oops'"),
+            ({30: "b,u99,nan"}, "units CSV line 32: outcome nan"),
+            ({30: "b,u99,1,5"}, "units CSV line 32: 4 fields where"),
+            ({30: "ghost,u99,1.0"}, "units CSV line 32: unit 'u99' references"),
             # the first copy of ('a', 'u0') sits in the first chunk
-            ({30: "a,u0,9.5"}, DuplicateUnit, r"units CSV line 32: duplicate unit \('a', 'u0'\)"),
+            ({30: "a,u0,9.5"}, r"units CSV line 32: duplicate unit \('a', 'u0'\)"),
             # the precedence of a whole-file read, whatever chunk holds each
-            ({3: "d,u3,inf", 20: "a,u20,oops"}, DataError, "line 22: bad outcome"),
-            ({3: "d,u3,oops", 20: "a,u20"}, DataError, "line 22: 2 fields where"),
-            ({3: "ghost,u3,1", 20: "a,u20,inf"}, NonFiniteOutcome, "line 22: outcome inf"),
-            ({3: "a,u0,1", 20: "ghost,u20,1"}, UnknownCluster, "line 22: unit 'u20'"),
+            ({3: "d,u3,inf", 20: "a,u20,oops"}, "line 22: bad outcome"),
+            ({3: "d,u3,oops", 20: "a,u20"}, "line 22: 2 fields where"),
+            ({3: "ghost,u3,1", 20: "a,u20,inf"}, "line 22: outcome inf"),
+            ({3: "a,u0,1", 20: "ghost,u20,1"}, "line 22: unit 'u20'"),
         ],
     )
-    def test_error_names_the_line_of_a_whole_file_read(
-        self, tmp_path, as_path, quoted, replace, error, message
-    ):
+    def test_error_names_the_line_of_a_whole_file_read(self, csv_file, quoted, replace, message):
         text = chunked_units(replace, quoted)
-        whole = load_error(text, as_path, tmp_path)
-        assert whole[0] is error
+        whole = load_error(csv_file, text)
+        assert whole[0] is DataError
         assert re.search(message, whole[1])
         for chars in (1, 16, 50, 200):
             with mock.patch.object(core, "_CHUNK_CHARS", chars):
-                assert load_error(text, as_path, tmp_path) == whole
+                assert load_error(csv_file, text) == whole
 
     @pytest.mark.parametrize("quoted", [False, True])
-    def test_same_dataset_in_any_chunking(self, quoted):
-        text = chunked_units({}, quoted)
-        whole = load_dataset(io.StringIO(text), four_large_clusters())
+    def test_same_dataset_in_any_chunking(self, csv_file, quoted):
+        units, clusters = csv_file(chunked_units({}, quoted)), csv_file(FOUR_LARGE_CLUSTERS)
+        whole = load_dataset(units, clusters)
         for chars in (1, 16, 50, 200):
             with mock.patch.object(core, "_CHUNK_CHARS", chars):
-                assert_same_columns(load_dataset(io.StringIO(text), four_large_clusters()), whole)
+                assert_same_columns(load_dataset(units, clusters), whole)
 
-    def test_equal_key_hashes_are_not_duplicates(self, monkeypatch):
+    def test_equal_key_hashes_are_not_duplicates(self, monkeypatch, csv_file):
         # every key hashes alike: only the exact comparison can tell them apart
         monkeypatch.setattr(core, "_unit_keys", lambda codes, units: np.full(len(codes), 7))
-        ds = load_dataset(io.StringIO(chunked_units({})), four_large_clusters())
+        clusters = csv_file(FOUR_LARGE_CLUSTERS)
+        ds = load_dataset(csv_file(chunked_units({})), clusters)
         assert ds.n_sampled.tolist() == [10, 10, 10, 10]
-        with pytest.raises(DuplicateUnit, match=r"line 32: duplicate unit \('a', 'u0'\)"):
-            load_dataset(io.StringIO(chunked_units({30: "a,u0,1"})), four_large_clusters())
+        with pytest.raises(DataError, match=r"line 32: duplicate unit \('a', 'u0'\)"):
+            load_dataset(csv_file(chunked_units({30: "a,u0,1"})), clusters)
 
     @pytest.mark.parametrize("quoted", [False, True])
     @pytest.mark.parametrize("chars", [16, 1 << 16])
-    def test_colliding_units_before_a_duplicate(self, monkeypatch, quoted, chars):
+    def test_colliding_units_before_a_duplicate(self, monkeypatch, csv_file, quoted, chars):
         # a key of the cluster alone: each unit collides with every other
         # of its cluster, and 'u4' is also a unit of cluster d, before the
         # true duplicate of ('a', 'u4') on line 38
         monkeypatch.setattr(core, "_unit_keys", lambda codes, units: codes.astype(np.int64))
         monkeypatch.setattr(core, "_CHUNK_CHARS", chars)
-        text = chunked_units({35: "d,u4,1.0", 36: "a,u4,2.0"}, quoted)
+        units = csv_file(chunked_units({35: "d,u4,1.0", 36: "a,u4,2.0"}, quoted))
         message = r"^units CSV line 38: duplicate unit \('a', 'u4'\)$"
-        with pytest.raises(DuplicateUnit, match=message):
-            load_dataset(io.StringIO(text), four_large_clusters())
+        with pytest.raises(DataError, match=message):
+            load_dataset(units, csv_file(FOUR_LARGE_CLUSTERS))
 
-    def test_distinct_units_get_distinct_keys(self):
+    def test_distinct_units_get_distinct_keys(self, csv_file):
         # units named alike across clusters, ids of 1 to 20 bytes, in any order
         rng = np.random.default_rng(3)
         rows = [
             f"c{g}{'x' * (g % 13)},u{u:0{u % 9}d},{u}.5\n" for g in range(200) for u in range(30)
         ]
         text = "cluster_id,unit_id,outcome\n" + "".join(rng.permutation(rows))
-        _, codes, keys, ids = _unit_columns(io.StringIO(text))
+        _, codes, keys, ids = _unit_columns(csv_file(text))
         assert len(ids) == 200 and len(np.unique(codes)) == 200
         assert len(np.unique(keys)) == len(keys) == 6000
 
@@ -647,28 +650,6 @@ class TestLoadInChunks:
         # the whole text and its field strings traced 12.7 times the file
         assert peak < 3 * units.stat().st_size
 
-    def test_stream_that_cannot_seek(self):
-        class Pipe(io.StringIO):
-            def seekable(self):
-                return False
-
-        with pytest.raises(DuplicateUnit, match="line 32"):
-            load_dataset(Pipe(chunked_units({30: "a,u0,1"})), four_large_clusters())
-        ds = load_dataset(Pipe(chunked_units({})), four_large_clusters())
-        assert ds.n_sampled.tolist() == [10, 10, 10, 10]
-
-    def test_file_read_on_from_where_it_stands(self, tmp_path):
-        path = tmp_path / "units.csv"
-        path.write_text("a note before the table\n" + chunked_units({30: "a,u0,1"}))
-        with open(path, encoding="utf-8") as fh:
-            next(fh)  # which leaves the file unable to tell its position
-            with pytest.raises(DuplicateUnit, match="line 32"):
-                load_dataset(fh, four_large_clusters())
-        with open(path, encoding="utf-8") as fh:
-            fh.readline()
-            with pytest.raises(DuplicateUnit, match="line 32"):
-                load_dataset(fh, four_large_clusters())
-
 
 _CLUSTERS_CSV = "cluster_id,n_total,x1\na,90,0\nb,90,0\nß,90,0\n東京,90,0\n"
 _CLUSTER_IDS = ["a", "b", "ß", "東京"]
@@ -683,8 +664,8 @@ _OUTCOMES += ["1e308", "inf", "nan", "oops", ""]
 def units_texts(draw):
     """Units CSVs of 4 to 42 rows, grouped by cluster or not, with odd
     outcomes and, at times, a unit repeated, an unknown cluster, a ragged
-    or blank row; LF or CRLF; fields quoted where needed and, at times, one
-    somewhere in the file that needs no quotes."""
+    or blank row; LF, CRLF or bare CR; fields quoted where needed and, at
+    times, one somewhere in the file that needs no quotes."""
     clusters = draw(st.lists(st.sampled_from(_CLUSTER_IDS), max_size=36)) + _CLUSTER_IDS
     clusters = draw(st.permutations(clusters))
     if draw(st.booleans()):
@@ -705,7 +686,7 @@ def units_texts(draw):
     if draw(st.integers(0, 5)) == 0:
         draw(st.sampled_from(rows)).append("9")
     quoted = draw(st.integers(0, len(rows) - 1)) if draw(st.booleans()) else None
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = "cluster_id,unit_id,outcome" + end
     for i, row in enumerate(rows):
         quote = [(i, j) == (quoted, 0) or "," in f or "\n" in f for j, f in enumerate(row)]
@@ -715,10 +696,10 @@ def units_texts(draw):
     return text
 
 
-def load_reference(text: str) -> core.Dataset:
-    """``load_dataset`` of a units CSV and ``_CLUSTERS_CSV``, whole-file:
-    ``reader_table``, then ``float`` and a dict per check, in the order of
-    precedence of the package's errors."""
+def load_reference(text: str, clusters_path) -> core.Dataset:
+    """``load_dataset`` of a units CSV and ``_CLUSTERS_CSV``, written at
+    ``clusters_path``, whole-file: ``reader_table``, then ``float`` and a
+    dict per check, in the order of precedence of the package's errors."""
     header, cols, lines = reader_table(text, "units CSV")
     required = ("cluster_id", "unit_id", "outcome")
     if not set(required).issubset(header):
@@ -732,18 +713,18 @@ def load_reference(text: str) -> core.Dataset:
             raise DataError(f"units CSV line {line}: bad outcome {text!r}") from None
     for value, (*_, line) in zip(y, rows):
         if not math.isfinite(value):
-            raise NonFiniteOutcome(f"units CSV line {line}: outcome {value!r}")
-    clusters = read_clusters(io.StringIO(_CLUSTERS_CSV))
+            raise DataError(f"units CSV line {line}: outcome {value!r}")
+    clusters = read_clusters(clusters_path)
     index = {cid: g for g, cid in enumerate(clusters.cluster_ids)}
     for cid, unit, _, line in rows:
         if cid not in index:
-            raise UnknownCluster(
+            raise DataError(
                 f"units CSV line {line}: unit {unit!r} references unknown cluster {cid!r}"
             )
     seen = set()
     for cid, unit, _, line in rows:
         if (cid, unit) in seen:
-            raise DuplicateUnit(f"units CSV line {line}: duplicate unit {(cid, unit)!r}")
+            raise DataError(f"units CSV line {line}: duplicate unit {(cid, unit)!r}")
         seen.add((cid, unit))
     per_cluster = [[] for _ in index]
     for value, (cid, *_) in zip(y, rows):
@@ -763,18 +744,15 @@ class TestLoadAgainstReference:
     """``load_dataset`` gives the Dataset or the error of a whole-file read."""
 
     @settings(max_examples=400, deadline=None)
-    @given(
-        text=units_texts(),
-        chars=st.sampled_from([1, 7, 40, 1 << 16]),
-        as_path=st.booleans(),
-    )
-    def test_same_as_the_whole_file_reference(self, tmp_path_factory, text, chars, as_path):
-        want = _dataset_or_error(lambda: load_reference(text))
-        path = tmp_path_factory.mktemp("csv") / "units.csv"
-        path.write_text(text, encoding="utf-8", newline="")
-        units = path if as_path else io.StringIO(text, newline="")
+    @given(text=units_texts(), chars=st.sampled_from([1, 7, 40, 1 << 16]))
+    def test_same_as_the_whole_file_reference(self, tmp_path_factory, text, chars):
+        directory = tmp_path_factory.mktemp("csv")
+        units, clusters = directory / "units.csv", directory / "clusters.csv"
+        units.write_text(text, encoding="utf-8", newline="")
+        clusters.write_text(_CLUSTERS_CSV, encoding="utf-8")
+        want = _dataset_or_error(lambda: load_reference(text, clusters))
         with mock.patch.object(core, "_CHUNK_CHARS", chars):
-            got = _dataset_or_error(lambda: load_dataset(units, io.StringIO(_CLUSTERS_CSV)))
+            got = _dataset_or_error(lambda: load_dataset(units, clusters))
         if isinstance(want, tuple):
             assert got == want
         else:
@@ -791,40 +769,40 @@ class TestPhysicalLineNumbers:
     """Errors name the physical line a bad row starts on."""
 
     @pytest.mark.parametrize(
-        "row,error,message",
+        "row,message",
         [
-            ("b,u1,oops", DataError, "units CSV line 6: bad outcome 'oops'"),
-            ("b,u1,inf", NonFiniteOutcome, "units CSV line 6: outcome inf"),
-            ("b,u1,1,5", DataError, "units CSV line 6: 4 fields"),
-            ("ghost,u1,1.0", UnknownCluster, "units CSV line 6: unit 'u1' references unknown"),
-            ('"a\nz",u1,2.0', DuplicateUnit, "units CSV line 6: duplicate unit"),
+            ("b,u1,oops", "units CSV line 6: bad outcome 'oops'"),
+            ("b,u1,inf", "units CSV line 6: outcome inf"),
+            ("b,u1,1,5", "units CSV line 6: 4 fields"),
+            ("ghost,u1,1.0", "units CSV line 6: unit 'u1' references unknown"),
+            ('"a\nz",u1,2.0', "units CSV line 6: duplicate unit"),
         ],
     )
-    def test_units(self, row, error, message):
-        units = units_csv(_BEFORE_LINE_6 + row + "\nb,u1,0.5\nc,u1,0.5\nd,u1,0.5\n")
-        clusters = io.StringIO("cluster_id,n_total,x1\n\"a\nz\",2,0\nb,1,0\nc,1,0\nd,1,0\n")
-        with pytest.raises(error, match=message):
+    def test_units(self, csv_file, row, message):
+        units = csv_file(units_csv(_BEFORE_LINE_6 + row + "\nb,u1,0.5\nc,u1,0.5\nd,u1,0.5\n"))
+        clusters = csv_file("cluster_id,n_total,x1\n\"a\nz\",2,0\nb,1,0\nc,1,0\nd,1,0\n")
+        with pytest.raises(DataError, match=message):
             load_dataset(units, clusters)
 
     @pytest.mark.parametrize(
-        "row,error,message",
+        "row,message",
         [
-            ("b,x,0.2,0", DataError, "line 6: bad n_total 'x'"),
-            ("b,0,0.2,0", DataError, "line 6: cluster 'b': n_total must be positive"),
-            ("b,2,oops,0", RaggedCovariates, "line 6: bad covariate value 'oops'"),
-            ("b,2,inf,0", DataError, "line 6: cluster 'b': covariate inf is not finite"),
-            ("b,2,0.2,7", NonBinaryTreatment, "line 6: treatment '7' not in"),
-            ('"a\nz",2,0.2,0', DataError, "line 6: duplicate cluster_id"),
-            ("b,2,0.2", DataError, "line 6: 3 fields where the header has 4"),
+            ("b,x,0.2,0", "line 6: bad n_total 'x'"),
+            ("b,0,0.2,0", "line 6: cluster 'b': n_total must be positive"),
+            ("b,2,oops,0", "line 6: bad covariate value 'oops'"),
+            ("b,2,inf,0", "line 6: cluster 'b': covariate inf is not finite"),
+            ("b,2,0.2,7", "line 6: treatment '7' not in"),
+            ('"a\nz",2,0.2,0', "line 6: duplicate cluster_id"),
+            ("b,2,0.2", "line 6: 3 fields where the header has 4"),
         ],
     )
-    def test_clusters(self, row, error, message):
+    def test_clusters(self, csv_file, row, message):
         text = 'cluster_id,n_total,x1,treatment\n\n\n"a\nz",2,0.1,1\n' + row + "\n"
-        with pytest.raises(error, match=f"clusters CSV {message}"):
-            read_clusters(io.StringIO(text + "c,2,0.3,1\nd,2,0.4,0\n"))
+        with pytest.raises(DataError, match=f"clusters CSV {message}"):
+            read_clusters(csv_file(text + "c,2,0.3,1\nd,2,0.4,0\n"))
 
-    def test_units_record_their_lines(self):
-        units = read_units(units_csv(_BEFORE_LINE_6 + "b,u1,0.5\n\nc,u1,0.5\n"))
+    def test_units_record_their_lines(self, csv_file):
+        units = read_units(csv_file(units_csv(_BEFORE_LINE_6 + "b,u1,0.5\n\nc,u1,0.5\n")))
         assert units["line"].tolist() == [4, 6, 8]
 
 
@@ -907,7 +885,6 @@ class TestCsvPaths:
         try:
             want = _table_or_error(lambda: reader_table(text, "t CSV"))
             from_path = _table_or_error(lambda: _read_csv(path, "t CSV"))
-            from_stream = _table_or_error(lambda: _read_csv(io.StringIO(text, newline=""), "t CSV"))
             declined = _field_offsets(text, limit) is None
             if splits:
                 with mock.patch.object(csv, "reader", _refuse):
@@ -915,7 +892,6 @@ class TestCsvPaths:
         finally:
             csv.field_size_limit(old)
         assert from_path == want
-        assert from_stream == want
         assert declined is not splits
         if splits:
             assert split == want

@@ -12,7 +12,7 @@ from helpers import (
 )
 from pairedcrt import cli
 from pairedcrt.core import build_dataset, write_dataset
-from pairedcrt.errors import DataError, EmptyArm, MissingTreatment
+from pairedcrt.errors import DataError
 from pairedcrt.estimation import estimate_size_weighted
 from pairedcrt.matching import write_design
 
@@ -50,7 +50,7 @@ class TestSizeWeighted:
 
     def test_requires_treatments(self):
         ds = make_dataset(sizes=[1, 1, 1, 1], ybars=[1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(MissingTreatment):
+        with pytest.raises(DataError, match="^estimation requires a treatment for every cluster$"):
             estimate_size_weighted(ds)
 
     def test_requires_outcomes(self):
@@ -62,7 +62,7 @@ class TestSizeWeighted:
         ds = make_dataset(
             sizes=[1, 1, 1, 1], ybars=[1.0, 2.0, 3.0, 4.0], treatments=[1, 1, 1, 1]
         )
-        with pytest.raises(EmptyArm):
+        with pytest.raises(DataError, match="^a treatment arm is empty$"):
             estimate_size_weighted(ds)
 
 
@@ -116,5 +116,5 @@ class TestWlsEquivalence:
         ds = make_dataset(
             sizes=[1, 1, 1, 1], ybars=[1.0, 2.0, 3.0, 4.0], treatments=[0, 0, 0, 0]
         )
-        with pytest.raises(EmptyArm):
+        with pytest.raises(DataError, match="^all clusters are in one arm$"):
             wls_oracle(ds)

@@ -18,7 +18,7 @@ from helpers import (
     unit_level_reference,
     with_outcomes,
 )
-from pairedcrt.errors import DataError, MissingTreatment
+from pairedcrt.errors import DataError
 from pairedcrt.estimation import kernel_inputs
 from pairedcrt.inference import (
     _MAX_SCALE,
@@ -53,7 +53,7 @@ class TestAdjustedOutcomes:
 
     def test_requires_treatments(self):
         ds = make_dataset(sizes=[1, 1, 1, 1], ybars=[1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(MissingTreatment):
+        with pytest.raises(DataError, match="^estimation requires a treatment for every cluster$"):
             adjusted_outcomes(ds)
 
 

@@ -17,7 +17,7 @@ from helpers import (
     with_outcomes,
 )
 from pairedcrt import randtest
-from pairedcrt.errors import DataError, MissingTreatment, TooManyPairsForExact
+from pairedcrt.errors import DataError
 from pairedcrt.estimation import kernel_inputs
 from pairedcrt.inference import SignSums, infer, outcome_scale
 from pairedcrt.randtest import randomization_test
@@ -126,12 +126,13 @@ class TestExact:
         g = randtest.MAX_EXACT_PAIRS + 1
         ys = list(rng.normal(0.0, 1.0, 2 * g))
         ds = unit_dataset(ys, [1, 0] * g)
-        with pytest.raises(TooManyPairsForExact):
+        message = f"^exact enumeration supports at most {randtest.MAX_EXACT_PAIRS} pairs, got {g}$"
+        with pytest.raises(DataError, match=message):
             randomization_test(ds, identity_design(g), mode="exact")
 
     def test_requires_treatments(self):
         ds = make_dataset(sizes=[1, 1, 1, 1], ybars=[1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(MissingTreatment):
+        with pytest.raises(DataError, match="^estimation requires a treatment for every cluster$"):
             randomization_test(ds, identity_design(2), mode="exact")
 
 

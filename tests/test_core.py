@@ -537,16 +537,17 @@ class TestReaders:
         assert ds.offsets.tolist() == [0, 2, 3, 4, 5]
 
 
-def chunked_units(replace: dict[int, str], quoted: bool = False) -> str:
+def chunked_units(replace: dict[int, str], quoted: bool = False, end: str = "\n") -> str:
     """A units CSV of 40 rows, 10 per cluster of ``FOUR_LARGE_CLUSTERS``,
-    data row i on line i + 2, with the rows of ``replace`` swapped in."""
+    data row i on line i + 2, with the rows of ``replace`` swapped in and
+    each line ended by ``end``."""
     rows = [f"{'abcd'[i % 4]},u{i},{0.25 * i!r}" for i in range(40)]
     if quoted:
         # csv.reader takes over from the chunk holding row 5
         rows[5] = f'"{rows[5][0]}",u5,1.25'
     for i, row in replace.items():
         rows[i] = row
-    return "cluster_id,unit_id,outcome\n" + "".join(row + "\n" for row in rows)
+    return "cluster_id,unit_id,outcome" + end + "".join(row + end for row in rows)
 
 
 FOUR_LARGE_CLUSTERS = "cluster_id,n_total,x1\na,50,0\nb,50,0\nc,50,0\nd,50,0\n"
@@ -561,6 +562,8 @@ def load_error(csv_file, text: str) -> tuple[type, str]:
 class TestLoadInChunks:
     """A units CSV read in chunks of a few rows fails as a whole-file read does."""
 
+    # a piece of 1 or 16 characters can end between the CR and LF of a CRLF
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
     @pytest.mark.parametrize("quoted", [False, True])
     @pytest.mark.parametrize(
         "replace,message",
@@ -578,8 +581,10 @@ class TestLoadInChunks:
             ({3: "a,u0,1", 20: "ghost,u20,1"}, "line 22: unit 'u20'"),
         ],
     )
-    def test_error_names_the_line_of_a_whole_file_read(self, csv_file, quoted, replace, message):
-        text = chunked_units(replace, quoted)
+    def test_error_names_the_line_of_a_whole_file_read(
+        self, csv_file, quoted, replace, message, end
+    ):
+        text = chunked_units(replace, quoted, end)
         whole = load_error(csv_file, text)
         assert whole[0] is DataError
         assert re.search(message, whole[1])
@@ -587,10 +592,13 @@ class TestLoadInChunks:
             with mock.patch.object(core, "_CHUNK_CHARS", chars):
                 assert load_error(csv_file, text) == whole
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
     @pytest.mark.parametrize("quoted", [False, True])
-    def test_same_dataset_in_any_chunking(self, csv_file, quoted):
-        units, clusters = csv_file(chunked_units({}, quoted)), csv_file(FOUR_LARGE_CLUSTERS)
+    def test_same_dataset_in_any_chunking(self, csv_file, quoted, end):
+        units, clusters = csv_file(chunked_units({}, quoted, end)), csv_file(FOUR_LARGE_CLUSTERS)
         whole = load_dataset(units, clusters)
+        # line breaks of any kind: the same rows, on the same lines
+        assert_same_columns(whole, load_dataset(csv_file(chunked_units({}, quoted)), clusters))
         for chars in (1, 16, 50, 200):
             with mock.patch.object(core, "_CHUNK_CHARS", chars):
                 assert_same_columns(load_dataset(units, clusters), whole)

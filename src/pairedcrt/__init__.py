@@ -15,7 +15,6 @@ from .core import (
     load_dataset,
     read_clusters,
     write_clusters,
-    write_dataset,
 )
 from .errors import DataError, PairedCrtError
 from .estimation import PointEstimate, estimate_size_weighted
@@ -86,6 +85,5 @@ __all__ = [
     "read_clusters",
     "read_design",
     "write_clusters",
-    "write_dataset",
     "write_design",
 ]

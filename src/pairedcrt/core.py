@@ -8,19 +8,21 @@ cluster-level quantity, every column in ``cluster_id`` order:
 * ``n_total``: each cluster's full size N_g (int);
 * ``X``: the (2G, k) baseline covariates (float);
 * ``treatment``: 0/1 per cluster (int), or ``None`` before assignment;
-* ``outcomes`` and ``offsets``: the sampled units' outcomes in CSR form,
-  cluster g's units being ``outcomes[offsets[g]:offsets[g + 1]]`` in input
-  order, or both ``None`` for a clusters-only table;
 * ``n_sampled`` (|S_g|) and ``ybar`` (the sampled mean, ``math.fsum`` of the
   cluster's outcomes over their count), computed once by
-  :func:`build_dataset`, or ``None`` without outcomes.
+  :func:`build_dataset` from the sampled outcomes the caller gives in CSR
+  form, or ``None`` for a clusters-only table.
+
+These are all that the paper's estimator, its variance estimator and the
+randomization test read; no unit outcome is kept.
 
 The cluster sums are ``math.fsum``'s bit for bit, the exactly rounded sum
-(ties to even), but come from one array pass: prefix sums of all outcomes,
-the exact error of each prefix step (TwoSum) and a per-cluster proof that
-the rounded result is the nearest float to the exact sum. Only a cluster the
-proof does not cover (a zero sum, a tie the error terms do not pin down,
-extreme dynamic range or an absolute sum near overflow) calls ``math.fsum``.
+(ties to even), whatever the order of units or clusters, but come from one
+array pass: prefix sums of all outcomes, the exact error of each prefix step
+(TwoSum) and a per-cluster proof that the rounded result is the nearest
+float to the exact sum. Only a cluster the proof does not cover (a zero sum,
+a tie the error terms do not pin down, extreme dynamic range or an absolute
+sum near overflow) calls ``math.fsum``.
 
 Matching, estimation, inference and the randomization test read these
 columns directly. :func:`build_dataset` is the one constructor: it sorts by
@@ -60,7 +62,7 @@ same bytes (one per cluster in ``csv.writer``'s files, which are grouped by
 cluster). Unit ids stay bytes. Of each row it keeps the outcome, a cluster
 code and a 64-bit hash of the code and the unit_id's bytes; rows whose
 hashes collide are read again and compared exactly. The units CSV is never
-held whole, and loading traces about 1.7 times the file's size. Errors are
+held whole, and loading traces about 1.5 times the file's size. Errors are
 raised only once the whole text has been read, so they are those, with the
 lines, that a whole-file read would give.
 """
@@ -97,7 +99,9 @@ _CHUNK_CHARS = 1 << 16
 
 @dataclass(frozen=True)
 class Dataset:
-    """A validated trial of 2G clusters as read-only columns in cluster_id order.
+    """A validated trial of 2G clusters as read-only columns in cluster_id order:
+    ``cluster_ids``, ``n_total``, ``X``, ``treatment``, ``n_sampled`` and
+    ``ybar``, one value or row per cluster, and no unit outcome.
 
     Build it with :func:`build_dataset`. The arrays cannot be written to; ``==``
     on two datasets compares arrays and raises, so compare columns instead.
@@ -107,8 +111,6 @@ class Dataset:
     n_total: np.ndarray
     X: np.ndarray
     treatment: np.ndarray | None
-    outcomes: np.ndarray | None
-    offsets: np.ndarray | None
     n_sampled: np.ndarray | None
     ybar: np.ndarray | None
 
@@ -134,10 +136,11 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _treatment_column(treatments, cluster_ids: Sequence[str]) -> np.ndarray:
+def _treatment_column(treatments, cluster_ids: Sequence[str], order=slice(None)) -> np.ndarray:
+    """The 0/1 treatment column, ``treatments`` taken in ``order``."""
     if len(treatments) != len(cluster_ids):
         raise DataError(f"expected {len(cluster_ids)} treatments, got {len(treatments)}")
-    t = np.asarray(treatments)
+    t = np.asarray(treatments)[order]
     if t.dtype == object and any(v is None for v in t.tolist()):
         raise DataError("treatment present for some clusters but not all")
     bad = ~np.isin(t, (0, 1))
@@ -159,17 +162,24 @@ def build_dataset(
 ) -> Dataset:
     """Validate cluster columns and assemble a Dataset sorted by cluster_id.
 
-    ``n_total`` holds one integer per cluster and ``X`` one row of k
-    covariates per cluster. ``treatment`` (0/1 per cluster) is optional.
-    ``outcomes`` and ``offsets`` give the sampled outcomes in CSR form, the
-    units of the i-th cluster being ``outcomes[offsets[i]:offsets[i + 1]]``;
-    leave both out for a clusters-only table. Raises ``DataError`` naming the
-    cluster for any invalid value.
+    Every cluster_id is a ``str``. ``n_total`` holds one integer per cluster
+    and ``X`` one row of k covariates per cluster. ``treatment`` (0/1 per
+    cluster) is optional. ``outcomes`` and ``offsets`` give the sampled
+    outcomes in CSR form, the units of the i-th cluster being
+    ``outcomes[offsets[i]:offsets[i + 1]]``; they are summed, in input
+    order, into ``n_sampled`` and ``ybar`` and not kept. Leave both out for
+    a clusters-only table. Raises ``DataError`` for any invalid value,
+    naming the first faulty cluster in cluster_id order.
     """
     ids = tuple(cluster_ids)
     m = len(ids)
     if m < 4 or m % 2 != 0:
         raise DataError(f"need an even cluster count >= 4, got {m}")
+    try:
+        "".join(ids)  # one pass in C, a TypeError at any id that is not a str
+    except TypeError:
+        cid = next(cid for cid in ids if not isinstance(cid, str))
+        raise DataError(f"cluster_id {cid!r} is not a string") from None
     repeat = _first_repeat(ids)
     if repeat is not None:
         raise DataError(f"duplicate cluster_id {ids[repeat]!r}")
@@ -182,56 +192,54 @@ def build_dataset(
     n = np.array(n_total)
     if n.shape != (m,) or not np.issubdtype(n.dtype, np.integer):
         raise DataError(f"n_total must hold one integer per cluster, got {n.dtype} {n.shape}")
-    t = None if treatment is None else _treatment_column(treatment, ids)
+
+    # ids already in order, as a simulated trial's are, need no sort
+    in_order = all(map(operator.lt, ids, ids[1:]))
+    order = np.arange(m) if in_order else np.array(sorted(range(m), key=ids.__getitem__))
+    sorted_ids = ids if in_order else tuple(ids[i] for i in order)
+    x, n = x[order], n[order]
+    t = None if treatment is None else _treatment_column(treatment, sorted_ids, order)
     if (outcomes is None) != (offsets is None):
         raise DataError("outcomes and offsets come together")
 
-    # ids already in order, as a simulated trial's are, need no sort
-    permuted = not all(map(operator.lt, ids, ids[1:]))
-    if permuted:
-        order = np.array(sorted(range(m), key=ids.__getitem__), dtype=np.intp)
-        ids = tuple(ids[i] for i in order)
-        x, n = x[order], n[order]
-        t = None if t is None else _frozen(t[order])
-
     bad = n < 1
     if bad.any():
-        raise DataError(f"cluster {ids[int(bad.argmax())]!r}: n_total must be positive")
+        raise DataError(f"cluster {sorted_ids[int(bad.argmax())]!r}: n_total must be positive")
     bad = ~np.isfinite(x).all(axis=1)
     if bad.any():
         i = int(bad.argmax())
         value = next(v for v in x[i].tolist() if not math.isfinite(v))
-        raise DataError(f"cluster {ids[i]!r}: covariate {value!r} is not finite")
+        raise DataError(f"cluster {sorted_ids[i]!r}: covariate {value!r} is not finite")
 
-    y = starts = counts = ybar = None
+    counts = ybar = None
     if outcomes is not None:
+        # each cluster is summed where it lies in the CSR and its results
+        # are then taken in id order, so an error names the first faulty
+        # cluster in id order
         y, starts = _csr_columns(outcomes, offsets, m)
-        if permuted:
-            y, starts = _gather_clusters(y, starts, order)
-        counts = np.diff(starts)
+        counts = np.diff(starts)[order]
         empty = counts == 0
         if empty.any():
-            raise DataError(f"cluster {ids[int(empty.argmax())]!r} has no sampled units")
+            raise DataError(f"cluster {sorted_ids[int(empty.argmax())]!r} has no sampled units")
         over = counts > n
         if over.any():
             i = int(over.argmax())
             raise DataError(
-                f"cluster {ids[i]!r}: {counts[i]} sampled units exceed n_total={n[i]}"
+                f"cluster {sorted_ids[i]!r}: {counts[i]} sampled units exceed n_total={n[i]}"
             )
         bad = ~np.isfinite(y)
         if bad.any():
-            k = int(bad.argmax())
-            i = int(np.searchsorted(starts, k, side="right")) - 1
-            raise DataError(f"cluster {ids[i]!r}: outcome {float(y[k])!r}")
-        ybar = _cluster_sums(y, starts, ids) / counts
+            i = int(np.logical_or.reduceat(bad, starts[:-1])[order].argmax())
+            units = y[starts[order[i]] : starts[order[i] + 1]].tolist()
+            value = next(v for v in units if not math.isfinite(v))
+            raise DataError(f"cluster {sorted_ids[i]!r}: outcome {value!r}")
+        ybar = _cluster_sums(y, starts, ids)[order] / counts
 
     return Dataset(
-        cluster_ids=ids,
+        cluster_ids=sorted_ids,
         n_total=_frozen(n.astype(np.int64)),
         X=_frozen(x),
         treatment=t,
-        outcomes=None if y is None else _frozen(y),
-        offsets=None if starts is None else _frozen(starts),
         n_sampled=None if counts is None else _frozen(counts),
         ybar=None if ybar is None else _frozen(ybar),
     )
@@ -240,8 +248,8 @@ def build_dataset(
 def _csr_columns(outcomes, offsets, m: int) -> tuple[np.ndarray, np.ndarray]:
     """``outcomes`` as a flat float array and ``offsets`` as int64, checking
     that the offsets rise from 0 to the outcome count in m + 1 entries."""
-    y = np.array(outcomes, dtype=float)
-    starts = np.array(offsets)
+    y = np.asarray(outcomes, dtype=float)  # only read, so not copied
+    starts = np.asarray(offsets)
     if (
         y.ndim != 1
         or starts.shape != (m + 1,)
@@ -255,20 +263,21 @@ def _csr_columns(outcomes, offsets, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cluster_sums(y: np.ndarray, offsets: np.ndarray, ids: Sequence[str]) -> np.ndarray:
-    """math.fsum of each cluster's outcomes: the exactly rounded sum, whatever
-    the unit order, bit for bit. Raises ``DataError`` naming the first
-    cluster, in id order, whose ``math.fsum`` overflows.
+    """math.fsum of each cluster's outcomes, the clusters in CSR order and
+    ``ids`` their cluster_ids: the exactly rounded sum, whatever the order of
+    units or clusters, bit for bit. Raises ``DataError`` naming the first
+    cluster, in cluster_id order, whose ``math.fsum`` overflows.
 
     :func:`_certified_sums` rounds every cluster's sum in one array pass and
     proves, cluster by cluster, that the result is the float nearest the
     exact sum, which is what ``math.fsum`` returns. Only the clusters it
     cannot prove (a zero sum, a tie its error terms do not settle, a huge
     dynamic range or an absolute sum that may overflow inside ``math.fsum``)
-    are summed by ``math.fsum``, in id order, so overflow is reported as
-    before.
+    are summed by ``math.fsum``, in cluster_id order, so the first to
+    overflow is the first in that order.
     """
     sums, proven = _certified_sums(y, offsets)
-    for g in np.flatnonzero(~proven).tolist():
+    for g in sorted(np.flatnonzero(~proven).tolist(), key=ids.__getitem__):
         try:
             sums[g] = math.fsum(y[offsets[g] : offsets[g + 1]].tolist())
         except OverflowError:
@@ -361,15 +370,6 @@ def _first_repeat(values: Sequence) -> int | None:
             return i
         seen.add(value)
     return None
-
-
-def _gather_clusters(y: np.ndarray, offsets: np.ndarray, order: np.ndarray):
-    """The CSR outcomes with clusters taken in ``order``; returns (y, offsets)."""
-    counts = np.diff(offsets)[order]
-    new = np.zeros(len(order) + 1, dtype=np.int64)
-    np.cumsum(counts, out=new[1:])
-    index = np.repeat(offsets[:-1][order] - new[:-1], counts) + np.arange(new[-1])
-    return y[index], new
 
 
 class _Fields:
@@ -871,10 +871,11 @@ def load_dataset(units_source, clusters_source) -> Dataset:
 
     Both sources are file paths (``str`` or ``os.PathLike``); any other
     source raises ``ValueError``. Every unit row must reference a cluster
-    present in the clusters table, and no (cluster_id, unit_id) may repeat;
-    sampled outcomes are kept in input order. The units CSV is read in
-    chunks, and any error in it comes before one in the clusters CSV, then
-    an unknown cluster, then a repeated unit, each a ``DataError``.
+    present in the clusters table, and no (cluster_id, unit_id) may repeat.
+    The Dataset keeps each cluster's ``n_sampled`` and ``ybar``, not its
+    unit outcomes. The units CSV is read in chunks, and any error in it
+    comes before one in the clusters CSV, then an unknown cluster, then a
+    repeated unit, each a ``DataError``.
     """
     _file_path(clusters_source, "clusters CSV")  # before the units are read
     outcome, codes, keys, ids = _unit_columns(units_source)
@@ -904,30 +905,6 @@ def load_dataset(units_source, clusters_source) -> Dataset:
     return build_dataset(
         clusters.cluster_ids, clusters.n_total, clusters.X, clusters.treatment, outcomes, offsets
     )
-
-
-def write_dataset(dataset: Dataset, units_path, clusters_path) -> None:
-    """Write a dataset back to the two CSV schemas.
-
-    Unit ids are synthesized as u1, u2, ... within each cluster. Floats are
-    written with ``repr`` so reloading reproduces them bit for bit.
-    """
-    if dataset.outcomes is None:
-        raise DataError("write_dataset needs sampled outcomes; use write_clusters")
-    counts = dataset.n_sampled
-    cluster_of_unit = np.repeat(np.array(dataset.cluster_ids, dtype=object), counts)
-    unit_number = np.arange(1, len(dataset.outcomes) + 1) - np.repeat(dataset.offsets[:-1], counts)
-    with open(units_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cluster_id", "unit_id", "outcome"])
-        w.writerows(
-            zip(
-                cluster_of_unit.tolist(),
-                map("u{}".format, unit_number.tolist()),
-                map(repr, dataset.outcomes.tolist()),
-            )
-        )
-    write_clusters(dataset, clusters_path)
 
 
 def write_clusters(dataset: Dataset, clusters_path) -> None:

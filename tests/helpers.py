@@ -1,5 +1,13 @@
 """Shared test utilities: dataset builders and independent reference code.
 
+A package ``Dataset`` keeps only cluster-level columns. The builders here
+(``make_dataset``, ``random_dataset``, ``with_outcomes``, ``trial_units``)
+return a :class:`UnitDataset`, a ``Dataset`` that also carries the unit
+outcomes in CSR form it was built from, so the tests keep their unit-level
+oracles: ``wls_oracle``, CSV files written by ``write_dataset`` and read
+back record by record with ``read_units`` (a units CSV as one record per
+row).
+
 The reference implementations here (matched-pairs inference for unit-sized
 clusters, brute-force optimal matching, a Monte Carlo limiting variance, the
 unit-level weighted least squares fit) deliberately avoid the package's own
@@ -7,34 +15,39 @@ numerical paths, so agreement with them is evidence and not circularity.
 The matching references sort or keep the full n x n x k distance tensor
 that the package's row-per-step walks and one-column sort replaced,
 ``trial_columns_reference``
-builds a trial cluster by cluster, one float at a time, and
+builds a trial cluster by cluster, one float at a time, from the Philox
+draws of ``trial_draw``, which ``trial_units`` shares, and
 ``pair_statistics_reference`` computes delta, tau2 and lambda2 through
 per-cluster adjusted outcomes, the path the pair-level kernel replaced, and
 ``randomization_reference`` enumerates every swap pattern through it.
 ``adjusted_outcomes`` is that path's first step, and ``swap_treatments``
 turns swap bits into treatment vectors. ``statistic_batch`` (the package's
-kernel on whole treatment vectors) and ``read_units`` (a units CSV as one
-record per row) serve only the tests.
+kernel on whole treatment vectors) serves only the tests.
+
+The module imports numpy and the package alone, so a script can use its
+builders and ``write_dataset`` without the test dependencies.
 """
 
+import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 import pairedcrt
 from pairedcrt.assignment import assign_within_pairs
-from pairedcrt.core import _unit_chunks, build_dataset
+from pairedcrt.core import Dataset, _frozen, _unit_chunks, build_dataset, write_clusters
 from pairedcrt.errors import DataError
 from pairedcrt.estimation import arm_means, kernel_inputs
 from pairedcrt.inference import SignSums, first_member_treated, outcome_scale
 from pairedcrt.matching import MatchedDesign, zscore
+from pairedcrt.simulation import generate_trial
 
 #: The columns of a Dataset, for comparing two of them.
-COLUMNS = ("n_total", "X", "treatment", "outcomes", "offsets", "n_sampled", "ybar")
+COLUMNS = ("n_total", "X", "treatment", "n_sampled", "ybar")
 
 #: One record per units CSV row, with the physical line it starts on.
 UNIT_DTYPE = np.dtype(
@@ -78,6 +91,34 @@ def csr(outcomes_per_cluster):
     return np.array(flat, dtype=float), np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 
 
+@dataclass(frozen=True)
+class UnitDataset(Dataset):
+    """A ``Dataset`` that also carries the sampled outcomes it was built
+    from, in CSR form in cluster_id order: cluster g's units are
+    ``outcomes[offsets[g]:offsets[g + 1]]``."""
+
+    outcomes: np.ndarray
+    offsets: np.ndarray
+
+
+def with_units(dataset, outcomes, offsets):
+    """``dataset`` as a :class:`UnitDataset` carrying the given CSR."""
+    columns = {f.name: getattr(dataset, f.name) for f in fields(Dataset)}
+    return UnitDataset(
+        **columns,
+        outcomes=_frozen(np.array(outcomes, dtype=float)),
+        offsets=_frozen(np.array(offsets, dtype=np.int64)),
+    )
+
+
+def unit_dataset(cluster_ids, n_total, X, treatment, outcomes, offsets):
+    """``build_dataset`` of clusters given in cluster_id order, keeping
+    their CSR outcomes."""
+    dataset = build_dataset(cluster_ids, n_total, X, treatment, outcomes, offsets)
+    assert dataset.cluster_ids == tuple(cluster_ids), "ids must come in order"
+    return with_units(dataset, outcomes, offsets)
+
+
 def make_dataset(sizes, ybars=None, treatments=None, xs=None, outcomes=None):
     """Build a dataset with one sampled unit per cluster unless outcomes given."""
     m = len(sizes)
@@ -85,7 +126,7 @@ def make_dataset(sizes, ybars=None, treatments=None, xs=None, outcomes=None):
         outcomes = [(y,) for y in ybars]
     flat, offsets = csr(outcomes)
     x = np.asarray(xs if xs is not None else np.arange(m), dtype=float).reshape(m, 1)
-    return build_dataset(
+    return unit_dataset(
         [f"c{i:03d}" for i in range(m)],
         np.asarray(sizes, dtype=np.int64),
         x,
@@ -98,7 +139,7 @@ def make_dataset(sizes, ybars=None, treatments=None, xs=None, outcomes=None):
 def with_outcomes(ds, transform):
     """The dataset with ``transform(y, cluster)`` applied to each unit outcome."""
     cluster = np.repeat(np.arange(ds.n_clusters), ds.n_sampled)
-    return build_dataset(
+    return unit_dataset(
         ds.cluster_ids,
         ds.n_total,
         ds.X,
@@ -106,6 +147,41 @@ def with_outcomes(ds, transform):
         transform(ds.outcomes, cluster),
         ds.offsets,
     )
+
+
+def unit_ids(dataset):
+    """The cluster_id and unit_id of each unit of a :class:`UnitDataset`, in
+    CSR order, as :func:`write_dataset` writes them: unit ids u1, u2, ...
+    within each cluster."""
+    counts = dataset.n_sampled
+    clusters = np.repeat(np.array(dataset.cluster_ids, dtype=object), counts)
+    numbers = np.arange(1, len(dataset.outcomes) + 1) - np.repeat(dataset.offsets[:-1], counts)
+    return clusters.tolist(), [f"u{k}" for k in numbers.tolist()]
+
+
+def write_dataset(dataset, units_path, clusters_path):
+    """Write a :class:`UnitDataset` to the units and clusters CSV schemas.
+
+    Unit ids are synthesized as u1, u2, ... within each cluster. Floats are
+    written with ``repr`` so reloading reproduces them bit for bit.
+    """
+    with open(units_path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["cluster_id", "unit_id", "outcome"])
+        w.writerows(zip(*unit_ids(dataset), map(repr, dataset.outcomes.tolist())))
+    write_clusters(dataset, clusters_path)
+
+
+def assert_same_units(units_path, dataset):
+    """The rows of a units CSV, read by ``read_units`` and taken cluster by
+    cluster in cluster_id order (each cluster's rows in file order), are the
+    units of a :class:`UnitDataset` as ``write_dataset`` writes them: the
+    same cluster_id, unit_id and outcome bits, record by record."""
+    got = read_units(units_path)
+    position = {cid: g for g, cid in enumerate(dataset.cluster_ids)}
+    got = got[np.argsort([position[cid] for cid in got["cluster_id"]], kind="stable")]
+    assert (got["cluster_id"].tolist(), got["unit_id"].tolist()) == unit_ids(dataset)
+    assert np.ascontiguousarray(got["outcome"]).tobytes() == dataset.outcomes.tobytes()
 
 
 def assert_same_columns(a, b):
@@ -468,14 +544,11 @@ def order_pairs_reference(design, dataset):
     return MatchedDesign(tuple(new_perm), design.mode)
 
 
-def trial_columns_reference(dgp, pair_count, match_mode, seed):
-    """A trial's columns and design, built cluster by cluster.
-
-    Draws the same Philox streams as ``generate_trial``, matches with the
-    tensor references above, and assembles each cluster's outcomes one
-    float at a time and its mean with ``math.fsum``. Returns (a dict of
-    the Dataset's columns, in cluster_id order, and the design).
-    """
+def trial_draw(dgp, pair_count, seed):
+    """The Philox draws of ``generate_trial``, in the same streams: (the
+    covariates, the sizes, the assignment seed and a function giving each
+    cluster's unit outcomes, a list of floats per cluster, under a 0/1
+    treatment vector)."""
     m = 2 * pair_count
     streams = np.random.SeedSequence(seed).spawn(5)
     rng_x, rng_n, rng_gamma, rng_eps = (
@@ -487,21 +560,44 @@ def trial_columns_reference(dgp, pair_count, match_mode, seed):
     gamma = rng_gamma.normal(0.0, dgp.outcomes.sigma_cluster, m)
     eps = rng_eps.normal(0.0, dgp.outcomes.sigma_unit, int(counts.sum()))
     eps_chunks = np.split(eps, np.cumsum(counts)[:-1])
+    assign_seed = int(streams[4].generate_state(1, np.uint64)[0])
 
-    ids = [f"c{i + 1:06d}" for i in range(m)]
+    def unit_outcomes(treat):
+        nf = n.astype(float)
+        mu = np.where(treat == 1, dgp.outcomes.mu1(x, nf), dgp.outcomes.mu0(x, nf))
+        return [[float(v) for v in mu[i] + gamma[i] + eps_chunks[i]] for i in range(m)]
+
+    return x, n, assign_seed, unit_outcomes
+
+
+def trial_units(dgp, pair_count, match_mode, seed):
+    """``generate_trial``'s dataset, as a :class:`UnitDataset` carrying the
+    unit outcomes of :func:`trial_draw` under its treatment, and design."""
+    dataset, design, _ = generate_trial(dgp, pair_count, match_mode, seed)
+    *_, unit_outcomes = trial_draw(dgp, pair_count, seed)
+    return with_units(dataset, *csr(unit_outcomes(dataset.treatment))), design
+
+
+def trial_columns_reference(dgp, pair_count, match_mode, seed):
+    """A trial's columns and design, built cluster by cluster.
+
+    Takes the draws of :func:`trial_draw`, matches with the tensor
+    references above, and assembles each cluster's outcomes one float at a
+    time and its mean with ``math.fsum``. Returns (a dict of the Dataset's
+    columns, in cluster_id order, with the units' ``outcomes`` and
+    ``offsets`` in CSR form, and the design).
+    """
+    x, n, assign_seed, unit_outcomes = trial_draw(dgp, pair_count, seed)
+    ids = [f"c{i + 1:06d}" for i in range(2 * pair_count)]
     bare = build_dataset(ids, [int(v) for v in n], [[float(v)] for v in x])
     design = order_pairs_reference(matching_reference(bare, match_mode), bare)
-    assign_seed = int(streams[4].generate_state(1, np.uint64)[0])
     treat = assign_within_pairs(design, assign_seed)
 
-    nf = n.astype(float)
-    mu = np.where(treat == 1, dgp.outcomes.mu1(x, nf), dgp.outcomes.mu0(x, nf))
     outcomes, offsets, means = [], [0], []
-    for i in range(m):
-        unit_outcomes = [float(v) for v in mu[i] + gamma[i] + eps_chunks[i]]
-        outcomes.extend(unit_outcomes)
+    for units in unit_outcomes(treat):
+        outcomes.extend(units)
         offsets.append(len(outcomes))
-        means.append(math.fsum(unit_outcomes) / len(unit_outcomes))
+        means.append(math.fsum(units) / len(units))
     columns = {
         "cluster_ids": tuple(ids),
         "n_total": np.array([int(v) for v in n], dtype=np.int64),

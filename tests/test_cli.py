@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,13 +7,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import identity_design, make_dataset, package_env, strict_json, with_outcomes
+from helpers import (
+    identity_design,
+    make_dataset,
+    package_env,
+    strict_json,
+    trial_units,
+    unit_dataset,
+    with_outcomes,
+    write_dataset,
+)
 from pairedcrt import cli
 from pairedcrt.assignment import assign_within_pairs
-from pairedcrt.core import build_dataset, write_dataset
+from pairedcrt.core import build_dataset
 from pairedcrt.inference import infer
 from pairedcrt.matching import match_clusters, write_design
-from pairedcrt.simulation import SizeLaw, generate_trial, oracle_variance, preset
+from pairedcrt.simulation import SizeLaw, oracle_variance, preset
 
 
 def run_cli(argv, capsys):
@@ -39,10 +49,8 @@ def unit_fixture(tmp_path):
 
 class TestPipeline:
     def test_match_assign_analyze_randtest(self, tmp_path, capsys):
-        full, _, _ = generate_trial(preset("size_heterogeneous"), pair_count=6, seed=3)
-        bare = build_dataset(
-            full.cluster_ids, full.n_total, full.X, None, full.outcomes, full.offsets
-        )
+        full, _ = trial_units(preset("size_heterogeneous"), 6, "nn_xn", seed=3)
+        bare = dataclasses.replace(full, treatment=None)
         units = tmp_path / "units.csv"
         clusters = tmp_path / "clusters.csv"
         write_dataset(bare, units, clusters)
@@ -157,7 +165,7 @@ class TestAnalyze:
         assert payload["degenerate"] is payload["clamped"] is (len(set(ybars)) == 1)
 
     def test_outcome_scale_overflowing_the_kernel_is_data_error(self, tmp_path, capsys):
-        ds, design, _ = generate_trial(preset("size_heterogeneous"), 20, "nn_xn", seed=3)
+        ds, design = trial_units(preset("size_heterogeneous"), 20, "nn_xn", seed=3)
         base = infer(ds, design).v2
         for factor, code_wanted in ((1e100, 0), (1e160, 2)):
             scaled = with_outcomes(ds, lambda y, _: y * factor)
@@ -176,7 +184,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("command", ["analyze", "randtest"])
     def test_outcomes_near_float_range_give_one_json_error(self, tmp_path, command):
         # without the suite's warning filter: stderr holds the error alone
-        ds, design, _ = generate_trial(preset("size_heterogeneous"), 20, "nn_xn", seed=3)
+        ds, design = trial_units(preset("size_heterogeneous"), 20, "nn_xn", seed=3)
         scaled = with_outcomes(ds, lambda y, _: y * 1e305)
         units, clusters, design_path = write_analysis_fixture(tmp_path, scaled, design)
         proc = subprocess.run(
@@ -221,7 +229,7 @@ class TestDesignMode:
 
     @pytest.mark.parametrize("flags", [(), ("--matched-on-size",)])
     def test_nn_xn_design_with_or_without_flag(self, tmp_path, capsys, flags):
-        ds, design, _ = generate_trial(preset("size_heterogeneous"), 200, "nn_xn", seed=3)
+        ds, design = trial_units(preset("size_heterogeneous"), 200, "nn_xn", seed=3)
         _, _, design_path = write_analysis_fixture(tmp_path, ds, design)
         want = infer(ds, design).v2
         assert want == pytest.approx(2.8168, abs=1e-4)
@@ -235,14 +243,14 @@ class TestDesignMode:
         design = match_clusters(build_dataset(ids, n, x), "sorted_x")
         t = assign_within_pairs(design, 11)
         y = 1.0 + 2.0 * x[:, 0] + 3.0 * x[:, 1] + 0.5 * t + rng.normal(0.0, 1.0, 400)
-        ds = build_dataset(ids, n, x, t, y, np.arange(401))
+        ds = unit_dataset(ids, n, x, t, y, np.arange(401))
         _, _, design_path = write_analysis_fixture(tmp_path, ds, design)
         assert analyze_v2(tmp_path, capsys, design_path) == (0, infer(ds, design).v2)
 
     @pytest.mark.parametrize("command", ["analyze", "randtest"])
     @pytest.mark.parametrize("mode", ["sorted_x", "nn_x"])
     def test_flag_conflicting_with_mode_is_data_error(self, tmp_path, capsys, command, mode):
-        ds, design, _ = generate_trial(preset("null"), 6, mode, seed=1)
+        ds, design = trial_units(preset("null"), 6, mode, seed=1)
         _, _, design_path = write_analysis_fixture(tmp_path, ds, design)
         code, err = analyze_v2(
             tmp_path, capsys, design_path, "--matched-on-size", command=command
@@ -255,7 +263,7 @@ class TestDesignMode:
 
     def test_design_without_mode_column_is_data_error(self, tmp_path, capsys):
         # read as nn_x, this design would give v2 = 2.6465 instead of 2.8168
-        ds, design, _ = generate_trial(preset("size_heterogeneous"), 200, "nn_xn", seed=3)
+        ds, design = trial_units(preset("size_heterogeneous"), 200, "nn_xn", seed=3)
         _, _, design_path = write_analysis_fixture(tmp_path, ds, design)
         rows = Path(design_path).read_text().splitlines()
         Path(design_path).write_text("".join(r.rsplit(",", 1)[0] + "\n" for r in rows))
@@ -271,7 +279,7 @@ class TestDesignMode:
     @pytest.mark.parametrize("command", ["analyze", "randtest"])
     @pytest.mark.parametrize("mode", ["sorted_x", "nn_x", "nn_xn"])
     def test_result_echoes_the_match_mode(self, tmp_path, capsys, command, mode):
-        ds, design, _ = generate_trial(preset("null"), 6, mode, seed=2)
+        ds, design = trial_units(preset("null"), 6, mode, seed=2)
         units, clusters, design_path = write_analysis_fixture(tmp_path, ds, design)
         argv = [command, "--units", units, "--clusters", clusters, "--design", design_path]
         code, out, _ = run_cli(argv, capsys)
@@ -327,7 +335,7 @@ class TestRandtest:
         assert excinfo.value.code == 64
 
     def test_effect_overflowing_the_kernel_is_data_error(self, tmp_path, capsys):
-        ds, design, _ = generate_trial(preset("size_heterogeneous"), 20, "nn_xn", seed=3)
+        ds, design = trial_units(preset("size_heterogeneous"), 20, "nn_xn", seed=3)
         units, clusters, design_path = write_analysis_fixture(tmp_path, ds, design)
         argv = ["randtest", "--units", units, "--clusters", clusters, "--design", design_path]
         code, out, err = run_cli(argv + ["--delta0", "1e160"], capsys)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -13,11 +14,15 @@ from hypothesis import strategies as st
 
 from helpers import (
     assert_same_columns,
+    assert_same_units,
     csr,
     identity_design,
     make_dataset,
     random_dataset,
     read_units,
+    trial_units,
+    unit_dataset,
+    write_dataset,
 )
 from pairedcrt import core
 from pairedcrt.core import (
@@ -30,12 +35,11 @@ from pairedcrt.core import (
     load_dataset,
     read_clusters,
     write_clusters,
-    write_dataset,
 )
 from pairedcrt.errors import DataError
 from pairedcrt.inference import infer
 from pairedcrt.matching import read_design, write_design
-from pairedcrt.simulation import generate_trial, preset
+from pairedcrt.simulation import preset
 
 
 def table(ids="abcd", n=2, outs=None, xs=None, t=None):
@@ -50,7 +54,7 @@ def table(ids="abcd", n=2, outs=None, xs=None, t=None):
 
 class TestBuildDataset:
     def test_sorts_by_cluster_id(self):
-        # each cluster's outcomes travel with it
+        # each cluster's outcomes travel with it into n_sampled and ybar
         flat, offsets = csr([(2.0,), (4.0, 4.5), (1.0,), (3.0,)])
         ds = build_dataset(
             ["b", "d", "a", "c"], [2, 4, 1, 3], [[2.0], [4.0], [1.0], [3.0]], [0, 1, 1, 0],
@@ -60,15 +64,14 @@ class TestBuildDataset:
         assert ds.n_total.tolist() == [1, 2, 3, 4]
         assert ds.X.tolist() == [[1.0], [2.0], [3.0], [4.0]]
         assert ds.treatment.tolist() == [1, 0, 0, 1]
-        assert ds.outcomes.tolist() == [1.0, 2.0, 3.0, 4.0, 4.5]
-        assert ds.offsets.tolist() == [0, 1, 2, 3, 5]
+        assert ds.n_sampled.tolist() == [1, 1, 1, 2]
         assert ds.ybar.tolist() == [1.0, 2.0, 3.0, 4.25]
         assert ds.covariate_dim == 1
         assert ds.n_pairs == 2
 
     def test_columns_are_read_only(self):
         ds = table()
-        for column in (ds.n_total, ds.X, ds.outcomes, ds.offsets, ds.n_sampled, ds.ybar):
+        for column in (ds.n_total, ds.X, ds.n_sampled, ds.ybar):
             with pytest.raises(ValueError):
                 column[0] = 0
 
@@ -106,6 +109,81 @@ class TestBuildDataset:
     def test_rejects_nonbinary_treatment(self):
         with pytest.raises(DataError, match=r"^cluster 'a': treatment 2 not in \{0, 1\}$"):
             table(t=[2, 0, 1, 0])
+        # the first bad cluster in id order, as the other column checks name
+        with pytest.raises(DataError, match=r"^cluster 'a': treatment 3 not in \{0, 1\}$"):
+            table(ids="dcba", t=[0, 2, 0, 3])
+
+    @pytest.mark.parametrize(
+        "ids,message",
+        [
+            # sorted as integers, but the CSV files compare ids as strings
+            ([10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 11, 12], "^cluster_id 10 is not a string$"),
+            ([1, "a", "b", "c"], "^cluster_id 1 is not a string$"),
+            ([b"a", b"b", b"c", b"d"], "^cluster_id b'a' is not a string$"),
+        ],
+    )
+    def test_rejects_ids_that_are_not_strings(self, ids, message):
+        with pytest.raises(DataError, match=message):
+            build_dataset(ids, [1] * len(ids), [[0.0]] * len(ids))
+
+    def test_numpy_string_ids_are_strings(self):
+        ds = build_dataset(np.array(["b", "a", "d", "c"]), [1] * 4, [[0.0]] * 4)
+        assert ds.cluster_ids == ("a", "b", "c", "d")
+
+    @pytest.mark.parametrize(
+        "sizes,outcomes,message",
+        [
+            ([1, 2, 1, 1], [(1.0,), (), (1.0,), ()], "^cluster 'c001' has no sampled units$"),
+            (
+                [1, 2, 1, 1],
+                [(1.0,), (1.0, 2.0, 3.0), (1.0, 2.0), (1.0,)],
+                "^cluster 'c001': 3 sampled units exceed n_total=2$",
+            ),
+            (
+                [4, 4, 4, 4],
+                [(1.0,), (2.0, math.nan, math.inf), (1.0,), (math.inf,)],
+                "^cluster 'c001': outcome nan$",
+            ),
+            # the two overflowing clusters of
+            # TestSummarize.test_overflow_behind_a_finite_prefix_sum_rejected
+            (
+                [1, 3, 1, 2],
+                [(-1e308,), (1e308, 1e308, -1e308), (0.0,), (1.5e308, 1.5e308)],
+                "^cluster 'c001': the sum of its outcomes overflows$",
+            ),
+        ],
+        ids=["empty", "oversampled", "nan", "overflow"],
+    )
+    def test_permuted_input_names_the_same_cluster(self, sizes, outcomes, message):
+        ids = ["c000", "c001", "c002", "c003"]
+        for order in ([0, 1, 2, 3], [3, 2, 1, 0]):
+            flat, offsets = csr([outcomes[g] for g in order])
+            with pytest.raises(DataError, match=message):
+                build_dataset(
+                    [ids[g] for g in order], [sizes[g] for g in order], [[0.0]] * 4, None,
+                    flat, offsets,
+                )  # fmt: skip
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_shuffled_ids_give_the_same_summaries(self, data):
+        pairs = data.draw(st.integers(2, 6))
+        cluster = st.lists(hard_outcomes, min_size=1, max_size=8)
+        clusters = data.draw(st.lists(cluster, min_size=2 * pairs, max_size=2 * pairs))
+        order = data.draw(st.permutations(range(2 * pairs)))
+
+        def build(order):
+            flat, offsets = csr([clusters[g] for g in order])
+            ids = [f"c{g:02d}" for g in order]
+            return build_dataset(ids, [8] * len(ids), [[0.0]] * len(ids), None, flat, offsets)
+
+        want = _dataset_or_error(lambda: build(range(2 * pairs)))
+        got = _dataset_or_error(lambda: build(order))
+        if isinstance(want, tuple):
+            assert got == want  # the same cluster overflows
+        else:
+            assert_same_bits(got.n_sampled, want.n_sampled)
+            assert_same_bits(got.ybar, want.ybar)
 
     def test_rejects_bad_columns(self):
         with pytest.raises(DataError, match="n_total"):
@@ -125,7 +203,7 @@ class TestBuildDataset:
         ds2 = ds.with_treatments([1, 0, 0, 1])
         assert ds2.treatment is not None
         assert ds2.treatment.tolist() == [1, 0, 0, 1]
-        assert ds2.outcomes is ds.outcomes
+        assert ds2.ybar is ds.ybar
         with pytest.raises(DataError, match="^expected 4 treatments, got 2$"):
             ds.with_treatments([1, 0])
         with pytest.raises(DataError, match=r"^cluster 'c': treatment 2 not in \{0, 1\}$"):
@@ -172,7 +250,7 @@ class TestSummarize:
         assert_same_bits(ds.ybar, np.array([math.fsum([-0.0]), math.fsum([-0.0, -0.0]), 1.0, -1.0]))
 
     def test_trial_sums_are_certified_without_fsum(self):
-        ds, _, _ = generate_trial(preset("size_heterogeneous"), 500, seed=4)
+        ds, _ = trial_units(preset("size_heterogeneous"), 500, "nn_xn", seed=4)
         sums, proven = _certified_sums(ds.outcomes, ds.offsets)
         assert proven.mean() >= 0.9
         assert_same_bits(sums[proven], fsum_sums(ds.outcomes, ds.offsets)[proven])
@@ -229,18 +307,19 @@ class TestClusterSums:
 
     @staticmethod
     def check(y, offsets):
+        # ids c0, c1, ..., c10, ...: the string order differs from the CSR's
         ids = [f"c{g}" for g in range(len(offsets) - 1)]
-        want, overflow = [], None
+        want, overflows = [], []
         for g, (a, b) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
             try:
                 want.append(math.fsum(y[a:b].tolist()))
             except OverflowError:
-                overflow = f"cluster {ids[g]!r}: the sum of its outcomes overflows"
-                break
-        if overflow is not None:
+                overflows.append(ids[g])
+        if overflows:
             with pytest.raises(DataError) as info:
                 _cluster_sums(y, offsets, ids)
-            assert str(info.value) == overflow
+            first = min(overflows)  # in cluster_id order
+            assert str(info.value) == f"cluster {first!r}: the sum of its outcomes overflows"
         else:
             assert_same_bits(_cluster_sums(y, offsets, ids), np.array(want))
 
@@ -287,7 +366,7 @@ def datasets(draw, bound=1e300):
     for j in range(g):
         treatment[2 * j + draw(st.integers(0, 1))] = 1
     flat, offsets = csr(outcomes)
-    return build_dataset(ids, n_total, np.array(x).reshape(2 * g, k), treatment, flat, offsets)
+    return unit_dataset(ids, n_total, np.array(x).reshape(2 * g, k), treatment, flat, offsets)
 
 
 def rewrite_rows(path, order):
@@ -303,17 +382,18 @@ class TestCsvRoundTrip:
         ds = random_dataset(rng, pairs=4)
         units, clusters = tmp_path / "units.csv", tmp_path / "clusters.csv"
         write_dataset(ds, units, clusters)
+        assert_same_units(units, ds)
         assert_same_columns(load_dataset(units, clusters), ds)
 
     @settings(max_examples=150, deadline=None)
     @given(ds=datasets(), with_treatments=st.booleans())
     def test_any_dataset_round_trips(self, tmp_path_factory, ds, with_treatments):
         if not with_treatments:
-            ds = build_dataset(ds.cluster_ids, ds.n_total, ds.X, None, ds.outcomes, ds.offsets)
+            ds = dataclasses.replace(ds, treatment=None)
         path = tmp_path_factory.mktemp("csv")
         units, clusters = path / "units.csv", path / "clusters.csv"
         write_dataset(ds, units, clusters)
-        assert len(read_units(units)) == len(ds.outcomes)
+        assert_same_units(units, ds)
         assert_same_columns(load_dataset(units, clusters), ds)
 
     @settings(max_examples=100, deadline=None)
@@ -334,6 +414,7 @@ class TestCsvRoundTrip:
             order.append(int(taken[c]))
             taken[c] += 1
         rewrite_rows(units, order)
+        assert_same_units(units, ds)
         shuffled = load_dataset(units, clusters)
         assert_same_columns(shuffled, ds)
         design = identity_design(ds.n_pairs)
@@ -345,7 +426,7 @@ class TestCsvRoundTrip:
         write_clusters(ds, path)
         back = read_clusters(path)
         assert back.cluster_ids == ds.cluster_ids
-        assert back.treatment is None and back.outcomes is None and back.ybar is None
+        assert back.treatment is None and back.n_sampled is None and back.ybar is None
         assert back.X.tobytes() == ds.X.tobytes()
 
 
@@ -531,10 +612,13 @@ class TestReaders:
             load_dataset(units, csv_file(FOUR_CLUSTERS))
 
     def test_load_keeps_unit_order(self, csv_file):
-        units = csv_file(units_csv("b,u1,0.0\na,u1,3.0\nc,u1,0.0\na,u2,1.0\nd,u1,0.0\n"))
+        units = csv_file(units_csv("b,u1,0.0\na,u1,3.0\nc,u1,0.5\na,u2,1.0\nd,u1,0.25\n"))
         ds = load_dataset(units, csv_file(FOUR_CLUSTERS))
-        assert ds.outcomes.tolist() == [3.0, 1.0, 0.0, 0.0, 0.0]
-        assert ds.offsets.tolist() == [0, 2, 3, 4, 5]
+        assert ds.n_sampled.tolist() == [2, 1, 1, 1]
+        assert ds.ybar.tolist() == [2.0, 0.0, 0.5, 0.25]
+        got = read_units(units)[["cluster_id", "unit_id", "outcome"]].tolist()
+        want = [("b", "u1", 0.0), ("a", "u1", 3.0), ("c", "u1", 0.5), ("a", "u2", 1.0)]
+        assert got == want + [("d", "u1", 0.25)]
 
 
 def chunked_units(replace: dict[int, str], quoted: bool = False, end: str = "\n") -> str:
@@ -654,7 +738,10 @@ class TestLoadInChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ds.outcomes.tolist() == y
+        assert read_units(units)["outcome"].tolist() == y
+        assert ds.n_sampled.tolist() == [30] * 2000
+        sums = [math.fsum(y[i : i + 30]) for i in range(0, 60_000, 30)]
+        assert_same_bits(ds.ybar, np.array(sums) / 30)
         # the whole text and its field strings traced 12.7 times the file
         assert peak < 3 * units.stat().st_size
 
@@ -704,10 +791,12 @@ def units_texts(draw):
     return text
 
 
-def load_reference(text: str, clusters_path) -> core.Dataset:
+def load_reference(text: str, clusters_path) -> tuple[core.Dataset, list]:
     """``load_dataset`` of a units CSV and ``_CLUSTERS_CSV``, written at
     ``clusters_path``, whole-file: ``reader_table``, then ``float`` and a
-    dict per check, in the order of precedence of the package's errors."""
+    dict per check, in the order of precedence of the package's errors.
+    Returns the Dataset and the unit rows, (cluster_id, unit_id, outcome,
+    line) in file order."""
     header, cols, lines = reader_table(text, "units CSV")
     required = ("cluster_id", "unit_id", "outcome")
     if not set(required).issubset(header):
@@ -738,7 +827,8 @@ def load_reference(text: str, clusters_path) -> core.Dataset:
     for value, (cid, *_) in zip(y, rows):
         per_cluster[index[cid]].append(value)
     flat, offsets = csr(per_cluster)
-    return build_dataset(clusters.cluster_ids, clusters.n_total, clusters.X, None, flat, offsets)
+    dataset = build_dataset(clusters.cluster_ids, clusters.n_total, clusters.X, None, flat, offsets)
+    return dataset, [(cid, unit, value, line) for value, (cid, unit, _, line) in zip(y, rows)]
 
 
 def _dataset_or_error(load):
@@ -749,7 +839,8 @@ def _dataset_or_error(load):
 
 
 class TestLoadAgainstReference:
-    """``load_dataset`` gives the Dataset or the error of a whole-file read."""
+    """``load_dataset`` gives the Dataset or the error of a whole-file read,
+    and the units it reads are the rows of that read, record by record."""
 
     @settings(max_examples=400, deadline=None)
     @given(text=units_texts(), chars=st.sampled_from([1, 7, 40, 1 << 16]))
@@ -758,14 +849,23 @@ class TestLoadAgainstReference:
         units, clusters = directory / "units.csv", directory / "clusters.csv"
         units.write_text(text, encoding="utf-8", newline="")
         clusters.write_text(_CLUSTERS_CSV, encoding="utf-8")
-        want = _dataset_or_error(lambda: load_reference(text, clusters))
+        try:
+            want, rows = load_reference(text, clusters)
+        except DataError as exc:
+            want = type(exc), str(exc)
         with mock.patch.object(core, "_CHUNK_CHARS", chars):
             got = _dataset_or_error(lambda: load_dataset(units, clusters))
-        if isinstance(want, tuple):
-            assert got == want
-        else:
-            assert not isinstance(got, tuple), got
-            assert_same_columns(got, want)
+            if isinstance(want, tuple):
+                assert got == want
+                return
+            read = read_units(units)
+        assert not isinstance(got, tuple), got
+        assert_same_columns(got, want)
+        cids, unit_ids, outcomes, lines = zip(*rows)
+        assert read["cluster_id"].tolist() == list(cids)
+        assert read["unit_id"].tolist() == list(unit_ids)
+        assert np.ascontiguousarray(read["outcome"]).tobytes() == np.array(outcomes).tobytes()
+        assert read["line"].tolist() == list(lines)
 
 
 # Two blank lines and a quoted field holding a line break (lines 2 to 5)

@@ -9,9 +9,10 @@ from helpers import (
     strict_json,
     with_outcomes,
     wls_oracle,
+    write_dataset,
 )
 from pairedcrt import cli
-from pairedcrt.core import build_dataset, write_dataset
+from pairedcrt.core import build_dataset
 from pairedcrt.errors import DataError
 from pairedcrt.estimation import estimate_size_weighted
 from pairedcrt.matching import write_design

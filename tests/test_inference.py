@@ -15,6 +15,7 @@ from helpers import (
     random_dataset,
     statistic_batch,
     swap_treatments,
+    trial_units,
     unit_level_reference,
     with_outcomes,
 )
@@ -400,7 +401,7 @@ class TestKernelOverflow:
 
     @pytest.mark.parametrize("name", ["size_heterogeneous", "stress"])
     def test_both_sides_of_the_bound(self, name):
-        ds, design, _ = generate_trial(preset(name), 6, "nn_xn", seed=3)
+        ds, design = trial_units(preset(name), 6, "nn_xn", seed=3)
         n, ybar, _ = kernel_inputs(ds)
         base_infer, base_rand = infer(ds, design), randomization_test(ds, design)
         unit = _MAX_SCALE / math.sqrt(design.pair_count) / outcome_scale(n, ybar)
@@ -420,7 +421,7 @@ class TestKernelOverflow:
         # the bound is checked before any sum of the outcomes is formed: the
         # scale reported is W times _CENTRING_ROUNDING of the largest |ybar|,
         # finite, and no RuntimeWarning (an error in this suite) comes first
-        ds, design, _ = generate_trial(preset("size_heterogeneous"), 20, "nn_xn", seed=3)
+        ds, design = trial_units(preset("size_heterogeneous"), 20, "nn_xn", seed=3)
         scaled = with_outcomes(ds, lambda y, _: y * 1e305)
         runs = ((infer, 0.0), (randomization_test, 0.0), (randomization_test, -sys.float_info.max))
         scales = []

@@ -14,6 +14,7 @@ from helpers import (
     randomization_reference,
     statistic_batch,
     swap_treatments,
+    trial_units,
     with_outcomes,
 )
 from pairedcrt import randtest
@@ -435,7 +436,7 @@ class TestOutcomeScale:
 
     @pytest.mark.parametrize("scale", [1e-7, 1e-5, 1.0, 1e6])
     def test_z_and_exact_p_agree_at_every_scale(self, scale):
-        ds, design, _ = generate_trial(preset("size_heterogeneous"), 12, "nn_xn", 3)
+        ds, design = trial_units(preset("size_heterogeneous"), 12, "nn_xn", 3)
         scaled = with_outcomes(ds, lambda y, _: y * scale)
         res, unit_res = infer(scaled, design), infer(ds, design)
         rt, unit_rt = (randomization_test(d, design, mode="exact") for d in (scaled, ds))

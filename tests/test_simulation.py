@@ -10,7 +10,9 @@ from helpers import (
     monte_carlo_oracle,
     strict_json,
     trial_columns_reference,
+    trial_units,
 )
+from pairedcrt.core import build_dataset
 from pairedcrt.errors import DataError
 from pairedcrt.inference import infer
 from pairedcrt.matching import imbalance_report
@@ -191,7 +193,7 @@ class TestGenerateTrial:
         dgp = preset("constant_effect")
         a, _, _ = generate_trial(dgp, pair_count=5, seed=42)
         b, _, _ = generate_trial(dgp, pair_count=5, seed=43)
-        assert not np.array_equal(a.outcomes, b.outcomes)
+        assert not np.array_equal(a.ybar, b.ybar)
 
     def test_structure(self):
         dgp = preset("stress")
@@ -229,6 +231,21 @@ class TestGenerateTrial:
             got, want = getattr(ds, name), columns[name]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert design.permutation == reference_design.permutation
+        units, _ = trial_units(dgp, 40, mode, seed=17)
+        for name in ("outcomes", "offsets"):
+            got, want = getattr(units, name), columns[name]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("preset_name", ["size_heterogeneous", "stress"])
+    def test_trial_units_sum_to_the_trial_means(self, preset_name):
+        dgp = preset(preset_name)
+        ds, _, _ = generate_trial(dgp, pair_count=40, seed=5)
+        units, _ = trial_units(dgp, 40, "nn_xn", seed=5)
+        rebuilt = build_dataset(
+            ds.cluster_ids, ds.n_total, ds.X, ds.treatment, units.outcomes, units.offsets
+        )
+        assert rebuilt.ybar.tobytes() == ds.ybar.tobytes()
+        assert rebuilt.n_sampled.tobytes() == ds.n_sampled.tobytes()
 
     @pytest.mark.parametrize(
         "sizes,sampling,units",

@@ -213,27 +213,7 @@ def build_dataset(
 
     counts = ybar = None
     if outcomes is not None:
-        # each cluster is summed where it lies in the CSR and its results
-        # are then taken in id order, so an error names the first faulty
-        # cluster in id order
-        y, starts = _csr_columns(outcomes, offsets, m)
-        counts = np.diff(starts)[order]
-        empty = counts == 0
-        if empty.any():
-            raise DataError(f"cluster {sorted_ids[int(empty.argmax())]!r} has no sampled units")
-        over = counts > n
-        if over.any():
-            i = int(over.argmax())
-            raise DataError(
-                f"cluster {sorted_ids[i]!r}: {counts[i]} sampled units exceed n_total={n[i]}"
-            )
-        bad = ~np.isfinite(y)
-        if bad.any():
-            i = int(np.logical_or.reduceat(bad, starts[:-1])[order].argmax())
-            units = y[starts[order[i]] : starts[order[i] + 1]].tolist()
-            value = next(v for v in units if not math.isfinite(v))
-            raise DataError(f"cluster {sorted_ids[i]!r}: outcome {value!r}")
-        ybar = _cluster_sums(y, starts, ids)[order] / counts
+        counts, ybar = _sampled_means(outcomes, offsets, ids, order, n)
 
     return Dataset(
         cluster_ids=sorted_ids,
@@ -243,6 +223,44 @@ def build_dataset(
         n_sampled=None if counts is None else _frozen(counts),
         ybar=None if ybar is None else _frozen(ybar),
     )
+
+
+def _sampled_means(
+    outcomes,
+    offsets,
+    ids: Sequence[str],
+    order: np.ndarray,
+    n_total: np.ndarray,
+    workspace: _Workspace | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n_sampled`` and ``ybar`` of the CSR outcomes of the clusters
+    ``ids``, in cluster_id order: ``order`` lists the clusters' input
+    positions in that order, and ``n_total`` their sizes in it. Raises
+    ``DataError`` for malformed offsets, then an empty cluster, one with more
+    sampled units than its size, a non-finite outcome and an overflowing
+    sum, naming the first faulty cluster in cluster_id order.
+
+    Each cluster is summed where it lies in the CSR and the results are
+    then taken in id order. ``workspace`` holds the unit-length temporaries
+    of the sums (see :func:`_certified_sums`); neither result views it.
+    """
+    y, starts = _csr_columns(outcomes, offsets, len(ids))
+    counts = np.diff(starts)[order]
+    empty = counts == 0
+    if empty.any():
+        raise DataError(f"cluster {ids[order[empty.argmax()]]!r} has no sampled units")
+    over = counts > n_total
+    if over.any():
+        i = int(over.argmax())
+        raise DataError(
+            f"cluster {ids[order[i]]!r}: {counts[i]} sampled units exceed n_total={n_total[i]}"
+        )
+    bad = ~np.isfinite(y)
+    if bad.any():
+        g = order[np.logical_or.reduceat(bad, starts[:-1])[order].argmax()]
+        value = next(v for v in y[starts[g] : starts[g + 1]].tolist() if not math.isfinite(v))
+        raise DataError(f"cluster {ids[g]!r}: outcome {value!r}")
+    return counts, _cluster_sums(y, starts, ids, workspace)[order] / counts
 
 
 def _csr_columns(outcomes, offsets, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -262,11 +280,14 @@ def _csr_columns(outcomes, offsets, m: int) -> tuple[np.ndarray, np.ndarray]:
     return y, starts.astype(np.int64)
 
 
-def _cluster_sums(y: np.ndarray, offsets: np.ndarray, ids: Sequence[str]) -> np.ndarray:
+def _cluster_sums(
+    y: np.ndarray, offsets: np.ndarray, ids: Sequence[str], workspace: _Workspace | None = None
+) -> np.ndarray:
     """math.fsum of each cluster's outcomes, the clusters in CSR order and
     ``ids`` their cluster_ids: the exactly rounded sum, whatever the order of
     units or clusters, bit for bit. Raises ``DataError`` naming the first
     cluster, in cluster_id order, whose ``math.fsum`` overflows.
+    ``workspace`` is passed to :func:`_certified_sums`.
 
     :func:`_certified_sums` rounds every cluster's sum in one array pass and
     proves, cluster by cluster, that the result is the float nearest the
@@ -276,7 +297,7 @@ def _cluster_sums(y: np.ndarray, offsets: np.ndarray, ids: Sequence[str]) -> np.
     are summed by ``math.fsum``, in cluster_id order, so the first to
     overflow is the first in that order.
     """
-    sums, proven = _certified_sums(y, offsets)
+    sums, proven = _certified_sums(y, offsets, workspace)
     for g in sorted(np.flatnonzero(~proven).tolist(), key=ids.__getitem__):
         try:
             sums[g] = math.fsum(y[offsets[g] : offsets[g + 1]].tolist())
@@ -290,10 +311,44 @@ def _cluster_sums(y: np.ndarray, offsets: np.ndarray, ids: Sequence[str]) -> np.
 _FSUM_SAFE = 2.0**1000
 
 
-def _certified_sums(y: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Workspace:
+    """Float buffers that a caller keeps across calls, so that repeated work
+    on arrays of up to the same length reuses memory instead of faulting in
+    fresh pages. Each named buffer hands out a view of exactly the length
+    asked, so no caller sees a stale tail, and is replaced when asked for
+    more than it holds. Made with ``reused=True``, for calls of varying
+    length, a workspace allocates a quarter to spare, so lengths that vary a
+    little share one buffer and pages never written are never faulted in;
+    otherwise it allocates exactly what is asked, as fresh arrays would.
+    Its memory is freed with the workspace."""
+
+    __slots__ = ("_buffers", "_reused")
+
+    def __init__(self, reused: bool = False):
+        self._buffers: dict[str, np.ndarray] = {}
+        self._reused = reused
+
+    def floats(self, name: str, size: int) -> np.ndarray:
+        """A float buffer of ``size`` elements, its contents undefined."""
+        buf = self._buffers.get(name)
+        if buf is None or len(buf) < size:
+            self._buffers.pop(name, None)  # freed before its successor is made
+            buf = self._buffers[name] = np.empty(size + size // 4 if self._reused else size)
+        return buf[:size]
+
+
+def _certified_sums(
+    y: np.ndarray, offsets: np.ndarray, workspace: _Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Each cluster's sum of the CSR outcomes ``y`` (no empty cluster) in one
     array pass, and a mask of the clusters where it is proven to be the
     correctly rounded (ties to even) nonzero sum, which ``math.fsum`` returns.
+    Both results are fresh arrays of the cluster count.
+
+    Its three unit-length temporaries, the prefix sums Q, the TwoSum error
+    terms and a scratch buffer that later holds |y|, come from ``workspace``,
+    which a caller summing many datasets keeps across calls; without one
+    they are allocated afresh. ``y`` must not view those three buffers.
 
     With Q = [0, add.accumulate(y)], TwoSum (Knuth; Ogita, Rump & Oishi 2005)
     gives the exact error err_i = Q_i + y_i - Q_{i+1} of every step, so
@@ -306,18 +361,21 @@ def _certified_sums(y: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.
     """
     a, b = offsets[:-1], offsets[1:]
     counts = np.diff(offsets)
+    if workspace is None:
+        workspace = _Workspace()
+    q = workspace.floats("prefix", len(y) + 1)
+    scratch = workspace.floats("scratch", len(y))
     with np.errstate(over="ignore", invalid="ignore"):
-        q = np.empty(len(y) + 1)
         q[0] = 0.0
         # accumulate is documented as the left-to-right loop from 0, so
         # Q_{i+1} = fl(Q_i + y_i), the sum TwoSum needs
         np.add.accumulate(y, out=q[1:])
-        _, err = _two_sum(q[:-1], y, q[1:])
+        _, err = _two_sum(q[:-1], y, q[1:], scratch, workspace.floats("error", len(y)))
         h, e0 = _two_sum(q[b], -q[a])
         lo = e0 + np.add.reduceat(err, a)
         r, t = _two_sum(h, lo)
         size = np.abs(e0) + np.add.reduceat(np.abs(err, out=err), a)
-        absy = np.abs(y)
+        absy = np.abs(y, out=scratch)  # TwoSum's step terms there are dead
         # Every y_i, Q_i, err_i and e0 is a multiple of g, the spacing of
         # floats at the smallest nonzero |y_i| of the whole dataset. g must
         # be global: the prefix sums Q_a and the errors err_i include every
@@ -346,14 +404,20 @@ def _certified_sums(y: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _two_sum(
-    x: np.ndarray, y: np.ndarray, s: np.ndarray | None = None
+    x: np.ndarray,
+    y: np.ndarray,
+    s: np.ndarray | None = None,
+    z: np.ndarray | None = None,
+    e: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(s, e) with s = fl(x + y), computed unless given, and x + y = s + e
-    exactly, where nothing overflows (Knuth, TAOCP vol. 2)."""
+    exactly, where nothing overflows (Knuth, TAOCP vol. 2). ``z`` and ``e``,
+    when given, are buffers of the inputs' shape for the temporary step term
+    and the error, which is written into ``e``."""
     if s is None:
         s = x + y
-    z = s - x
-    e = s - z
+    z = np.subtract(s, x, out=z)
+    e = np.subtract(s, z, out=e)
     np.subtract(x, e, out=e)
     np.subtract(y, z, out=z)
     e += z
@@ -938,7 +1002,12 @@ def _json_value(value):
 
 def _is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer, a bool not counting."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return _is_integer_type(type(value))
+
+
+def _is_integer_type(kind: type) -> bool:
+    """Whether ``kind`` is Python's or a numpy integer type, bool not counting."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
 def _check_count(value, name: str, minimum: int) -> None:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _parse_column, _read_csv
+from .core import Dataset, _is_integer_type, _parse_column, _read_csv
 from .errors import DataError
 
 MATCH_MODES = ("sorted_x", "nn_x", "nn_xn")
@@ -69,8 +69,7 @@ class MatchedDesign:
     mode: str
 
     def __post_init__(self):
-        n = len(self.permutation)
-        if n % 2 or set(self.permutation) != set(range(n)):
+        if not _is_index_permutation(self.permutation):
             raise DataError("permutation is not a bijection on 0..2G-1")
         if self.mode not in MATCH_MODES:
             raise DataError(f"unknown match mode {self.mode!r}; choose from {MATCH_MODES}")
@@ -88,6 +87,20 @@ class MatchedDesign:
     def pairs(self) -> list[tuple[int, int]]:
         p = self.permutation
         return [(p[2 * j], p[2 * j + 1]) for j in range(self.pair_count)]
+
+
+def _is_index_permutation(entries: tuple) -> bool:
+    """Whether ``entries``, of even length n, are integers (each type as
+    ``core._is_integer`` has it: not a float or bool, though one may equal
+    an index) that sort to 0..n-1."""
+    n = len(entries)
+    if n % 2 or not all(map(_is_integer_type, set(map(type, entries)))):
+        return False
+    try:
+        values = np.fromiter(entries, np.int64, n)
+    except OverflowError:  # beyond int64, so not an index
+        return False
+    return bool((np.sort(values) == np.arange(n)).all())
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,22 @@ every artifact (trials, assignments, reports) is reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .assignment import _philox, assign_within_pairs
-from .core import Dataset, _check_count, _json_record, build_dataset
+from .core import (
+    Dataset,
+    _Workspace,
+    _check_count,
+    _frozen,
+    _json_record,
+    _sampled_means,
+    _treatment_column,
+    build_dataset,
+)
 from .errors import DataError
 from .inference import _check_test_arguments, infer
 # MATCH_MODES and match_clusters live in matching and are re-exported here
@@ -323,9 +332,25 @@ def generate_trial(
     reuse the same potential outcomes. Raises ``ValueError`` unless
     ``pair_count`` is an integer of at least 2, and ``DataError`` when the
     drawn sizes would sample more than ``MAX_SAMPLED_UNITS`` units, before
-    any outcome is drawn.
+    any outcome is drawn, or when a mean or outcome is beyond float range,
+    naming the first such cluster in id order.
+
+    The clusters are validated once, by one :func:`build_dataset`; the
+    outcomes are checked by the summation that gives ``n_sampled`` and
+    ``ybar``. The unit noise, the outcomes and the summation's temporaries
+    live in a workspace of this call, which :func:`monte_carlo` keeps for a
+    whole study instead, with the same bits.
     """
     _check_pair_count(pair_count)
+    return _draw_trial(dgp, pair_count, match_mode, seed, _Workspace())
+
+
+def _draw_trial(
+    dgp: DgpSpec, pair_count: int, match_mode: str, seed: int, workspace: _Workspace
+) -> tuple[Dataset, MatchedDesign, float]:
+    """:func:`generate_trial`, its unit noise and outcomes formed in the
+    ``outcomes`` buffer of ``workspace`` and summed with its buffers. No
+    column of the trial views the workspace."""
     m = 2 * pair_count
     streams = np.random.SeedSequence(seed).spawn(5)
     rng_x, rng_n, rng_gamma, rng_eps = (
@@ -340,24 +365,34 @@ def generate_trial(
             f"the trial samples {sampled:.0f} units, more than {MAX_SAMPLED_UNITS}"
         )
     gamma = rng_gamma.normal(0.0, dgp.outcomes.sigma_cluster, m)
-    eps = rng_eps.normal(0.0, dgp.outcomes.sigma_unit, int(sampled))
+    y = workspace.floats("outcomes", int(sampled))
+    rng_eps.standard_normal(out=y)
 
-    clusters = build_dataset(_cluster_ids(m), n, x.reshape(m, 1))
+    ids = _cluster_ids(m)
+    clusters = build_dataset(ids, n, x.reshape(m, 1))
     design = match_clusters(clusters, match_mode)
     assign_seed = int(streams[4].generate_state(1, np.uint64)[0])
     treat = assign_within_pairs(design, assign_seed)
 
-    nf = n.astype(float)
-    mu = np.where(treat == 1, dgp.outcomes.mu1(x, nf), dgp.outcomes.mu0(x, nf))
     offsets = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    dataset = build_dataset(
-        clusters.cluster_ids,
-        clusters.n_total,
-        clusters.X,
-        treat,
-        np.repeat(mu + gamma, counts) + eps,
-        offsets,
+    # means or outcomes beyond float range become inf or NaN, which the
+    # finite check of the sums reports as a DataError
+    with np.errstate(over="ignore", invalid="ignore"):
+        nf = n.astype(float)
+        mu = np.where(treat == 1, dgp.outcomes.mu1(x, nf), dgp.outcomes.mu0(x, nf))
+        # sigma * z has the bits of rng.normal(0.0, sigma), which numpy
+        # computes as 0.0 + sigma * z, but for the sign of a zero. Adding
+        # either zero to mu + gamma gives the same outcome, since that sum
+        # is never -0.0: gamma, from rng.normal, never is.
+        y *= dgp.outcomes.sigma_unit
+        y += np.repeat(mu + gamma, counts)
+    n_sampled, ybar = _sampled_means(y, offsets, ids, np.arange(m), clusters.n_total, workspace)
+    dataset = replace(
+        clusters,
+        treatment=_treatment_column(treat, ids),
+        n_sampled=_frozen(n_sampled),
+        ybar=_frozen(ybar),
     )
     return dataset, design, dgp.true_delta
 
@@ -477,6 +512,11 @@ def monte_carlo(config: SimConfig) -> SimReport:
 
     Each replication gets its own spawned seed, so results do not depend on
     evaluation order and a single root seed reproduces the whole study.
+    Replication i is bit for bit :func:`generate_trial` on child i's first
+    seed, then :func:`~pairedcrt.inference.infer`. The trials are drawn into
+    one workspace of unit-length buffers that the study keeps, which grows
+    to the largest trial and is freed on return, so a replication reuses
+    the memory of the one before; no trial's columns view it.
     """
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(config.replications)
@@ -489,10 +529,11 @@ def monte_carlo(config: SimConfig) -> SimReport:
     clamped = np.zeros(r, dtype=bool)
     true_delta = config.dgp.true_delta
 
+    workspace = _Workspace(reused=True)  # grows to the largest trial, freed on return
     for i in range(r):
         trial_seed, rand_seed = (int(v) for v in children[i].generate_state(2, np.uint64))
-        dataset, design, _ = generate_trial(
-            config.dgp, config.pair_count, config.match_mode, trial_seed
+        dataset, design, _ = _draw_trial(
+            config.dgp, config.pair_count, config.match_mode, trial_seed, workspace
         )
         res = infer(dataset, design, alpha=config.alpha, delta0=config.null_delta)
         dhats[i] = res.delta_hat

@@ -570,6 +570,14 @@ def trial_draw(dgp, pair_count, seed):
     return x, n, assign_seed, unit_outcomes
 
 
+#: Outcome models (``LinearOutcomeModel`` keywords) whose means overflow:
+#: theta1 * N in a product, and alpha1 plus a cluster effect in a sum.
+OVERFLOWING_OUTCOMES = {
+    "multiply": {"alpha0": 1.0, "alpha1": 1.0, "theta1": 1e307},
+    "add": {"alpha0": 1.0, "alpha1": 1.7e308, "sigma_cluster": 1e308},
+}
+
+
 def trial_units(dgp, pair_count, match_mode, seed):
     """``generate_trial``'s dataset, as a :class:`UnitDataset` carrying the
     unit outcomes of :func:`trial_draw` under its treatment, and design."""

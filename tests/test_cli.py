@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    OVERFLOWING_OUTCOMES,
     identity_design,
     make_dataset,
     package_env,
@@ -679,6 +681,22 @@ class TestBoundaryErrors:
         payload = strict_json(err)
         assert payload["error"] == "DataError"
         assert "more than 1000000 sizes" in payload["message"]
+
+    @pytest.mark.parametrize("outcomes", OVERFLOWING_OUTCOMES.values(), ids=OVERFLOWING_OUTCOMES)
+    def test_overflowing_dgp_gives_one_json_error(self, tmp_path, outcomes):
+        # without the suite's warning filter: stderr holds the error alone
+        path = tmp_path / "dgp.json"
+        path.write_text(json.dumps({**preset("size_heterogeneous").to_json_dict(), "outcomes": outcomes}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairedcrt.cli", "simulate", "--dgp-json", str(path),
+             "--pairs", "20", "--reps", "2", "--seed", "1"],
+            capture_output=True, text=True, env=package_env(),
+        )  # fmt: skip
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.count("\n") == 1
+        payload = strict_json(proc.stderr)
+        assert payload["error"] == "DataError"
+        assert re.fullmatch(r"cluster 'c\d{6}': outcome (inf|-inf|nan)", payload["message"])
 
     def test_huge_trial_is_data_error(self, tmp_path, capsys):
         # 8 clusters of 10^12 units each, all sampled: refused before any draw

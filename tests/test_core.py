@@ -26,6 +26,7 @@ from helpers import (
 )
 from pairedcrt import core
 from pairedcrt.core import (
+    _Workspace,
     _certified_sums,
     _cluster_sums,
     _field_offsets,
@@ -306,7 +307,7 @@ class TestClusterSums:
     """``_cluster_sums`` is math.fsum of each cluster, bit for bit."""
 
     @staticmethod
-    def check(y, offsets):
+    def check(y, offsets, workspace=None):
         # ids c0, c1, ..., c10, ...: the string order differs from the CSR's
         ids = [f"c{g}" for g in range(len(offsets) - 1)]
         want, overflows = [], []
@@ -317,16 +318,30 @@ class TestClusterSums:
                 overflows.append(ids[g])
         if overflows:
             with pytest.raises(DataError) as info:
-                _cluster_sums(y, offsets, ids)
+                _cluster_sums(y, offsets, ids, workspace)
             first = min(overflows)  # in cluster_id order
             assert str(info.value) == f"cluster {first!r}: the sum of its outcomes overflows"
         else:
-            assert_same_bits(_cluster_sums(y, offsets, ids), np.array(want))
+            assert_same_bits(_cluster_sums(y, offsets, ids, workspace), np.array(want))
 
     @settings(max_examples=400, deadline=None)
     @given(data=csr_outcomes())
     def test_equals_fsum(self, data):
         self.check(*data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(first=csr_outcomes(), second=csr_outcomes())
+    def test_a_kept_workspace_changes_no_bit(self, first, second):
+        # the larger input first, so the second runs on longer buffers whose
+        # tails hold the first one's terms
+        inputs = sorted((first, second), key=lambda data: -len(data[0]))
+        workspace = _Workspace(reused=True)  # as a Monte Carlo study's
+        for y, offsets in inputs:
+            fresh, fresh_proven = _certified_sums(y, offsets)
+            kept, kept_proven = _certified_sums(y, offsets, workspace)
+            assert_same_bits(kept, fresh)
+            assert kept_proven.tolist() == fresh_proven.tolist()
+            self.check(y, offsets, workspace)
 
     def test_cluster_behind_a_large_prefix_sum(self):
         # every step after -1e16 rounds to a multiple of 2, so the sum rests

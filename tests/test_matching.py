@@ -51,9 +51,20 @@ class TestMatchedDesign:
             (0, 1, 2, -1),  # a negative entry
             (0, 1, 2),  # an odd length
             (0, 1, 2, 3, 3),  # an odd length by a repeat: the same set as 0..3
+            # entries equal to 0..3 that are not integers
+            (0.0, 1.0, 2.0, 3.0),
+            (0, 1, np.float64(2.0), 3),
+            (0, True, 2, 3),
+            (False, 1, 2, 3),
+            (np.True_, 0, 2, 3),
+            (0, 1, 2, 2**64 + 3),  # an integer beyond int64
         ]:
             with pytest.raises(DataError, match="not a bijection"):
                 MatchedDesign(permutation=permutation, mode="nn_x")
+
+    def test_accepts_numpy_integers(self):
+        design = MatchedDesign((np.int64(1), np.uint8(0), np.int32(3), 2), "nn_x")
+        assert design.pairs() == [(1, 0), (3, 2)]
 
     def test_pairs(self):
         d = MatchedDesign(permutation=(2, 0, 3, 1), mode="nn_x")

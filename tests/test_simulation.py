@@ -1,27 +1,34 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from helpers import (
     COLUMNS,
+    OVERFLOWING_OUTCOMES,
     assert_same_columns,
     monte_carlo_oracle,
     strict_json,
     trial_columns_reference,
+    trial_draw,
     trial_units,
 )
-from pairedcrt.core import build_dataset
+from pairedcrt import simulation
+from pairedcrt.core import _Workspace, build_dataset
 from pairedcrt.errors import DataError
 from pairedcrt.inference import infer
 from pairedcrt.matching import imbalance_report
+from pairedcrt.randtest import randomization_test
 from pairedcrt.simulation import (
     CovariateLaw,
     DgpSpec,
     LinearOutcomeModel,
     SamplingRule,
     SimConfig,
+    SimReport,
     SizeLaw,
     MATCH_MODES,
     generate_trial,
@@ -236,6 +243,44 @@ class TestGenerateTrial:
             got, want = getattr(units, name), columns[name]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
+    @pytest.mark.parametrize(
+        "sigma_cluster,sigma_unit", [(1.0, 0.0), (0.0, 0.0), (0.0, 0.37), (2.5, 1e3)]
+    )
+    def test_unit_noise_has_the_bits_of_numpy_normal(self, sigma_cluster, sigma_unit):
+        # the unit noise is drawn standard normal and scaled in place; the
+        # reference draws it with rng.normal(0.0, sigma_unit). Signed-zero
+        # means (x is normal, so beta * x is -0.0 for x < 0) and zero noise
+        # scales check the sign of every zero outcome too.
+        zero = dict(alpha0=-0.0, alpha1=-0.0, theta0=-0.0, theta1=-0.0)
+        outcomes = LinearOutcomeModel(**zero, sigma_cluster=sigma_cluster, sigma_unit=sigma_unit)
+        dgp = dataclasses.replace(preset("stress"), outcomes=outcomes)
+        ds, _, _ = generate_trial(dgp, pair_count=30, match_mode="nn_x", seed=8)
+        columns, _ = trial_columns_reference(dgp, 30, "nn_x", seed=8)
+        for name in COLUMNS:
+            assert getattr(ds, name).tobytes() == columns[name].tobytes(), name
+
+    @pytest.mark.parametrize("outcomes", OVERFLOWING_OUTCOMES.values(), ids=OVERFLOWING_OUTCOMES)
+    def test_overflowing_means_are_data_errors(self, outcomes):
+        # the suite turns a RuntimeWarning into an error, so a warning from
+        # the means or outcomes would fail here before the DataError
+        dgp = dataclasses.replace(
+            preset("size_heterogeneous"), outcomes=LinearOutcomeModel(**outcomes)
+        )
+        # the finite twin has the same clusters, design and treatment
+        twin, _, _ = generate_trial(preset("size_heterogeneous"), 20, "nn_x", seed=3)
+        *_, unit_outcomes = trial_draw(dgp, 20, seed=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            units = unit_outcomes(twin.treatment)
+        bad = [
+            (cid, next(v for v in values if not math.isfinite(v)))
+            for cid, values in zip(twin.cluster_ids, units)
+            if not all(map(math.isfinite, values))
+        ]
+        assert 0 < len(bad) < twin.n_clusters
+        cid, value = bad[0]  # the first in id order
+        with pytest.raises(DataError, match=f"^{re.escape(f'cluster {cid!r}: outcome {value!r}')}$"):
+            generate_trial(dgp, 20, "nn_x", seed=3)
+
     @pytest.mark.parametrize("preset_name", ["size_heterogeneous", "stress"])
     def test_trial_units_sum_to_the_trial_means(self, preset_name):
         dgp = preset(preset_name)
@@ -435,6 +480,83 @@ class TestMonteCarlo:
             ds, design, _ = generate_trial(config.dgp, config.pair_count, config.match_mode, trial_seed)
             dhats.append(infer(ds, design).delta_hat)
         assert monte_carlo(config).mean_delta_hat == np.mean(dhats)
+
+    @pytest.mark.parametrize("rand_mode", [None, "exact"])
+    def test_study_equals_a_loop_over_the_public_functions(self, monkeypatch, rand_mode):
+        # stress: the unit count changes from one replication to the next,
+        # so a trial drawn into a larger one's buffers must not read its tail
+        config = self.small_config(
+            dgp=preset("stress"), pair_count=10, replications=5, seed=21, rand_mode=rand_mode
+        )
+        seen, buffers = [], []
+
+        def recording_infer(dataset, design, **kwargs):
+            seen.append((dataset, design))
+            return infer(dataset, design, **kwargs)
+
+        class RecordingWorkspace(_Workspace):
+            def floats(self, name, size):
+                buffers.append(super().floats(name, size))
+                return buffers[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulation, "infer", recording_infer)
+            patch.setattr(simulation, "_Workspace", RecordingWorkspace)
+            report = monte_carlo(config)
+
+        assert len({int(d.n_sampled.sum()) for d, _ in seen}) > 1
+        results = []
+        children = np.random.SeedSequence(config.seed).spawn(config.replications)
+        for child, (drawn, drawn_design) in zip(children, seen, strict=True):
+            trial_seed, rand_seed = (int(v) for v in child.generate_state(2, np.uint64))
+            ds, design, _ = generate_trial(config.dgp, config.pair_count, config.match_mode, trial_seed)
+            # the study's trial, after every later draw, is the public one
+            assert_same_columns(drawn, ds)
+            assert drawn_design == design
+            res = infer(ds, design, alpha=config.alpha, delta0=config.null_delta)
+            rt = None
+            if rand_mode is not None:
+                rt = randomization_test(
+                    ds, design, alpha=config.alpha, delta0=config.null_delta,
+                    mode=rand_mode, seed=rand_seed,
+                )  # fmt: skip
+            results.append((res, rt))
+
+        dhats = np.array([res.delta_hat for res, _ in results])
+        v2s = np.array([res.v2 for res, _ in results])
+        delta = config.dgp.true_delta
+        want = SimReport(
+            pair_count=config.pair_count,
+            replications=config.replications,
+            match_mode=config.match_mode,
+            alpha=config.alpha,
+            null_delta=config.null_delta,
+            seed=config.seed,
+            true_delta=delta,
+            mean_delta_hat=float(dhats.mean()),
+            bias=float(dhats.mean() - delta),
+            empirical_sd=float((math.sqrt(config.pair_count) * dhats).std(ddof=1)),
+            mean_v2=float(v2s.mean()),
+            median_v2=float(np.median(v2s)),
+            coverage=float(np.mean([res.ci_low <= delta <= res.ci_high for res, _ in results])),
+            rejection_rate_z=float(np.mean([res.p_value <= config.alpha for res, _ in results])),
+            rejection_rate_rand=None if rand_mode is None else float(
+                np.mean([rt.reject for _, rt in results])
+            ),
+            clamped_rate=float(np.mean([res.clamped for res, _ in results])),
+            oracle_variance=oracle_variance(config.dgp, config.match_mode),
+        )
+        # field for field, bit for bit: JSON floats print every bit
+        assert json.dumps(report.to_json_dict()) == json.dumps(want.to_json_dict())
+
+        # no trial's columns share memory with another's or with the buffers
+        columns = [[getattr(d, name) for name in COLUMNS] for d, _ in seen]
+        assert buffers
+        for i, mine in enumerate(columns):
+            for array in mine:
+                assert not any(np.shares_memory(array, buf) for buf in buffers)
+                for theirs in columns[i + 1 :]:
+                    assert not any(np.shares_memory(array, other) for other in theirs)
 
     def test_oracle_variance_in_every_report(self):
         dgp = preset("size_heterogeneous")

@@ -316,24 +316,23 @@ class _Workspace:
     on arrays of up to the same length reuses memory instead of faulting in
     fresh pages. Each named buffer hands out a view of exactly the length
     asked, so no caller sees a stale tail, and is replaced when asked for
-    more than it holds. Made with ``reused=True``, for calls of varying
-    length, a workspace allocates a quarter to spare, so lengths that vary a
-    little share one buffer and pages never written are never faulted in;
-    otherwise it allocates exactly what is asked, as fresh arrays would.
-    Its memory is freed with the workspace."""
+    more than it holds. A buffer is made a quarter longer than asked, so
+    lengths that vary a little, as a Monte Carlo study's trials do, share
+    one buffer; pages never written are never faulted in, so the spare
+    costs a one-shot caller nothing. Its memory is freed with the
+    workspace."""
 
-    __slots__ = ("_buffers", "_reused")
+    __slots__ = ("_buffers",)
 
-    def __init__(self, reused: bool = False):
+    def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
-        self._reused = reused
 
     def floats(self, name: str, size: int) -> np.ndarray:
         """A float buffer of ``size`` elements, its contents undefined."""
         buf = self._buffers.get(name)
         if buf is None or len(buf) < size:
             self._buffers.pop(name, None)  # freed before its successor is made
-            buf = self._buffers[name] = np.empty(size + size // 4 if self._reused else size)
+            buf = self._buffers[name] = np.empty(size + size // 4)
         return buf[:size]
 
 

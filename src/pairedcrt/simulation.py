@@ -316,9 +316,11 @@ _check_pair_count = partial(_check_count, name="pair_count", minimum=2)
 
 @lru_cache(maxsize=1)
 def _cluster_ids(count: int) -> tuple[str, ...]:
-    """The ids c000001, c000002, ... of a trial's clusters, in id order; the
-    last count's tuple is kept for the next trial of a study."""
-    return tuple(f"c{i + 1:06d}" for i in range(count))
+    """The ids c000001, c000002, ... of a trial's clusters, zero-padded to
+    one width, so that their string order is their number order at every
+    count; the last count's tuple is kept for the next trial of a study."""
+    width = max(6, len(str(count)))
+    return tuple(f"c{i + 1:0{width}d}" for i in range(count))
 
 
 def generate_trial(
@@ -368,6 +370,8 @@ def _draw_trial(
     y = workspace.floats("outcomes", int(sampled))
     rng_eps.standard_normal(out=y)
 
+    # the ids are in string order, so the draw order is the dataset's and
+    # every column below, drawn or summed, is in cluster_id order
     ids = _cluster_ids(m)
     clusters = build_dataset(ids, n, x.reshape(m, 1))
     design = match_clusters(clusters, match_mode)
@@ -529,7 +533,7 @@ def monte_carlo(config: SimConfig) -> SimReport:
     clamped = np.zeros(r, dtype=bool)
     true_delta = config.dgp.true_delta
 
-    workspace = _Workspace(reused=True)  # grows to the largest trial, freed on return
+    workspace = _Workspace()  # grows to the largest trial, freed on return
     for i in range(r):
         trial_seed, rand_seed = (int(v) for v in children[i].generate_state(2, np.uint64))
         dataset, design, _ = _draw_trial(

@@ -335,7 +335,7 @@ class TestClusterSums:
         # the larger input first, so the second runs on longer buffers whose
         # tails hold the first one's terms
         inputs = sorted((first, second), key=lambda data: -len(data[0]))
-        workspace = _Workspace(reused=True)  # as a Monte Carlo study's
+        workspace = _Workspace()  # kept, as a Monte Carlo study's
         for y, offsets in inputs:
             fresh, fresh_proven = _certified_sums(y, offsets)
             kept, kept_proven = _certified_sums(y, offsets, workspace)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -189,6 +190,21 @@ class TestDgpSpec:
 
 
 class TestGenerateTrial:
+    @pytest.mark.parametrize(
+        "count, first", [(2, "c000001"), (12, "c000001"), (10**6 + 2, "c0000001")]
+    )
+    def test_cluster_ids_sort_as_numbered(self, count, first):
+        # a trial's columns are in draw order, which is the dataset's
+        # cluster_id order only if the ids sort as they are numbered;
+        # c1000000 < c100001 would break that at a million clusters
+        try:
+            ids = simulation._cluster_ids(count)
+            assert all(map(operator.lt, ids, ids[1:]))
+            assert [int(i[1:]) for i in ids] == list(range(1, count + 1))
+            assert ids[0] == first
+        finally:
+            simulation._cluster_ids.cache_clear()
+
     def test_deterministic(self):
         dgp = preset("constant_effect")
         a, da, _ = generate_trial(dgp, pair_count=5, match_mode="nn_xn", seed=42)

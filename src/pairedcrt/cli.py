@@ -27,14 +27,7 @@ from .core import load_dataset, read_clusters, write_clusters
 from .errors import DataError, PairedCrtError
 from .estimation import arm_means, kernel_inputs
 from .inference import infer
-from .matching import (
-    MATCH_MODES,
-    imbalance_report,
-    match_clusters,
-    order_pairs_for_variance,
-    read_design,
-    write_design,
-)
+from .matching import MATCH_MODES, imbalance_report, match_clusters, read_design, write_design
 from .randtest import MIN_DRAWS, randomization_test
 from .simulation import PRESET_NAMES, DgpSpec, SimConfig, monte_carlo, preset
 
@@ -126,8 +119,7 @@ def _load_for_analysis(args):
         raise DataError(
             f"the design CSV was matched in mode {design.mode!r}, not on size (nn_xn)"
         )
-    # reordering is idempotent, so match-produced designs pass through unchanged
-    return dataset, order_pairs_for_variance(design, dataset)
+    return dataset, design
 
 
 def cmd_analyze(args) -> dict:

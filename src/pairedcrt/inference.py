@@ -12,8 +12,10 @@ outcomes and ``lambda2`` averages cross products of treatment-signed
 within-pair differences over consecutive pairs ("pairs of pairs"). tau2
 alone would be conservative; the lambda2 correction removes the part of the
 within-pair difference that matching already explains, provided consecutive
-pairs are close in feature space (see
-:func:`pairedcrt.matching.order_pairs_for_variance`).
+pairs are close in feature space. ``infer`` and the randomization test
+therefore take a design's pairs in variance order
+(:func:`pairedcrt.matching.order_pairs_for_variance`), putting any design
+not marked as in that order in it first.
 
 One kernel, :class:`SignSums`, computes (delta, tau2, lambda2) for ``infer``
 at the observed assignment and for the randomization test at whole batches
@@ -54,7 +56,7 @@ import numpy as np
 from .core import Dataset, _json_record
 from .errors import DataError
 from .estimation import PointEstimate, estimate_size_weighted, kernel_inputs
-from .matching import MatchedDesign, _check_covers
+from .matching import MatchedDesign, _check_covers, _in_variance_order
 
 #: v2 at or below this fraction of ``outcome_scale(n, ybar) ** 2`` is
 #: rounding, not variance, and clamps (degenerate data).
@@ -317,17 +319,19 @@ def _check_test_arguments(alpha, delta0, delta0_name: str = "delta0") -> None:
 
 
 def _observed_inputs(dataset: Dataset, design: MatchedDesign, alpha: float, delta0: float):
-    """(N, ybar, D, the design's permutation as an array, first-member-treated
-    mask) of the observed assignment, the entry of ``infer`` and of the
-    randomization test.
+    """(N, ybar, D, the design's permutation in variance order as an array,
+    first-member-treated mask) of the observed assignment, the entry of
+    ``infer`` and of the randomization test.
 
-    Raises what :func:`_check_test_arguments`,
+    A design not marked as in variance order is ordered here, so the
+    statistics do not depend on the order of its pairs. Raises what
+    :func:`_check_test_arguments`, pair ordering,
     :func:`~pairedcrt.estimation.kernel_inputs` and
     :func:`first_member_treated` raise.
     """
     _check_test_arguments(alpha, delta0)
+    perm = np.asarray(_in_variance_order(design, dataset).permutation)
     n, ybar, d = kernel_inputs(dataset)
-    perm = np.asarray(design.permutation)
     first = first_member_treated(n, dataset.treatment, perm)
     return n, ybar, d, perm, first
 
@@ -346,9 +350,10 @@ def infer(
     effect, never less ``delta0``, so v2 does not depend on ``delta0`` at
     all. Raises ``ValueError`` unless 0 < ``alpha`` < 1 and ``delta0`` is
     finite, and ``DataError`` for outcomes beyond :func:`_checked_scale`.
-    The design's pairs must be in variance order, as ``match_clusters`` and
-    ``order_pairs_for_variance`` leave them; that order is trusted, not
-    checked, and the same pairs in another order give another v2.
+    The pairs of ``design`` may come in any order, and its members in
+    either: a design that ``match_clusters`` or ``order_pairs_for_variance``
+    returned is taken in its variance order, and any other is put in that
+    order first, so the result is the same for every order.
     """
     n, ybar, d, perm, first = _observed_inputs(dataset, design, alpha, delta0)
     g = design.pair_count

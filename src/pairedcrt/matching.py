@@ -16,7 +16,10 @@ mode's matcher and orders the pairs.
 
 ``order_pairs_for_variance`` rearranges the pairs so that consecutive pairs
 are close in the mode's z-scored features; the cross-pair products in the
-variance estimator assume this. With one feature the ordering is, unless
+variance estimator and in ``imbalance_report`` assume this. It marks the
+design it returns as in variance order, and this module alone decides the
+order the analysis uses: a marked design as it is, any other ordered
+first (``_in_variance_order``). With one feature the ordering is, unless
 rounding ties decide it, a sort of the pair midpoints. Otherwise it, like
 greedy pairing, is a nearest-neighbor walk of two operations: ``take(i)``
 (a pair's seed, or the path's first pair) and ``take_nearest()``, the
@@ -63,16 +66,28 @@ class MatchedDesign:
     Pair j consists of the clusters at positions (2j, 2j+1) of
     ``permutation``. ``mode``, one of ``MATCH_MODES``, names the features
     the pairs were matched on, which pair ordering and the diagnostics use.
+    A ``permutation`` that is not a bijection on 0..2G-1 raises
+    ``DataError``, an unknown mode ``ValueError``.
+
+    The pairs may come in any order. A design that
+    :func:`order_pairs_for_variance` returned (so one from
+    :func:`match_clusters` or ``generate_trial``) is marked as being in
+    variance order, and the analysis takes its order as it is; it puts any
+    other design, such as one built here or read from CSV, in variance
+    order first. The mark is no field: equality, hash and repr ignore it,
+    and ``dataclasses.replace`` returns an unmarked design.
     """
 
     permutation: tuple[int, ...]
     mode: str
 
+    # set only by _ordered_design, on an instance; not a dataclass field
+    _variance_ordered = False
+
     def __post_init__(self):
         if not _is_index_permutation(self.permutation):
             raise DataError("permutation is not a bijection on 0..2G-1")
-        if self.mode not in MATCH_MODES:
-            raise DataError(f"unknown match mode {self.mode!r}; choose from {MATCH_MODES}")
+        _check_match_mode(self.mode)
 
     @property
     def pair_count(self) -> int:
@@ -381,7 +396,9 @@ def _check_match_mode(match_mode) -> None:
 
 
 def match_clusters(dataset: Dataset, match_mode: str) -> MatchedDesign:
-    """Pair clusters in the given match mode and order the pairs for variance."""
+    """Pair clusters in the given match mode and order the pairs for variance;
+    the design returned is marked as in variance order (see
+    :class:`MatchedDesign`)."""
     _check_match_mode(match_mode)
     if match_mode == "sorted_x":
         design = pair_sorted_scalar(dataset)
@@ -405,8 +422,11 @@ def order_pairs_for_variance(design: MatchedDesign, dataset: Dataset) -> Matched
     Pairs are visited along a greedy nearest-neighbor path through their
     feature midpoints, starting from the pair whose midpoint is
     lexicographically smallest. Ties go to the pair with the smallest
-    member cluster_id. Member order within each pair is preserved. A
-    design that does not cover ``dataset`` raises ``DataError``.
+    member cluster_id. Member order within each pair is preserved, and the
+    order returned does not depend on the order of the pairs given or of
+    the members within them. It is computed for every design, marked or
+    not, and the design returned is marked as in variance order. A design
+    that does not cover ``dataset`` raises ``DataError``.
     """
     _check_covers(design.permutation, dataset.n_clusters)
     z = zscore(_features(dataset, design.mode))
@@ -425,7 +445,22 @@ def order_pairs_for_variance(design: MatchedDesign, dataset: Dataset) -> Matched
             path.append(unvisited.take_nearest())
 
     new_perm = np.column_stack((first[path], second[path])).ravel()
-    return MatchedDesign(tuple(new_perm.tolist()), design.mode)
+    return _ordered_design(tuple(new_perm.tolist()), design.mode)
+
+
+def _ordered_design(permutation, mode: str) -> MatchedDesign:
+    """``MatchedDesign(permutation, mode)``, marked as in variance order, so
+    that :func:`_in_variance_order` takes its pairs in the order given."""
+    design = MatchedDesign(permutation, mode)
+    object.__setattr__(design, "_variance_ordered", True)
+    return design
+
+
+def _in_variance_order(design: MatchedDesign, dataset: Dataset) -> MatchedDesign:
+    """``design`` when it is marked as in variance order, otherwise
+    :func:`order_pairs_for_variance` of it on ``dataset``: the one place the
+    analysis decides the pair order its cross-pair sums use."""
+    return design if design._variance_ordered else order_pairs_for_variance(design, dataset)
 
 
 def _sorted_path(mid: np.ndarray) -> np.ndarray | None:
@@ -451,8 +486,15 @@ def _sorted_path(mid: np.ndarray) -> np.ndarray | None:
 
 def imbalance_report(design: MatchedDesign, dataset: Dataset) -> ImbalanceReport:
     """Compute all within-pair and cross-pair discrepancy sums for a design
-    that covers ``dataset``; one that does not raises ``DataError``."""
+    that covers ``dataset``; one that does not raises ``DataError``.
+
+    The cross-pair sums run over consecutive pairs in variance order, so a
+    design not marked as in that order is ordered first, and the report
+    does not depend on the order of its pairs. Member order still counts:
+    the size weight attaches to the second member.
+    """
     _check_covers(design.permutation, dataset.n_clusters)
+    design = _in_variance_order(design, dataset)
     perm = np.asarray(design.permutation)
     g = design.pair_count
     w = _features(dataset, design.mode)

@@ -122,8 +122,10 @@ def randomization_test(
     stream keyed by ``seed``, an integer in [0, 2**64); ``draws`` is an
     integer of at least ``MIN_DRAWS``. Any other mode, draws or seed raises
     ``ValueError``, as do an ``alpha`` outside (0, 1) and a non-finite
-    ``delta0``. As for ``infer``, the
-    design's pairs must be in variance order, which is trusted, not checked.
+    ``delta0``. As in ``infer``, the pairs of ``design`` may come in any
+    order and its members in either: a design not marked as in variance
+    order is put in it first, so the p-value, the observed statistic and
+    the swap patterns drawn for each pair do not depend on that order.
     """
     _check_mode_and_draws(mode, draws)
     n, ybar, d_float, perm, first = _observed_inputs(dataset, design, alpha, delta0)

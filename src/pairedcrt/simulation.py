@@ -422,6 +422,10 @@ def oracle_variance(dgp: DgpSpec, match_mode: str = "nn_x") -> float:
     + sigma_unit^2 E[w^2 / s(N)]. Given X alone, the size terms of the
     conditional term average out and it is (beta_1 + beta_0) (X - E[X]). The
     moments of N are sums over the finite support of the size law.
+
+    Where a term is beyond float range the limit is not finite (JSON
+    ``null``): a Python float ``**`` that overflows raises, so NaN stands
+    for it.
     """
     _check_match_mode(match_mode)
     values, probs = dgp.sizes.support()
@@ -432,19 +436,22 @@ def oracle_variance(dgp: DgpSpec, match_mode: str = "nn_x") -> float:
     centre = float(probs @ (n * n)) / en  # E[N^2] / E[N]
     size_spread = float(probs @ (w2 * (n - centre) ** 2))
     ew2_over_s = float(probs @ (w2 / dgp.sampling.counts(values)))
-    var_x = dgp.covariates.variance()
 
     m = dgp.outcomes
-    second = (
-        (m.beta1**2 + m.beta0**2) * var_x * ew2
-        + (m.theta1**2 + m.theta0**2) * size_spread
-        + 2.0 * (m.sigma_cluster**2 * ew2 + m.sigma_unit**2 * ew2_over_s)
-    )
-    beta_sum = m.beta1 + m.beta0
-    if match_mode == "nn_xn":
-        cond = beta_sum**2 * var_x * ew2 + (m.theta1 + m.theta0) ** 2 * size_spread
-    else:
-        cond = beta_sum**2 * var_x
+    try:
+        var_x = dgp.covariates.variance()
+        second = (
+            (m.beta1**2 + m.beta0**2) * var_x * ew2
+            + (m.theta1**2 + m.theta0**2) * size_spread
+            + 2.0 * (m.sigma_cluster**2 * ew2 + m.sigma_unit**2 * ew2_over_s)
+        )
+        beta_sum = m.beta1 + m.beta0
+        if match_mode == "nn_xn":
+            cond = beta_sum**2 * var_x * ew2 + (m.theta1 + m.theta0) ** 2 * size_spread
+        else:
+            cond = beta_sum**2 * var_x
+    except OverflowError:
+        return math.nan
     return float(second - 0.5 * cond)
 
 

@@ -43,7 +43,7 @@ from pairedcrt.core import Dataset, _frozen, _unit_chunks, build_dataset, write_
 from pairedcrt.errors import DataError
 from pairedcrt.estimation import arm_means, kernel_inputs
 from pairedcrt.inference import SignSums, first_member_treated, outcome_scale
-from pairedcrt.matching import MatchedDesign, zscore
+from pairedcrt.matching import MatchedDesign, _ordered_design, zscore
 from pairedcrt.simulation import generate_trial
 
 #: The columns of a Dataset, for comparing two of them.
@@ -242,7 +242,9 @@ def wls_oracle(dataset):
 
 
 def identity_design(pair_count, mode="nn_x"):
-    return MatchedDesign(tuple(range(2 * pair_count)), mode)
+    """Pairs (0, 1), (2, 3), ..., marked as in variance order, so that the
+    analysis takes them in that order."""
+    return _ordered_design(tuple(range(2 * pair_count)), mode)
 
 
 def random_dataset(rng, pairs=3, max_size=8, with_treatments=True):
@@ -576,6 +578,15 @@ OVERFLOWING_OUTCOMES = {
     "multiply": {"alpha0": 1.0, "alpha1": 1.0, "theta1": 1e307},
     "add": {"alpha0": 1.0, "alpha1": 1.7e308, "sigma_cluster": 1e308},
 }
+
+#: A DGP JSON (size_heterogeneous, covariates U(0, 1e-10), beta0 1e160)
+#: whose oracle variance squares beta0 beyond float range, while its
+#: outcomes, near 1e150, stay inside the variance kernel's at a few pairs.
+OVERFLOWING_ORACLE_JSON = {
+    **pairedcrt.preset("size_heterogeneous").to_json_dict(),
+    "covariates": {"kind": "uniform", "params": [0.0, 1e-10]},
+}
+OVERFLOWING_ORACLE_JSON["outcomes"] = {**OVERFLOWING_ORACLE_JSON["outcomes"], "beta0": 1e160}
 
 
 def trial_units(dgp, pair_count, match_mode, seed):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    OVERFLOWING_ORACLE_JSON,
     OVERFLOWING_OUTCOMES,
     identity_design,
     make_dataset,
@@ -742,6 +743,15 @@ class TestBoundaryErrors:
         assert excinfo.value.code == 64
         assert "--rand-draws" in capsys.readouterr().err
 
+    def test_stochastic_mode_without_rand_draws_is_usage_error(self, capsys):
+        argv = ["simulate", "--preset", "null", "--pairs", "4", "--reps", "2", "--seed", "1"]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + ["--rand-mode", "stochastic"])
+        assert excinfo.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--rand-draws is required with --rand-mode stochastic" in captured.err
+
     def test_oracle_draws_is_an_unknown_argument(self, capsys):
         # the oracle variance is exact, so there are no draws to set
         argv = ["simulate", "--preset", "null", "--pairs", "4", "--reps", "2", "--seed", "1"]
@@ -794,6 +804,20 @@ class TestSimulate:
         payload = strict_json(out)
         assert payload["true_delta"] == pytest.approx(1.0)
         assert payload["rejection_rate_rand"] is not None
+
+
+    def test_oracle_beyond_float_range_is_null(self, tmp_path, capsys):
+        # every replication runs; only the closed-form oracle overflows
+        path = tmp_path / "dgp.json"
+        path.write_text(json.dumps(OVERFLOWING_ORACLE_JSON))
+        code, out, err = run_cli(
+            ["simulate", "--dgp-json", str(path), "--pairs", "4", "--reps", "2", "--seed", "1"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert payload["oracle_variance"] is None
+        assert payload["replications"] == 2 and payload["mean_v2"] is not None
 
 
 class TestEntryPoint:

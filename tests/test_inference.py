@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from fractions import Fraction
@@ -29,9 +30,10 @@ from pairedcrt.inference import (
     infer,
     outcome_scale,
 )
-from pairedcrt.matching import MatchedDesign
+from pairedcrt import matching
+from pairedcrt.matching import MATCH_MODES, MatchedDesign, _ordered_design, imbalance_report
 from pairedcrt.randtest import _COMPARE_TOL, randomization_test
-from pairedcrt.simulation import generate_trial, preset
+from pairedcrt.simulation import PRESET_NAMES, SimConfig, generate_trial, monte_carlo, preset
 
 
 class TestAdjustedOutcomes:
@@ -92,7 +94,7 @@ class TestVarianceEstimate:
         assert res.lambda2 == pytest.approx(0.5 * (-1.5 * 2.5 + 0.5 * -1.5))
         # listing the first pair's members the other way round keeps the
         # sign, which follows treatment and not member order
-        relisted = MatchedDesign(permutation=(1, 0, 2, 3, 4, 5, 6, 7), mode="nn_x")
+        relisted = _ordered_design((1, 0, 2, 3, 4, 5, 6, 7), "nn_x")
         assert infer(ds, relisted).lambda2 == pytest.approx(res.lambda2)
 
     def test_odd_pair_count_drops_trailing_pair(self):
@@ -144,7 +146,7 @@ def kernel_case_designs(case):
     """Each treatment row of a ``kernel_cases`` draw as a dataset, with the
     drawn design."""
     n, ybar, dmat, perm, g, _ = case
-    design = MatchedDesign(permutation=perm, mode="nn_x")
+    design = _ordered_design(perm, "nn_x")  # the kernel in the drawn pair order
     for d in dmat:
         yield make_dataset(sizes=n.astype(np.int64), ybars=ybar, treatments=d), design
 
@@ -322,7 +324,7 @@ class TestInfer:
     def test_member_order_within_pairs_irrelevant(self, rng):
         ds = random_dataset(rng, pairs=4)
         base = infer(ds, identity_design(4))
-        swapped = MatchedDesign(permutation=(1, 0, 3, 2, 5, 4, 7, 6), mode="nn_x")
+        swapped = _ordered_design((1, 0, 3, 2, 5, 4, 7, 6), "nn_x")
         other = infer(ds, swapped)
         assert other.tau2 == pytest.approx(base.tau2)
         assert other.lambda2 == pytest.approx(base.lambda2)
@@ -441,3 +443,72 @@ class TestKernelOverflow:
         assert infer(ds, design, delta0=1e160).z < 0
         with pytest.raises(DataError, match="at 20 pairs; rescale the outcomes"):
             randomization_test(ds, design, delta0=1e160)
+
+
+@st.composite
+def reordered_designs(draw):
+    """(dataset, design, the design's pairs in a drawn order, those pairs
+    with drawn members listed the other way round); the three designs are
+    the same pairs. The dataset is a ``generate_trial`` trial, whose design
+    is marked as in variance order, or a random dataset paired (0, 1),
+    (2, 3), ... in an unmarked design."""
+    mode = draw(st.sampled_from(MATCH_MODES))
+    g = draw(st.integers(2, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        ds, design, _ = generate_trial(preset(draw(st.sampled_from(PRESET_NAMES))), g, mode, seed)
+    else:
+        ds = random_dataset(np.random.default_rng(seed), pairs=g)
+        design = MatchedDesign(tuple(range(2 * g)), mode)
+    pairs = draw(st.permutations(design.pairs()))
+    swaps = draw(st.lists(st.booleans(), min_size=g, max_size=g))
+    swapped = [pair[::-1] if swap else pair for pair, swap in zip(pairs, swaps)]
+
+    def listed(pair_list):
+        return MatchedDesign(tuple(c for pair in pair_list for c in pair), mode)
+
+    return ds, design, listed(pairs), listed(swapped)
+
+
+class TestPairOrder:
+    """The analysis puts any design not marked as in variance order in that
+    order, so the order of its pairs cannot change an answer."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(reordered_designs(), st.integers(0, 2**64 - 1))
+    def test_pair_order_cannot_change_the_answer(self, case, seed):
+        ds, design, moved, swapped = case
+
+        def analysis(d):
+            return json.dumps([
+                infer(ds, d).to_json_dict(),
+                randomization_test(ds, d, mode="exact").to_json_dict(),
+                randomization_test(ds, d, mode="stochastic", draws=19, seed=seed).to_json_dict(),
+            ])  # fmt: skip
+
+        assert analysis(moved) == analysis(swapped) == analysis(design)
+        # member order counts in the report: the size weight goes to the second
+        report = json.dumps(imbalance_report(design, ds).to_json_dict())
+        assert json.dumps(imbalance_report(moved, ds).to_json_dict()) == report
+
+    def test_one_ordering_per_design(self, monkeypatch):
+        calls = []
+        order = matching.order_pairs_for_variance
+
+        def counted(design, dataset):
+            calls.append(design)
+            return order(design, dataset)
+
+        monkeypatch.setattr(matching, "order_pairs_for_variance", counted)
+        ds, design, _ = generate_trial(preset("stress"), 10, "nn_xn", seed=1)
+        assert len(calls) == 1  # matching orders, and marks, the design
+        infer(ds, design)
+        randomization_test(ds, design)
+        imbalance_report(design, ds)
+        assert len(calls) == 1
+        unmarked = MatchedDesign(design.permutation, design.mode)
+        infer(ds, unmarked)
+        assert len(calls) == 2 and calls[-1] is unmarked
+        calls.clear()
+        monte_carlo(SimConfig(preset("null"), pair_count=4, replications=3, rand_mode="exact"))
+        assert len(calls) == 3  # once per trial

@@ -23,6 +23,7 @@ from pairedcrt.matching import (
     MatchedDesign,
     _AxisScan,
     _Unvisited,
+    _ordered_design,
     imbalance_report,
     match_clusters,
     order_pairs_for_variance,
@@ -74,6 +75,50 @@ class TestMatchedDesign:
         assert [f.name for f in dataclasses.fields(MatchedDesign)] == ["permutation", "mode"]
         for g in (0, 1, 3):
             assert MatchedDesign(tuple(range(2 * g)), "nn_x").pair_count == g
+
+    def test_unknown_mode_is_an_argument_error(self):
+        # one rule, and one message, for the mode of a design and of matching
+        items = items_from([0.0, 1.0, 2.0, 3.0])
+        for mode in ("bogus", "", None):
+            with pytest.raises(ValueError, match="unknown match mode") as built:
+                MatchedDesign((0, 1, 2, 3), mode)
+            with pytest.raises(ValueError) as matched:
+                match_clusters(items, mode)
+            assert not isinstance(built.value, DataError)
+            assert str(built.value) == str(matched.value)
+
+
+class TestVarianceOrderMark:
+    """Only ``order_pairs_for_variance`` marks a design as in variance
+    order; the mark is no field, argument or part of a design's value."""
+
+    def test_only_ordering_marks(self, tmp_path):
+        items = items_from([0.3, 5.0, 0.0, 1.0, 4.0, 2.0])
+        plain = MatchedDesign((0, 1, 2, 3, 4, 5), "nn_x")
+        ordered = order_pairs_for_variance(plain, items)
+        assert not plain._variance_ordered and ordered._variance_ordered
+        assert match_clusters(items, "nn_x")._variance_ordered
+        assert not pair_greedy_nn(items)._variance_ordered
+        assert not pair_sorted_scalar(items)._variance_ordered
+        assert not dataclasses.replace(ordered)._variance_ordered
+        path = tmp_path / "design.csv"
+        write_design(ordered, items, path)
+        assert not read_design(path, items)._variance_ordered
+
+    def test_the_mark_leaves_equality_hash_and_repr_alone(self):
+        plain = MatchedDesign((2, 3, 0, 1), "nn_x")
+        marked = _ordered_design((2, 3, 0, 1), "nn_x")
+        assert marked._variance_ordered
+        assert marked == plain and hash(marked) == hash(plain)
+        assert repr(marked) == repr(plain) == "MatchedDesign(permutation=(2, 3, 0, 1), mode='nn_x')"
+        with pytest.raises(TypeError):
+            MatchedDesign((0, 1, 2, 3), "nn_x", True)
+
+    def test_ordering_a_marked_design_computes_the_order(self):
+        items = items_from([0.0, 0.1, 5.0, 5.1, 1.0, 1.1])
+        # marked, but pairs 1 and 2 out of variance order
+        marked = _ordered_design((0, 1, 2, 3, 4, 5), "nn_x")
+        assert order_pairs_for_variance(marked, items).permutation == (0, 1, 4, 5, 2, 3)
 
 
 class TestZscore:
@@ -656,6 +701,18 @@ class TestDesignIO:
         items = items_from([1.0, 2.0, 3.0, 4.0])
         path = tmp_path / "design.csv"
         path.write_text(f"pair_index,position,cluster_id\n0,0,c000\n{row}\n1,0,c002\n1,1,c003\n")
+        with pytest.raises(DataError, match=message):
+            read_design(path, items)
+
+    @pytest.mark.parametrize("missing", ["pair_index", "position", "cluster_id"])
+    def test_header_without_a_required_column_is_data_error(self, tmp_path, missing):
+        items = items_from([1.0, 2.0, 3.0, 4.0])
+        path = tmp_path / "design.csv"
+        write_design(identity_design(2), items, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        drop = rows[0].index(missing)
+        path.write_text("".join(",".join(r[:drop] + r[drop + 1 :]) + "\n" for r in rows))
+        message = r"design CSV header must contain \['cluster_id', 'pair_index', 'position'\]"
         with pytest.raises(DataError, match=message):
             read_design(path, items)
 

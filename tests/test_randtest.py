@@ -74,11 +74,11 @@ class TestExact:
             assert res.p_value >= 2.0 / 8.0 - 1e-12
 
     def test_member_order_within_pairs_irrelevant(self, rng):
-        from pairedcrt.matching import MatchedDesign
+        from pairedcrt.matching import _ordered_design
 
         ds = random_dataset(rng, pairs=3)
         base = randomization_test(ds, identity_design(3), mode="exact")
-        swapped = MatchedDesign(permutation=(1, 0, 3, 2, 5, 4), mode="nn_x")
+        swapped = _ordered_design((1, 0, 3, 2, 5, 4), "nn_x")
         other = randomization_test(ds, swapped, mode="exact")
         assert other.p_value == base.p_value
         assert other.t_observed == pytest.approx(base.t_observed)

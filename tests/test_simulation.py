@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     COLUMNS,
+    OVERFLOWING_ORACLE_JSON,
     OVERFLOWING_OUTCOMES,
     assert_same_columns,
     monte_carlo_oracle,
@@ -173,6 +174,12 @@ class TestDgpSpec:
             (lambda p: p.pop("sampling"), "KeyError: 'sampling'"),
             (lambda p: p.update(sampling=[]), "TypeError"),
             (lambda p: p.update(outcomes=[1.0]), "AttributeError"),
+            (lambda p: p["sizes"].update(params=10), "expected a list of numbers"),
+            (lambda p: p["covariates"].update(params=[0.0, 0.0]), "normal law needs sd > 0"),
+            (lambda p: p["sizes"].update(kind="uniform_int", params=[5, 3]), "1 <= low <= high"),
+            (lambda p: p["sizes"].update(params=[5, 5, 0.5]), "1 <= small < large"),
+            (lambda p: p["outcomes"].update(sigma_cluster=-1.0), "must be nonnegative"),
+            (lambda p: p["outcomes"].update(sigma_unit=-0.5), "must be nonnegative"),
         ],
     )
     def test_malformed_json_is_a_data_error(self, spoil, message):
@@ -430,6 +437,11 @@ class TestOracleVariance:
     def test_sorted_x_targets_the_x_only_limit(self):
         dgp = preset("size_heterogeneous")
         assert oracle_variance(dgp, "sorted_x") == oracle_variance(dgp, "nn_x")
+
+    @pytest.mark.parametrize("match_mode", MATCH_MODES)
+    def test_beyond_float_range_is_not_finite(self, match_mode):
+        dgp = DgpSpec.from_json_dict(OVERFLOWING_ORACLE_JSON)
+        assert math.isnan(oracle_variance(dgp, match_mode))
 
 
 class TestMonteCarlo:
